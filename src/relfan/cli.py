@@ -16,7 +16,6 @@ import json
 import random
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -201,15 +200,6 @@ def report_exit(report: dict) -> int:
     return 0 if good else 1
 
 
-def _run_checks(thunks) -> list:
-    """Independent check thunks through a small worker pool; results
-    keep submission order, so reports stay deterministic."""
-    if len(thunks) <= 1:
-        return [t() for t in thunks]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        return list(pool.map(lambda t: t(), thunks))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -282,7 +272,7 @@ def _completeness_checks(spec: SpecData) -> list:
                 return "inadmissible-rejected", False, {"index": i, "operator": op}
         return "inadmissible-rejected", True, {"operators": len(operators)}
 
-    return _run_checks([covers, rejects])
+    return [covers(), rejects()]
 
 
 def _relations_checks(spec: SpecData) -> list:

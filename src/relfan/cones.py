@@ -21,7 +21,6 @@ from .errors import MixedAmbient, NotSharp
 from .qlinalg import (
     Subspace,
     dot,
-    identity,
     inverse,
     is_zero_vec,
     mat,

@@ -43,7 +43,6 @@ from .hodge import (
     check_in_g,
     pq_spaces,
     relative_filtration_exists,
-    weight_filtration,
 )
 from .qlinalg import (
     Mat,
@@ -605,7 +604,7 @@ def check_square_zero_pure(frame: Frame) -> dict:
         raise MissingHodgeData("declared graded types are required for this predicate")
     np = frame.log_gamma
     square_zero = is_zero_mat(matmul(np, np))
-    wf = weight_filtration(np, center=frame.weight)
+    wf = frame.pencil_weight_filtration
     computed = {j: d for j, d in wf.graded_dims().items() if d}
     declared = {w: sum(m for _, _, m in types) for w, types in frame.graded_types.items()}
     dims_match = computed == declared

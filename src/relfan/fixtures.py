@@ -1,7 +1,5 @@
 """Ready made frames used across the test suite and the demo scripts."""
 
-from fractions import Fraction
-
 from .hodge import Frame
 
 

@@ -127,15 +127,6 @@ def lift_mat(rows) -> tuple:
     return tuple(tuple(coerce(x) for x in r) for r in rows)
 
 
-def gvadd(a, b) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def gvscale(c, v) -> tuple:
-    c = coerce(c)
-    return tuple(c * x for x in v)
-
-
 def gconj_vec(v) -> tuple:
     return tuple(x.conjugate() for x in v)
 
@@ -151,17 +142,8 @@ def gmatmul(a, b) -> tuple:
     )
 
 
-def gzeros(n: int, m: int) -> tuple:
-    return tuple(tuple(ZERO for _ in range(m)) for _ in range(n))
-
-
 def gidentity(n: int) -> tuple:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def gmatscale(c, m) -> tuple:
-    c = coerce(c)
-    return tuple(tuple(c * x for x in row) for row in m)
 
 
 def grref(m) -> tuple:

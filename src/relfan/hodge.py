@@ -26,7 +26,6 @@ from functools import cached_property
 from .errors import (
     InvariantViolation,
     MixedAmbient,
-    MissingHodgeData,
     NotInG,
     NotInGroup,
     NotNilpotent,
@@ -39,11 +38,13 @@ from .qlinalg import (
     Vec,
     ZLattice,
     det,
+    frac,
     identity,
     inverse,
     is_nilpotent,
     is_zero_mat,
     is_zero_vec,
+    linear_map,
     log_unipotent,
     mat,
     mat_from_json,
@@ -53,6 +54,7 @@ from .qlinalg import (
     matscale,
     matvec,
     nilpotency_index,
+    rref,
     solve,
     transpose,
     vadd,
@@ -166,33 +168,38 @@ def weight_filtration(n_mat: Mat, center: int = 0) -> Filtration:
 
 
 def _graded_chart(lower: Subspace, upper: Subspace):
-    """Complement basis of lower inside upper plus a coordinate map."""
+    """Complement basis of lower inside upper plus a coordinate map.
+
+    One rref of [A | I], A with the rows of lower then of upper as
+    columns: pivots inside A pick the complement greedily, and the I
+    part, the row operations E, gives coordinates (E . v at the pivot
+    rows) and membership (E . v zero below them) by two matvecs."""
     amb = upper.ambient
-    comp = []
-    cur = lower
-    for row in upper.basis:
-        if not cur.contains(row):
-            comp.append(row)
-            cur = cur.add(Subspace.span([row], amb))
-    full = lower.basis + tuple(comp)
-    solve_mat = transpose(full) if full else ()
+    cols = lower.basis + upper.basis
+    k, low = len(cols), len(lower.basis)
+    eye = identity(amb)
+    reduced, piv = rref(tuple(tuple(c[i] for c in cols) + eye[i] for i in range(amb)))
+    rank = sum(1 for p in piv if p < k)
+    comp = tuple(cols[p] for p in piv[low:rank])
+    left = linear_map(tuple(row[k:] for row in reduced[low:rank]))
+    outside = linear_map(tuple(row[k:] for row in reduced[rank:]))
 
     def coords(v):
         if not comp:
             return ()
-        x = solve(solve_mat, vec(v))
-        if x is None:
+        v = vec(v)
+        if not is_zero_vec(outside(v)):
             raise PreconditionViolated("vector outside the graded chart")
-        return x[len(lower.basis):]
+        return left(v)
 
-    return tuple(comp), coords
+    return comp, coords
 
 
 def induced_graded_operator(op: Mat, lower: Subspace, upper: Subspace) -> Mat:
     """Matrix of op on upper/lower.  Requires op(upper) <= upper and
     op(lower) <= lower."""
     comp, coords = _graded_chart(lower, upper)
-    cols = [coords(matvec(op, c)) for c in comp]
+    cols = [coords(v) for v in matmul(comp, transpose(op))]
     return transpose(tuple(cols)) if comp else ()
 
 
@@ -203,9 +210,9 @@ def is_weight_filtration(n_mat: Mat, filt: Filtration, center: int) -> bool:
         return False
     lo = filt.jump_indices[0]
     hi = filt.jump_indices[-1]
+    nt = transpose(n_mat)
     for j in range(lo - 1, hi + 1):
-        fj = filt.at(j)
-        if not filt.at(j - 2).contains_space(Subspace.span([matvec(n_mat, v) for v in fj.basis], amb)):
+        if not filt.at(j - 2).contains_space(Subspace.span(matmul(filt.at(j).basis, nt), amb)):
             return False
     span_l = max(hi - center, center - lo) + 1
     for l in range(1, span_l + 1):
@@ -229,15 +236,14 @@ def is_relative_weight_filtration(n_mat: Mat, base: Filtration, cand: Filtration
         raise MixedAmbient("relative filtration check: ambient mismatch")
     if not cand.is_exhaustive():
         return False
+    nt = transpose(n_mat)
     for j, s in base.jumps:
-        img = Subspace.span([matvec(n_mat, v) for v in s.basis], amb)
-        if not s.contains_space(img):
+        if not s.contains_space(Subspace.span(matmul(s.basis, nt), amb)):
             return False
     lo = cand.jump_indices[0]
     hi = cand.jump_indices[-1]
     for j in range(lo, hi + 1):
-        img = Subspace.span([matvec(n_mat, v) for v in cand.at(j).basis], amb)
-        if not cand.at(j - 2).contains_space(img):
+        if not cand.at(j - 2).contains_space(Subspace.span(matmul(cand.at(j).basis, nt), amb)):
             return False
     for w in base.jump_indices:
         lower, upper = base.at(w - 1), base.at(w)
@@ -261,9 +267,23 @@ def is_relative_weight_filtration(n_mat: Mat, base: Filtration, cand: Filtration
 # frames
 
 
+def _integer(x, what: str) -> int:
+    """An exactly integral spec entry as an int; int() alone would
+    truncate 2.9 to 2."""
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    try:
+        value = frac(x)
+    except SpecFormatError:
+        value = None
+    if value is None or value.denominator != 1:
+        raise SpecFormatError(f"{what} must be an integer, got {x!r}")
+    return value.numerator
+
+
 def _as_type_counts(data, what) -> tuple:
     try:
-        items = sorted((int(p), int(q), int(m)) for (p, q), m in dict(data).items())
+        items = sorted(tuple(_integer(x, what) for x in (p, q, m)) for (p, q), m in dict(data).items())
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(f"{what}: expected {{(p, q): multiplicity}}") from exc
     if any(m <= 0 for _, _, m in items):
@@ -306,8 +326,8 @@ class Frame:
             raise SpecFormatError("frame: inner weight must be negative")
         self.gram = mat(self.gram)
         self.gamma = mat(self.gamma)
-        if len(self.gram) != r or len(self.gamma) != r:
-            raise MixedAmbient("frame: gram and gamma must match the inner rank")
+        if any(len(m) != r or any(len(row) != r for row in m) for m in (self.gram, self.gamma)):
+            raise SpecFormatError("frame: gram and gamma must be square of the inner rank")
         sign = -ONE if self.weight % 2 else ONE
         if transpose(self.gram) != matscale(sign, self.gram):
             raise SpecFormatError("frame: gram has the wrong symmetry for the weight")
@@ -324,8 +344,7 @@ class Frame:
         log_unipotent(self.gamma)  # raises NotUnipotent when it is not
         inner = self.inner_lattice
         for b in inner.basis_vectors():
-            if not inner.contains(matvec(self.gamma, self._inner_part(b))
-                                  + (ZERO,)):
+            if not inner.contains(matvec(self.gamma, b[:r]) + (ZERO,)):
                 raise NotInGroup("frame: gamma does not preserve the inner lattice")
         self.hodge = _as_type_counts(self.hodge, "hodge numbers")
         if sum(m for _, _, m in self.hodge) != r:
@@ -334,7 +353,8 @@ class Frame:
             raise SpecFormatError("frame: hodge types must have p + q = weight")
         if self.graded_types is not None:
             self.graded_types = {
-                int(w): _as_type_counts(d, "graded types") for w, d in dict(self.graded_types).items()
+                _integer(w, "graded types"): _as_type_counts(d, "graded types")
+                for w, d in dict(self.graded_types).items()
             }
             total = sum(m for d in self.graded_types.values() for _, _, m in d)
             if total != r:
@@ -356,15 +376,6 @@ class Frame:
             raise MixedAmbient("embed_inner: wrong length")
         return v + (ZERO,)
 
-    def _inner_part(self, v: Vec) -> Vec:
-        return tuple(v[: self.rank])
-
-    def inner_part(self, v: Vec) -> Vec:
-        v = vec(v)
-        if v[self.rank] != 0:
-            raise PreconditionViolated("vector has a nonzero e component")
-        return self._inner_part(v)
-
     @cached_property
     def inner_space(self) -> Subspace:
         return Subspace.span([self.embed_inner(row) for row in identity(self.rank)], self.dim)
@@ -377,6 +388,12 @@ class Frame:
     def log_gamma(self) -> Mat:
         """Nilpotent logarithm of gamma on the inner piece (rational)."""
         return log_unipotent(self.gamma)
+
+    @cached_property
+    def pencil_weight_filtration(self) -> Filtration:
+        """W(log gamma) centered at the frame weight.  W(lam N) = W(N) for
+        every lam != 0, so this one copy serves the whole pencil."""
+        return weight_filtration(self.log_gamma, center=self.weight)
 
     @cached_property
     def base_filtration(self) -> Filtration:
@@ -407,17 +424,20 @@ class Frame:
     def e_image(self, n_mat: Mat) -> Vec:
         return tuple(n_mat[i][self.rank] for i in range(self.rank))
 
-    def restriction_multiple(self, n_mat: Mat):
-        """lam with inner block equal to lam * log(gamma), else None."""
-        a = self.restriction(n_mat)
+    def block_multiple(self, block: Mat):
+        """lam with block equal to lam * log(gamma), else None."""
         np = self.log_gamma
         if is_zero_mat(np):
-            return ZERO if is_zero_mat(a) else None
+            return ZERO if is_zero_mat(block) else None
         i, j = next(
             (i, j) for i in range(self.rank) for j in range(self.rank) if np[i][j] != 0
         )
-        lam = a[i][j] / np[i][j]
-        return lam if a == matscale(lam, np) else None
+        lam = block[i][j] / np[i][j]
+        return lam if block == matscale(lam, np) else None
+
+    def restriction_multiple(self, n_mat: Mat):
+        """lam with inner block equal to lam * log(gamma), else None."""
+        return self.block_multiple(self.restriction(n_mat))
 
 
 def check_in_g(frame: Frame, n_mat: Mat) -> None:
@@ -482,6 +502,17 @@ def g_basis(frame: Frame) -> tuple:
 # the relative construction
 
 
+def _inner_weight_filtration(frame: Frame, block: Mat) -> Filtration:
+    """Weight filtration of a nilpotent inner block centered at the frame
+    weight: the frame's cached copy for a nonzero multiple of log(gamma),
+    computed directly for every other block (lam = 0 included)."""
+    if frame.block_multiple(block):
+        return frame.pencil_weight_filtration
+    if not is_nilpotent(block):
+        raise NotNilpotent("inner block is not nilpotent")
+    return weight_filtration(block, center=frame.weight)
+
+
 def pq_spaces(frame: Frame, inner_op: Mat):
     """The existence space P and the torus direction space Q of an inner
     nilpotent block, and whether the two published descriptions of them
@@ -491,10 +522,7 @@ def pq_spaces(frame: Frame, inner_op: Mat):
     P = image + level(-2) of the weight filtration centered at the frame
     weight; Q = kernel meet level(-2).
     """
-    if not is_nilpotent(inner_op):
-        raise NotNilpotent("inner block is not nilpotent")
-    wf = weight_filtration(inner_op, center=frame.weight)
-    w2 = wf.at(-2)
+    w2 = _inner_weight_filtration(frame, inner_op).at(-2)
     img = Subspace.image(inner_op)
     ker = Subspace.kernel(inner_op)
     p = img.add(w2)
@@ -522,10 +550,8 @@ def relative_filtration(frame: Frame, n_mat: Mat):
     """
     check_in_g(frame, n_mat)
     a_block = frame.restriction(n_mat)
-    if not is_nilpotent(a_block):
-        raise NotNilpotent("operator's inner block is not nilpotent")
+    wf = _inner_weight_filtration(frame, a_block)
     h = frame.e_image(n_mat)
-    wf = weight_filtration(a_block, center=frame.weight)
     w2 = wf.at(-2)
     proj = reduce_projector(w2)
     x = solve(matmul(proj, a_block), matvec(proj, h))
@@ -576,11 +602,14 @@ def frame_from_json(data) -> Frame:
     if not isinstance(data, dict):
         raise SpecFormatError("frame: expected an object")
     try:
-        rank = int(data["rank"])
-        weight = int(data["weight"])
+        rank = _integer(data["rank"], "frame: rank")
+        weight = _integer(data["weight"], "frame: weight")
         gram = mat_from_json(data["gram"])
         gamma = mat_from_json(data["gamma"])
-        hodge = {(int(p), int(q)): int(m) for p, q, m in data["hodge_numbers"]}
+        hodge = {}
+        for row in data["hodge_numbers"]:
+            p, q, m = (_integer(x, "frame: hodge numbers") for x in row)
+            hodge[(p, q)] = m
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFormatError(f"frame: missing or malformed field ({exc})") from exc
     lattice = None
@@ -590,8 +619,9 @@ def frame_from_json(data) -> Frame:
     if "graded_types" in data:
         graded = {}
         try:
-            for w, p, q, m in data["graded_types"]:
-                graded.setdefault(int(w), {})[(int(p), int(q))] = int(m)
+            for row in data["graded_types"]:
+                w, p, q, m = (_integer(x, "frame: graded types") for x in row)
+                graded.setdefault(w, {})[(p, q)] = m
         except (TypeError, ValueError) as exc:
             raise SpecFormatError("frame: malformed graded type row") from exc
     return Frame(

@@ -4,12 +4,19 @@ Matrices are tuples of tuples of Fraction, row major.  Endomorphisms act
 on column vectors (matvec), subspaces and lattices are stored as row
 bases.  There is no floating point anywhere in the package.
 
+Elimination (rref, and everything built on it) and recombination
+(matmul, matvec, the intersection basis of two subspaces) run on
+integer rows with their denominators cleared, converting back to
+Fraction only for the result: integer arithmetic is far cheaper than
+Fraction arithmetic, and the canonical forms come out entry for entry
+the same.
+
 The integer side (Hermite and Smith forms, saturation, kernels over Z)
 is hand rolled: we need the transformation matrices, and more
 importantly a deterministic canonical basis for every lattice, because
 lattice equality and quotient coordinates are answers here rather than
 intermediate steps.  Sizes stay small (ambient rank <= 21), so dense
-Fraction elimination is fast enough.
+elimination is fast enough.
 """
 
 from __future__ import annotations
@@ -105,17 +112,20 @@ def matmul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def matvec(a: Mat, v: Vec) -> Vec:
-    if not a:
-        return ()
+def linear_map(a: Mat):
+    """v -> a . v, with the denominators of a cleared once for all calls."""
     ia, da = _scaled_int_rows(a)
-    iv, dv = _scaled_int_rows([v])
-    d = da * dv
-    return tuple(Fraction(sum(x * y for x, y in zip(row, iv[0])), d) for row in ia)
+
+    def apply(v: Vec) -> Vec:
+        iv, dv = _scaled_int_rows([v])
+        d = da * dv
+        return tuple(Fraction(sum(x * y for x, y in zip(row, iv[0])), d) for row in ia)
+
+    return apply
 
 
-def vecmat(v: Vec, a: Mat) -> Vec:
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]) if a else 0))
+def matvec(a: Mat, v: Vec) -> Vec:
+    return linear_map(a)(v)
 
 
 def matadd(a: Mat, b: Mat) -> Mat:
@@ -364,14 +374,9 @@ class Subspace:
         a, b = self.basis, other.basis
         if not a or not b:
             return Subspace.zero(self.ambient)
-        stacked = a + b
-        found = []
-        for y in kernel_basis(transpose(stacked)):
-            v = zero_vec(self.ambient)
-            for coef, row in zip(y[: len(a)], a):
-                v = vadd(v, vscale(coef, row))
-            found.append(v)
-        return Subspace.span(found, self.ambient)
+        # y . (a + b) = 0 means y[:len(a)] . a lies in both spaces
+        coeffs = tuple(y[: len(a)] for y in kernel_basis(transpose(a + b)))
+        return Subspace.span(matmul(coeffs, a), self.ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +628,6 @@ class ZLattice:
 
     def contains(self, v: Vec) -> bool:
         return self.coords(v) is not None
-
-    def qspan(self) -> Subspace:
-        return Subspace.span(self.basis_vectors(), self.ambient)
 
     def add(self, other: "ZLattice") -> "ZLattice":
         if self.ambient != other.ambient:

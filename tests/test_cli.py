@@ -104,6 +104,28 @@ def test_unknown_fixture_exits_2(tmp_path, capsys):
     assert run(capsys, "build", "--spec", spec)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("rank", 2.9), ("rank", "2.5"), ("weight", -1.5), ("hodge_numbers", [[0, -1, 1.5], [-1, 0, 1]])],
+)
+def test_non_integral_frame_field_exits_2(tmp_path, capsys, field, value):
+    payload = frame_to_json(elliptic_frame())
+    payload[field] = value
+    spec = write_spec(tmp_path, frame=payload)
+    code, _, err = run(capsys, "build", "--spec", spec)
+    assert code == 2
+    assert "must be an integer" in err
+
+
+def test_gram_of_the_wrong_size_exits_2(tmp_path, capsys):
+    payload = frame_to_json(elliptic_frame())
+    payload["gram"] = [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+    spec = write_spec(tmp_path, frame=payload)
+    code, _, err = run(capsys, "build", "--spec", spec)
+    assert code == 2
+    assert "inner rank" in err
+
+
 def test_corrupt_mode_on_ray_fan_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, fixture="elliptic", fan="neron-rays", corrupt="drop-faces")
     assert run(capsys, "build", "--spec", spec)[0] == 2

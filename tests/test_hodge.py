@@ -11,12 +11,16 @@ from relfan.errors import (
     NotUnipotent,
     SpecFormatError,
 )
+from relfan import hodge
 from relfan.fixtures import elliptic_frame, jordan3_frame
+from relfan.gallery import kunneth_h3, standard_factors
 from relfan.hodge import (
     Filtration,
     Frame,
     Subspace,
     check_in_g,
+    frame_from_json,
+    frame_to_json,
     g_basis,
     is_in_g,
     is_relative_weight_filtration,
@@ -163,6 +167,32 @@ def test_frame_rejects_bad_hodge_numbers():
               hodge={(0, 0): 2})
 
 
+def test_frame_rejects_gram_of_the_wrong_size():
+    with pytest.raises(SpecFormatError):
+        Frame(rank=2, weight=-1, gram=((0, -1, 0), (1, 0, 0), (0, 0, 1)),
+              gamma=((1, 1), (0, 1)), hodge={(0, -1): 1, (-1, 0): 1})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rank", 2.9),
+    ("weight", "-3/2"),
+    ("hodge_numbers", [[0, -1, 1.5], [-1, 0, 1]]),
+    ("hodge_numbers", [[0, -1, True], [-1, 0, 1]]),
+    ("graded_types", [[0, 0, 0, 1], [-2.5, -1, -1, 1]]),
+])
+def test_frame_from_json_rejects_non_integral_fields(field, value):
+    payload = frame_to_json(elliptic_frame())
+    payload[field] = value
+    with pytest.raises(SpecFormatError, match="must be an integer"):
+        frame_from_json(payload)
+
+
+def test_frame_from_json_accepts_integral_floats():
+    payload = frame_to_json(elliptic_frame())
+    payload["rank"], payload["weight"] = 2.0, "-1"
+    assert frame_to_json(frame_from_json(payload)) == frame_to_json(elliptic_frame())
+
+
 # --- the compatible operators -------------------------------------------------
 
 
@@ -235,6 +265,56 @@ def test_pq_rejects_non_nilpotent():
     fr = elliptic_frame()
     with pytest.raises(NotNilpotent):
         pq_spaces(fr, identity(2))
+
+
+# --- the cached pencil weight filtration -------------------------------------
+
+PENCIL_FRAMES = {"jordan3": jordan3_frame, "triple": lambda: kunneth_h3(standard_factors())}
+
+
+@pytest.mark.parametrize("name", sorted(PENCIL_FRAMES))
+def test_pencil_cache_matches_the_direct_computation(name, monkeypatch):
+    fr = PENCIL_FRAMES[name]()
+    n = fr.log_gamma
+    images = [(0,) * fr.rank, matvec(n, (1,) * fr.rank), (1,) + (0,) * (fr.rank - 1)]
+
+    def results():
+        out = []
+        for lam in (F(1), F(2), F(-3), F(1, 2)):
+            block = matscale(lam, n)
+            out.append(pq_spaces(fr, block))
+            out.extend(relative_filtration(fr, fr.assemble(block, h)) for h in images)
+        return out
+
+    cached = results()
+    assert "pencil_weight_filtration" in vars(fr)
+    with monkeypatch.context() as m:
+        m.setattr(Frame, "block_multiple", lambda self, block: None)
+        assert results() == cached
+    for lam in (2, -3):
+        assert fr.pencil_weight_filtration == weight_filtration(matscale(lam, n), center=fr.weight)
+
+
+def test_zero_and_off_pencil_blocks_take_the_direct_path(monkeypatch):
+    calls = []
+    direct = hodge.weight_filtration
+    monkeypatch.setattr(hodge, "weight_filtration", lambda m, center=0: calls.append(m) or direct(m, center))
+    fr = jordan3_frame()
+    n = fr.log_gamma
+    off_pencil = matmul(n, n)
+    assert fr.block_multiple(off_pencil) is None
+    pq_spaces(fr, off_pencil)
+    pq_spaces(fr, zeros(3, 3))
+    relative_filtration(fr, fr.pencil(0, (0, 1, 0)))
+    assert calls == [off_pencil, zeros(3, 3), zeros(3, 3)]
+    assert "pencil_weight_filtration" not in vars(fr)
+    pq_spaces(fr, matscale(2, n))
+    relative_filtration(fr, fr.pencil(-3, (0, 1, 0)))
+    assert calls[3:] == [n]  # the cache, built once
+    # a non-nilpotent block off the pencil is refused, not served from the cache
+    ell = elliptic_frame()
+    with pytest.raises(NotNilpotent):
+        pq_spaces(ell, matmul(((0, 1), (1, 0)), ell.gram))
 
 
 # --- relative filtrations ------------------------------------------------------

@@ -139,6 +139,20 @@ def test_subspace_intersection_is_lower_bound(rows_a, rows_b):
     assert a.add(b).dim + c.dim == a.dim + b.dim
 
 
+@given(st.data())
+def test_subspace_intersection_of_rational_spaces(data):
+    # a shared part keeps the intersection nonzero in most examples
+    n = data.draw(st.integers(1, 5))
+    row = st.lists(fracs(), min_size=n, max_size=n)
+    shared = data.draw(st.lists(row, max_size=2))
+    a = Subspace.span(shared + data.draw(st.lists(row, max_size=3)), n)
+    b = Subspace.span(shared + data.draw(st.lists(row, max_size=3)), n)
+    c = a.intersect(b)
+    assert a.contains_space(c) and b.contains_space(c)
+    assert c.dim == a.dim + b.dim - a.add(b).dim
+    assert c.contains_space(Subspace.span(shared, n))
+
+
 def test_subspace_reduce_is_membership_test():
     s = Subspace.span([(1, 0, 2), (0, 1, -1)], 3)
     assert s.contains((2, 1, 3))
