@@ -7,6 +7,10 @@ pairing and the quotient line polarized trivially, and all predicates
 are computed piecewise: membership in the flag variety is a type
 invariant, isotropy selects the compact dual, and positivity of the
 induced hermitian forms selects the open domain inside it.
+
+Q(i)-subspaces are realified ``GSpace`` values, so all elimination runs
+in ``qlinalg``; positivity is Sylvester's criterion, by ``qlinalg.det``,
+on the realified hermitian form.
 """
 
 from __future__ import annotations
@@ -26,16 +30,14 @@ from .gaussian import (
     ONE,
     GSpace,
     Gi,
-    gdet,
     gexp_nilpotent,
     gmat,
-    gmatvec,
     gvec,
     i_power,
-    lift_mat,
+    realify_mat,
 )
 from .hodge import Frame, check_in_g
-from .qlinalg import is_nilpotent, mat, matadd, matscale, zeros
+from .qlinalg import det, identity, is_nilpotent, mat, matadd, matscale, zeros
 
 
 def hodge_numbers(frame: Frame) -> dict:
@@ -87,19 +89,11 @@ class PeriodPoint:
 
     def at(self, p: int) -> GSpace:
         """Value of the filtration at level p, constant between jumps."""
-        found = None
-        for q, space in self.jumps:
-            if q >= p:
-                found = space
-            else:
-                break
-        if found is None:
-            return GSpace(self.frame.dim)
-        return found
+        return _level(self.jumps, p, self.frame.dim)
 
     def apply(self, op) -> "PeriodPoint":
         """Transport along an invertible operator, revalidating the flag."""
-        moved = {p: [gmatvec(op, v) for v in s.basis] for p, s in self.jumps}
+        moved = {p: s.apply(op).basis for p, s in self.jumps}
         return PeriodPoint(self.frame, moved)
 
     # --- graded pieces ---
@@ -107,9 +101,7 @@ class PeriodPoint:
     def _split_graded(self):
         fr = self.frame
         r = fr.rank
-        inner_full = GSpace(
-            fr.dim, [tuple(ONE if j == i else Gi() for j in range(fr.dim)) for i in range(r)]
-        )
+        inner_full = GSpace(fr.dim, identity(fr.dim)[:r])
         inner = {}
         quot = {}
         for p, space in self.jumps:
@@ -119,23 +111,15 @@ class PeriodPoint:
             quot[p] = GSpace(1, [(ONE,)] if space.dim > cut.dim else [])
         return (
             (0, ((ONE,),), quot),
-            (fr.weight, lift_mat(fr.gram), inner),
+            (fr.weight, gmat(fr.gram), inner),
         )
 
     def graded(self, k: int, p: int) -> GSpace:
         """The level p piece of the filtration induced on gr(k)."""
         for weight, _, table in self._graded:
             if weight == k:
-                top = None
-                for q, space in sorted(table.items(), reverse=True):
-                    if q >= p:
-                        top = space
-                    else:
-                        break
-                if top is None:
-                    ambient = 1 if k == 0 else self.frame.rank
-                    return GSpace(ambient)
-                return top
+                ambient = 1 if k == 0 else self.frame.rank
+                return _level(sorted(table.items(), reverse=True), p, ambient)
         raise PreconditionViolated(f"no graded piece in weight {k}")
 
     def _check_flag(self):
@@ -151,6 +135,17 @@ class PeriodPoint:
                         f"graded dimension at level {p} in weight {k} is "
                         f"{got}, the type data needs {want}"
                     )
+
+
+def _level(spaces, p: int, ambient: int) -> GSpace:
+    """Value at level p of a filtration given as (level, space) pairs in
+    decreasing level order: the space of the lowest level >= p."""
+    found = GSpace(ambient)
+    for q, space in spaces:
+        if q < p:
+            break
+        found = space
+    return found
 
 
 def extend_inner_filtration(frame: Frame, jumps: dict) -> PeriodPoint:
@@ -232,13 +227,10 @@ def hermitian_gram(pt: PeriodPoint, k: int, p: int):
 
 
 def _positive_definite(m) -> bool:
-    for t in range(1, len(m) + 1):
-        minor = gdet(tuple(row[:t] for row in m[:t]))
-        if minor.im != 0:
-            raise InvariantViolation("principal minor of a hermitian form is not real")
-        if minor.re <= 0:
-            return False
-    return True
+    """Sylvester's criterion on the realified form: a hermitian
+    H = A + iB is positive definite iff [[A, -B], [B, A]] is."""
+    form = realify_mat(m)
+    return all(det(tuple(row[:t] for row in form[:t])) > 0 for t in range(1, len(form) + 1))
 
 
 def in_D(pt: PeriodPoint) -> bool:
@@ -260,13 +252,8 @@ def small_griffiths(pt: PeriodPoint, n_mat) -> bool:
     """Infinitesimal transversality: the operator moves each level into
     the next one down."""
     check_in_g(pt.frame, n_mat)
-    op = lift_mat(mat(n_mat))
-    for p, space in pt.jumps:
-        target = pt.at(p - 1)
-        for v in space.basis:
-            if not target.contains(gmatvec(op, v)):
-                return False
-    return True
+    op = mat(n_mat)
+    return all(pt.at(p - 1).contains_space(space.apply(op)) for p, space in pt.jumps)
 
 
 def nilpotent_orbit_test(pt: PeriodPoint, cone, y_samples=(1, 4, 16, 64, 256)) -> bool:
@@ -277,6 +264,8 @@ def nilpotent_orbit_test(pt: PeriodPoint, cone, y_samples=(1, 4, 16, 64, 256)) -
     samples the diagonal of the parameter space at the given heights; a
     True is evidence, not a proof.
     """
+    if any(y <= 0 for y in y_samples):
+        raise PreconditionViolated("orbit heights must be positive")
     fr = pt.frame
     gens = [unflatten(r, fr.dim) for r in cone.rays]
     for n in gens:
@@ -290,8 +279,6 @@ def nilpotent_orbit_test(pt: PeriodPoint, cone, y_samples=(1, 4, 16, 64, 256)) -
     if not is_nilpotent(total):
         raise GriffithsViolated("cone directions do not sum to a nilpotent operator")
     for y in y_samples:
-        if y <= 0:
-            raise PreconditionViolated("orbit heights must be positive")
         scaled = matscale(Fraction(y), total)
         turned = gmat([[Gi(0, x) for x in row] for row in scaled])
         if not in_D(pt.apply(gexp_nilpotent(turned))):

@@ -2,8 +2,13 @@
 
 Period data is restricted to Q(i) entries so every predicate in the
 classifying layer is decidable: Q(i) is dense in C and closed under the
-conjugations and exponential series we need.  Vectors and matrices are
-plain tuples, mirroring the rational layer.
+conjugations and exponential series we need.  This module holds the
+``Gi`` scalar, its byte stable text form ``a+b*i``, and Q(i) vectors
+and matrices as plain tuples of ``Gi``.
+
+Linear algebra is realified onto the rational layer: v in Q(i)^n is
+read as (re_1, im_1, ..., re_n, im_n) in Q^2n, a matrix as the rational
+matrix of the same map, and a subspace as an i-stable Q-subspace.
 """
 
 from __future__ import annotations
@@ -11,9 +16,10 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
 
-from .errors import NotNilpotent, SpecFormatError
+from .errors import SpecFormatError
+from .qlinalg import Mat, Subspace, Vec, exp_nilpotent, linear_map
 
 
 @dataclass(frozen=True)
@@ -122,182 +128,102 @@ def gmat(rows) -> tuple:
     return tuple(gvec(r) for r in rows)
 
 
-def lift_mat(rows) -> tuple:
-    """Rational matrix into Q(i)."""
-    return tuple(tuple(coerce(x) for x in r) for r in rows)
+lift_mat = gmat  # a rational matrix into Q(i)
 
 
-def gconj_vec(v) -> tuple:
-    return tuple(x.conjugate() for x in v)
+# --- realification --------------------------------------------------------
+
+def realify(v) -> Vec:
+    """Q(i)^n into Q^2n, as (re_1, im_1, ..., re_n, im_n)."""
+    return tuple(x for z in gvec(v) for x in (z.re, z.im))
 
 
-def gmatvec(m, v) -> tuple:
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m)
+def unrealify(w) -> tuple:
+    return tuple(Gi(w[k], w[k + 1]) for k in range(0, len(w), 2))
 
 
-def gmatmul(a, b) -> tuple:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt) for row in a
-    )
+def realify_mat(m) -> Mat:
+    """The rational matrix of v -> m . v in realified coordinates."""
+    out = []
+    for row in gmat(m):
+        out.append(tuple(x for z in row for x in (z.re, -z.im)))
+        out.append(tuple(x for z in row for x in (z.im, z.re)))
+    return tuple(out)
 
 
-def gidentity(n: int) -> tuple:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+def unrealify_mat(m) -> tuple:
+    # column 2b of a realified matrix is its realified column b
+    return tuple(zip(*(unrealify(col) for col in tuple(zip(*m))[::2])))
 
 
-def grref(m) -> tuple:
-    """Reduced row echelon form and pivot columns over Q(i)."""
-    rows = [list(r) for r in m]
-    if not rows:
-        return (), ()
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
-
-
-def grank(m) -> int:
-    return len(grref(m)[1])
-
-
-def gdet(m) -> Gi:
-    n = len(m)
-    rows = [list(r) for r in m]
-    det = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = ONE / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
+def _with_i(w) -> tuple:
+    """A realified vector and i times it."""
+    return w, tuple(x for k in range(0, len(w), 2) for x in (-w[k + 1], w[k]))
 
 
 def gexp_nilpotent(m) -> tuple:
     """exp of a nilpotent Q(i) matrix by its finite series."""
-    n = len(m)
-    out = gidentity(n)
-    term = gidentity(n)
-    for k in range(1, n + 1):
-        term = gmatmul(term, m)
-        if all(not x for row in term for x in row):
-            break
-        out = tuple(
-            tuple(a + b * Gi(Fraction(1, factorial(k))) for a, b in zip(r, s))
-            for r, s in zip(out, term)
-        )
-    else:
-        raise NotNilpotent("exponential series did not terminate")
-    return out
+    return unrealify_mat(exp_nilpotent(realify_mat(m)))
 
 
 class GSpace:
-    """Subspace of Q(i)^n in reduced row echelon coordinates."""
+    """Subspace of Q(i)^n, held as ``real``: the i-stable subspace of
+    Q^2n spanned by the realified vectors and i times each of them.
 
-    __slots__ = ("ambient", "basis", "_pivots")
+    ``basis`` is the reduced row echelon basis over Q(i), read off the
+    rational one.  Let b_1, ..., b_d be the Q(i) rref basis, with pivots
+    p_1 < ... < p_d.  Realified, b_k has 1 at 2p_k and 0 at 2p_k + 1,
+    i b_k has 0 at 2p_k and 1 at 2p_k + 1, both are zero before 2p_k
+    and at every other pivot pair.  So these 2d rows are already a
+    rational rref; as that form is unique, the rational pivots come in
+    pairs (2p_k, 2p_k + 1) and the rows at even pivots are exactly the
+    realified b_k.  Equality and hashing of ``real`` are therefore
+    equality of Q(i)-subspaces.
+    """
 
     def __init__(self, ambient: int, rows=()):
-        basis, pivots = grref(gmat(rows))
-        self.ambient = ambient
-        self.basis = basis[: len(pivots)]
-        self._pivots = pivots
+        self.real = Subspace.span([w for v in rows for w in _with_i(realify(v))], 2 * ambient)
 
     @classmethod
-    def span(cls, rows, ambient: int) -> "GSpace":
-        return cls(ambient, rows)
+    def _of(cls, real: Subspace) -> "GSpace":
+        out = cls.__new__(cls)
+        out.real = real
+        return out
+
+    @property
+    def ambient(self) -> int:
+        return self.real.ambient // 2
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(unrealify(w) for w in self.real.basis[::2])
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    def reduce(self, v) -> tuple:
-        v = list(gvec(v))
-        for row, p in zip(self.basis, self._pivots):
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return tuple(v)
+        return self.real.dim // 2
 
     def contains(self, v) -> bool:
-        return not any(self.reduce(v))
+        return self.real.contains(realify(v))
 
     def contains_space(self, other: "GSpace") -> bool:
-        return all(self.contains(r) for r in other.basis)
+        return self.real.contains_space(other.real)
 
     def intersect(self, other: "GSpace") -> "GSpace":
-        if not self.basis or not other.basis:
-            return GSpace(self.ambient)
-        # left kernel of the stacked bases picks out common vectors
-        stacked = self.basis + other.basis
-        found = []
-        for y in _left_kernel(stacked):
-            head = y[: len(self.basis)]
-            v = tuple(
-                sum((head[i] * self.basis[i][j] for i in range(len(head))), ZERO)
-                for j in range(self.ambient)
-            )
-            if any(v):
-                found.append(v)
-        return GSpace(self.ambient, found)
+        return GSpace._of(self.real.intersect(other.real))
 
     def apply(self, op) -> "GSpace":
-        return GSpace(self.ambient, [gmatvec(op, b) for b in self.basis])
+        image = map(linear_map(realify_mat(op)), self.real.basis)
+        return GSpace._of(Subspace.span(image, self.real.ambient))
 
     def conjugate(self) -> "GSpace":
-        return GSpace(self.ambient, [gconj_vec(b) for b in self.basis])
+        conj = (tuple(-x if k % 2 else x for k, x in enumerate(w)) for w in self.real.basis)
+        return GSpace._of(Subspace.span(conj, self.real.ambient))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GSpace)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
+        return isinstance(other, GSpace) and self.real == other.real
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash(self.real)
 
     def __repr__(self):
         return f"GSpace(dim={self.dim}, ambient={self.ambient})"
-
-
-def _left_kernel(rows):
-    """Vectors y with y * rows = 0, via rref of the transpose."""
-    n = len(rows)
-    if n == 0:
-        return ()
-    m = len(rows[0])
-    # kernel of the transpose acting on coefficient vectors
-    transposed = tuple(tuple(rows[i][j] for i in range(n)) for j in range(m))
-    red, pivots = grref(transposed)
-    free = [j for j in range(n) if j not in pivots]
-    out = []
-    for f in free:
-        y = [ZERO] * n
-        y[f] = ONE
-        for r, p in zip(red, pivots):
-            y[p] = -r[f]
-        out.append(tuple(y))
-    return tuple(out)

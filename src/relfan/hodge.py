@@ -336,7 +336,7 @@ class Frame:
         if self.lattice is None:
             self.lattice = ZLattice.standard(r + 1)
         if self.lattice.ambient != r + 1 or self.lattice.rank != r + 1:
-            raise MixedAmbient("frame: lattice must have full rank in the ambient space")
+            raise SpecFormatError("frame: lattice must have full rank in the ambient space")
         if not self.lattice.contains(self.e_vector):
             raise SpecFormatError("frame: lattice must contain e")
         if matmul(matmul(transpose(self.gamma), self.gram), self.gamma) != self.gram:
@@ -614,7 +614,10 @@ def frame_from_json(data) -> Frame:
         raise SpecFormatError(f"frame: missing or malformed field ({exc})") from exc
     lattice = None
     if "lattice" in data:
-        lattice = ZLattice.from_vectors(mat_from_json(data["lattice"]), rank + 1)
+        vectors = mat_from_json(data["lattice"])
+        if any(len(v) != rank + 1 for v in vectors):
+            raise SpecFormatError("frame: lattice vectors must have length rank + 1")
+        lattice = ZLattice.from_vectors(vectors, rank + 1)
     graded = None
     if "graded_types" in data:
         graded = {}

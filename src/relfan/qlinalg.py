@@ -4,7 +4,7 @@ Matrices are tuples of tuples of Fraction, row major.  Endomorphisms act
 on column vectors (matvec), subspaces and lattices are stored as row
 bases.  There is no floating point anywhere in the package.
 
-Elimination (rref, and everything built on it) and recombination
+Elimination (rref, det, and everything built on them) and recombination
 (matmul, matvec, the intersection basis of two subspaces) run on
 integer rows with their denominators cleared, converting back to
 Fraction only for the result: integer arithmetic is far cheaper than
@@ -246,23 +246,26 @@ def inverse(a: Mat):
 
 
 def det(a: Mat) -> Fraction:
-    rows = [list(r) for r in a]
+    """Determinant by fraction free (Bareiss) elimination on the
+    denominator cleared integer rows: after step c every entry is a
+    minor of order c + 1, so each division is exact and no entry grows
+    beyond a minor of the input."""
+    rows, den = _scaled_int_rows(a)
     n = len(rows)
-    out = ONE
+    sign, prev = 1, 1
     for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        p = next((i for i in range(c, n) if rows[i][c]), None)
         if p is None:
             return ZERO
         if p != c:
             rows[c], rows[p] = rows[p], rows[c]
-            out = -out
-        out *= rows[c][c]
-        inv = rows[c][c]
+            sign = -sign
+        piv, top = rows[c][c], rows[c]
         for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return out
+            f = rows[i][c]
+            rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = piv
+    return Fraction(sign * prev, den**n)
 
 
 def kernel_basis(m: Mat) -> Mat:

@@ -217,6 +217,9 @@ def test_orbit_rejects_bad_heights():
     cone = pencil_ray(pt.frame, F(1), (0, 0))
     with pytest.raises(PreconditionViolated):
         nilpotent_orbit_test(pt, cone, y_samples=(0,))
+    with pytest.raises(PreconditionViolated):
+        # the point leaves the domain at height 1, before the bad height
+        nilpotent_orbit_test(elliptic_point(gi(0, -1)), cone, y_samples=(1, 0))
     assert nilpotent_orbit_test(pt, cone, y_samples=(3,))
 
 

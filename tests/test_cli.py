@@ -126,6 +126,19 @@ def test_gram_of_the_wrong_size_exits_2(tmp_path, capsys):
     assert "inner rank" in err
 
 
+@pytest.mark.parametrize(
+    "lattice, message",
+    [([["1", "0", "0"]], "full rank"), ([["1", "0"], ["0", "1"]], "length rank + 1")],
+)
+def test_malformed_lattice_exits_2(tmp_path, capsys, lattice, message):
+    payload = frame_to_json(elliptic_frame())
+    payload["lattice"] = lattice
+    spec = write_spec(tmp_path, frame=payload)
+    code, _, err = run(capsys, "build", "--spec", spec)
+    assert code == 2
+    assert message in err
+
+
 def test_corrupt_mode_on_ray_fan_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, fixture="elliptic", fan="neron-rays", corrupt="drop-faces")
     assert run(capsys, "build", "--spec", spec)[0] == 2

@@ -1,5 +1,7 @@
 """The Gaussian rational layer is cross-checked against the rational
-layer on real inputs, where the two must agree exactly."""
+layer on real inputs, where the two must agree exactly, and its
+realified spaces against a plain Q(i) elimination kept here as the
+reference."""
 
 from fractions import Fraction as F
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from relfan.classifying import _positive_definite
 from relfan.errors import NotNilpotent, SpecFormatError
 from relfan.gaussian import (
     I,
@@ -16,19 +19,16 @@ from relfan.gaussian import (
     Gi,
     coerce,
     format_gi,
-    gdet,
     gexp_nilpotent,
     gmat,
-    gmatmul,
-    gmatvec,
-    grank,
-    grref,
+    gvec,
     i_power,
     lift_mat,
     parse_gi,
+    realify_mat,
+    unrealify_mat,
 )
-from relfan import qlinalg
-from relfan.qlinalg import Subspace, det, exp_nilpotent, rref
+from relfan.qlinalg import Subspace, exp_nilpotent, matmul
 
 from conftest import fracs
 
@@ -120,31 +120,6 @@ def rational_mats():
     ).map(lambda rows: tuple(tuple(r) for r in rows))
 
 
-@given(rational_mats())
-def test_rref_matches_rational_layer(m):
-    red, piv = rref(m)
-    gred, gpiv = grref(lift_mat(m))
-    assert gpiv == piv
-    assert gred == lift_mat(red)
-
-
-@given(rational_mats())
-def test_rank_matches_rational_layer(m):
-    assert grank(lift_mat(m)) == qlinalg.rank(m)
-
-
-@given(st.lists(st.lists(fracs(), min_size=3, max_size=3), min_size=3, max_size=3))
-def test_det_matches_rational_layer(rows):
-    m = tuple(tuple(r) for r in rows)
-    assert gdet(lift_mat(m)) == coerce(det(m))
-
-
-def test_matmul_hand_value():
-    a = gmat([[I, ONE], [ZERO, I]])
-    assert gmatmul(a, a) == gmat([[gi(-1), gi(0, 2)], [ZERO, gi(-1)]])
-    assert gmatvec(a, (ONE, ONE)) == (gi(1, 1), I)
-
-
 # --- spaces ---
 
 def test_space_membership_complex():
@@ -176,6 +151,90 @@ def test_space_apply():
     op = gmat([[ZERO, ONE], [ZERO, ZERO]])
     assert GSpace(2, [(ZERO, ONE)]).apply(op) == GSpace(2, [(ONE, ZERO)])
     assert GSpace(2, [(ONE, ZERO)]).apply(op).dim == 0
+
+
+# --- realification against a plain Q(i) elimination ---
+
+def reference_rref(rows, n):
+    """Gauss-Jordan over Q(i): the nonzero rows of the reduced form."""
+    rows = [list(gvec(r)) for r in rows]
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return tuple(tuple(row) for row in rows[:r])
+
+
+def reference_annihilator(rows, n):
+    """Basis of {x : sum_j v_j x_j = 0 for every row v}."""
+    red = reference_rref(rows, n)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in red]
+    out = []
+    for f in (j for j in range(n) if j not in pivots):
+        x = [ZERO] * n
+        x[f] = ONE
+        for row, p in zip(red, pivots):
+            x[p] = -row[f]
+        out.append(tuple(x))
+    return out
+
+
+def reference_intersection(a, b, n):
+    # U and V meet in the annihilator of ann(U) + ann(V)
+    both = reference_annihilator(a, n) + reference_annihilator(b, n)
+    return reference_rref(reference_annihilator(both, n), n)
+
+
+SMALL = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
+
+
+@st.composite
+def gaussian_rows(draw, n):
+    """A few Q(i) vectors, some of them combinations of the others."""
+    entry = st.builds(Gi, SMALL, SMALL)
+    rows = draw(st.lists(st.tuples(*[entry] * n), max_size=3))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(entry), draw(entry)
+        rows.append(tuple(s * x + t * y for x, y in zip(u, v)))
+    return rows
+
+
+@given(st.data())
+def test_realified_space_matches_reference(data):
+    n = data.draw(st.integers(1, 4))
+    a = data.draw(gaussian_rows(n))
+    b = data.draw(gaussian_rows(n))
+    ga, gb = GSpace(n, a), GSpace(n, b)
+    want = reference_rref(a, n)
+    assert ga.basis == want
+    assert ga.dim == len(want)
+    assert ga.intersect(gb).basis == reference_intersection(a, b, n)
+    assert ga.conjugate().basis == reference_rref([[x.conjugate() for x in v] for v in a], n)
+    assert ga == GSpace(n, want)
+
+
+def test_realify_mat_hand_value():
+    a = gmat([[I, ONE], [ZERO, I]])
+    square = unrealify_mat(matmul(realify_mat(a), realify_mat(a)))
+    assert square == gmat([[gi(-1), gi(0, 2)], [ZERO, gi(-1)]])
+    assert unrealify_mat(realify_mat(a)) == a
+
+
+def test_positive_definite_hermitian_two_by_two():
+    assert _positive_definite(gmat([[2, I], [-I, 1]]))
+    assert not _positive_definite(gmat([[1, gi(0, 2)], [gi(0, -2), 1]]))
+    assert not _positive_definite(gmat([[-1, ZERO], [ZERO, 1]]))
+    assert _positive_definite(gmat([[gi(3)]]))
 
 
 # --- exponentials ---

@@ -112,6 +112,24 @@ def test_inverse_when_it_exists(m):
         assert matmul(m, inv) == identity(3)
 
 
+def test_det_hand_values():
+    assert det(mat([[2, 1, 0], [1, 3, 1], [0, 1, 4]])) == 18
+    assert det(mat([[0, 1], [1, 0]])) == -1
+    assert det(mat([["1/2", "1/3"], ["1/4", "1/5"]])) == F(1, 60)
+    assert det(mat([[1, 2], [2, 4]])) == 0
+    assert det(()) == 1
+
+
+@given(square(4, fracs()), st.integers(0, 3), st.integers(0, 3), fracs())
+def test_det_under_row_swap_and_scaling(m, i, j, c):
+    rows = list(m)
+    rows[i], rows[j] = rows[j], rows[i]
+    assert det(tuple(rows)) == (det(m) if i == j else -det(m))
+    rows = list(m)
+    rows[i] = tuple(c * x for x in rows[i])
+    assert det(tuple(rows)) == c * det(m)
+
+
 # --- subspaces ---------------------------------------------------------------
 
 
