@@ -21,7 +21,13 @@ from fractions import Fraction
 
 from . import __version__
 from .cones import Cone, check_fan
-from .errors import InvariantViolation, SpecFormatError
+from .errors import (
+    InvariantViolation,
+    MissingHodgeData,
+    NotSquareZeroPure,
+    PreconditionViolated,
+    SpecFormatError,
+)
 from .fans import (
     CellFan,
     check_admissible,
@@ -61,6 +67,7 @@ from .hodge import (
 from .qlinalg import (
     format_scalar,
     frac,
+    is_zero_mat,
     mat_from_json,
     vec_from_json,
     vec_to_json,
@@ -204,28 +211,46 @@ def report_exit(report: dict) -> int:
 # commands
 
 
+def _cell_fan_blocked(fan: CellFan):
+    """Why the cell fan is undefined, or None: with log(gamma) = 0 the
+    pencil level is invisible, and once P is nonzero the cells collapse
+    into cones that do not form a fan."""
+    if is_zero_mat(fan.frame.log_gamma) and fan.p_space.dim:
+        return "log(gamma) is zero and P is not, so the cells do not form a fan"
+    return None
+
+
 def _build_window(spec: SpecData):
+    """(window, None), or ((), reason) when a precondition of the
+    requested fan fails."""
     fan = CellFan(spec.frame)
-    if spec.corrupt is not None:
-        if spec.fan != "cell-fan":
-            raise SpecFormatError("corruption applies only to the cell fan window")
-        return fan, corrupted_window(fan, spec.window, spec.corrupt)
+    if spec.corrupt is not None and spec.fan != "cell-fan":
+        raise SpecFormatError("corruption applies only to the cell fan window")
     if spec.fan == "cell-fan":
-        return fan, fan.window(spec.window)
+        blocked = _cell_fan_blocked(fan)
+        if blocked:
+            return (), blocked
+        if spec.corrupt is not None:
+            return corrupted_window(fan, spec.window, spec.corrupt), None
+        return fan.window(spec.window), None
     if spec.fan == "image-rays":
-        return fan, ray_window(fan, image_lattice(fan), spec.window)
+        return ray_window(fan, image_lattice(fan), spec.window), None
     if spec.fan == "neron-rays":
-        return fan, ray_window(fan, neron_lattice(fan), spec.window)
-    return fan, cube_window(fan, spec.window)
+        return ray_window(fan, neron_lattice(fan), spec.window), None
+    try:
+        return cube_window(fan, spec.window), None
+    except (NotSquareZeroPure, MissingHodgeData) as exc:
+        return (), str(exc)
 
 
 def cmd_build(spec: SpecData) -> dict:
-    _, window = _build_window(spec)
+    window, blocked = _build_window(spec)
+    outcome = {"reason": blocked} if blocked else {"cones": len(window)}
+    checks = [("window-built", None if blocked else len(window) > 0, {"fan": spec.fan, **outcome})]
     faces = [
         sorted(j for j, other in enumerate(window) if other.is_face_of(cone))
         for cone in window
     ]
-    checks = [("window-built", len(window) > 0, {"fan": spec.fan, "cones": len(window)})]
     extra = {
         "window": {
             "fan": spec.fan,
@@ -238,7 +263,9 @@ def cmd_build(spec: SpecData) -> dict:
 
 
 def _axioms_checks(spec: SpecData) -> list:
-    _, window = _build_window(spec)
+    window, blocked = _build_window(spec)
+    if blocked:
+        return [("fan-axioms", None, {"reason": blocked})]
     violations = check_fan(window)
     witness = violations[0] if violations else {"cones": len(window)}
     return [("fan-axioms", not violations, witness)]
@@ -246,6 +273,9 @@ def _axioms_checks(spec: SpecData) -> list:
 
 def _gamma_checks(spec: SpecData) -> list:
     fan = CellFan(spec.frame)
+    blocked = _cell_fan_blocked(fan)
+    if blocked:
+        return [("cell-conjugation-stable", None, {"reason": blocked})]
     window = fan.window(spec.window)
     shifts = [zero_vec(spec.frame.rank)]
     shifts.extend(fan.inner_lattice.basis_vectors())
@@ -257,7 +287,10 @@ def _completeness_checks(spec: SpecData) -> list:
     fan = CellFan(spec.frame)
     rng = random.Random(spec.seed)
     cones = [random_admissible_cone(fan, rng) for _ in range(spec.corpus)]
-    operators = [random_inadmissible_operator(fan, rng) for _ in range(spec.corpus)]
+    try:
+        operators = [random_inadmissible_operator(fan, rng) for _ in range(spec.corpus)]
+    except PreconditionViolated as exc:
+        operators, blocked = None, str(exc)
 
     def covers():
         for i, gens in enumerate(cones):
@@ -266,6 +299,8 @@ def _completeness_checks(spec: SpecData) -> list:
         return "subdivision-covers", True, {"cones": len(cones)}
 
     def rejects():
+        if operators is None:
+            return "inadmissible-rejected", None, {"reason": blocked}
         for i, op in enumerate(operators):
             ok, _ = check_admissible(fan, [op])
             if ok:

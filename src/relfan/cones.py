@@ -9,6 +9,13 @@ the coordinates of the cone's linear span, so the ambient dimension
 (flattened operator space upstream) never inflates the polyhedral work.
 Everything here raises NotSharp rather than ever representing a cone
 containing a line.
+
+Cone.image(f, ambient) maps a cone through a linear map f.  When f is
+injective on the cone's span no double description runs: extreme rays
+go to extreme rays, and all facet normals are pulled back to the image
+span by one elimination.  Otherwise the images go to from_generators.
+Cones with a dual description known in closed form are built with
+Cone._known, which seeds the cached span and facets.
 """
 
 from __future__ import annotations
@@ -24,8 +31,11 @@ from .qlinalg import (
     inverse,
     is_zero_vec,
     mat,
+    matmul,
     primitive,
     rank,
+    rref,
+    transpose,
     vadd,
     vec,
     vscale,
@@ -54,13 +64,7 @@ def rays_from_ineqs(rows, dim: int) -> tuple:
     """
     if dim == 0:
         return ()
-    cleaned = []
-    seen = set()
-    for r in rows:
-        p = primitive(vec(r))
-        if not is_zero_vec(p) and p not in seen:
-            seen.add(p)
-            cleaned.append(p)
+    cleaned = [p for p in dict.fromkeys(primitive(vec(r)) for r in rows) if not is_zero_vec(p)]
     start = _greedy_independent(cleaned, dim)
     if len(start) < dim:
         raise NotSharp("inequality system does not cut out a pointed cone")
@@ -88,10 +92,7 @@ def rays_from_ineqs(rows, dim: int) -> tuple:
                     w = primitive(w)
                     if not is_zero_vec(w):
                         fresh.append(w)
-            merged = {}
-            for ray in pos + nil + fresh:
-                merged[ray] = True
-            rays = list(merged)
+            rays = list(dict.fromkeys(pos + nil + fresh))
         active.append(r)
     return tuple(sorted(set(rays)))
 
@@ -105,23 +106,18 @@ def _lift_functional(f, pivots, ambient):
 
 @dataclass(frozen=True)
 class Cone:
-    """Sharp polyhedral cone, canonical rays.  Build via from_generators."""
+    """Sharp polyhedral cone, canonical rays.  Build via from_generators
+    or image."""
 
     ambient: int
     rays: tuple
 
     @classmethod
     def from_generators(cls, generators, ambient: int) -> "Cone":
-        prim = []
-        seen = set()
-        for g in generators:
-            g = vec(g)
-            if len(g) != ambient:
-                raise MixedAmbient("cone generator has the wrong length")
-            p = primitive(g)
-            if not is_zero_vec(p) and p not in seen:
-                seen.add(p)
-                prim.append(p)
+        generators = [vec(g) for g in generators]
+        if any(len(g) != ambient for g in generators):
+            raise MixedAmbient("cone generator has the wrong length")
+        prim = [p for p in dict.fromkeys(map(primitive, generators)) if not is_zero_vec(p)]
         if not prim:
             return cls(ambient, ())
         span = Subspace.span(prim, ambient)
@@ -136,17 +132,50 @@ class Cone:
             act = [f for f in normals if dot(f, gc) == 0]
             if rank(mat(act)) == d - 1:
                 extreme.append(g)
-        out = cls(ambient, tuple(sorted(extreme)))
         # reuse the dual description computed during canonicalization
+        lifted = [_lift_functional(f, pivots, ambient) for f in normals]
+        return cls._known(ambient, extreme, span, lifted)
+
+    @classmethod
+    def _known(cls, ambient: int, rays, span: Subspace, facet_normals) -> "Cone":
+        """The cone over known extreme rays (primitive, any order) whose
+        span and canonical facet normals are known too: the cached
+        properties are seeded instead of recomputed."""
+        out = cls(ambient, tuple(sorted(rays)))
         out.__dict__["span"] = span
-        out.__dict__["facet_normals"] = tuple(
-            sorted(_lift_functional(f, pivots, ambient) for f in normals)
-        )
+        out.__dict__["facet_normals"] = tuple(sorted(facet_normals))
         return out
 
     @classmethod
     def zero(cls, ambient: int) -> "Cone":
         return cls(ambient, ())
+
+    def image(self, f, ambient: int) -> "Cone":
+        """The cone f(self) in Q^ambient for a linear map f, a callable on
+        vectors.  Injective on the span, f carries extreme rays to extreme
+        rays, and facet normal n pulls back to the functional m on the
+        image span with m . f(r) = n . r on every ray r.  A map that is not
+        injective there falls back to from_generators."""
+        if not self.rays:
+            return Cone.zero(ambient)
+        images = [f(r) for r in self.rays]
+        # the images of the span's basis rows span the image: fewer rows to reduce
+        span = Subspace.span([f(b) for b in self.span.basis], ambient)
+        if span.dim < self.dim:
+            return Cone.from_generators(images, ambient)
+        d, pivots, normals = span.dim, span._pivots(), self.facet_normals
+        system = [
+            tuple(y[p] for p in pivots) + tuple(dot(n, r) for n in normals)
+            for y, r in zip(images, self.rays)
+        ]
+        # the d pivot coordinates have full rank, so the reduced system
+        # reads [I | M] on top and column k of M is the pulled back normal k
+        top = rref(system)[0][:d]
+        pulled = [
+            _lift_functional(tuple(row[d + k] for row in top), pivots, ambient)
+            for k in range(len(normals))
+        ]
+        return Cone._known(ambient, map(primitive, images), span, pulled)
 
     @cached_property
     def span(self) -> Subspace:
@@ -181,10 +210,9 @@ class Cone:
         return all(self.contains(r) for r in other.rays)
 
     def interior_point(self):
-        out = zero_vec(self.ambient)
-        for r in self.rays:
-            out = vadd(out, r)
-        return out
+        if not self.rays:
+            return zero_vec(self.ambient)
+        return tuple(sum(column) for column in zip(*self.rays))
 
     def facets(self) -> tuple:
         out = []
@@ -235,19 +263,11 @@ class Cone:
         if common.dim == 0:
             return Cone.zero(self.ambient)
         basis = common.basis
-        rows = []
-        for f in self.facet_normals + other.facet_normals:
-            rows.append(tuple(dot(f, b) for b in basis))
+        rows = matmul(self.facet_normals + other.facet_normals, transpose(basis))
         # both cones are sharp, so the meet is pointed and the combined
         # inequality rows have full rank on the common span
         local = rays_from_ineqs(rows, common.dim)
-        gens = []
-        for x in local:
-            v = zero_vec(self.ambient)
-            for c, b in zip(x, basis):
-                v = vadd(v, vscale(c, b))
-            gens.append(v)
-        return Cone.from_generators(gens, self.ambient)
+        return Cone.from_generators(matmul(local, basis), self.ambient)
 
 
 # ---------------------------------------------------------------------------

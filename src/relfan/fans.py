@@ -11,8 +11,17 @@ direction of Q).  Cells for every rational x and integral n together
 form a fan on which the relative filtration is constant cell by cell,
 and the whole picture is stable under the extension automorphisms.
 
-Cone vectors are row major flattenings of operator matrices, so the
-generic polyhedral layer never needs to know about frames.
+Cells live in the pencil chart.  For a base point b of P and a basis
+d_1, ..., d_k of cube directions, chart(b, d) sends (level t, cube
+coordinates c) to the row major flattening of pencil(t, t b + sum c_j
+d_j), a linear map into operator space.  A cell is box(n, a), the cone
+over the box [n, n + 1] / a at level one, written down in closed form,
+and lifted by Cone.image through the chart of its coset's section; the
+map is injective whenever log(gamma) is nonzero, so the lift needs no
+double description.  locate inverts the chart, sending an operator on
+the positive pencil to (level, coset key, cube coordinates).  The
+generic polyhedral layer only ever sees flattened operator vectors and
+never needs to know about frames.
 
 Also here: the coarser comparison fans (rays over the inner image
 lattice, rays over the torus lattice, unit cube cells, rays over the
@@ -55,7 +64,9 @@ from .qlinalg import (
     is_nilpotent,
     is_zero_mat,
     is_zero_vec,
+    linear_map,
     mat,
+    matadd,
     matmul,
     matpow,
     matscale,
@@ -83,6 +94,11 @@ def flatten(m: Mat) -> Vec:
 
 def unflatten(v: Vec, dim: int) -> Mat:
     return tuple(tuple(v[i * dim: (i + 1) * dim]) for i in range(dim))
+
+
+def combine(coeffs, rows, n: int) -> Vec:
+    """sum of coeffs[i] * rows[i], a vector of Q^n."""
+    return matvec(transpose(rows), vec(coeffs)) if rows else zero_vec(n)
 
 
 @dataclass(eq=False)
@@ -184,15 +200,53 @@ class CellFan:
         key = vec(key)
         if len(key) != self.key_rank:
             raise PreconditionViolated("coset key has the wrong length")
-        out = zero_vec(self.frame.rank)
-        for c, b in zip(key, self.section_basis):
-            out = vadd(out, vscale(c, b))
-        return out
+        return combine(key, self.section_basis, self.frame.rank)
 
     def denominator(self, key) -> int:
         """Order of the coset in P/Q relative to the image of the P
         lattice; cube side lengths are its reciprocal."""
         return order_in_quotient(self.section(key), self.p_lattice, self.q_space)
+
+    # --- the pencil chart ---
+
+    def chart(self, base: Vec, basis):
+        """(level t, coordinates c) -> flattened pencil(t, t base + c . basis)."""
+        columns = [flatten(self.frame.pencil(1, base))]
+        columns += [flatten(self.frame.pencil(0, d)) for d in basis]
+        return linear_map(transpose(columns))
+
+    @staticmethod
+    def box(n, a: int) -> Cone:
+        """The chart cone over the box [n, n + 1] / a at level one: its
+        corners are the extreme rays and its 2 * len(n) walls the facets,
+        so the canonical form is written down rather than computed."""
+        k = len(n)
+        rays = [
+            primitive((ONE,) + tuple(Fraction(n[j] + bit, a) for j, bit in enumerate(corner)))
+            for corner in product((0, 1), repeat=k)
+        ]
+        normals = []
+        for j in range(k):
+            low = [ZERO] * (k + 1)
+            low[0], low[j + 1] = Fraction(-n[j]), Fraction(a)
+            high = [ZERO] * (k + 1)
+            high[0], high[j + 1] = Fraction(n[j] + 1), Fraction(-a)
+            normals += [primitive(tuple(low)), primitive(tuple(high))]
+        # for k = 0 the cone is the level ray, whose facet normal is the level
+        return Cone._known(k + 1, rays, Subspace.full(k + 1), normals or [(ONE,)])
+
+    def locate(self, n_mat: Mat):
+        """Chart coordinates (level, coset key, cube coordinates) of an
+        operator on the positive pencil, or None when the operator is
+        off it or its normalized image of e leaves P."""
+        lam = self.frame.restriction_multiple(n_mat)
+        if lam is None or lam <= 0:
+            return None
+        split = self._split(vscale(ONE / lam, self.frame.e_image(n_mat)))
+        if split is None:
+            return None
+        cube, key = split
+        return lam, key, cube
 
     # --- cells ---
 
@@ -201,15 +255,8 @@ class CellFan:
         n = tuple(int(x) for x in n)
         if len(n) != self.cube_rank:
             raise PreconditionViolated("cube index has the wrong length")
-        base = self.section(key)
-        a = Fraction(1, self.denominator(key))
-        gens = []
-        for corner in product((0, 1), repeat=self.cube_rank):
-            pt = base
-            for j, bit in enumerate(corner):
-                pt = vadd(pt, vscale(a * (n[j] + bit), self.cube_basis[j]))
-            gens.append(flatten(self.frame.pencil(1, pt)))
-        return Cone.from_generators(gens, self.ambient)
+        lift = self.chart(self.section(key), self.cube_basis)
+        return self.box(n, self.denominator(key)).image(lift, self.ambient)
 
     def cell_containing(self, n_mat: Mat):
         """Index (key, n) of the cell whose relative interior, or floor
@@ -217,33 +264,21 @@ class CellFan:
         check_in_g(self.frame, n_mat)
         if is_zero_mat(n_mat):
             return self.zero_key(), (0,) * self.cube_rank
-        lam = self.frame.restriction_multiple(n_mat)
-        if lam is None or lam <= 0:
+        at = self.locate(n_mat)
+        if at is None:
             return None
-        v = vscale(ONE / lam, self.frame.e_image(n_mat))
-        split = self._split(v)
-        if split is None:
-            return None
-        cube, key = split
-        a = self.denominator(key)
-        return key, tuple(floor(a * c) for c in cube)
+        _, key, cube = at
+        return key, tuple(floor(self.denominator(key) * c) for c in cube)
 
     def is_ray_member(self, n_mat: Mat) -> bool:
         """Whether the ray through the operator is a one dimensional
         face of the fan: exactly the rays through cube corners."""
         check_in_g(self.frame, n_mat)
-        if is_zero_mat(n_mat):
+        at = self.locate(n_mat)
+        if at is None:
             return False
-        lam = self.frame.restriction_multiple(n_mat)
-        if lam is None or lam <= 0:
-            return False
-        v = vscale(ONE / lam, self.frame.e_image(n_mat))
-        split = self._split(v)
-        if split is None:
-            return False
-        cube, key = split
-        a = self.denominator(key)
-        return all((a * c).denominator == 1 for c in cube)
+        _, key, cube = at
+        return all((self.denominator(key) * c).denominator == 1 for c in cube)
 
     def window(self, bound: int, key=None) -> tuple:
         """All cells with max cube coordinate offset <= bound for one
@@ -281,30 +316,25 @@ class CellFan:
         key, n = index
         fr = self.frame
         g = self.gamma_matrix(power, shift)
-        gp = tuple(row[: fr.rank] for row in g[: fr.rank])
-        # where e goes under the inverse, minus e itself
-        back = matpow(inverse(fr.gamma) if power >= 0 else fr.gamma, abs(power))
-        h_back = vscale(-1, matvec(back, vec(shift)))
-        w = matvec(gp, vadd(self.section(key), matvec(fr.log_gamma, h_back)))
-        split = self._split(w)
+        g_inv = inverse(g)
+
+        def conj(m):
+            return matmul(matmul(g, m), g_inv)
+
+        # gamma^power commutes with log(gamma), so the cell's base point
+        # stays at pencil level one and only its image of e moves
+        split = self._split(fr.e_image(conj(fr.pencil(1, self.section(key)))))
         if split is None:
             raise InvariantViolation("conjugated section left the existence space")
         cube, new_key = split
         a = self.denominator(key)
         if self.denominator(new_key) != a:
             raise InvariantViolation("conjugation changed the coset order")
-        shift_coords = []
-        for c in cube:
-            s = a * c
-            if s.denominator != 1:
-                raise InvariantViolation("conjugation moved a cell off the grid")
-            shift_coords.append(int(s))
-        new_n = tuple(ni + si for ni, si in zip(n, shift_coords))
-        image = Cone.from_generators(
-            [flatten(self.conjugate(power, shift, unflatten(r, fr.dim)))
-             for r in self.cell(key, n).rays],
-            self.ambient,
-        )
+        steps = [a * c for c in cube]
+        if any(s.denominator != 1 for s in steps):
+            raise InvariantViolation("conjugation moved a cell off the grid")
+        new_n = tuple(ni + int(s) for ni, s in zip(n, steps))
+        image = self.cell(key, n).image(lambda v: flatten(conj(unflatten(v, fr.dim))), self.ambient)
         if image != self.cell(new_key, new_n):
             raise InvariantViolation("conjugated cell is not the indexed cell")
         return new_key, new_n
@@ -398,9 +428,9 @@ def subdivide_against(fan: CellFan, mats):
     cone (possible below weight -1 for cones touching pencil level
     zero).  Raises PreconditionViolated for inadmissible input.
 
-    Cutting happens in the chart spanned by the pencil level and the
-    cube directions, where every cell is the cone over a box; only the
-    finished pieces are mapped back to operator space."""
+    Cutting happens in the pencil chart of the cone's coset, where every
+    cell is a box; only the finished pieces are lifted to operator
+    space."""
     fr = fan.frame
     mats = [mat(m) for m in mats]
     ok, witness = check_admissible(fan, mats)
@@ -409,61 +439,22 @@ def subdivide_against(fan: CellFan, mats):
     cone = Cone.from_generators([flatten(m) for m in mats], fan.ambient)
     if cone.dim == 0:
         return [((fan.zero_key(), (0,) * fan.cube_rank), cone)]
-    points = []
-    for r in cone.rays:
-        rm = unflatten(r, fr.dim)
-        lam = fr.restriction_multiple(rm)
-        if lam is None or lam <= 0:
-            # an admissible ray pinned at pencil level zero: no cell of
-            # the fan meets it outside the origin
-            return None
-        points.append(vscale(ONE / lam, fr.e_image(rm)))
-    splits = [fan._split(p) for p in points]
-    keys = {s[1] for s in splits}
+    located = [fan.locate(unflatten(r, fr.dim)) for r in cone.rays]
+    if None in located:
+        # an admissible ray pinned at pencil level zero: no cell of the
+        # fan meets it outside the origin
+        return None
+    keys = {key for _, key, _ in located}
     if len(keys) != 1:
         raise InvariantViolation("commuting generators landed in different cosets")
     key = keys.pop()
     a = fan.denominator(key)
     rank = fan.cube_rank
-    base = fan.section(key)
-
-    def unchart(x):
-        pt = vscale(x[0], base)
-        for c, d in zip(x[1:], fan.cube_basis):
-            pt = vadd(pt, vscale(c, d))
-        return flatten(fr.pencil(x[0], pt))
-
-    def chart_cell(n):
-        # the cone over the box [n, n+1]/a: every corner is an extreme
-        # ray and the facets are the 2 * rank walls, so the canonical
-        # form is written down instead of recomputed per box
-        rays = sorted(
-            primitive((ONE,) + tuple(
-                Fraction(n[j] + bit, a) for j, bit in enumerate(corner)
-            ))
-            for corner in product((0, 1), repeat=rank)
-        )
-        cell = Cone(rank + 1, tuple(rays))
-        cell.__dict__["span"] = Subspace.full(rank + 1)
-        if rank == 0:
-            cell.__dict__["facet_normals"] = ((ONE,),)
-            return cell
-        normals = []
-        for j in range(rank):
-            low = [ZERO] * (rank + 1)
-            low[0], low[j + 1] = Fraction(-n[j]), Fraction(a)
-            high = [ZERO] * (rank + 1)
-            high[0], high[j + 1] = Fraction(n[j] + 1), Fraction(-a)
-            normals.append(primitive(tuple(low)))
-            normals.append(primitive(tuple(high)))
-        cell.__dict__["facet_normals"] = tuple(sorted(normals))
-        return cell
-
-    small = Cone.from_generators([(ONE,) + s[0] for s in splits], rank + 1)
+    small = Cone.from_generators([(ONE,) + cube for _, _, cube in located], rank + 1)
     host = fan.cell_containing(unflatten(cone.interior_point(), fr.dim))
-    if host is not None and host[0] == key and chart_cell(host[1]).contains_cone(small):
+    if host is not None and host[0] == key and fan.box(host[1], a).contains_cone(small):
         return [(host, cone)]
-    grids = [tuple(a * c for c in s[0]) for s in splits]
+    grids = [tuple(a * c for c in cube) for _, _, cube in located]
     lo = [floor(min(g[j] for g in grids)) for j in range(rank)]
     hi = [max(ceil(max(g[j] for g in grids)) - 1, l)
           for j, l in enumerate(lo)]
@@ -471,12 +462,12 @@ def subdivide_against(fan: CellFan, mats):
         boxes = _segment_boxes(grids[0], grids[-1], lo, hi)
     else:
         boxes = product(*[range(l, h + 1) for l, h in zip(lo, hi)])
+    lift = fan.chart(fan.section(key), fan.cube_basis)
     pieces = []
     for n in sorted(boxes):
-        piece = small.intersect(chart_cell(n))
+        piece = small.intersect(fan.box(n, a))
         if piece.dim == cone.dim:
-            back = Cone.from_generators([unchart(x) for x in piece.rays], fan.ambient)
-            pieces.append(((key, n), back))
+            pieces.append(((key, n), piece.image(lift, fan.ambient)))
     if not pieces:
         raise InvariantViolation("subdivision produced no full dimensional piece")
     return pieces
@@ -564,10 +555,7 @@ def neron_lattice(fan: CellFan) -> ZLattice:
     term = identity(fr.rank)
     for i in range(1, k):
         term = matmul(term, np)
-        u = tuple(
-            tuple(x + y * Fraction(1, factorial(i + 1)) for x, y in zip(r, s))
-            for r, s in zip(u, term)
-        )
+        u = matadd(u, matscale(Fraction(1, factorial(i + 1)), term))
     pulled = fan.inner_lattice.apply(inverse(u))
     return pulled.intersect_subspace(Subspace.image(np))
 
@@ -577,16 +565,9 @@ def ray_window(fan: CellFan, lattice: ZLattice, bound: int) -> tuple:
     with coordinates bounded by the window size, plus the origin."""
     fr = fan.frame
     cones = [Cone.zero(fan.ambient)]
-    if lattice.rank == 0:
-        boxes = [()]
-    else:
-        boxes = product(range(-bound, bound + 1), repeat=lattice.rank)
     basis = lattice.basis_vectors()
-    for coords in boxes:
-        v = zero_vec(fr.rank)
-        for c, b in zip(coords, basis):
-            v = vadd(v, vscale(c, b))
-        op = fr.pencil(1, v)
+    for coords in product(range(-bound, bound + 1), repeat=lattice.rank):
+        op = fr.pencil(1, combine(coords, basis, fr.rank))
         if is_zero_mat(op):
             continue
         cones.append(Cone.from_generators([flatten(op)], fan.ambient))
@@ -619,18 +600,12 @@ def check_square_zero_pure(frame: Frame) -> dict:
 
 
 def _cube_cells(fan: CellFan, bound: int) -> list:
-    fr = fan.frame
     basis = image_lattice(fan).basis_vectors()
-    cells = []
-    for n in product(range(-bound, bound + 1), repeat=len(basis)):
-        gens = []
-        for corner in product((0, 1), repeat=len(basis)):
-            v = zero_vec(fr.rank)
-            for j, b in enumerate(basis):
-                v = vadd(v, vscale(n[j] + corner[j], b))
-            gens.append(flatten(fr.pencil(1, v)))
-        cells.append(Cone.from_generators(gens, fan.ambient))
-    return cells
+    lift = fan.chart(zero_vec(fan.frame.rank), basis)
+    return [
+        fan.box(n, 1).image(lift, fan.ambient)
+        for n in product(range(-bound, bound + 1), repeat=len(basis))
+    ]
 
 
 def cube_window(fan: CellFan, bound: int) -> tuple:
@@ -648,109 +623,68 @@ def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> li
     fr = fan.frame
     cube_bound = bound if cube_bound is None else cube_bound
     checks = []
-    _, _, agree = fan.spaces
-    checks.append({"name": "pq-definitions-agree", "ok": bool(agree), "witness": None})
 
-    gate = check_square_zero_pure(fr)
-    checks.append({"name": "square-zero-pure-type", "ok": gate["holds"], "witness": gate})
+    def add(name, ok, witness):
+        checks.append({"name": name, "ok": ok, "witness": witness})
+
+    _, _, agree = fan.spaces
+    add("pq-definitions-agree", bool(agree), None)
+    try:
+        gate = check_square_zero_pure(fr)
+        holds, why = gate["holds"], "predicate fails"
+        add("square-zero-pure-type", holds, gate)
+    except MissingHodgeData as exc:
+        holds, why = False, "predicate undecided"
+        add("square-zero-pure-type", None, {"reason": str(exc)})
 
     # the remaining comparisons are only stated under the predicate;
     # without it they are reported as unevaluated rather than failed
-    if gate["holds"]:
+    def unevaluated(name, what):
+        add(name, None, {"reason": f"{why}, {what} undefined"})
+
+    if holds:
         same = fan.p_space == fan.q_space
-        checks.append({
-            "name": "existence-space-equals-torus-space",
-            "ok": same,
-            "witness": None if same else {
-                "existence_dim": fan.p_space.dim,
-                "torus_dim": fan.q_space.dim,
-            },
+        add("existence-space-equals-torus-space", same, None if same else {
+            "existence_dim": fan.p_space.dim,
+            "torus_dim": fan.q_space.dim,
         })
-    else:
-        checks.append({
-            "name": "existence-space-equals-torus-space",
-            "ok": None,
-            "witness": {"reason": "predicate fails, space comparison undefined"},
-        })
-
-    if gate["holds"]:
-        img = image_lattice(fan)
         ql = fan.q_lattice
-        missing = [b for b in img.basis_vectors() if not ql.contains(b)]
-        checks.append({
-            "name": "image-rays-are-torus-rays",
-            "ok": not missing,
-            "witness": {"vector": missing[0]} if missing else None,
-        })
-    else:
-        checks.append({
-            "name": "image-rays-are-torus-rays",
-            "ok": None,
-            "witness": {"reason": "predicate fails, ray fan comparison undefined"},
-        })
-
-    if gate["holds"]:
-        aligned = True
-        witness = None
-        pieces_total = 0
+        missing = [b for b in image_lattice(fan).basis_vectors() if not ql.contains(b)]
+        add("image-rays-are-torus-rays", not missing, {"vector": missing[0]} if missing else None)
+        witness, pieces_total = None, 0
         for c in _cube_cells(fan, cube_bound):
-            mats = [unflatten(r, fr.dim) for r in c.rays]
-            pieces = subdivide_against(fan, mats)
+            pieces = subdivide_against(fan, [unflatten(r, fr.dim) for r in c.rays])
             if pieces is None:
-                aligned, witness = False, {"cell": c.rays, "reason": "no cover"}
+                witness = {"cell": c.rays, "reason": "no cover"}
                 break
             pieces_total += len(pieces)
-            for idx, piece in pieces:
-                if piece != fan.cell(*idx):
-                    aligned = False
-                    witness = {"cell": c.rays, "index": idx}
-                    break
-            if not aligned:
+            bad = next((idx for idx, piece in pieces if piece != fan.cell(*idx)), None)
+            if bad is not None:
+                witness = {"cell": c.rays, "index": bad}
                 break
-        checks.append({
-            "name": "cube-cells-align-with-cell-fan",
-            "ok": aligned,
-            "witness": witness if not aligned else {"pieces": pieces_total},
-        })
+        add("cube-cells-align-with-cell-fan", witness is None, witness or {"pieces": pieces_total})
     else:
-        checks.append({
-            "name": "cube-cells-align-with-cell-fan",
-            "ok": None,
-            "witness": {"reason": "predicate fails, cube fan undefined"},
-        })
+        unevaluated("existence-space-equals-torus-space", "space comparison")
+        unevaluated("image-rays-are-torus-rays", "ray fan comparison")
+        unevaluated("cube-cells-align-with-cell-fan", "cube fan")
 
     ner = neron_lattice(fan)
     stray = []
     basis = ner.basis_vectors()
     if basis:
         for coords in product(range(-bound, bound + 1), repeat=len(basis)):
-            v = zero_vec(fr.rank)
-            for c, b in zip(coords, basis):
-                v = vadd(v, vscale(c, b))
+            v = combine(coords, basis, fr.rank)
             op = fr.pencil(1, v)
-            if is_zero_mat(op):
-                continue
-            if not fan.is_ray_member(op):
+            if not is_zero_mat(op) and not fan.is_ray_member(op):
                 stray.append(v)
-    checks.append({
-        "name": "neron-rays-in-cell-fan",
-        "ok": not stray,
-        "witness": {"vector": stray[0]} if stray else None,
-    })
+    add("neron-rays-in-cell-fan", not stray, {"vector": stray[0]} if stray else None)
 
-    if gate["holds"]:
+    if holds:
         ql = fan.q_lattice
-        checks.append({
-            "name": "torus-lattice-equals-neron-lattice",
-            "ok": ql == ner,
-            "witness": None if ql == ner else {"torus": ql.basis_vectors(), "neron": basis},
-        })
+        add("torus-lattice-equals-neron-lattice", ql == ner,
+            None if ql == ner else {"torus": ql.basis_vectors(), "neron": basis})
     else:
-        checks.append({
-            "name": "torus-lattice-equals-neron-lattice",
-            "ok": None,
-            "witness": {"reason": "predicate fails, ray fan comparison undefined"},
-        })
+        unevaluated("torus-lattice-equals-neron-lattice", "ray fan comparison")
     return checks
 
 
@@ -764,14 +698,12 @@ def random_admissible_cone(fan: CellFan, rng) -> list:
     fr = fan.frame
     pl = fan.p_lattice.basis_vectors()
     den = rng.choice((1, 1, 2, 3))
-    v = zero_vec(fr.rank)
-    for b in pl:
-        v = vadd(v, vscale(Fraction(rng.randrange(-6, 7), den), b))
+    v = combine([Fraction(rng.randrange(-6, 7), den) for _ in pl], pl, fr.rank)
     gens = [fr.pencil(1, v)]
     if pl and rng.random() < 0.5:
-        w = v
-        for b in fan.q_lattice.basis_vectors():
-            w = vadd(w, vscale(Fraction(rng.randrange(-4, 5), rng.choice((1, 2))), b))
+        ql = fan.q_lattice.basis_vectors()
+        steps = [Fraction(rng.randrange(-4, 5), rng.choice((1, 2))) for _ in ql]
+        w = vadd(v, combine(steps, ql, fr.rank))
         if w != v:
             gens.append(fr.pencil(1, w))
     return gens
@@ -787,9 +719,8 @@ def random_inadmissible_operator(fan: CellFan, rng) -> Mat:
     if not outside:
         raise PreconditionViolated("existence space is everything; no inadmissible pencil operator")
     v = vec(rng.choice(outside))
-    for b in fan.p_lattice.basis_vectors():
-        v = vadd(v, vscale(rng.randrange(-3, 4), b))
-    return fr.pencil(1, v)
+    pl = fan.p_lattice.basis_vectors()
+    return fr.pencil(1, vadd(v, combine([rng.randrange(-3, 4) for _ in pl], pl, fr.rank)))
 
 
 def corrupted_window(fan: CellFan, bound: int, mode: str) -> tuple:
@@ -803,15 +734,8 @@ def corrupted_window(fan: CellFan, bound: int, mode: str) -> tuple:
         key = fan.zero_key()
         n0 = (0,) * fan.cube_rank
         victim = fan.cell(key, n0)
-        base = fan.section(key)
-        a = Fraction(1, 2 * fan.denominator(key))
-        gens = []
-        for corner in product((0, 1), repeat=fan.cube_rank):
-            pt = base
-            for j, bit in enumerate(corner):
-                pt = vadd(pt, vscale(a * bit, fan.cube_basis[j]))
-            gens.append(flatten(fan.frame.pencil(1, pt)))
-        half = Cone.from_generators(gens, fan.ambient)
+        lift = fan.chart(fan.section(key), fan.cube_basis)
+        half = fan.box(n0, 2 * fan.denominator(key)).image(lift, fan.ambient)
         cones = [half if c == victim else c for c in window]
         return tuple(cones)
     raise PreconditionViolated(f"unknown corruption mode: {mode}")

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from relfan.cli import main
-from relfan.fixtures import elliptic_frame
+from relfan.fixtures import elliptic_frame, jordan3_frame
 from relfan.hodge import frame_to_json
 
 
@@ -201,6 +201,68 @@ def test_relations_precondition_without_predicate(tmp_path, capsys):
     statuses = [c["status"] for c in report["checks"]]
     assert "precondition" in statuses
     assert {"name": "neron-rays-in-cell-fan", "status": "pass", "witness": None} in report["checks"]
+
+
+# --- blocked preconditions report and exit 1 ---
+
+def _without_graded_types():
+    payload = frame_to_json(elliptic_frame())
+    del payload["graded_types"]
+    return payload
+
+
+def _jordan3_trivial_monodromy():
+    payload = frame_to_json(jordan3_frame())
+    payload["gamma"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    return payload
+
+
+def _blocked(report, name):
+    check = next(c for c in report["checks"] if c["name"] == name)
+    assert check["status"] == "precondition"
+    return check["witness"]["reason"]
+
+
+def test_relations_without_graded_types(tmp_path, capsys):
+    spec = write_spec(tmp_path, frame=_without_graded_types(), window=1)
+    code, report = run_json(capsys, "check", "--spec", spec, "--suite", "relations")
+    assert code == 1
+    assert "graded types" in _blocked(report, "square-zero-pure-type")
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    # the checks that do not need the predicate are still decided
+    assert statuses["pq-definitions-agree"] == "pass"
+    assert statuses["neron-rays-in-cell-fan"] == "pass"
+    assert "fail" not in statuses.values()
+
+
+def test_completeness_with_existence_space_everything(tmp_path, capsys):
+    spec = write_spec(tmp_path, frame=_jordan3_trivial_monodromy(), corpus=3)
+    code, report = run_json(capsys, "check", "--spec", spec, "--suite", "completeness")
+    assert code == 1
+    assert "everything" in _blocked(report, "inadmissible-rejected")
+
+
+@pytest.mark.parametrize("frame", ["jordan3", "no-graded-types"])
+def test_cube_cells_blocked_build(tmp_path, capsys, frame):
+    fields = {"fixture": "jordan3"} if frame == "jordan3" else {"frame": _without_graded_types()}
+    spec = write_spec(tmp_path, fan="cube-cells", window=1, **fields)
+    code, report = run_json(capsys, "build", "--spec", spec)
+    assert code == 1
+    assert _blocked(report, "window-built")
+    assert report["window"]["cones"] == []
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["build"], "window-built"),
+    (["check", "--suite", "axioms"], "fan-axioms"),
+    (["check", "--suite", "gamma"], "cell-conjugation-stable"),
+])
+def test_trivial_monodromy_below_weight_minus_one(tmp_path, capsys, argv, name):
+    spec = write_spec(tmp_path, frame=_jordan3_trivial_monodromy(), window=1)
+    code, report = run_json(capsys, argv[0], "--spec", spec, *argv[1:])
+    assert code == 1
+    assert "log(gamma) is zero" in _blocked(report, name)
+    assert len(report["checks"]) == 1
 
 
 def test_gallery_suite(tmp_path, capsys):

@@ -1,0 +1,54 @@
+"""Report bytes pinned across commits.
+
+test_deterministic_reports only compares two runs of the same code;
+these sha256 digests were taken from the reports of an earlier commit,
+so a refactor that changes any byte of these reports fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from relfan.cli import main
+
+BASE = {"window": 2, "corpus": 40, "seed": 7}
+CHECK = {suite: ["check", "--suite", suite] for suite in ("axioms", "gamma", "completeness", "relations")}
+
+FROZEN = [
+    ("elliptic", {}, ["build"], "ea95f234b0acc38a0ad3396e002366b368a47e7550f36826f8af460b67cde2d1"),
+    ("elliptic", {}, CHECK["axioms"], "cc09ffc73f27bce97f01da3fc5aa8a8d696ecf24b52cfb8deddc3c3cc0c7b559"),
+    ("elliptic", {}, CHECK["gamma"], "7abe61c4918f373610fd977022a30ad4e2f65e0dd146e7bab66fbdccd32328cc"),
+    ("elliptic", {}, CHECK["completeness"], "8e3510fb8650ca75570a0992664788551535b63c52515436b37f2046d0b32c8a"),
+    ("elliptic", {}, CHECK["relations"], "07e8fc5e9ce5cd74dc59d64715513579fc571077be215ce32351a3bbace1ddb6"),
+    ("jordan3", {}, ["build"], "47a76a046f09563e1611d6833d8b15420a09670d6d60fc07ca7f91e4899e592a"),
+    ("jordan3", {}, CHECK["axioms"], "8577edad28c86bd16219f346794c2e1963bb5a61822a936e1abbb2d951669878"),
+    ("jordan3", {}, CHECK["gamma"], "11c6bcb0aa8c86706165b3b471260d7799fece5563f3e71a7573fa1193af4801"),
+    ("jordan3", {}, CHECK["completeness"], "91504765fef5ec605df3771ecf12d6d8b59a75303d067c519713697d53b6dc49"),
+    ("jordan3", {}, CHECK["relations"], "b79547786d2baaa2e00d490c94218793d6c0cad9fee81b172effc1ea9b2f6336"),
+    ("elliptic", {"fan": "cube-cells"}, ["build"],
+     "b96d4c470fc33349d9eb3d429547637f3d0a46fea5e52d07b333ae3779fa755e"),
+    ("jordan3", {"corrupt": "drop-faces"}, ["build"],
+     "70b98956af872a3ae1ca76984eeecedf73b56e6f423839afda31cd2f4f1bb5d1"),
+    ("jordan3", {"corrupt": "drop-faces"}, CHECK["axioms"],
+     "b5b7a9b4c4af7d00a2efb412bb0de8f8894780150bdcbc897aea73f291c6338a"),
+    ("jordan3", {"corrupt": "half-cell"}, ["build"],
+     "0fb77ab6fa7007e08e8089b3eb34b5e08b9362090faf0d99977944908b48a2e6"),
+    ("jordan3", {"corrupt": "half-cell"}, CHECK["axioms"],
+     "7f92dc75256fa9d35f96898db18bed5cd5317e8c7144743a1e06bd05821fc11f"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,fields,argv,digest",
+    FROZEN,
+    ids=[f"{f}-{'-'.join(x.values()) or 'plain'}-{a[-1]}" for f, x, a, _ in FROZEN],
+)
+def test_report_bytes_frozen(tmp_path, capsys, fixture, fields, argv, digest):
+    # the spec bytes enter the report through spec_hash, so they are
+    # written exactly as when the digests were taken
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"fixture": fixture, **BASE, **fields}))
+    main([argv[0], "--spec", str(spec), *argv[1:]])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
