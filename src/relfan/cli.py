@@ -293,6 +293,9 @@ def _completeness_checks(spec: SpecData) -> list:
         operators, blocked = None, str(exc)
 
     def covers():
+        undefined = _cell_fan_blocked(fan)
+        if undefined:
+            return "subdivision-covers", None, {"reason": undefined}
         for i, gens in enumerate(cones):
             if subdivide_against(fan, gens) is None:
                 return "subdivision-covers", False, {"index": i, "generators": gens}

@@ -274,13 +274,17 @@ class Cone:
 # fans as finite windows
 
 
-def fan_closure(cones) -> tuple:
-    """The cones together with all of their faces, deduplicated."""
+def sorted_unique(cones) -> tuple:
+    """The distinct cones in window order: by dimension, then rays."""
     found = {}
     for c in cones:
-        for f in c.faces():
-            found.setdefault(f.rays, f)
+        found.setdefault(c.rays, c)
     return tuple(sorted(found.values(), key=lambda c: (c.dim, c.rays)))
+
+
+def fan_closure(cones) -> tuple:
+    """The cones together with all of their faces, deduplicated."""
+    return sorted_unique(f for c in cones for f in c.faces())
 
 
 def check_fan(cones) -> list:

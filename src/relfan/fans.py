@@ -11,17 +11,17 @@ direction of Q).  Cells for every rational x and integral n together
 form a fan on which the relative filtration is constant cell by cell,
 and the whole picture is stable under the extension automorphisms.
 
-Cells live in the pencil chart.  For a base point b of P and a basis
-d_1, ..., d_k of cube directions, chart(b, d) sends (level t, cube
-coordinates c) to the row major flattening of pencil(t, t b + sum c_j
-d_j), a linear map into operator space.  A cell is box(n, a), the cone
-over the box [n, n + 1] / a at level one, written down in closed form,
-and lifted by Cone.image through the chart of its coset's section; the
-map is injective whenever log(gamma) is nonzero, so the lift needs no
-double description.  locate inverts the chart, sending an operator on
-the positive pencil to (level, coset key, cube coordinates).  The
-generic polyhedral layer only ever sees flattened operator vectors and
-never needs to know about frames.
+Pencil cones are computed in the pencil chart and only lifted.  For a
+base point b of P and cube directions d_1, ..., d_k, chart(b, d) sends
+(level t, cube coordinates c) to the flattened pencil(t, t b + sum c_j
+d_j), a linear map into operator space, injective when log(gamma) is
+nonzero.  A cell is box(n, a), the cone over [n, n + 1] / a at level
+one in closed form, lifted by Cone.image through its coset's chart.
+Windows close the boxes under faces in the chart, conjugation is an
+identity of chart maps, and subdivision cuts boxes in the chart, so
+double description in operator space is left to cones off the positive
+pencil.  locate inverts the chart: an operator on the positive pencil
+goes to (level, coset key, cube coordinates).
 
 Also here: the coarser comparison fans (rays over the inner image
 lattice, rays over the torus lattice, unit cube cells, rays over the
@@ -38,7 +38,7 @@ from functools import cached_property
 from itertools import product
 from math import ceil, factorial, floor, lcm
 
-from .cones import Cone, fan_closure
+from .cones import Cone, fan_closure, sorted_unique
 from .errors import (
     NotSquareZeroPure,
     InvariantViolation,
@@ -251,12 +251,14 @@ class CellFan:
     # --- cells ---
 
     def cell(self, key, n) -> Cone:
-        key = vec(key)
+        lift = self.chart(self.section(key), self.cube_basis)
+        return self.box(self._cube_index(n), self.denominator(key)).image(lift, self.ambient)
+
+    def _cube_index(self, n) -> tuple:
         n = tuple(int(x) for x in n)
         if len(n) != self.cube_rank:
             raise PreconditionViolated("cube index has the wrong length")
-        lift = self.chart(self.section(key), self.cube_basis)
-        return self.box(n, self.denominator(key)).image(lift, self.ambient)
+        return n
 
     def cell_containing(self, n_mat: Mat):
         """Index (key, n) of the cell whose relative interior, or floor
@@ -281,14 +283,12 @@ class CellFan:
         return all((self.denominator(key) * c).denominator == 1 for c in cube)
 
     def window(self, bound: int, key=None) -> tuple:
-        """All cells with max cube coordinate offset <= bound for one
-        coset, closed under faces."""
+        """The cells of one coset with cube offsets at most bound, closed
+        under faces: (4 bound + 3)^cube_rank + 1 cones if log(gamma) != 0."""
         key = self.zero_key() if key is None else vec(key)
-        cells = [
-            self.cell(key, n)
-            for n in product(range(-bound, bound + 1), repeat=self.cube_rank)
-        ]
-        return fan_closure(cells)
+        a = self.denominator(key)
+        boxes = [self.box(n, a) for n in product(range(-bound, bound + 1), repeat=self.cube_rank)]
+        return _lifted_closure(boxes, self.chart(self.section(key), self.cube_basis), self.ambient)
 
     # --- the extension automorphisms ---
 
@@ -311,9 +311,11 @@ class CellFan:
     def conjugate_cell(self, power: int, shift, index):
         """Image index of a cell under conjugation by the automorphism
         gamma^power followed by the lattice shift of e.  The fan is
-        stable, so the image of a cell is a cell; the postcondition is
-        asserted on the nose."""
-        key, n = index
+        stable, so the image of a cell is a cell.  The postcondition is
+        checked on the chart columns, building no cell: conj . chart(key)
+        = chart(new_key) . T with T(t, c) = (t, c + t cube), and T maps
+        box(n, a) onto box(n + a cube, a)."""
+        key, n = vec(index[0]), self._cube_index(index[1])
         fr = self.frame
         g = self.gamma_matrix(power, shift)
         g_inv = inverse(g)
@@ -321,9 +323,8 @@ class CellFan:
         def conj(m):
             return matmul(matmul(g, m), g_inv)
 
-        # gamma^power commutes with log(gamma), so the cell's base point
-        # stays at pencil level one and only its image of e moves
-        split = self._split(fr.e_image(conj(fr.pencil(1, self.section(key)))))
+        base = conj(fr.pencil(1, self.section(key)))
+        split = self._split(fr.e_image(base))
         if split is None:
             raise InvariantViolation("conjugated section left the existence space")
         cube, new_key = split
@@ -333,11 +334,10 @@ class CellFan:
         steps = [a * c for c in cube]
         if any(s.denominator != 1 for s in steps):
             raise InvariantViolation("conjugation moved a cell off the grid")
-        new_n = tuple(ni + int(s) for ni, s in zip(n, steps))
-        image = self.cell(key, n).image(lambda v: flatten(conj(unflatten(v, fr.dim))), self.ambient)
-        if image != self.cell(new_key, new_n):
+        directions = [fr.pencil(0, d) for d in self.cube_basis]
+        if base != fr.pencil(1, fr.e_image(base)) or any(conj(m) != m for m in directions):
             raise InvariantViolation("conjugated cell is not the indexed cell")
-        return new_key, new_n
+        return new_key, tuple(ni + int(s) for ni, s in zip(n, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +377,15 @@ def check_admissible(fan: CellFan, mats):
                 ok = matmul(mats[i], mats[j]) == matmul(mats[j], mats[i])
             if not ok:
                 raise NotCommutative("cone generators do not commute")
-    cone = Cone.from_generators([flatten(m) for m in mats], fan.ambient)  # NotSharp propagates
     if all(lam is not None and lam > 0 for lam in lams):
-        # all generators sit at positive pencil levels, so every nonzero
-        # face representative does too and existence is convex in the
-        # normalized slice: the generators decide
+        # all generators sit at positive pencil levels, so the cone is
+        # sharp, every nonzero face representative does too and existence
+        # is convex in the normalized slice: the generators decide
         for m, lam in zip(mats, lams):
             if not fan.p_space.contains(vscale(ONE / lam, fr.e_image(m))):
                 return False, {"generator": m, "reason": "image of e outside the existence space"}
         return True, None
-    for face in cone.faces():
+    for face in Cone.from_generators([flatten(m) for m in mats], fan.ambient).faces():
         rep = face.interior_point()
         if is_zero_vec(rep):
             continue
@@ -428,21 +427,19 @@ def subdivide_against(fan: CellFan, mats):
     cone (possible below weight -1 for cones touching pencil level
     zero).  Raises PreconditionViolated for inadmissible input.
 
-    Cutting happens in the pencil chart of the cone's coset, where every
-    cell is a box; only the finished pieces are lifted to operator
-    space."""
-    fr = fan.frame
+    The generators are located in the pencil chart of their coset,
+    where every cell is a box, and only the pieces are lifted."""
     mats = [mat(m) for m in mats]
     ok, witness = check_admissible(fan, mats)
     if not ok:
         raise PreconditionViolated(f"cone is not admissible: {witness['reason']}")
-    cone = Cone.from_generators([flatten(m) for m in mats], fan.ambient)
-    if cone.dim == 0:
-        return [((fan.zero_key(), (0,) * fan.cube_rank), cone)]
-    located = [fan.locate(unflatten(r, fr.dim)) for r in cone.rays]
+    mats = [m for m in mats if not is_zero_mat(m)]
+    if not mats:
+        return [((fan.zero_key(), (0,) * fan.cube_rank), Cone.zero(fan.ambient))]
+    located = [fan.locate(m) for m in mats]
     if None in located:
-        # an admissible ray pinned at pencil level zero: no cell of the
-        # fan meets it outside the origin
+        # an admissible generator pinned at pencil level zero: no cell of
+        # the fan meets its ray outside the origin
         return None
     keys = {key for _, key, _ in located}
     if len(keys) != 1:
@@ -451,9 +448,12 @@ def subdivide_against(fan: CellFan, mats):
     a = fan.denominator(key)
     rank = fan.cube_rank
     small = Cone.from_generators([(ONE,) + cube for _, _, cube in located], rank + 1)
-    host = fan.cell_containing(unflatten(cone.interior_point(), fr.dim))
-    if host is not None and host[0] == key and fan.box(host[1], a).contains_cone(small):
-        return [(host, cone)]
+    lift = fan.chart(fan.section(key), fan.cube_basis)
+    # a cone inside one box floors to it at every relative interior point
+    point = small.interior_point()
+    host = tuple(floor(a * c / point[0]) for c in point[1:])
+    if fan.box(host, a).contains_cone(small):
+        return [((key, host), small.image(lift, fan.ambient))]
     grids = [tuple(a * c for c in cube) for _, _, cube in located]
     lo = [floor(min(g[j] for g in grids)) for j in range(rank)]
     hi = [max(ceil(max(g[j] for g in grids)) - 1, l)
@@ -462,11 +462,10 @@ def subdivide_against(fan: CellFan, mats):
         boxes = _segment_boxes(grids[0], grids[-1], lo, hi)
     else:
         boxes = product(*[range(l, h + 1) for l, h in zip(lo, hi)])
-    lift = fan.chart(fan.section(key), fan.cube_basis)
     pieces = []
     for n in sorted(boxes):
         piece = small.intersect(fan.box(n, a))
-        if piece.dim == cone.dim:
+        if piece.dim == small.dim:
             pieces.append(((key, n), piece.image(lift, fan.ambient)))
     if not pieces:
         raise InvariantViolation("subdivision produced no full dimensional piece")
@@ -571,7 +570,7 @@ def ray_window(fan: CellFan, lattice: ZLattice, bound: int) -> tuple:
         if is_zero_mat(op):
             continue
         cones.append(Cone.from_generators([flatten(op)], fan.ambient))
-    return tuple(sorted(set(cones), key=lambda c: (c.dim, c.rays)))
+    return sorted_unique(cones)
 
 
 def check_square_zero_pure(frame: Frame) -> dict:
@@ -599,13 +598,16 @@ def check_square_zero_pure(frame: Frame) -> dict:
     }
 
 
-def _cube_cells(fan: CellFan, bound: int) -> list:
+def _lifted_closure(boxes, lift, ambient: int) -> tuple:
+    """Faces of the chart boxes, each lifted once; lifts of distinct
+    faces coincide when log(gamma) = 0, so they are deduplicated."""
+    return sorted_unique(face.image(lift, ambient) for face in fan_closure(boxes))
+
+
+def _cube_boxes(fan: CellFan, bound: int):
     basis = image_lattice(fan).basis_vectors()
-    lift = fan.chart(zero_vec(fan.frame.rank), basis)
-    return [
-        fan.box(n, 1).image(lift, fan.ambient)
-        for n in product(range(-bound, bound + 1), repeat=len(basis))
-    ]
+    boxes = [fan.box(n, 1) for n in product(range(-bound, bound + 1), repeat=len(basis))]
+    return boxes, fan.chart(zero_vec(fan.frame.rank), basis)
 
 
 def cube_window(fan: CellFan, bound: int) -> tuple:
@@ -614,7 +616,7 @@ def cube_window(fan: CellFan, bound: int) -> tuple:
     gate = check_square_zero_pure(fan.frame)
     if not gate["holds"]:
         raise NotSquareZeroPure("cube fan requires the square zero pure type predicate")
-    return fan_closure(_cube_cells(fan, bound))
+    return _lifted_closure(*_cube_boxes(fan, bound), fan.ambient)
 
 
 def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> list:
@@ -652,7 +654,8 @@ def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> li
         missing = [b for b in image_lattice(fan).basis_vectors() if not ql.contains(b)]
         add("image-rays-are-torus-rays", not missing, {"vector": missing[0]} if missing else None)
         witness, pieces_total = None, 0
-        for c in _cube_cells(fan, cube_bound):
+        boxes, lift = _cube_boxes(fan, cube_bound)
+        for c in (b.image(lift, fan.ambient) for b in boxes):
             pieces = subdivide_against(fan, [unflatten(r, fr.dim) for r in c.rays])
             if pieces is None:
                 witness = {"cell": c.rays, "reason": "no cover"}
@@ -731,13 +734,10 @@ def corrupted_window(fan: CellFan, bound: int, mode: str) -> tuple:
     if mode == "drop-faces":
         return tuple(c for c in window if c.dim != 1)
     if mode == "half-cell":
-        key = fan.zero_key()
         n0 = (0,) * fan.cube_rank
-        victim = fan.cell(key, n0)
-        lift = fan.chart(fan.section(key), fan.cube_basis)
-        half = fan.box(n0, 2 * fan.denominator(key)).image(lift, fan.ambient)
-        cones = [half if c == victim else c for c in window]
-        return tuple(cones)
+        lift = fan.chart(zero_vec(fan.frame.rank), fan.cube_basis)
+        victim, half = (fan.box(n0, a).image(lift, fan.ambient) for a in (1, 2))
+        return tuple(half if c == victim else c for c in window)
     raise PreconditionViolated(f"unknown corruption mode: {mode}")
 
 

@@ -179,14 +179,7 @@ def rref(m: Mat):
     Elimination runs on denominator cleared integer rows (each kept
     primitive to tame entry growth); the form is unique, so the result
     matches entry by entry what Fraction elimination would produce."""
-    work = []
-    for r in m:
-        den = 1
-        for x in r:
-            d = x.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-        work.append([x.numerator * (den // x.denominator) for x in r])
+    work = [_scaled_int_rows([r])[0][0] for r in m]
     nr = len(work)
     nc = len(work[0]) if nr else 0
     pivots = []
@@ -386,23 +379,13 @@ class Subspace:
 # integer side
 
 
-def _den_lcm(v: Vec) -> int:
-    out = 1
-    for x in v:
-        out = lcm(out, Fraction(x).denominator)
-    return out
-
-
 def primitive(v: Vec) -> Vec:
     """Shortest integral vector on the same ray (orientation kept)."""
     v = vec(v)
     if is_zero_vec(v):
         return v
-    d = _den_lcm(v)
-    ints = [int(x * d) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints = _scaled_int_rows([v])[0][0]
+    g = gcd(*ints)
     return tuple(Fraction(x // g) for x in ints)
 
 
@@ -586,10 +569,7 @@ class ZLattice:
         for v in vectors:
             if len(v) != ambient:
                 raise MixedAmbient("lattice: vector length != ambient")
-        d = 1
-        for v in vectors:
-            d = lcm(d, _den_lcm(v))
-        ints = [tuple(int(x * d) for x in v) for v in vectors]
+        ints, d = _scaled_int_rows(vectors)
         return cls._reduce(ambient, ints, d)
 
     @classmethod

@@ -242,6 +242,14 @@ def test_completeness_with_existence_space_everything(tmp_path, capsys):
     assert "everything" in _blocked(report, "inadmissible-rejected")
 
 
+def test_completeness_trivial_monodromy_below_weight_minus_one(tmp_path, capsys):
+    # every corpus generator sits at pencil level zero, where no cell is defined
+    spec = write_spec(tmp_path, frame=_jordan3_trivial_monodromy(), corpus=5)
+    code, report = run_json(capsys, "check", "--spec", spec, "--suite", "completeness")
+    assert code == 1
+    assert "log(gamma) is zero" in _blocked(report, "subdivision-covers")
+
+
 @pytest.mark.parametrize("frame", ["jordan3", "no-graded-types"])
 def test_cube_cells_blocked_build(tmp_path, capsys, frame):
     fields = {"fixture": "jordan3"} if frame == "jordan3" else {"frame": _without_graded_types()}

@@ -1,7 +1,9 @@
 """Cell fan geometry: indexing, conjugation, subdivision, comparisons."""
 
+import hashlib
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +40,7 @@ from relfan.fixtures import elliptic_frame, jordan3_frame
 from relfan.hodge import relative_filtration
 from relfan.qlinalg import (
     exp_nilpotent,
+    inverse,
     is_zero_mat,
     matmul,
     matscale,
@@ -390,6 +393,114 @@ def test_honest_window_strong_compatibility(ell):
 def test_unknown_corruption_mode(ell):
     with pytest.raises(PreconditionViolated):
         corrupted_window(ell, 1, "mangle")
+
+
+# --- chart built windows, conjugation and subdivision against references --
+
+def operator_space_closure(cells):
+    """Reference closure: every face of every cell, found by double
+    description in operator space from the rays alone."""
+    faces = {f.rays: f for c in cells for f in Cone(c.ambient, c.rays).faces()}
+    return tuple(sorted(faces.values(), key=lambda c: (c.dim, c.rays)))
+
+
+CHART_CASES = [("ell", None), ("jd3", None), ("jd3", (F(1, 2),)), ("jd3", (F(2, 3),))]
+
+
+def _fan(ell, jd3, name):
+    return ell if name == "ell" else jd3
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("name,key", CHART_CASES)
+def test_window_matches_operator_space_closure(ell, jd3, name, key, bound):
+    fan = _fan(ell, jd3, name)
+    key = fan.zero_key() if key is None else key
+    window = fan.window(bound, key)
+    cells = [fan.cell(key, n) for n in product(range(-bound, bound + 1), repeat=fan.cube_rank)]
+    assert window == operator_space_closure(cells)
+    assert len(window) == (4 * bound + 3) ** fan.cube_rank + 1
+    # the facet normals pulled back through the chart are the canonical ones
+    assert [c.facet_normals for c in window] == [Cone(c.ambient, c.rays).facet_normals for c in window]
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_elliptic_cube_window_matches_operator_space_closure(ell, bound):
+    fr = ell.frame
+    (d,) = image_lattice(ell).basis_vectors()
+    cells = [
+        Cone.from_generators([flatten(fr.pencil(1, vscale(n + bit, d))) for bit in (0, 1)], ell.ambient)
+        for n in range(-bound, bound + 1)
+    ]
+    assert cube_window(ell, bound) == operator_space_closure(cells)
+
+
+@pytest.mark.parametrize("name,key", CHART_CASES)
+def test_conjugate_cell_matches_image_of_cell(ell, jd3, name, key):
+    """Every top cell of the window and every automorphism sample of the
+    gamma suite: the conjugated cell is the indexed cell."""
+    fan = _fan(ell, jd3, name)
+    fr = fan.frame
+    key = fan.zero_key() if key is None else key
+    shifts = [zero_vec(fr.rank), *fan.inner_lattice.basis_vectors()]
+    for n in product(range(-1, 2), repeat=fan.cube_rank):
+        cell = fan.cell(key, n)
+        for power in (-2, -1, 0, 1, 2):
+            for shift in shifts:
+                g = fan.gamma_matrix(power, shift)
+                g_inv = inverse(g)
+                image = cell.image(
+                    lambda v: flatten(matmul(matmul(g, unflatten(v, fr.dim)), g_inv)), fan.ambient
+                )
+                assert image == fan.cell(*fan.conjugate_cell(power, shift, (key, n)))
+
+
+# sha256 of [(index, piece.rays)] over the seed 7, 40 cone corpora, as
+# computed when subdivision still built each cone in operator space
+SUBDIVISION_DIGESTS = {
+    "ell": "4b8e4b865df273810d1c67249b1e53446bd6a976f268bfa074e2ac9dfc4c63a8",
+    "jd3": "1a81c84398eaaf4aa7dacff737d342a643fc4c80fcbf3a3f0ff497d7d09efa26",
+}
+
+
+@pytest.mark.parametrize("name", ["ell", "jd3"])
+def test_subdivision_corpus_digest(ell, jd3, name):
+    fan = _fan(ell, jd3, name)
+    rng = random.Random(7)
+    out = []
+    for _ in range(40):
+        pieces = subdivide_against(fan, random_admissible_cone(fan, rng))
+        out.append(None if pieces is None else [(idx, piece.rays) for idx, piece in pieces])
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == SUBDIVISION_DIGESTS[name]
+
+
+def test_chart_paths_build_no_cell(ell, jd3, monkeypatch):
+    """window and conjugate_cell never build a cell, and neither they nor
+    subdivide_against build an operator space cone by double description."""
+    from_generators = Cone.from_generators.__func__
+
+    def no_cell(self, key, n):
+        raise AssertionError("a cell was built")
+
+    def chart_only(cls, generators, ambient):
+        if ambient in (ell.ambient, jd3.ambient):
+            raise AssertionError("an operator space cone was built by double description")
+        return from_generators(cls, generators, ambient)
+
+    monkeypatch.setattr(CellFan, "cell", no_cell)
+    monkeypatch.setattr(Cone, "from_generators", classmethod(chart_only))
+    for name, key in CHART_CASES:
+        fan = _fan(ell, jd3, name)
+        key = fan.zero_key() if key is None else key
+        assert fan.window(2, key)
+        shifts = [zero_vec(fan.frame.rank), *fan.inner_lattice.basis_vectors()]
+        for n in range(-2, 3):
+            for shift in shifts:
+                assert fan.conjugate_cell(1, shift, (key, (n,)))
+    for fan in (ell, jd3):
+        rng = random.Random(7)
+        for _ in range(40):
+            assert subdivide_against(fan, random_admissible_cone(fan, rng))
 
 
 # --- integral exponentials ----------------------------------------------
