@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import __version__
-from .cones import Cone, check_fan
+from .cones import Cone
 from .errors import (
     InvariantViolation,
     MissingHodgeData,
@@ -54,6 +54,7 @@ from .gallery import (
     standard_factors,
 )
 from .gaussian import Gi, format_gi
+from .grid import first_fan_violation, window_face_table
 from .hodge import (
     Frame,
     check_in_g,
@@ -221,36 +222,34 @@ def _cell_fan_blocked(fan: CellFan):
 
 
 def _build_window(spec: SpecData):
-    """(window, None), or ((), reason) when a precondition of the
-    requested fan fails."""
+    """(window, grid, None), where grid is the chart grid whose faces the
+    window is built from (None for the ray fans), or ((), None, reason)
+    when a precondition of the requested fan fails."""
     fan = CellFan(spec.frame)
     if spec.corrupt is not None and spec.fan != "cell-fan":
         raise SpecFormatError("corruption applies only to the cell fan window")
     if spec.fan == "cell-fan":
         blocked = _cell_fan_blocked(fan)
         if blocked:
-            return (), blocked
+            return (), None, blocked
         if spec.corrupt is not None:
-            return corrupted_window(fan, spec.window, spec.corrupt), None
-        return fan.window(spec.window), None
+            return corrupted_window(fan, spec.window, spec.corrupt), fan.grid(), None
+        return fan.window(spec.window), fan.grid(), None
     if spec.fan == "image-rays":
-        return ray_window(fan, image_lattice(fan), spec.window), None
+        return ray_window(fan, image_lattice(fan), spec.window), None, None
     if spec.fan == "neron-rays":
-        return ray_window(fan, neron_lattice(fan), spec.window), None
+        return ray_window(fan, neron_lattice(fan), spec.window), None, None
     try:
-        return cube_window(fan, spec.window), None
+        return cube_window(fan, spec.window), fan.cube_grid, None
     except (NotSquareZeroPure, MissingHodgeData) as exc:
-        return (), str(exc)
+        return (), None, str(exc)
 
 
 def cmd_build(spec: SpecData) -> dict:
-    window, blocked = _build_window(spec)
+    window, grid, blocked = _build_window(spec)
     outcome = {"reason": blocked} if blocked else {"cones": len(window)}
     checks = [("window-built", None if blocked else len(window) > 0, {"fan": spec.fan, **outcome})]
-    faces = [
-        sorted(j for j, other in enumerate(window) if other.is_face_of(cone))
-        for cone in window
-    ]
+    faces = window_face_table(window, grid)
     extra = {
         "window": {
             "fan": spec.fan,
@@ -263,12 +262,11 @@ def cmd_build(spec: SpecData) -> dict:
 
 
 def _axioms_checks(spec: SpecData) -> list:
-    window, blocked = _build_window(spec)
+    window, grid, blocked = _build_window(spec)
     if blocked:
         return [("fan-axioms", None, {"reason": blocked})]
-    violations = check_fan(window)
-    witness = violations[0] if violations else {"cones": len(window)}
-    return [("fan-axioms", not violations, witness)]
+    violation = first_fan_violation(window, grid)
+    return [("fan-axioms", violation is None, violation or {"cones": len(window)})]
 
 
 def _gamma_checks(spec: SpecData) -> list:

@@ -17,11 +17,16 @@ base point b of P and cube directions d_1, ..., d_k, chart(b, d) sends
 d_j), a linear map into operator space, injective when log(gamma) is
 nonzero.  A cell is box(n, a), the cone over [n, n + 1] / a at level
 one in closed form, lifted by Cone.image through its coset's chart.
-Windows close the boxes under faces in the chart, conjugation is an
-identity of chart maps, and subdivision cuts boxes in the chart, so
-double description in operator space is left to cones off the positive
-pencil.  locate inverts the chart: an operator on the positive pencil
-goes to (level, coset key, cube coordinates).
+locate inverts the chart: an operator on the positive pencil goes to
+(level, coset key, cube coordinates).
+
+Every window cone is a face of such a box, a GridFace symbol of its
+coset's ChartGrid (grid.py), where the faces table and the fan axioms
+of a window are decided.  Windows lift only the corner rays,
+conjugation is an identity of chart maps checked once per coset key,
+and subdivision cuts boxes in the chart, so double description in
+operator space is left to cones off the positive pencil and to the
+generic oracles in cones.py.
 
 Also here: the coarser comparison fans (rays over the inner image
 lattice, rays over the torus lattice, unit cube cells, rays over the
@@ -32,13 +37,13 @@ completeness sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import ceil, factorial, floor, lcm
 
-from .cones import Cone, fan_closure, sorted_unique
+from .cones import Cone, sorted_unique
 from .errors import (
     NotSquareZeroPure,
     InvariantViolation,
@@ -47,6 +52,7 @@ from .errors import (
     NotInGroup,
     PreconditionViolated,
 )
+from .grid import ChartGrid, GridFace
 from .hodge import (
     Frame,
     check_in_g,
@@ -73,7 +79,6 @@ from .qlinalg import (
     matvec,
     nilpotency_index,
     order_in_quotient,
-    primitive,
     snf,
     solve,
     transpose,
@@ -106,6 +111,8 @@ class CellFan:
     """The relatively complete fan of a frame's distinguished pencil."""
 
     frame: Frame
+    _denominators: dict = field(default_factory=dict, init=False, repr=False)
+    _grids: dict = field(default_factory=dict, init=False, repr=False)
 
     # --- derived geometry ---
 
@@ -205,35 +212,43 @@ class CellFan:
     def denominator(self, key) -> int:
         """Order of the coset in P/Q relative to the image of the P
         lattice; cube side lengths are its reciprocal."""
-        return order_in_quotient(self.section(key), self.p_lattice, self.q_space)
+        key = vec(key)
+        a = self._denominators.get(key)
+        if a is None:
+            a = order_in_quotient(self.section(key), self.p_lattice, self.q_space)
+            self._denominators[key] = a
+        return a
 
     # --- the pencil chart ---
 
+    def _chart_columns(self, base: Vec, basis) -> list:
+        columns = [flatten(self.frame.pencil(1, base))]
+        return columns + [flatten(self.frame.pencil(0, d)) for d in basis]
+
     def chart(self, base: Vec, basis):
         """(level t, coordinates c) -> flattened pencil(t, t base + c . basis)."""
-        columns = [flatten(self.frame.pencil(1, base))]
-        columns += [flatten(self.frame.pencil(0, d)) for d in basis]
-        return linear_map(transpose(columns))
+        return linear_map(transpose(self._chart_columns(base, basis)))
+
+    def grid(self, key=None) -> ChartGrid:
+        """The box grid of one coset in its chart, kept per key."""
+        key = self.zero_key() if key is None else vec(key)
+        if key not in self._grids:
+            columns = self._chart_columns(self.section(key), self.cube_basis)
+            self._grids[key] = ChartGrid(columns, self.denominator(key), self.ambient)
+        return self._grids[key]
+
+    @cached_property
+    def cube_grid(self) -> ChartGrid:
+        """Unit boxes over the image lattice in the chart with base point
+        zero: the grid of the cube fan."""
+        columns = self._chart_columns(zero_vec(self.frame.rank), image_lattice(self).basis_vectors())
+        return ChartGrid(columns, 1, self.ambient)
 
     @staticmethod
     def box(n, a: int) -> Cone:
-        """The chart cone over the box [n, n + 1] / a at level one: its
-        corners are the extreme rays and its 2 * len(n) walls the facets,
-        so the canonical form is written down rather than computed."""
-        k = len(n)
-        rays = [
-            primitive((ONE,) + tuple(Fraction(n[j] + bit, a) for j, bit in enumerate(corner)))
-            for corner in product((0, 1), repeat=k)
-        ]
-        normals = []
-        for j in range(k):
-            low = [ZERO] * (k + 1)
-            low[0], low[j + 1] = Fraction(-n[j]), Fraction(a)
-            high = [ZERO] * (k + 1)
-            high[0], high[j + 1] = Fraction(n[j] + 1), Fraction(-a)
-            normals += [primitive(tuple(low)), primitive(tuple(high))]
-        # for k = 0 the cone is the level ray, whose facet normal is the level
-        return Cone._known(k + 1, rays, Subspace.full(k + 1), normals or [(ONE,)])
+        """The chart cone over the box [n, n + 1] / a at level one, with its
+        canonical form written down rather than computed."""
+        return GridFace(tuple(n), (True,) * len(n)).chart_cone(a)
 
     def locate(self, n_mat: Mat):
         """Chart coordinates (level, coset key, cube coordinates) of an
@@ -284,11 +299,10 @@ class CellFan:
 
     def window(self, bound: int, key=None) -> tuple:
         """The cells of one coset with cube offsets at most bound, closed
-        under faces: (4 bound + 3)^cube_rank + 1 cones if log(gamma) != 0."""
-        key = self.zero_key() if key is None else vec(key)
-        a = self.denominator(key)
-        boxes = [self.box(n, a) for n in product(range(-bound, bound + 1), repeat=self.cube_rank)]
-        return _lifted_closure(boxes, self.chart(self.section(key), self.cube_basis), self.ambient)
+        under faces: (4 bound + 3)^cube_rank + 1 cones if log(gamma) != 0.
+        The faces are enumerated as grid faces of the coset's chart and
+        only their corner rays are lifted; see ChartGrid.window."""
+        return self.grid(key).window(bound)
 
     # --- the extension automorphisms ---
 
@@ -311,11 +325,19 @@ class CellFan:
     def conjugate_cell(self, power: int, shift, index):
         """Image index of a cell under conjugation by the automorphism
         gamma^power followed by the lattice shift of e.  The fan is
-        stable, so the image of a cell is a cell.  The postcondition is
-        checked on the chart columns, building no cell: conj . chart(key)
-        = chart(new_key) . T with T(t, c) = (t, c + t cube), and T maps
-        box(n, a) onto box(n + a cube, a)."""
+        stable, so the image of a cell is a cell: box n of coset key goes
+        to box n + steps of the new key, both from conjugate_key."""
         key, n = vec(index[0]), self._cube_index(index[1])
+        new_key, steps = self.conjugate_key(power, shift, key)
+        return new_key, tuple(ni + s for ni, s in zip(n, steps))
+
+    def conjugate_key(self, power: int, shift, key):
+        """The coset-level step of conjugate_cell, independent of the cube
+        index: (new key, integer steps).  The postcondition is checked on
+        the chart columns, building no cell: conj . chart(key) =
+        chart(new_key) . T with T(t, c) = (t, c + t cube), and T maps
+        box(n, a) onto box(n + a cube, a)."""
+        key = vec(key)
         fr = self.frame
         g = self.gamma_matrix(power, shift)
         g_inv = inverse(g)
@@ -337,7 +359,7 @@ class CellFan:
         directions = [fr.pencil(0, d) for d in self.cube_basis]
         if base != fr.pencil(1, fr.e_image(base)) or any(conj(m) != m for m in directions):
             raise InvariantViolation("conjugated cell is not the indexed cell")
-        return new_key, tuple(ni + int(s) for ni, s in zip(n, steps))
+        return new_key, tuple(int(s) for s in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +467,23 @@ def subdivide_against(fan: CellFan, mats):
     if len(keys) != 1:
         raise InvariantViolation("commuting generators landed in different cosets")
     key = keys.pop()
+    lift = fan.chart(fan.section(key), fan.cube_basis)
+    pieces = _cut(fan, key, [(ONE,) + cube for _, _, cube in located])
+    return [((key, n), piece.image(lift, fan.ambient)) for n, piece in pieces]
+
+
+def _cut(fan: CellFan, key, points) -> list:
+    """(box index, chart piece) pairs: the chart cone over the level one
+    points cut along the boxes of the coset's grid, full pieces only."""
     a = fan.denominator(key)
     rank = fan.cube_rank
-    small = Cone.from_generators([(ONE,) + cube for _, _, cube in located], rank + 1)
-    lift = fan.chart(fan.section(key), fan.cube_basis)
+    small = Cone.from_generators(points, rank + 1)
     # a cone inside one box floors to it at every relative interior point
     point = small.interior_point()
     host = tuple(floor(a * c / point[0]) for c in point[1:])
     if fan.box(host, a).contains_cone(small):
-        return [((key, host), small.image(lift, fan.ambient))]
-    grids = [tuple(a * c for c in cube) for _, _, cube in located]
+        return [(host, small)]
+    grids = [tuple(a * c for c in p[1:]) for p in points]
     lo = [floor(min(g[j] for g in grids)) for j in range(rank)]
     hi = [max(ceil(max(g[j] for g in grids)) - 1, l)
           for j, l in enumerate(lo)]
@@ -466,7 +495,7 @@ def subdivide_against(fan: CellFan, mats):
     for n in sorted(boxes):
         piece = small.intersect(fan.box(n, a))
         if piece.dim == small.dim:
-            pieces.append(((key, n), piece.image(lift, fan.ambient)))
+            pieces.append((n, piece))
     if not pieces:
         raise InvariantViolation("subdivision produced no full dimensional piece")
     return pieces
@@ -598,25 +627,37 @@ def check_square_zero_pure(frame: Frame) -> dict:
     }
 
 
-def _lifted_closure(boxes, lift, ambient: int) -> tuple:
-    """Faces of the chart boxes, each lifted once; lifts of distinct
-    faces coincide when log(gamma) = 0, so they are deduplicated."""
-    return sorted_unique(face.image(lift, ambient) for face in fan_closure(boxes))
-
-
-def _cube_boxes(fan: CellFan, bound: int):
-    basis = image_lattice(fan).basis_vectors()
-    boxes = [fan.box(n, 1) for n in product(range(-bound, bound + 1), repeat=len(basis))]
-    return boxes, fan.chart(zero_vec(fan.frame.rank), basis)
-
-
 def cube_window(fan: CellFan, bound: int) -> tuple:
-    """Unit cube cells over the image lattice, closed under faces.
-    Only defined under the square zero plus pure type predicate."""
+    """Unit cube cells over the image lattice, closed under faces: the
+    window of fan.cube_grid.  Only defined under the square zero plus
+    pure type predicate."""
     gate = check_square_zero_pure(fan.frame)
     if not gate["holds"]:
         raise NotSquareZeroPure("cube fan requires the square zero pure type predicate")
-    return _lifted_closure(*_cube_boxes(fan, bound), fan.ambient)
+    return fan.cube_grid.window(bound)
+
+
+def _cube_cells_align(fan: CellFan, bound: int):
+    """Witness that a unit cube cell is not a union of whole cells, or
+    the total piece count.  The cube chart maps into the cell chart of
+    the zero key by its change of basis (both have the level column
+    pencil(1, 0)), so each cube box is cut in the cell chart and every
+    piece is compared with its host box there."""
+    moved = [fan._split(d) for d in image_lattice(fan).basis_vectors()]
+    if any(m is None or any(m[1]) for m in moved):
+        raise InvariantViolation("image lattice leaves the torus space of the cell chart")
+    change = [cube for cube, _ in moved]
+    key, a, total = fan.zero_key(), fan.denominator(fan.zero_key()), 0
+    grid = fan.cube_grid
+    for n in product(range(-bound, bound + 1), repeat=grid.rank):
+        corners = GridFace(n, (True,) * len(n)).vertices()
+        points = [(ONE,) + combine(v, change, fan.cube_rank) for v in corners]
+        pieces = _cut(fan, key, points)
+        total += len(pieces)
+        bad = next((m for m, piece in pieces if piece != fan.box(m, a)), None)
+        if bad is not None:
+            return {"cell": fan.box(n, 1).image(grid.lift, fan.ambient).rays, "index": (key, bad)}
+    return {"pieces": total}
 
 
 def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> list:
@@ -653,19 +694,8 @@ def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> li
         ql = fan.q_lattice
         missing = [b for b in image_lattice(fan).basis_vectors() if not ql.contains(b)]
         add("image-rays-are-torus-rays", not missing, {"vector": missing[0]} if missing else None)
-        witness, pieces_total = None, 0
-        boxes, lift = _cube_boxes(fan, cube_bound)
-        for c in (b.image(lift, fan.ambient) for b in boxes):
-            pieces = subdivide_against(fan, [unflatten(r, fr.dim) for r in c.rays])
-            if pieces is None:
-                witness = {"cell": c.rays, "reason": "no cover"}
-                break
-            pieces_total += len(pieces)
-            bad = next((idx for idx, piece in pieces if piece != fan.cell(*idx)), None)
-            if bad is not None:
-                witness = {"cell": c.rays, "index": bad}
-                break
-        add("cube-cells-align-with-cell-fan", witness is None, witness or {"pieces": pieces_total})
+        witness = _cube_cells_align(fan, cube_bound)
+        add("cube-cells-align-with-cell-fan", "pieces" in witness, witness)
     else:
         unevaluated("existence-space-equals-torus-space", "space comparison")
         unevaluated("image-rays-are-torus-rays", "ray fan comparison")
@@ -732,11 +762,13 @@ def corrupted_window(fan: CellFan, bound: int, mode: str) -> tuple:
     cell with a shrunken copy that no longer tiles."""
     window = fan.window(bound)
     if mode == "drop-faces":
-        return tuple(c for c in window if c.dim != 1)
+        # a sharp cone is one dimensional exactly when it has one ray
+        return tuple(c for c in window if len(c.rays) != 1)
     if mode == "half-cell":
+        grid = fan.grid()
         n0 = (0,) * fan.cube_rank
-        lift = fan.chart(zero_vec(fan.frame.rank), fan.cube_basis)
-        victim, half = (fan.box(n0, a).image(lift, fan.ambient) for a in (1, 2))
+        victim = grid.cone(GridFace(n0, (True,) * len(n0)))
+        half = fan.box(n0, 2).image(grid.lift, fan.ambient)
         return tuple(half if c == victim else c for c in window)
     raise PreconditionViolated(f"unknown corruption mode: {mode}")
 
@@ -750,33 +782,55 @@ def strong_compatibility_report(fan: CellFan, window, gammas) -> list:
     asserts the image equality internally).  For each ray: a positive
     integral multiple whose exponential preserves the lattice, recorded
     with the multiple as witness.
+
+    Cones the zero key's grid recognizes are indexed by their grid face.
+    Any other cone is located from its interior point and compared with
+    the lifted corner rays of the located box.  Conjugation depends only
+    on the coset key, so conjugate_key runs once per (sample, key).
     """
     fr = fan.frame
     top = 1 + fan.cube_rank
+    zero, grid = fan.zero_key(), fan.grid()
+    conjugated = {}
+
+    def conjugation_error(power, shift, key):
+        at = (power, vec(shift), key)
+        if at not in conjugated:
+            try:
+                fan.conjugate_key(power, shift, key)
+                conjugated[at] = None
+            except InvariantViolation as exc:
+                conjugated[at] = str(exc)
+        return conjugated[at]
+
     checks = []
     for c in window:
-        if c.dim == top:
-            idx = fan.cell_containing(unflatten(c.interior_point(), fr.dim))
-            if idx is None or fan.cell(*idx) != c:
-                checks.append({
-                    "name": "cell-is-indexed-cell",
-                    "ok": False,
-                    "witness": {"cone": c.rays, "index": idx},
-                })
-                continue
+        face = grid.recognize(c) if grid.injective else None
+        dim = c.dim if face is None else face.dim
+        if dim == top:
+            if face is not None:
+                idx = (zero, face.corner)
+            else:
+                idx = fan.cell_containing(unflatten(c.interior_point(), fr.dim))
+                if idx is None or fan.grid(idx[0]).cone(GridFace(idx[1], (True,) * len(idx[1]))) != c:
+                    checks.append({
+                        "name": "cell-is-indexed-cell",
+                        "ok": False,
+                        "witness": {"cone": c.rays, "index": idx},
+                    })
+                    continue
             bad = None
             for power, shift in gammas:
-                try:
-                    fan.conjugate_cell(power, shift, idx)
-                except InvariantViolation as exc:
-                    bad = {"gamma": (power, shift), "error": str(exc)}
+                error = conjugation_error(power, shift, idx[0])
+                if error is not None:
+                    bad = {"gamma": (power, shift), "error": error}
                     break
             checks.append({
                 "name": "cell-conjugation-stable",
                 "ok": bad is None,
                 "witness": bad or {"index": idx, "samples": len(gammas)},
             })
-        elif c.dim == 1:
+        elif dim == 1:
             try:
                 a = minimal_integral_exponent(fan, unflatten(c.rays[0], fr.dim))
                 checks.append({

@@ -29,6 +29,7 @@ from .errors import (
     NotInG,
     NotInGroup,
     NotNilpotent,
+    NotUnipotent,
     PreconditionViolated,
     SpecFormatError,
 )
@@ -627,7 +628,13 @@ def frame_from_json(data) -> Frame:
                 graded.setdefault(w, {})[(p, q)] = m
         except (TypeError, ValueError) as exc:
             raise SpecFormatError("frame: malformed graded type row") from exc
-    return Frame(
-        rank=rank, weight=weight, gram=gram, gamma=gamma,
-        lattice=lattice, hodge=hodge, graded_types=graded,
-    )
+    try:
+        return Frame(
+            rank=rank, weight=weight, gram=gram, gamma=gamma,
+            lattice=lattice, hodge=hodge, graded_types=graded,
+        )
+    # a spec gamma outside the group is bad input, not a broken invariant
+    except NotInGroup as exc:
+        raise SpecFormatError(str(exc)) from exc
+    except NotUnipotent as exc:
+        raise SpecFormatError(f"frame: gamma is not unipotent ({exc})") from exc

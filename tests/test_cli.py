@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from relfan.cli import main
+from relfan.cli import _build_window, load_spec, main, to_jsonable
+from relfan.cones import check_fan
 from relfan.fixtures import elliptic_frame, jordan3_frame
 from relfan.hodge import frame_to_json
 
@@ -139,12 +140,51 @@ def test_malformed_lattice_exits_2(tmp_path, capsys, lattice, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "gamma, message",
+    [
+        ([["2", "0"], ["0", "1"]], "does not preserve the pairing"),
+        ([["0", "-1"], ["1", "0"]], "not unipotent"),
+        ([["1", "1/2"], ["0", "1"]], "does not preserve the inner lattice"),
+    ],
+    ids=["pairing", "unipotent", "lattice"],
+)
+def test_gamma_outside_the_group_exits_2(tmp_path, capsys, gamma, message):
+    payload = frame_to_json(elliptic_frame())
+    payload["gamma"] = gamma
+    spec = write_spec(tmp_path, frame=payload)
+    for argv in (["build"], ["check", "--suite", "gamma"]):
+        code, _, err = run(capsys, argv[0], "--spec", spec, *argv[1:])
+        assert code == 2
+        assert message in err
+
+
 def test_corrupt_mode_on_ray_fan_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, fixture="elliptic", fan="neron-rays", corrupt="drop-faces")
     assert run(capsys, "build", "--spec", spec)[0] == 2
 
 
 # --- check suites ---
+
+@pytest.mark.parametrize("fields", [
+    {"fixture": "elliptic", "fan": "cube-cells"},
+    {"fixture": "jordan3", "corrupt": "half-cell"},
+    {"fixture": "jordan3", "corrupt": "drop-faces"},
+    {"fixture": "elliptic", "fan": "image-rays"},
+])
+def test_build_faces_and_axioms_match_operator_space(tmp_path, capsys, fields):
+    """The faces table and the axioms witness, decided on grid faces,
+    equal the pairwise operator space tests on the same window."""
+    spec = write_spec(tmp_path, window=2, **fields)
+    _, built = run_json(capsys, "build", "--spec", spec)
+    _, axioms = run_json(capsys, "check", "--spec", spec, "--suite", "axioms")
+    window = _build_window(load_spec(spec))[0]
+    assert built["window"]["faces"] == [
+        sorted(j for j, other in enumerate(window) if other.is_face_of(cone)) for cone in window
+    ]
+    bad = check_fan(window)
+    assert axioms["checks"][0]["witness"] == to_jsonable(bad[0] if bad else {"cones": len(window)})
+
 
 def test_axioms_pass(tmp_path, capsys):
     spec = write_spec(tmp_path, fixture="elliptic", window=2)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from relfan.cones import Cone, check_fan
 from relfan.errors import (
@@ -17,6 +17,7 @@ from relfan.errors import (
     NotSharp,
     PreconditionViolated,
 )
+from relfan import fans
 from relfan.fans import (
     CellFan,
     check_admissible,
@@ -37,9 +38,11 @@ from relfan.fans import (
     unflatten,
 )
 from relfan.fixtures import elliptic_frame, jordan3_frame
+from relfan.grid import ORIGIN, ChartGrid, GridFace, first_fan_violation, window_face_table
 from relfan.hodge import relative_filtration
 from relfan.qlinalg import (
     exp_nilpotent,
+    identity,
     inverse,
     is_zero_mat,
     matmul,
@@ -501,6 +504,239 @@ def test_chart_paths_build_no_cell(ell, jd3, monkeypatch):
         rng = random.Random(7)
         for _ in range(40):
             assert subdivide_against(fan, random_admissible_cone(fan, rng))
+
+
+# --- windows decided on grid faces against operator space oracles -------
+
+def oracle_faces(window):
+    return [sorted(j for j, other in enumerate(window) if other.is_face_of(cone)) for cone in window]
+
+
+def oracle_violation(window):
+    bad = check_fan(window)
+    return bad[0] if bad else None
+
+
+def fresh(window):
+    """The same cones as new objects, so recognition decodes every ray
+    instead of reading the rays the grid lifted itself."""
+    return tuple(Cone(c.ambient, tuple(tuple(r) for r in c.rays)) for c in window)
+
+
+def assert_decided_like_oracle(window, grid):
+    assert window_face_table(window, grid) == oracle_faces(window)
+    assert first_fan_violation(window, grid) == oracle_violation(window)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+@pytest.mark.parametrize("name,key", CHART_CASES)
+def test_window_decisions_match_operator_space(ell, jd3, name, key, bound):
+    fan = _fan(ell, jd3, name)
+    window = fan.window(bound, key)
+    grid = fan.grid(key)
+    assert fan.denominator(fan.zero_key() if key is None else key) == grid.a
+    assert_decided_like_oracle(window, grid)
+    # recognition does not depend on the grid having lifted the rays
+    assert window_face_table(fresh(window), grid) == window_face_table(window, grid)
+    assert first_fan_violation(fresh(window), grid) is None
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_cube_window_decisions_match_operator_space(ell, bound):
+    assert_decided_like_oracle(cube_window(ell, bound), ell.cube_grid)
+
+
+@pytest.mark.parametrize("mode", ["drop-faces", "half-cell"])
+@pytest.mark.parametrize("name", ["ell", "jd3"])
+@pytest.mark.parametrize("bound", [1, 2])
+def test_corrupted_window_decisions_match_operator_space(ell, jd3, name, mode, bound):
+    fan = _fan(ell, jd3, name)
+    window = corrupted_window(fan, bound, mode)
+    assert first_fan_violation(window, fan.grid()) is not None
+    assert_decided_like_oracle(window, fan.grid())
+
+
+def test_honest_window_decisions_stay_in_the_chart(jd3, monkeypatch):
+    """On an honest window neither decision tests a pair in operator space."""
+    window, grid = jd3.window(2), jd3.grid()
+
+    def forbidden(self, other):
+        raise AssertionError("a pair was tested in operator space")
+
+    monkeypatch.setattr(Cone, "is_face_of", forbidden)
+    monkeypatch.setattr(Cone, "intersect", forbidden)
+    assert len(window_face_table(window, grid)) == len(window)
+    assert first_fan_violation(window, grid) is None
+
+
+def identity_grid(rank, a):
+    """A grid whose chart is operator space itself."""
+    return ChartGrid(identity(rank + 1), a, rank + 1)
+
+
+GRIDS = ["ell", "jd3", "jd3-half", "plane", "plane-third"]
+
+
+def _grid(name):
+    if name == "plane":
+        return identity_grid(2, 1)
+    if name == "plane-third":
+        return identity_grid(2, 3)
+    fan = CellFan(elliptic_frame() if name == "ell" else jordan3_frame())
+    return fan.grid((F(1, 2),) if name == "jd3-half" else None)
+
+
+@st.composite
+def corrupted_windows(draw):
+    """A grid window with one face dropped, or one top cell replaced by a
+    shrunken, shifted or stretched box, or, in the plane, by the cone
+    over all but one of its corners, which is no grid face."""
+    grid = _grid(draw(st.sampled_from(GRIDS)))
+    window = list(grid.window(draw(st.integers(min_value=0, max_value=1))))
+    kinds = ["drop", "shrink", "shift", "stretch"] + (["corner"] if grid.rank > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del window[draw(st.integers(min_value=0, max_value=len(window) - 1))]
+        return window, grid
+    tops = [i for i, c in enumerate(window) if grid.recognize(c).dim == grid.rank + 1]
+    i = draw(st.sampled_from(tops))
+    n = grid.recognize(window[i]).corner
+    lo = [F(c) for c in n]
+    hi = [F(c + 1) for c in n]
+    j = draw(st.integers(min_value=0, max_value=grid.rank - 1))
+    if kind == "shrink":
+        hi[j] -= F(1, 2)
+    elif kind == "shift":
+        lo[j] += F(1, 2)
+        hi[j] += F(1, 2)
+    else:
+        hi[j] += 1
+    corners = [[lo[m] if bit == 0 else hi[m] for m, bit in enumerate(bits)]
+               for bits in product((0, 1), repeat=grid.rank)]
+    if kind == "corner":
+        del corners[draw(st.integers(min_value=0, max_value=len(corners) - 1))]
+    chart = Cone.from_generators([(F(grid.a),) + tuple(corner) for corner in corners], grid.rank + 1)
+    window[i] = chart.image(grid.lift, grid.ambient)
+    return window, grid
+
+
+@settings(max_examples=25)
+@given(corrupted_windows())
+def test_corrupted_window_decisions_match_operator_space_random(case):
+    window, grid = case
+    assert_decided_like_oracle(window, grid)
+
+
+def test_stretched_cell_is_a_bad_intersection():
+    """A box over two cells has all of its faces in the window, so only
+    the pair test can see it."""
+    grid = identity_grid(1, 1)
+    window = list(grid.window(1))
+    i = window.index(grid.cone(GridFace((0,), (True,))))
+    window[i] = Cone.from_generators([(1, 0), (1, 2)], 2)
+    violation = first_fan_violation(window, grid)
+    assert violation["kind"] == "bad-intersection"
+    assert violation == oracle_violation(window)
+
+
+def test_segment_across_two_edges_meets_a_vertex_badly():
+    """Its level one box is flat, so it only touches the boxes of the
+    grid points it passes through; touching boxes must still be tested."""
+    grid = identity_grid(2, 1)
+    window = list(grid.window(1)) + [Cone.from_generators([(1, 0, 1), (1, 2, 1)], 3)]
+    violation = first_fan_violation(window, grid)
+    assert violation["kind"] == "bad-intersection"
+    assert violation == oracle_violation(window)
+
+
+def test_cone_over_three_corners_is_no_grid_face():
+    grid = identity_grid(2, 1)
+    window = list(grid.window(0))
+    i = window.index(grid.cone(GridFace((0, 0), (True, True))))
+    window[i] = Cone.from_generators([(1, 0, 0), (1, 1, 0), (1, 0, 1)], 3)
+    assert grid.recognize(window[i]) is None
+    assert first_fan_violation(window, grid)["kind"] == "missing-face"
+    assert_decided_like_oracle(window, grid)
+
+
+@given(
+    rank=st.integers(min_value=0, max_value=3),
+    a=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_grid_face_geometry_matches_generic(rank, a, data):
+    corner = tuple(data.draw(st.integers(min_value=-2, max_value=2)) for _ in range(rank))
+    free = tuple(data.draw(st.booleans()) for _ in range(rank))
+    face = GridFace(corner, free)
+    grid = identity_grid(rank, a)
+    chart = face.chart_cone(a)
+    generic = Cone.from_generators(chart.rays, rank + 1)
+    assert chart == generic
+    assert chart.span == generic.span
+    assert chart.facet_normals == generic.facet_normals
+    assert chart.dim == face.dim
+    assert grid.cone(face) == chart  # the lift is the identity
+    assert grid.recognize(chart) == face
+    def rays(faces):
+        return sorted(f.chart_cone(a).rays if f is not ORIGIN else () for f in faces)
+
+    assert sorted(f.rays for f in chart.faces()) == rays(face.faces())
+    assert sorted(f.rays for f in chart.facets()) == rays(face.facets())
+
+
+def test_window_sizes_and_origin(ell, jd3):
+    for fan in (ell, jd3):
+        for bound in (0, 1, 3):
+            window = fan.window(bound)
+            assert len(window) == (4 * bound + 3) ** fan.cube_rank + 1
+            assert fan.grid().recognize(window[0]) is ORIGIN
+
+
+@pytest.mark.parametrize("name,key", CHART_CASES)
+def test_conjugate_key_matches_conjugate_cell(ell, jd3, name, key):
+    """conjugate_key once per (sample, key) gives conjugate_cell of every
+    top cell, for every automorphism sample of the gamma suite."""
+    fan = _fan(ell, jd3, name)
+    key = fan.zero_key() if key is None else key
+    shifts = [zero_vec(fan.frame.rank), *fan.inner_lattice.basis_vectors()]
+    for power in (-2, -1, 0, 1, 2):
+        for shift in shifts:
+            new_key, steps = fan.conjugate_key(power, shift, key)
+            for n in product(range(-2, 3), repeat=fan.cube_rank):
+                want = (new_key, tuple(m + s for m, s in zip(n, steps)))
+                assert fan.conjugate_cell(power, shift, (key, n)) == want
+
+
+def test_gamma_report_same_on_recognized_and_decoded_cones(jd3):
+    # the last sample's shift is off the lattice, so conjugation fails there
+    gammas = [(p, s) for p in (-1, 1) for s in ((0, 0, 0), (0, 1, 0))] + [(1, (F(1, 2), 0, 0))]
+    window = jd3.window(2)
+    report = strong_compatibility_report(jd3, window, gammas)
+    assert report == strong_compatibility_report(jd3, fresh(window), gammas)
+    assert report == strong_compatibility_report(CellFan(jordan3_frame()), window, gammas)
+    stable = [c for c in report if c["name"] == "cell-conjugation-stable"]
+    assert len(stable) == 5
+    for check in stable:
+        assert not check["ok"]
+        assert check["witness"]["gamma"] == gammas[-1]
+        with pytest.raises(NotInGroup, match=check["witness"]["error"]):
+            jd3.conjugate_cell(*gammas[-1], (jd3.zero_key(), (0,)))
+
+
+def test_denominator_computed_once_per_key(monkeypatch):
+    fan = CellFan(jordan3_frame())
+    calls = []
+    order = fans.order_in_quotient
+
+    def counted(*args):
+        calls.append(args)
+        return order(*args)
+
+    monkeypatch.setattr(fans, "order_in_quotient", counted)
+    for _ in range(3):
+        assert fan.denominator((F(1, 2),)) == 2
+        assert fan.denominator((0,)) == 1
+    assert len(calls) == 2
 
 
 # --- integral exponentials ----------------------------------------------
