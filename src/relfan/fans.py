@@ -11,12 +11,13 @@ direction of Q).  Cells for every rational x and integral n together
 form a fan on which the relative filtration is constant cell by cell,
 and the whole picture is stable under the extension automorphisms.
 
-Pencil cones are computed in the pencil chart and only lifted.  For a
-base point b of P and cube directions d_1, ..., d_k, chart(b, d) sends
-(level t, cube coordinates c) to the flattened pencil(t, t b + sum c_j
-d_j), a linear map into operator space, injective when log(gamma) is
-nonzero.  A cell is box(n, a), the cone over [n, n + 1] / a at level
-one in closed form, lifted by Cone.image through its coset's chart.
+Pencil cones are computed in the pencil chart and only lifted.  The
+chart of a coset, grid(key).lift, sends (level t, cube coordinates c)
+to the flattened pencil(t, t b + sum c_j d_j) for the coset's base
+point b of P and the cube directions d_1, ..., d_k, a linear map into
+operator space, injective when log(gamma) is nonzero.  A cell is
+box(n, a), the cone over [n, n + 1] / a at level one in closed form,
+lifted by Cone.image through its coset's chart.
 locate inverts the chart: an operator on the positive pencil goes to
 (level, coset key, cube coordinates).
 
@@ -70,7 +71,6 @@ from .qlinalg import (
     is_nilpotent,
     is_zero_mat,
     is_zero_vec,
-    linear_map,
     mat,
     matadd,
     matmul,
@@ -79,6 +79,7 @@ from .qlinalg import (
     matvec,
     nilpotency_index,
     order_in_quotient,
+    primitive,
     snf,
     solve,
     transpose,
@@ -221,19 +222,15 @@ class CellFan:
 
     # --- the pencil chart ---
 
-    def _chart_columns(self, base: Vec, basis) -> list:
-        columns = [flatten(self.frame.pencil(1, base))]
-        return columns + [flatten(self.frame.pencil(0, d)) for d in basis]
-
-    def chart(self, base: Vec, basis):
-        """(level t, coordinates c) -> flattened pencil(t, t base + c . basis)."""
-        return linear_map(transpose(self._chart_columns(base, basis)))
-
     def grid(self, key=None) -> ChartGrid:
-        """The box grid of one coset in its chart, kept per key."""
+        """The box grid of one coset in its chart, kept per key: (level t,
+        cube coordinates c) -> flattened pencil(t, t section(key) + sum
+        c_j cube_basis_j)."""
         key = self.zero_key() if key is None else vec(key)
         if key not in self._grids:
-            columns = self._chart_columns(self.section(key), self.cube_basis)
+            base = self.section(key)
+            columns = [flatten(self.frame.pencil(1, base))]
+            columns += [flatten(self.frame.pencil(0, d)) for d in self.cube_basis]
             self._grids[key] = ChartGrid(columns, self.denominator(key), self.ambient)
         return self._grids[key]
 
@@ -241,14 +238,29 @@ class CellFan:
     def cube_grid(self) -> ChartGrid:
         """Unit boxes over the image lattice in the chart with base point
         zero: the grid of the cube fan."""
-        columns = self._chart_columns(zero_vec(self.frame.rank), image_lattice(self).basis_vectors())
+        columns = [flatten(self.frame.pencil(1, zero_vec(self.frame.rank)))]
+        columns += [flatten(self.frame.pencil(0, d)) for d in image_lattice(self).basis_vectors()]
         return ChartGrid(columns, 1, self.ambient)
 
     @staticmethod
     def box(n, a: int) -> Cone:
-        """The chart cone over the box [n, n + 1] / a at level one, with its
-        canonical form written down rather than computed."""
-        return GridFace(tuple(n), (True,) * len(n)).chart_cone(a)
+        """The chart cone over the box [n, n + 1] / a at level one: its
+        corners are the extreme rays and its 2 * len(n) walls the facets,
+        so the canonical form is written down rather than computed."""
+        k = len(n)
+        rays = [
+            primitive((ONE,) + tuple(Fraction(n[j] + bit, a) for j, bit in enumerate(corner)))
+            for corner in product((0, 1), repeat=k)
+        ]
+        normals = []
+        for j in range(k):
+            low = [ZERO] * (k + 1)
+            low[0], low[j + 1] = Fraction(-n[j]), Fraction(a)
+            high = [ZERO] * (k + 1)
+            high[0], high[j + 1] = Fraction(n[j] + 1), Fraction(-a)
+            normals += [primitive(tuple(low)), primitive(tuple(high))]
+        # for k = 0 the cone is the level ray, whose facet normal is the level
+        return Cone._known(k + 1, rays, Subspace.full(k + 1), normals or [(ONE,)])
 
     def locate(self, n_mat: Mat):
         """Chart coordinates (level, coset key, cube coordinates) of an
@@ -266,8 +278,7 @@ class CellFan:
     # --- cells ---
 
     def cell(self, key, n) -> Cone:
-        lift = self.chart(self.section(key), self.cube_basis)
-        return self.box(self._cube_index(n), self.denominator(key)).image(lift, self.ambient)
+        return self.box(self._cube_index(n), self.denominator(key)).image(self.grid(key).lift, self.ambient)
 
     def _cube_index(self, n) -> tuple:
         n = tuple(int(x) for x in n)
@@ -334,8 +345,8 @@ class CellFan:
     def conjugate_key(self, power: int, shift, key):
         """The coset-level step of conjugate_cell, independent of the cube
         index: (new key, integer steps).  The postcondition is checked on
-        the chart columns, building no cell: conj . chart(key) =
-        chart(new_key) . T with T(t, c) = (t, c + t cube), and T maps
+        the chart columns, building no cell: conj . grid(key).lift =
+        grid(new_key).lift . T with T(t, c) = (t, c + t cube), and T maps
         box(n, a) onto box(n + a cube, a)."""
         key = vec(key)
         fr = self.frame
@@ -467,7 +478,7 @@ def subdivide_against(fan: CellFan, mats):
     if len(keys) != 1:
         raise InvariantViolation("commuting generators landed in different cosets")
     key = keys.pop()
-    lift = fan.chart(fan.section(key), fan.cube_basis)
+    lift = fan.grid(key).lift
     pieces = _cut(fan, key, [(ONE,) + cube for _, _, cube in located])
     return [((key, n), piece.image(lift, fan.ambient)) for n, piece in pieces]
 
@@ -656,7 +667,7 @@ def _cube_cells_align(fan: CellFan, bound: int):
         total += len(pieces)
         bad = next((m for m, piece in pieces if piece != fan.box(m, a)), None)
         if bad is not None:
-            return {"cell": fan.box(n, 1).image(grid.lift, fan.ambient).rays, "index": (key, bad)}
+            return {"cell": grid.cone(GridFace(n, (True,) * len(n))).rays, "index": (key, bad)}
     return {"pieces": total}
 
 

@@ -12,9 +12,9 @@ When the chart is injective it preserves face lattices and meets, so
 a window of lifted faces can be decided on symbols, as for cube
 complexes (Ziegler, Lectures on Polytopes, ch. 2): window_face_table
 looks up the sub-faces of each symbol, and first_fan_violation tests
-only cones that are not grid faces, in the chart, against cones whose
-level one boxes meet.  The generic is_face_of and check_fan of
-cones.py remain the path for any other window and the oracle in tests.
+only the pairs with a cone that is not a grid face.  The generic
+is_face_of and check_fan of cones.py decide those cones, remain the
+path for any other window, and are the oracle in tests.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 from .cones import Cone, check_fan, sorted_unique
 from .qlinalg import (
-    Subspace,
     Vec,
     inverse,
     linear_map,
@@ -34,10 +33,6 @@ from .qlinalg import (
     rref,
     transpose,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 class GridFace(NamedTuple):
     """A face of the grid of boxes [n, n + 1] / a at chart level one: its
@@ -71,30 +66,6 @@ class GridFace(NamedTuple):
 
     def facets(self) -> list:
         return [f for f in self.faces() if f.dim == self.dim - 1]
-
-    def chart_cone(self, a: int) -> Cone:
-        """The face in the chart of the grid with denominator a, in closed
-        form: its corners are the extreme rays, and each free coordinate
-        contributes its two walls, supported on the span's pivot
-        coordinates (the level and the free ones), so the canonical facet
-        normals are written down.  The origin has no chart of its own."""
-        k = len(self.free)
-        rays = [primitive((Fraction(a),) + tuple(map(Fraction, v))) for v in self.vertices()]
-        normals = []
-        for j, (c, f) in enumerate(zip(self.corner, self.free)):
-            if f:
-                low = [ZERO] * (k + 1)
-                low[0], low[j + 1] = Fraction(-c), Fraction(a)
-                high = [ZERO] * (k + 1)
-                high[0], high[j + 1] = Fraction(c + 1), Fraction(-a)
-                normals += [primitive(tuple(low)), primitive(tuple(high))]
-        # a ray's one facet normal is the level
-        normals = normals or [(ONE,) + (ZERO,) * k]
-        # the reduced basis of the span: the level row through the corner,
-        # then one unit row per free coordinate
-        basis = [(ONE,) + tuple(ZERO if f else Fraction(c, a) for c, f in zip(self.corner, self.free))]
-        basis += [tuple(ONE if i == j + 1 else ZERO for i in range(k + 1)) for j, f in enumerate(self.free) if f]
-        return Cone._known(k + 1, rays, Subspace(k + 1, tuple(basis)), normals)
 
 
 ORIGIN = GridFace(None, ())
@@ -192,52 +163,6 @@ class ChartGrid:
             return None
         return GridFace(lo, tuple(s == 1 for s in spread))
 
-    def pull_back(self, cone: Cone):
-        """The chart cone lifting to the cone, or None when a ray is off
-        the chart or not at a positive level."""
-        points = [self.chart_point(r) for r in cone.rays]
-        if any(x is None or x[0] <= 0 for x in points):
-            return None
-        return Cone.from_generators(points, self.rank + 1)
-
-
-class _WindowChart:
-    """A window seen in an injective grid: each cone's grid face (None
-    when it is not one), and on demand the box bounding its slice at
-    level one and its chart cone (both None when it leaves the chart)."""
-
-    def __init__(self, window, grid: ChartGrid):
-        self.window, self.grid = window, grid
-        self.faces = [grid.recognize(c) for c in window]
-        self._cones = {}
-
-    def cone(self, i):
-        if i not in self._cones:
-            face = self.faces[i]
-            self._cones[i] = (face.chart_cone(self.grid.a) if face is not None
-                              else self.grid.pull_back(self.window[i]))
-        return self._cones[i]
-
-    def box(self, i):
-        face = self.faces[i]
-        if face is not None:
-            a = self.grid.a
-            return ([Fraction(c, a) for c in face.corner],
-                    [Fraction(c + f, a) for c, f in zip(face.corner, face.free)])
-        chart = self.cone(i)
-        if chart is None:
-            return None
-        points = [[x / r[0] for x in r[1:]] for r in chart.rays]
-        return list(map(min, zip(*points))), list(map(max, zip(*points)))
-
-
-def _disjoint(b, c) -> bool:
-    return any(bh < cl or ch < bl for bl, bh, cl, ch in zip(*b, *c))
-
-
-def _inside(b, c) -> bool:
-    return all(cl <= bl and bh <= ch for bl, bh, cl, ch in zip(*b, *c))
-
 
 def _meets_in_a_face(x: Cone, y: Cone) -> bool:
     k = x.intersect(y)
@@ -251,32 +176,20 @@ def window_face_table(window, grid) -> list:
     With an injective grid, a cone that is a grid face has exactly its
     3^free sub-faces and the origin as faces, looked up by symbol; no
     other cone can be one of them, since a face of a lifted grid face is
-    a lifted grid face.  Any other cone is tested against every window
-    cone, in the chart when both lie in it, and only where the level one
-    boxes nest.  Without such a grid every pair is tested by is_face_of."""
+    a lifted grid face.  Any other cone, and every cone without such a
+    grid, is tested against every window cone by is_face_of."""
     window = list(window)
-    if grid is None or not grid.injective:
-        return [sorted(j for j, other in enumerate(window) if other.is_face_of(cone)) for cone in window]
-    chart = _WindowChart(window, grid)
+    faces = [grid.recognize(c) if grid is not None and grid.injective else None for c in window]
     where = {}
-    for i, face in enumerate(chart.faces):
+    for i, face in enumerate(faces):
         if face is not None:
             where.setdefault(face, []).append(i)
-
-    def is_face(j, i):
-        if chart.faces[j] is ORIGIN:
-            return True
-        bj, bi = chart.box(j), chart.box(i)
-        if bj is None or bi is None:
-            return window[j].is_face_of(window[i])
-        return _inside(bj, bi) and chart.cone(j).is_face_of(chart.cone(i))
-
     table = []
-    for i, face in enumerate(chart.faces):
+    for cone, face in zip(window, faces):
         if face is not None:
             table.append(sorted(j for sub in face.faces() for j in where.get(sub, ())))
         else:
-            table.append([j for j in range(len(window)) if is_face(j, i)])
+            table.append([j for j, other in enumerate(window) if other.is_face_of(cone)])
     return table
 
 
@@ -285,38 +198,25 @@ def first_fan_violation(window, grid):
 
     With an injective grid: a grid face misses a face exactly when one of
     its facet symbols is absent, and two grid faces always meet in a
-    common face, so only pairs with a cone that is not a grid face are
-    intersected, in the chart, and only where their level one boxes meet
-    (disjoint boxes meet at the origin, a face of both).  The witness
-    itself (facet order, the meet) is computed as check_fan does."""
+    common face, so only the pairs with a cone that is not a grid face
+    are intersected.  The witness itself (facet order, the meet) is
+    computed as check_fan does."""
     window = list(window)
     if grid is None or not grid.injective:
         bad = check_fan(window)
         return bad[0] if bad else None
-    chart = _WindowChart(window, grid)
-    present = set(chart.faces) - {None}
-    loose = [i for i, face in enumerate(chart.faces) if face is None]
-    loose_rays = {window[i].rays for i in loose}
-
-    def missing(f: Cone) -> bool:
-        face = grid.recognize(f)
-        return face not in present if face is not None else f.rays not in loose_rays
-
-    for c, face in zip(window, chart.faces):
+    faces = [grid.recognize(c) for c in window]
+    present = set(faces)
+    index = {c.rays for c in window}
+    for c, face in zip(window, faces):
         if face is None or any(f not in present for f in face.facets()):
-            gone = next((f for f in c.facets() if missing(f)), None)
+            gone = next((f for f in c.facets() if f.rays not in index), None)
             if gone is not None:
                 return {"kind": "missing-face", "cone": c, "face": gone}
+    loose = [i for i, face in enumerate(faces) if face is None]
     pairs = sorted({(min(i, j), max(i, j)) for i in loose for j in range(len(window)) if j != i})
     for i, j in pairs:
-        if ORIGIN in (chart.faces[i], chart.faces[j]):
-            continue
-        bi, bj = chart.box(i), chart.box(j)
-        if bi is None or bj is None:
-            ok = _meets_in_a_face(window[i], window[j])
-        else:
-            ok = _disjoint(bi, bj) or _meets_in_a_face(chart.cone(i), chart.cone(j))
-        if not ok:
-            left, right = window[i], window[j]
+        left, right = window[i], window[j]
+        if not _meets_in_a_face(left, right):
             return {"kind": "bad-intersection", "left": left, "right": right, "meet": left.intersect(right)}
     return None

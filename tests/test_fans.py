@@ -640,8 +640,8 @@ def test_stretched_cell_is_a_bad_intersection():
 
 
 def test_segment_across_two_edges_meets_a_vertex_badly():
-    """Its level one box is flat, so it only touches the boxes of the
-    grid points it passes through; touching boxes must still be tested."""
+    """Both of its rays are grid vertices of the window, so only the pair
+    test can see it."""
     grid = identity_grid(2, 1)
     window = list(grid.window(1)) + [Cone.from_generators([(1, 0, 1), (1, 2, 1)], 3)]
     violation = first_fan_violation(window, grid)
@@ -669,19 +669,23 @@ def test_grid_face_geometry_matches_generic(rank, a, data):
     free = tuple(data.draw(st.booleans()) for _ in range(rank))
     face = GridFace(corner, free)
     grid = identity_grid(rank, a)
-    chart = face.chart_cone(a)
-    generic = Cone.from_generators(chart.rays, rank + 1)
-    assert chart == generic
-    assert chart.span == generic.span
-    assert chart.facet_normals == generic.facet_normals
-    assert chart.dim == face.dim
-    assert grid.cone(face) == chart  # the lift is the identity
-    assert grid.recognize(chart) == face
-    def rays(faces):
-        return sorted(f.chart_cone(a).rays if f is not ORIGIN else () for f in faces)
+    lifted = grid.cone(face)  # the lift is the identity
+    generic = Cone.from_generators([(F(a),) + tuple(map(F, v)) for v in face.vertices()], rank + 1)
+    assert lifted == generic
+    assert lifted.dim == face.dim
+    assert grid.recognize(lifted) == face
+    assert grid.recognize(generic) == face
 
-    assert sorted(f.rays for f in chart.faces()) == rays(face.faces())
-    assert sorted(f.rays for f in chart.facets()) == rays(face.facets())
+    def rays(faces):
+        return sorted(grid.cone(f).rays for f in faces)
+
+    assert sorted(f.rays for f in generic.faces()) == rays(face.faces())
+    assert sorted(f.rays for f in generic.facets()) == rays(face.facets())
+    if all(free):
+        box = CellFan.box(corner, a)
+        assert box == generic
+        assert box.span == generic.span
+        assert box.facet_normals == generic.facet_normals
 
 
 def test_window_sizes_and_origin(ell, jd3):
