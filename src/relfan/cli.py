@@ -400,7 +400,10 @@ def _load_operator(path: str, frame: Frame):
     if "matrix" in data:
         if set(data) != {"matrix"}:
             raise SpecFormatError("operator object with 'matrix' takes no other fields")
-        return mat_from_json(data["matrix"])
+        n_mat = mat_from_json(data["matrix"])
+        if len(n_mat) != frame.dim or any(len(row) != frame.dim for row in n_mat):
+            raise SpecFormatError(f"operator matrix must be {frame.dim} x {frame.dim}")
+        return n_mat
     if "e_image" not in data or not set(data) <= {"e_image", "lam"}:
         raise SpecFormatError("operator object needs 'matrix', or 'e_image' plus optional 'lam'")
     image = vec_from_json(data["e_image"])

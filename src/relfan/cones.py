@@ -10,11 +10,9 @@ the coordinates of the cone's linear span, so the ambient dimension
 Everything here raises NotSharp rather than ever representing a cone
 containing a line.
 
-Cone.image(f, ambient) maps a cone through a linear map f.  When f is
-injective on the cone's span no double description runs: extreme rays
-go to extreme rays, and all facet normals are pulled back to the image
-span by one elimination.  Otherwise the images go to from_generators.
-Cones with a dual description known in closed form are built with
+A Cone built from its extreme rays alone keeps span and facets lazy;
+pencil cones are lifted that way from their chart (grid.py).  Cones
+with a dual description known in closed form are built with
 Cone._known, which seeds the cached span and facets.
 """
 
@@ -34,7 +32,6 @@ from .qlinalg import (
     matmul,
     primitive,
     rank,
-    rref,
     transpose,
     vadd,
     vec,
@@ -106,8 +103,8 @@ def _lift_functional(f, pivots, ambient):
 
 @dataclass(frozen=True)
 class Cone:
-    """Sharp polyhedral cone, canonical rays.  Build via from_generators
-    or image."""
+    """Sharp polyhedral cone, canonical rays.  Build via from_generators,
+    or directly from canonical rays when they are known."""
 
     ambient: int
     rays: tuple
@@ -149,33 +146,6 @@ class Cone:
     @classmethod
     def zero(cls, ambient: int) -> "Cone":
         return cls(ambient, ())
-
-    def image(self, f, ambient: int) -> "Cone":
-        """The cone f(self) in Q^ambient for a linear map f, a callable on
-        vectors.  Injective on the span, f carries extreme rays to extreme
-        rays, and facet normal n pulls back to the functional m on the
-        image span with m . f(r) = n . r on every ray r.  A map that is not
-        injective there falls back to from_generators."""
-        if not self.rays:
-            return Cone.zero(ambient)
-        images = [f(r) for r in self.rays]
-        # the images of the span's basis rows span the image: fewer rows to reduce
-        span = Subspace.span([f(b) for b in self.span.basis], ambient)
-        if span.dim < self.dim:
-            return Cone.from_generators(images, ambient)
-        d, pivots, normals = span.dim, span._pivots(), self.facet_normals
-        system = [
-            tuple(y[p] for p in pivots) + tuple(dot(n, r) for n in normals)
-            for y, r in zip(images, self.rays)
-        ]
-        # the d pivot coordinates have full rank, so the reduced system
-        # reads [I | M] on top and column k of M is the pulled back normal k
-        top = rref(system)[0][:d]
-        pulled = [
-            _lift_functional(tuple(row[d + k] for row in top), pivots, ambient)
-            for k in range(len(normals))
-        ]
-        return Cone._known(ambient, map(primitive, images), span, pulled)
 
     @cached_property
     def span(self) -> Subspace:

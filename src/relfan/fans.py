@@ -15,19 +15,19 @@ Pencil cones are computed in the pencil chart and only lifted.  The
 chart of a coset, grid(key).lift, sends (level t, cube coordinates c)
 to the flattened pencil(t, t b + sum c_j d_j) for the coset's base
 point b of P and the cube directions d_1, ..., d_k, a linear map into
-operator space, injective when log(gamma) is nonzero.  A cell is
-box(n, a), the cone over [n, n + 1] / a at level one in closed form,
-lifted by Cone.image through its coset's chart.
+operator space, injective when log(gamma) is nonzero.  A cell is the
+cone over the box [n, n + 1] / a at level one, a = denominator(key).
 locate inverts the chart: an operator on the positive pencil goes to
 (level, coset key, cube coordinates).
 
-Every window cone is a face of such a box, a GridFace symbol of its
-coset's ChartGrid (grid.py), where the faces table and the fan axioms
-of a window are decided.  Windows lift only the corner rays,
-conjugation is an identity of chart maps checked once per coset key,
-and subdivision cuts boxes in the chart, so double description in
-operator space is left to cones off the positive pencil and to the
-generic oracles in cones.py.
+The box grid of a coset is its ChartGrid (grid.py), the one owner of
+boxes, their cuts and their lifts.  Every window cone is a GridFace
+symbol of it, where the faces table and the fan axioms of a window are
+decided; cells and windows lift only corner rays, conjugation is an
+identity of chart maps checked once per coset key, and subdivision
+cuts in the chart and lifts only the rays of its pieces.  Double
+description in operator space is left to cones off the positive pencil
+and to the generic oracles in cones.py.
 
 Also here: the coarser comparison fans (rays over the inner image
 lattice, rays over the torus lattice, unit cube cells, rays over the
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import ceil, factorial, floor, lcm
+from math import factorial, floor, lcm
 
 from .cones import Cone, sorted_unique
 from .errors import (
@@ -53,7 +53,7 @@ from .errors import (
     NotInGroup,
     PreconditionViolated,
 )
-from .grid import ChartGrid, GridFace
+from .grid import ChartGrid, GridFace, box
 from .hodge import (
     Frame,
     check_in_g,
@@ -79,7 +79,6 @@ from .qlinalg import (
     matvec,
     nilpotency_index,
     order_in_quotient,
-    primitive,
     snf,
     solve,
     transpose,
@@ -170,6 +169,14 @@ class CellFan:
         adapted = matmul(v_inv, mat(full))
         return tuple(adapted[m:]), tuple(adapted[:m])
 
+    @cached_property
+    def _lattice_coords(self):
+        """The frame lattice basis and the changes to its coordinates and
+        back."""
+        basis = self.frame.lattice.basis_vectors()
+        to_coords = inverse(transpose(basis))
+        return basis, to_coords, inverse(to_coords)
+
     @property
     def section_basis(self) -> tuple:
         return self._adapted[0]
@@ -242,26 +249,6 @@ class CellFan:
         columns += [flatten(self.frame.pencil(0, d)) for d in image_lattice(self).basis_vectors()]
         return ChartGrid(columns, 1, self.ambient)
 
-    @staticmethod
-    def box(n, a: int) -> Cone:
-        """The chart cone over the box [n, n + 1] / a at level one: its
-        corners are the extreme rays and its 2 * len(n) walls the facets,
-        so the canonical form is written down rather than computed."""
-        k = len(n)
-        rays = [
-            primitive((ONE,) + tuple(Fraction(n[j] + bit, a) for j, bit in enumerate(corner)))
-            for corner in product((0, 1), repeat=k)
-        ]
-        normals = []
-        for j in range(k):
-            low = [ZERO] * (k + 1)
-            low[0], low[j + 1] = Fraction(-n[j]), Fraction(a)
-            high = [ZERO] * (k + 1)
-            high[0], high[j + 1] = Fraction(n[j] + 1), Fraction(-a)
-            normals += [primitive(tuple(low)), primitive(tuple(high))]
-        # for k = 0 the cone is the level ray, whose facet normal is the level
-        return Cone._known(k + 1, rays, Subspace.full(k + 1), normals or [(ONE,)])
-
     def locate(self, n_mat: Mat):
         """Chart coordinates (level, coset key, cube coordinates) of an
         operator on the positive pencil, or None when the operator is
@@ -278,7 +265,7 @@ class CellFan:
     # --- cells ---
 
     def cell(self, key, n) -> Cone:
-        return self.box(self._cube_index(n), self.denominator(key)).image(self.grid(key).lift, self.ambient)
+        return self.grid(key).cone(GridFace(self._cube_index(n), (True,) * self.cube_rank))
 
     def _cube_index(self, n) -> tuple:
         n = tuple(int(x) for x in n)
@@ -429,31 +416,6 @@ def check_admissible(fan: CellFan, mats):
     return True, None
 
 
-def _segment_boxes(g, h, lo, hi):
-    """Integer boxes [n, n+1] crossed by the segment from g to h, both
-    already scaled to the grid; endpoints on box walls resolve to the
-    box inside the lo..hi window."""
-    times = {Fraction(0), Fraction(1)}
-    for gj, hj in zip(g, h):
-        d = hj - gj
-        if d:
-            for k in range(ceil(min(gj, hj)), floor(max(gj, hj)) + 1):
-                t = Fraction(k - gj, d)
-                if 0 < t < 1:
-                    times.add(t)
-    cuts = sorted(times)
-    out = []
-    for t0, t1 in zip(cuts, cuts[1:]):
-        tm = (t0 + t1) / 2
-        n = tuple(
-            min(max(floor(gj + tm * (hj - gj)), l), u)
-            for (gj, hj), l, u in zip(zip(g, h), lo, hi)
-        )
-        if not out or out[-1] != n:
-            out.append(n)
-    return out
-
-
 def subdivide_against(fan: CellFan, mats):
     """Pieces of an admissible cone cut along the fan's cells, as
     (cell index, piece) pairs, or None when the fan cannot cover the
@@ -478,38 +440,9 @@ def subdivide_against(fan: CellFan, mats):
     if len(keys) != 1:
         raise InvariantViolation("commuting generators landed in different cosets")
     key = keys.pop()
-    lift = fan.grid(key).lift
-    pieces = _cut(fan, key, [(ONE,) + cube for _, _, cube in located])
-    return [((key, n), piece.image(lift, fan.ambient)) for n, piece in pieces]
-
-
-def _cut(fan: CellFan, key, points) -> list:
-    """(box index, chart piece) pairs: the chart cone over the level one
-    points cut along the boxes of the coset's grid, full pieces only."""
-    a = fan.denominator(key)
-    rank = fan.cube_rank
-    small = Cone.from_generators(points, rank + 1)
-    # a cone inside one box floors to it at every relative interior point
-    point = small.interior_point()
-    host = tuple(floor(a * c / point[0]) for c in point[1:])
-    if fan.box(host, a).contains_cone(small):
-        return [(host, small)]
-    grids = [tuple(a * c for c in p[1:]) for p in points]
-    lo = [floor(min(g[j] for g in grids)) for j in range(rank)]
-    hi = [max(ceil(max(g[j] for g in grids)) - 1, l)
-          for j, l in enumerate(lo)]
-    if len(grids) <= 2:
-        boxes = _segment_boxes(grids[0], grids[-1], lo, hi)
-    else:
-        boxes = product(*[range(l, h + 1) for l, h in zip(lo, hi)])
-    pieces = []
-    for n in sorted(boxes):
-        piece = small.intersect(fan.box(n, a))
-        if piece.dim == small.dim:
-            pieces.append((n, piece))
-    if not pieces:
-        raise InvariantViolation("subdivision produced no full dimensional piece")
-    return pieces
+    grid = fan.grid(key)
+    pieces = grid.cut([(ONE,) + cube for _, _, cube in located])
+    return [((key, n), grid.lift_cone(piece)) for n, piece in pieces]
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +471,8 @@ def minimal_integral_exponent(fan: CellFan, n_mat: Mat) -> int:
     lam = fr.restriction_multiple(n_mat)
     if lam is None or lam < 0:
         raise PreconditionViolated("operator is not on the nonnegative pencil")
-    basis = fr.lattice.basis_vectors()
-    to_coords = inverse(transpose(basis))
-    in_coords = matmul(matmul(to_coords, mat(n_mat)), inverse(to_coords))
+    basis, to_coords, from_coords = fan._lattice_coords
+    in_coords = matmul(matmul(to_coords, mat(n_mat)), from_coords)
     k = nilpotency_index(in_coords)
     need = {}
     term = identity(fr.dim)
@@ -658,16 +590,15 @@ def _cube_cells_align(fan: CellFan, bound: int):
     if any(m is None or any(m[1]) for m in moved):
         raise InvariantViolation("image lattice leaves the torus space of the cell chart")
     change = [cube for cube, _ in moved]
-    key, a, total = fan.zero_key(), fan.denominator(fan.zero_key()), 0
-    grid = fan.cube_grid
-    for n in product(range(-bound, bound + 1), repeat=grid.rank):
+    cells, cubes, total = fan.grid(), fan.cube_grid, 0
+    for n in product(range(-bound, bound + 1), repeat=cubes.rank):
         corners = GridFace(n, (True,) * len(n)).vertices()
         points = [(ONE,) + combine(v, change, fan.cube_rank) for v in corners]
-        pieces = _cut(fan, key, points)
+        pieces = cells.cut(points)
         total += len(pieces)
-        bad = next((m for m, piece in pieces if piece != fan.box(m, a)), None)
+        bad = next((m for m, piece in pieces if piece != box(m, cells.a)), None)
         if bad is not None:
-            return {"cell": grid.cone(GridFace(n, (True,) * len(n))).rays, "index": (key, bad)}
+            return {"cell": cubes.cone(GridFace(n, (True,) * len(n))).rays, "index": (fan.zero_key(), bad)}
     return {"pieces": total}
 
 
@@ -779,7 +710,7 @@ def corrupted_window(fan: CellFan, bound: int, mode: str) -> tuple:
         grid = fan.grid()
         n0 = (0,) * fan.cube_rank
         victim = grid.cone(GridFace(n0, (True,) * len(n0)))
-        half = fan.box(n0, 2).image(grid.lift, fan.ambient)
+        half = grid.lift_cone(box(n0, 2))
         return tuple(half if c == victim else c for c in window)
     raise PreconditionViolated(f"unknown corruption mode: {mode}")
 
@@ -823,7 +754,7 @@ def strong_compatibility_report(fan: CellFan, window, gammas) -> list:
                 idx = (zero, face.corner)
             else:
                 idx = fan.cell_containing(unflatten(c.interior_point(), fr.dim))
-                if idx is None or fan.grid(idx[0]).cone(GridFace(idx[1], (True,) * len(idx[1]))) != c:
+                if idx is None or fan.cell(*idx) != c:
                     checks.append({
                         "name": "cell-is-indexed-cell",
                         "ok": False,

@@ -19,13 +19,12 @@ from math import prod
 
 from .errors import (
     InvariantViolation,
-    NotUnipotent,
     PreconditionViolated,
     SpecFormatError,
 )
 from .gaussian import Gi, coerce, format_gi
 from .hodge import Frame
-from .qlinalg import exp_nilpotent, log_unipotent, mat, zeros
+from .qlinalg import exp_nilpotent, log_unipotent, mat, matmul, transpose, zeros
 
 # cohomology skeleton of a genus one curve, one label per basis class
 H_BASIS = {0: ("u",), 1: ("a", "b"), 2: ("w",)}
@@ -50,19 +49,9 @@ class CurveFactor:
         if len(m) != 2 or any(len(r) != 2 for r in m):
             raise SpecFormatError("degree one monodromy must be two by two")
         object.__setattr__(self, "monodromy", m)
-        self._check_unipotent(m)
-        if _pairing_conjugate(m) != _SYMPLECTIC:
+        log_unipotent(mat(m))  # raises NotUnipotent when it is not
+        if matmul(matmul(transpose(m), _SYMPLECTIC), m) != mat(_SYMPLECTIC):
             raise PreconditionViolated("monodromy does not preserve the intersection form")
-
-    @staticmethod
-    def _check_unipotent(m):
-        t = ((m[0][0] - 1, m[0][1]), (m[1][0], m[1][1] - 1))
-        sq = tuple(
-            tuple(sum(t[i][k] * t[k][j] for k in range(2)) for j in range(2))
-            for i in range(2)
-        )
-        if any(any(row) for row in sq):
-            raise NotUnipotent("degree one monodromy is not unipotent")
 
     @classmethod
     def constant(cls, name: str) -> "CurveFactor":
@@ -88,19 +77,6 @@ class CurveFactor:
         else:
             middle = {1: {(1, 0): 1, (0, 1): 1}}
         return {0: {0: {(0, 0): 1}}, 1: middle, 2: {2: {(1, 1): 1}}}
-
-
-def _pairing_conjugate(m):
-    j = _SYMPLECTIC
-    mt = tuple(zip(*m))
-    mj = tuple(
-        tuple(sum(mt[i][k] * j[k][l] for k in range(2)) for l in range(2))
-        for i in range(2)
-    )
-    return tuple(
-        tuple(sum(mj[i][k] * m[k][l] for k in range(2)) for l in range(2))
-        for i in range(2)
-    )
 
 
 def standard_factors():

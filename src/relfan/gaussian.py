@@ -13,7 +13,6 @@ matrix of the same map, and a subspace as an i-stable Q-subspace.
 
 from __future__ import annotations
 
-import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -69,10 +68,6 @@ class Gi:
     def conjugate(self) -> "Gi":
         return Gi(self.re, -self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def is_gaussian_integer(self) -> bool:
         return self.re.denominator == 1 and self.im.denominator == 1
 
@@ -94,28 +89,9 @@ def i_power(n: int) -> Gi:
     return (ONE, I, -ONE, -I)[n % 4]
 
 
-_GI_RE = _re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*(?P<im>\d+(?:/\d+)?)\s*\*\s*i\s*$"
-)
-
-
 def format_gi(z: Gi) -> str:
     sign = "-" if z.im < 0 else "+"
     return f"{z.re}{sign}{abs(z.im)}*i"
-
-
-def parse_gi(s: str) -> Gi:
-    try:
-        m = _GI_RE.match(s)
-        if not m:
-            # allow a bare rational
-            return Gi(Fraction(s.strip()))
-        im = Fraction(m.group("im"))
-        if m.group("sign") == "-":
-            im = -im
-        return Gi(Fraction(m.group("re")), im)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecFormatError(f"bad Gaussian rational: {s!r}") from exc
 
 
 # --- vectors and matrices -------------------------------------------------
@@ -126,9 +102,6 @@ def gvec(entries) -> tuple:
 
 def gmat(rows) -> tuple:
     return tuple(gvec(r) for r in rows)
-
-
-lift_mat = gmat  # a rational matrix into Q(i)
 
 
 # --- realification --------------------------------------------------------

@@ -1,12 +1,16 @@
-"""Grid faces of a box grid in a chart, lifted to operator space.
+"""The box grid of a chart: its boxes, faces, cuts and lifts.
 
 A chart is a linear map from Q^(1 + k), (level t, coordinates c), into
 an ambient space, given by its columns.  Its grid is the set of boxes
 [n, n + 1] / a at level one for integral n, and the cones over their
-faces.  A face is a GridFace symbol: its integer lower corner and
-which coordinates are free.  ChartGrid enumerates a window of faces,
-lifts their corner rays, and recognizes a lifted cone again by
-decoding its rays to grid points.
+faces.  This module is the one place that knows that grid.  box(n, a)
+writes the chart cone over a box down in closed form.  A face is a
+GridFace symbol: its integer lower corner and which coordinates are
+free.  ChartGrid enumerates a window of faces, cuts a chart cone along
+the boxes, lifts chart cones and faces to the ambient space, and
+recognizes a lifted cone again by decoding its rays to grid points.
+An injective lift carries extreme rays to extreme rays, so a lifted
+cone is its lifted rays, with span and facets left lazy.
 
 When the chart is injective it preserves face lattices and meets, so
 a window of lifted faces can be decided on symbols, as for cube
@@ -21,10 +25,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor
 from typing import NamedTuple
 
 from .cones import Cone, check_fan, sorted_unique
+from .errors import InvariantViolation
 from .qlinalg import (
+    Subspace,
     Vec,
     inverse,
     linear_map,
@@ -76,6 +83,51 @@ def _grid_face(choice) -> GridFace:
     return GridFace(tuple(c for c, _ in choice), tuple(f for _, f in choice))
 
 
+def box(n, a: int) -> Cone:
+    """The chart cone over the box [n, n + 1] / a at level one: its
+    corners are the extreme rays and its 2 * len(n) walls the facets,
+    so the canonical form is written down rather than computed."""
+    k = len(n)
+    rays = [
+        primitive((Fraction(1),) + tuple(Fraction(n[j] + bit, a) for j, bit in enumerate(corner)))
+        for corner in product((0, 1), repeat=k)
+    ]
+    normals = []
+    for j in range(k):
+        low = [Fraction(0)] * (k + 1)
+        low[0], low[j + 1] = Fraction(-n[j]), Fraction(a)
+        high = [Fraction(0)] * (k + 1)
+        high[0], high[j + 1] = Fraction(n[j] + 1), Fraction(-a)
+        normals += [primitive(tuple(low)), primitive(tuple(high))]
+    # for k = 0 the cone is the level ray, whose facet normal is the level
+    return Cone._known(k + 1, rays, Subspace.full(k + 1), normals or [(Fraction(1),)])
+
+
+def _segment_boxes(g, h, lo, hi):
+    """Integer boxes [n, n+1] crossed by the segment from g to h, both
+    already scaled to the grid; endpoints on box walls resolve to the
+    box inside the lo..hi window."""
+    times = {Fraction(0), Fraction(1)}
+    for gj, hj in zip(g, h):
+        d = hj - gj
+        if d:
+            for k in range(ceil(min(gj, hj)), floor(max(gj, hj)) + 1):
+                t = Fraction(k - gj, d)
+                if 0 < t < 1:
+                    times.add(t)
+    cuts = sorted(times)
+    out = []
+    for t0, t1 in zip(cuts, cuts[1:]):
+        tm = (t0 + t1) / 2
+        n = tuple(
+            min(max(floor(gj + tm * (hj - gj)), l), u)
+            for (gj, hj), l, u in zip(zip(g, h), lo, hi)
+        )
+        if not out or out[-1] != n:
+            out.append(n)
+    return out
+
+
 class ChartGrid:
     """The grid of boxes [n, n + 1] / a in one chart, and its faces
     lifted to operator space.
@@ -125,6 +177,43 @@ class ChartGrid:
         order = {v: i for i, v in enumerate(points)}
         keyed = sorted((f.dim, tuple(sorted(order[v] for v in f.vertices()))) for f in faces)
         return tuple(Cone(self.ambient, tuple(self.ray(points[i]) for i in ids)) for _, ids in keyed)
+
+    def lift_cone(self, cone: Cone) -> Cone:
+        """The lift of a chart cone.  Injective, the lift carries extreme
+        rays to extreme rays (Ziegler, Lectures on Polytopes, ch. 2), so
+        the lifted primitive rays are the canonical form and span and
+        facets stay lazy; otherwise it is built generically."""
+        images = [self.lift(r) for r in cone.rays]
+        if not self.injective:
+            return Cone.from_generators(images, self.ambient)
+        return Cone(self.ambient, tuple(sorted(map(primitive, images))))
+
+    def cut(self, points) -> list:
+        """(box corner, chart piece) pairs: the chart cone over the level
+        one points cut along the boxes of the grid, full pieces only."""
+        a, rank = self.a, self.rank
+        small = Cone.from_generators(points, rank + 1)
+        # a cone inside one box floors to it at every relative interior point
+        point = small.interior_point()
+        host = tuple(floor(a * c / point[0]) for c in point[1:])
+        if box(host, a).contains_cone(small):
+            return [(host, small)]
+        grids = [tuple(a * c for c in p[1:]) for p in points]
+        lo = [floor(min(g[j] for g in grids)) for j in range(rank)]
+        hi = [max(ceil(max(g[j] for g in grids)) - 1, l)
+              for j, l in enumerate(lo)]
+        if len(grids) <= 2:
+            boxes = _segment_boxes(grids[0], grids[-1], lo, hi)
+        else:
+            boxes = product(*[range(l, h + 1) for l, h in zip(lo, hi)])
+        pieces = []
+        for n in sorted(boxes):
+            piece = small.intersect(box(n, a))
+            if piece.dim == small.dim:
+                pieces.append((n, piece))
+        if not pieces:
+            raise InvariantViolation("subdivision produced no full dimensional piece")
+        return pieces
 
     def cone(self, face: GridFace) -> Cone:
         """The lifted face.  Injective, its rays are the lifted corners and

@@ -41,7 +41,6 @@ from .qlinalg import (
     det,
     frac,
     identity,
-    inverse,
     is_nilpotent,
     is_zero_mat,
     is_zero_vec,
@@ -62,7 +61,6 @@ from .qlinalg import (
     vec,
     vscale,
     zero_vec,
-    zeros,
 )
 
 ZERO = Fraction(0)
@@ -459,44 +457,6 @@ def check_in_g(frame: Frame, n_mat: Mat) -> None:
         )
     ):
         raise NotInG("inner block is not an infinitesimal isometry")
-
-
-def is_in_g(frame: Frame, n_mat: Mat) -> bool:
-    try:
-        check_in_g(frame, n_mat)
-        return True
-    except (NotInG, MixedAmbient):
-        return False
-
-
-def g_basis(frame: Frame) -> tuple:
-    """Basis of the compatible operators: inner infinitesimal isometries
-    extended by zero, plus one generator per coordinate for the e part."""
-    r = frame.rank
-    ginv = inverse(frame.gram)
-    shapes = []
-    if frame.weight % 2:
-        for i in range(r):
-            for j in range(i, r):
-                s = [[ZERO] * r for _ in range(r)]
-                s[i][j] = ONE
-                s[j][i] = ONE
-                shapes.append(mat(s))
-    else:
-        for i in range(r):
-            for j in range(i + 1, r):
-                s = [[ZERO] * r for _ in range(r)]
-                s[i][j] = ONE
-                s[j][i] = -ONE
-                shapes.append(mat(s))
-    out = [frame.assemble(matmul(ginv, s), zero_vec(r)) for s in shapes]
-    for i in range(r):
-        h = [ZERO] * r
-        h[i] = ONE
-        out.append(frame.assemble(zeros(r, r), tuple(h)))
-    for b in out:
-        check_in_g(frame, b)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -437,19 +437,6 @@ def int_left_kernel(m) -> tuple:
     return hnf(out)
 
 
-def saturate(rows) -> tuple:
-    """HNF basis of (Q-span of rows) intersected with Z^n."""
-    rows = mat(rows)
-    if not rows:
-        return ()
-    n = len(rows[0])
-    ker = kernel_basis(rows)
-    if not ker:
-        return tuple(tuple(int(x) for x in row) for row in identity(n))
-    cols = transpose(tuple(primitive(k) for k in ker))
-    return int_left_kernel(tuple(tuple(int(x) for x in r) for r in cols))
-
-
 def snf(a):
     """Smith normal form.  Returns (d, u, v) with u . a . v = d,
     u and v unimodular, diagonal entries nonnegative and each dividing

@@ -32,7 +32,7 @@ from relfan.errors import (
 )
 from relfan.fans import flatten
 from relfan.fixtures import elliptic_frame, jordan3_frame
-from relfan.gaussian import Gi, gexp_nilpotent, gmat, lift_mat
+from relfan.gaussian import Gi, gexp_nilpotent, gmat
 from relfan.hodge import Frame
 from relfan.qlinalg import exp_nilpotent, identity, zero_vec
 
@@ -242,4 +242,4 @@ def test_membership_invariant_under_integral_symplectic(s, tau):
 def test_exp_log_consistency_with_rational_layer():
     for fr in (elliptic_frame(), jordan3_frame()):
         n = fr.pencil(F(1), zero_vec(fr.rank))
-        assert gexp_nilpotent(lift_mat(n)) == lift_mat(exp_nilpotent(n))
+        assert gexp_nilpotent(gmat(n)) == gmat(exp_nilpotent(n))

@@ -386,6 +386,20 @@ def test_rmf_bad_operator_file_exits_2(tmp_path, capsys):
     assert run(capsys, "rmf", "--spec", spec, "--n-data", short)[0] == 2
 
 
+@pytest.mark.parametrize("matrix", [
+    [["0"]],
+    [["0", "0", "0"], ["0", "0", "0"]],
+    [["0", "0"], ["0", "0"], ["0", "0"]],
+    [],
+])
+def test_rmf_wrong_size_matrix_exits_2(tmp_path, capsys, matrix):
+    spec = write_spec(tmp_path, fixture="elliptic")
+    op = write_operator(tmp_path, "n.json", matrix=matrix)
+    code, _, err = run(capsys, "rmf", "--spec", spec, "--n-data", op)
+    assert code == 2
+    assert "3 x 3" in err
+
+
 # --- gallery entry ---
 
 def test_gallery_triple_payload(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Cone.image against double description on the images of the rays."""
+"""ChartGrid.lift_cone against double description on the lifted rays."""
 
 from fractions import Fraction
 from unittest import mock
@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from relfan import cones
 from relfan.cones import Cone
 from relfan.errors import NotSharp
-from relfan.qlinalg import linear_map, mat
+from relfan.fans import CellFan
+from relfan.grid import ChartGrid, box
+from relfan.hodge import Frame
+from relfan.qlinalg import identity, mat
 
 
 def sharp_cones(n):
@@ -21,10 +24,14 @@ def sharp_cones(n):
     return st.lists(gen, min_size=1, max_size=5).map(lambda gens: Cone.from_generators(gens, n))
 
 
-def int_maps(n, rows):
+def int_columns(n, ambient):
     return st.lists(
-        st.tuples(*[st.integers(-2, 2) for _ in range(n)]), min_size=rows, max_size=rows
+        st.tuples(*[st.integers(-2, 2) for _ in range(ambient)]), min_size=n, max_size=n
     ).map(mat)
+
+
+def oracle(grid: ChartGrid, cone: Cone) -> Cone:
+    return Cone.from_generators([grid.lift(r) for r in cone.rays], grid.ambient)
 
 
 def assert_same(got: Cone, want: Cone):
@@ -37,43 +44,51 @@ def assert_same(got: Cone, want: Cone):
 def injective_cases(draw):
     n = draw(st.sampled_from((3, 4)))
     cone = draw(sharp_cones(n))
-    # the identity rows make the map injective; the extra rows and the
-    # shuffle keep its image off the coordinate axes
-    rows = list(mat([[int(i == j) for j in range(n)] for i in range(n)]))
-    rows += draw(int_maps(n, draw(st.integers(0, 2))))
-    return cone, mat(draw(st.permutations(rows)))
+    # the identity coordinates make the chart injective; the extra
+    # coordinates and the shuffle keep its image off the coordinate axes
+    rows = list(identity(n)) + list(zip(*draw(int_columns(n, draw(st.integers(0, 2))))))
+    columns = tuple(zip(*draw(st.permutations(rows))))
+    return cone, ChartGrid(columns, draw(st.integers(1, 3)), len(rows))
 
 
 @given(injective_cases())
 def test_injective_image_matches_double_description(case):
-    cone, m = case
-    f = linear_map(m)
-    cone.facet_normals  # the source's own dual description is not under test
+    cone, grid = case
+    assert grid.injective
     with mock.patch.object(cones, "rays_from_ineqs", wraps=cones.rays_from_ineqs) as dd:
-        got = cone.image(f, len(m))
+        got = grid.lift_cone(cone)
     assert not dd.called
-    assert_same(got, Cone.from_generators([f(r) for r in cone.rays], len(m)))
+    assert "span" not in got.__dict__ and "facet_normals" not in got.__dict__
+    assert_same(got, oracle(grid, cone))
 
 
 @given(st.sampled_from((3, 4)).flatmap(
-    lambda n: st.tuples(sharp_cones(n), st.integers(1, 4).flatmap(lambda k: int_maps(n, k)))
+    lambda n: st.tuples(sharp_cones(n), st.integers(1, 4).flatmap(lambda k: int_columns(n, k)))
 ))
 def test_any_image_matches_double_description(case):
-    cone, m = case
-    f = linear_map(m)
-    images = [f(r) for r in cone.rays]
+    cone, columns = case
+    grid = ChartGrid(columns, 1, len(columns[0]))
     try:
-        want = Cone.from_generators(images, len(m))
+        want = oracle(grid, cone)
     except NotSharp:
         with pytest.raises(NotSharp):
-            cone.image(f, len(m))
+            grid.lift_cone(cone)
         return
-    assert_same(cone.image(f, len(m)), want)
+    assert_same(grid.lift_cone(cone), want)
 
 
 def test_collapsing_map_falls_back():
-    # projecting the cone over (1, 0), (1, 1) along the first axis
-    cone = Cone.from_generators([(1, 0), (1, 1)], 2)
-    got = cone.image(linear_map(mat([[0, 1]])), 1)
-    assert got.rays == ((Fraction(1),),)
-    assert Cone.zero(2).image(linear_map(mat([[1, 1]])), 1) == Cone.zero(1)
+    # log(gamma) = 0 and a zero section: the level column vanishes
+    frame = Frame(
+        rank=2,
+        weight=-2,
+        gram=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1))),
+        gamma=identity(2),
+        hodge={(0, -2): 1, (-2, 0): 1},
+    )
+    grid = CellFan(frame).grid()
+    assert not grid.injective
+    for n in [(0,) * grid.rank, (1,) * grid.rank, (-2,) * grid.rank]:
+        cell = box(n, grid.a)
+        assert_same(grid.lift_cone(cell), oracle(grid, cell))
+    assert grid.lift_cone(Cone.zero(grid.rank + 1)) == Cone.zero(grid.ambient)

@@ -38,7 +38,7 @@ from relfan.fans import (
     unflatten,
 )
 from relfan.fixtures import elliptic_frame, jordan3_frame
-from relfan.grid import ORIGIN, ChartGrid, GridFace, first_fan_violation, window_face_table
+from relfan.grid import ORIGIN, ChartGrid, GridFace, box, first_fan_violation, window_face_table
 from relfan.hodge import relative_filtration
 from relfan.qlinalg import (
     exp_nilpotent,
@@ -452,8 +452,8 @@ def test_conjugate_cell_matches_image_of_cell(ell, jd3, name, key):
             for shift in shifts:
                 g = fan.gamma_matrix(power, shift)
                 g_inv = inverse(g)
-                image = cell.image(
-                    lambda v: flatten(matmul(matmul(g, unflatten(v, fr.dim)), g_inv)), fan.ambient
+                image = Cone.from_generators(
+                    [flatten(matmul(matmul(g, unflatten(r, fr.dim)), g_inv)) for r in cell.rays], fan.ambient
                 )
                 assert image == fan.cell(*fan.conjugate_cell(power, shift, (key, n)))
 
@@ -504,6 +504,17 @@ def test_chart_paths_build_no_cell(ell, jd3, monkeypatch):
         rng = random.Random(7)
         for _ in range(40):
             assert subdivide_against(fan, random_admissible_cone(fan, rng))
+
+
+def test_pieces_and_cells_lift_only_rays(jd3):
+    """Subdivision pieces and cells are lifted from the chart by their
+    rays alone: no span or facet normals in operator space."""
+    rng = random.Random(7)
+    pieces = [piece for _ in range(20) for _, piece in subdivide_against(jd3, random_admissible_cone(jd3, rng))]
+    cells = [jd3.cell(key, (n,)) for key in ((F(0),), (F(1, 2),)) for n in range(-2, 3)]
+    for cone in pieces + cells:
+        assert cone.rays
+        assert "span" not in cone.__dict__ and "facet_normals" not in cone.__dict__
 
 
 # --- windows decided on grid faces against operator space oracles -------
@@ -616,7 +627,7 @@ def corrupted_windows(draw):
     if kind == "corner":
         del corners[draw(st.integers(min_value=0, max_value=len(corners) - 1))]
     chart = Cone.from_generators([(F(grid.a),) + tuple(corner) for corner in corners], grid.rank + 1)
-    window[i] = chart.image(grid.lift, grid.ambient)
+    window[i] = grid.lift_cone(chart)
     return window, grid
 
 
@@ -682,10 +693,10 @@ def test_grid_face_geometry_matches_generic(rank, a, data):
     assert sorted(f.rays for f in generic.faces()) == rays(face.faces())
     assert sorted(f.rays for f in generic.facets()) == rays(face.facets())
     if all(free):
-        box = CellFan.box(corner, a)
-        assert box == generic
-        assert box.span == generic.span
-        assert box.facet_normals == generic.facet_normals
+        closed = box(corner, a)
+        assert closed == generic
+        assert closed.span == generic.span
+        assert closed.facet_normals == generic.facet_normals
 
 
 def test_window_sizes_and_origin(ell, jd3):

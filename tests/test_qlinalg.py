@@ -34,7 +34,6 @@ from relfan.qlinalg import (
     primitive,
     rank,
     rref,
-    saturate,
     snf,
     solve,
     transpose,
@@ -222,9 +221,6 @@ def test_int_left_kernel_known():
     assert int_left_kernel([[2], [3]]) == ((3, -2),)
 
 
-def test_saturate_rescues_index():
-    assert saturate([[2, 0], [0, 3]]) == ((1, 0), (0, 1))
-    assert saturate([[2, 4]]) == ((1, 2),)
 
 
 def test_snf_frozen_diag_2_3():
