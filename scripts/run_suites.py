@@ -1,7 +1,10 @@
 """Drive every CLI suite against one fixture and summarize the exits.
 
-One command smoke: builds the window, then runs each check suite in
-turn with text reports, and ends with an exit code table.  Above window
+One command smoke: builds the window, runs each check suite in turn
+with text reports, then rmf on one pencil operator of the fixture (lam
+1, e sent to log(gamma) applied to the all ones vector, so the relative
+filtration exists and its axioms are certified), and ends with an exit
+code table.  Above window
 0 the rank twenty fixture skips the window heavy steps unless forced,
 since its window has (4b+3)^6 + 1 cones: 730 at window 0, 117,650 at
 window 1.
@@ -16,7 +19,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from relfan.cli import main as relfan
+from relfan.cli import load_spec, main as relfan
+from relfan.qlinalg import matvec, vec_to_json
 
 SUITES = ("axioms", "gamma", "completeness", "relations", "gallery")
 WINDOW_HEAVY = {"axioms", "gamma"}
@@ -51,6 +55,13 @@ def main(argv=None):
         for suite in suites:
             rc = relfan(["check", "--spec", str(spec), "--suite", suite, "--format", "text"])
             results.append((suite, rc))
+        frame = load_spec(str(spec)).frame
+        operator = Path(tmp) / "operator.json"
+        operator.write_text(json.dumps({
+            "e_image": vec_to_json(matvec(frame.log_gamma, (1,) * frame.rank)),
+            "lam": 1,
+        }))
+        results.append(("rmf", relfan(["rmf", "--spec", str(spec), "--n-data", str(operator), "--format", "text"])))
 
     print()
     width = max(len(name) for name, _ in results)

@@ -245,6 +245,21 @@ def _build_window(spec: SpecData):
         return (), None, str(exc)
 
 
+def _window_json(window) -> list:
+    """The window's cones as report JSON, each distinct ray formatted
+    once: the cones of a window share their ray objects, and the window
+    keeps them alive, so a ray is known by its id."""
+    text = {}
+
+    def ray_json(r):
+        out = text.get(id(r))
+        if out is None:
+            out = text[id(r)] = vec_to_json(r)
+        return out
+
+    return [{"rays": [ray_json(r) for r in c.rays]} for c in window]
+
+
 def cmd_build(spec: SpecData) -> dict:
     window, grid, blocked = _build_window(spec)
     outcome = {"reason": blocked} if blocked else {"cones": len(window)}
@@ -254,7 +269,7 @@ def cmd_build(spec: SpecData) -> dict:
         "window": {
             "fan": spec.fan,
             "bound": spec.window,
-            "cones": [to_jsonable(c) for c in window],
+            "cones": _window_json(window),
             "faces": faces,
         }
     }

@@ -19,11 +19,11 @@ Cone._known, which seeds the cached span and facets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import MixedAmbient, NotSharp
 from .qlinalg import (
+    ZERO,
     Subspace,
     dot,
     inverse,
@@ -38,8 +38,6 @@ from .qlinalg import (
     vscale,
     zero_vec,
 )
-
-ZERO = Fraction(0)
 
 
 def _greedy_independent(rows, dim):

@@ -61,6 +61,8 @@ from .hodge import (
     relative_filtration_exists,
 )
 from .qlinalg import (
+    ONE,
+    ZERO,
     Mat,
     Subspace,
     Vec,
@@ -88,9 +90,6 @@ from .qlinalg import (
     vsub,
     zero_vec,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def flatten(m: Mat) -> Vec:

@@ -193,12 +193,13 @@ class ChartGrid:
         one points cut along the boxes of the grid, full pieces only."""
         a, rank = self.a, self.rank
         small = Cone.from_generators(points, rank + 1)
-        # a cone inside one box floors to it at every relative interior point
+        # a cone inside one box floors to it at every relative interior
+        # point, and lies in the box iff its level one generators do
         point = small.interior_point()
         host = tuple(floor(a * c / point[0]) for c in point[1:])
-        if box(host, a).contains_cone(small):
-            return [(host, small)]
         grids = [tuple(a * c for c in p[1:]) for p in points]
+        if all(n <= c <= n + 1 for g in grids for n, c in zip(host, g)):
+            return [(host, small)]
         lo = [floor(min(g[j] for g in grids)) for j in range(rank)]
         hi = [max(ceil(max(g[j] for g in grids)) - 1, l)
               for j, l in enumerate(lo)]

@@ -20,7 +20,6 @@ Conventions that everything downstream relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
@@ -34,10 +33,15 @@ from .errors import (
     SpecFormatError,
 )
 from .qlinalg import (
+    ONE,
+    ZERO,
     Mat,
     Subspace,
     Vec,
     ZLattice,
+    _int_product,
+    _scaled_int_rows,
+    _sparse_rows,
     det,
     frac,
     identity,
@@ -62,9 +66,6 @@ from .qlinalg import (
     vscale,
     zero_vec,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +212,7 @@ def is_weight_filtration(n_mat: Mat, filt: Filtration, center: int) -> bool:
     hi = filt.jump_indices[-1]
     nt = transpose(n_mat)
     for j in range(lo - 1, hi + 1):
-        if not filt.at(j - 2).contains_space(Subspace.span(matmul(filt.at(j).basis, nt), amb)):
+        if not all(map(filt.at(j - 2).contains, matmul(filt.at(j).basis, nt))):
             return False
     span_l = max(hi - center, center - lo) + 1
     for l in range(1, span_l + 1):
@@ -237,12 +238,12 @@ def is_relative_weight_filtration(n_mat: Mat, base: Filtration, cand: Filtration
         return False
     nt = transpose(n_mat)
     for j, s in base.jumps:
-        if not s.contains_space(Subspace.span(matmul(s.basis, nt), amb)):
+        if not all(map(s.contains, matmul(s.basis, nt))):
             return False
     lo = cand.jump_indices[0]
     hi = cand.jump_indices[-1]
     for j in range(lo, hi + 1):
-        if not cand.at(j - 2).contains_space(Subspace.span(matmul(cand.at(j).basis, nt), amb)):
+        if not all(map(cand.at(j - 2).contains, matmul(cand.at(j).basis, nt))):
             return False
     for w in base.jump_indices:
         lower, upper = base.at(w - 1), base.at(w)
@@ -423,16 +424,37 @@ class Frame:
     def e_image(self, n_mat: Mat) -> Vec:
         return tuple(n_mat[i][self.rank] for i in range(self.rank))
 
+    @cached_property
+    def _sparse_gram(self) -> list:
+        """The gram's cleared integer rows, sparse, for check_in_g."""
+        return _sparse_rows(_scaled_int_rows(self.gram)[0])
+
+    @cached_property
+    def _log_gamma_support(self) -> tuple:
+        """The (i, j, entry) triples of log(gamma) with entry != 0."""
+        return tuple((i, j, x) for i, row in enumerate(self.log_gamma) for j, x in enumerate(row) if x)
+
     def block_multiple(self, block: Mat):
-        """lam with block equal to lam * log(gamma), else None."""
-        np = self.log_gamma
-        if is_zero_mat(np):
+        """lam with block equal to lam * log(gamma), else None: block must
+        match lam * log(gamma) on the support of log(gamma) and vanish
+        everywhere else, which holds iff it has as many nonzero entries
+        as the support has where lam * log(gamma) is nonzero."""
+        support = self._log_gamma_support
+        if not support:
             return ZERO if is_zero_mat(block) else None
-        i, j = next(
-            (i, j) for i in range(self.rank) for j in range(self.rank) if np[i][j] != 0
-        )
-        lam = block[i][j] / np[i][j]
-        return lam if block == matscale(lam, np) else None
+        i, j, x = support[0]
+        lam = block[i][j] / x
+        if any(block[i][j] != lam * x for i, j, x in support):
+            return None
+        nonzero = sum(1 for row in block for y in row if y)
+        return lam if nonzero == (len(support) if lam else 0) else None
+
+    @cached_property
+    def _pencil_pq(self) -> tuple:
+        """pq_spaces of log(gamma), which serves every lam * log(gamma) with
+        lam != 0: such a multiple has the same image, kernel and weight
+        filtration."""
+        return _pq_spaces(self, self.pencil_weight_filtration, self.log_gamma)
 
     def restriction_multiple(self, n_mat: Mat):
         """lam with inner block equal to lam * log(gamma), else None."""
@@ -442,20 +464,23 @@ class Frame:
 def check_in_g(frame: Frame, n_mat: Mat) -> None:
     """Membership in the operators compatible with the frame: the inner
     block kills the pairing infinitesimally, e goes into the inner
-    piece, the quotient action is zero.  Raises NotInG."""
+    piece, the quotient action is zero.  Raises NotInG.
+
+    With g the gram (g^T = s g, s = +-1) and a the inner block,
+    a^T g + g a = s M^T + M for the one product M = g a, so a is an
+    infinitesimal isometry iff M[i][j] + s M[j][i] = 0 for i <= j.  M is
+    formed on the cleared integer entries, whose common scale does not
+    change which entries vanish."""
     n_mat = mat(n_mat)
     if len(n_mat) != frame.dim or (n_mat and len(n_mat[0]) != frame.dim):
         raise MixedAmbient("operator has the wrong ambient size")
     if not is_zero_vec(n_mat[frame.rank]):
         raise NotInG("operator does not kill the weight zero quotient")
-    a = frame.restriction(n_mat)
-    g = frame.gram
-    if not is_zero_mat(
-        tuple(
-            tuple(x + y for x, y in zip(r1, r2))
-            for r1, r2 in zip(matmul(transpose(a), g), matmul(g, a))
-        )
-    ):
+    r = frame.rank
+    ia, _ = _scaled_int_rows(frame.restriction(n_mat))
+    m = _int_product(frame._sparse_gram, _sparse_rows(ia), r)
+    sign = -1 if frame.weight % 2 else 1
+    if any(m[i][j] + sign * m[j][i] for i in range(r) for j in range(i, r)):
         raise NotInG("inner block is not an infinitesimal isometry")
 
 
@@ -481,9 +506,18 @@ def pq_spaces(frame: Frame, inner_op: Mat):
     as a branch).
 
     P = image + level(-2) of the weight filtration centered at the frame
-    weight; Q = kernel meet level(-2).
+    weight; Q = kernel meet level(-2).  A nonzero multiple of log(gamma)
+    reads the frame's cached copy, since lam * N and N have the same
+    image, kernel and weight filtration.
     """
-    w2 = _inner_weight_filtration(frame, inner_op).at(-2)
+    if frame.block_multiple(inner_op):
+        return frame._pencil_pq
+    return _pq_spaces(frame, _inner_weight_filtration(frame, inner_op), inner_op)
+
+
+def _pq_spaces(frame: Frame, wf: Filtration, inner_op: Mat):
+    """pq_spaces of inner_op, whose weight filtration is wf."""
+    w2 = wf.at(-2)
     img = Subspace.image(inner_op)
     ker = Subspace.kernel(inner_op)
     p = img.add(w2)

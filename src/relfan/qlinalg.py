@@ -9,7 +9,13 @@ Elimination (rref, det, and everything built on them) and recombination
 integer rows with their denominators cleared, converting back to
 Fraction only for the result: integer arithmetic is far cheaper than
 Fraction arithmetic, and the canonical forms come out entry for entry
-the same.
+the same.  The operators here are sparse (a nilpotent logarithm at
+rank 20 has a handful of nonzero entries), so products and elimination
+steps combine rows over the nonzero entries only, in the row-by-row
+manner of Gustavson (ACM TOMS 4, 1978), and every zero entry of a
+result is the shared ZERO.  A Subspace keeps the cleared integer rows
+of its basis from the elimination that made it, so membership,
+reduction, sums and meets build no Fraction until the answer.
 
 The integer side (Hermite and Smith forms, saturation, kernels over Z)
 is hand rolled: we need the transformation matrices, and more
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import (
@@ -59,6 +66,9 @@ def format_scalar(x: Fraction) -> str:
 
 
 def vec(xs) -> Vec:
+    xs = tuple(xs)
+    if set(map(type, xs)) <= {Fraction}:
+        return xs
     return tuple(frac(x) for x in xs)
 
 
@@ -87,39 +97,65 @@ def transpose(m: Mat) -> Mat:
 
 def _scaled_int_rows(rows):
     """Rows with denominators cleared, plus the common scale.  Integer
-    arithmetic on the cleared rows is far cheaper than Fraction ops."""
-    den = 1
-    for row in rows:
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
+    arithmetic on the cleared rows is far cheaper than Fraction ops.
+    The shared ZERO, which every kernel here returns for a zero entry,
+    is read without a Fraction attribute lookup."""
+    den = lcm(*(x.denominator for row in rows for x in row if x is not ZERO))
     if den == 1:
-        return [[x.numerator for x in row] for row in rows], 1
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+        return [[0 if x is ZERO else x.numerator for x in row] for row in rows], 1
+    return [[0 if x is ZERO else x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _to_fractions(ints, den: int) -> tuple:
+    """The integer entries over den, sharing ZERO for every zero."""
+    if den == 1:
+        return tuple([Fraction(x) if x else ZERO for x in ints])
+    return tuple([Fraction(x, den) if x else ZERO for x in ints])
+
+
+def _row_ints(rows) -> list:
+    """Each row with its own denominators cleared."""
+    return [_scaled_int_rows([r])[0][0] for r in rows]
+
+
+def _sparse_rows(ints) -> list:
+    """Each integer row as its (column, entry) pairs with entry != 0."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in ints]
+
+
+def _int_product(sparse_a, sparse_b, width: int) -> list:
+    """Integer rows of a . b, both given by their sparse rows: output row
+    i adds a_ik * b_k over the nonzero a_ik only (Gustavson's row-by-row
+    product), so the cost follows the nonzeros rather than the shape."""
+    out = []
+    for row in sparse_a:
+        acc = [0] * width
+        for k, x in row:
+            for j, y in sparse_b[k]:
+                acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
+    """a . b by sparse recombination of the cleared integer rows of b."""
     if not a or not b:
         return tuple(() for _ in a)
     ia, da = _scaled_int_rows(a)
     ib, db = _scaled_int_rows(b)
-    bt = list(zip(*ib))
-    d = da * db
-    return tuple(
-        tuple(Fraction(sum(x * y for x, y in zip(row, col)), d) for col in bt)
-        for row in ia
-    )
+    product = _int_product(_sparse_rows(ia), _sparse_rows(ib), len(ib[0]))
+    return tuple(_to_fractions(row, da * db) for row in product)
 
 
 def linear_map(a: Mat):
     """v -> a . v, with the denominators of a cleared once for all calls."""
     ia, da = _scaled_int_rows(a)
+    sparse = _sparse_rows(ia)
 
     def apply(v: Vec) -> Vec:
         iv, dv = _scaled_int_rows([v])
-        d = da * dv
-        return tuple(Fraction(sum(x * y for x, y in zip(row, iv[0])), d) for row in ia)
+        iv = iv[0]
+        return _to_fractions([sum(x * iv[j] for j, x in row) for row in sparse], da * dv)
 
     return apply
 
@@ -173,13 +209,11 @@ def is_zero_mat(m: Mat) -> bool:
     return all(is_zero_vec(r) for r in m)
 
 
-def rref(m: Mat):
-    """Reduced row echelon form.  Returns (R, pivot_columns).
-
-    Elimination runs on denominator cleared integer rows (each kept
-    primitive to tame entry growth); the form is unique, so the result
-    matches entry by entry what Fraction elimination would produce."""
-    work = [_scaled_int_rows([r])[0][0] for r in m]
+def _rref_ints(work: list) -> list:
+    """Reduce a list of integer rows in place and return the pivot
+    columns.  Each step combines a row with the pivot row over the pivot
+    row's nonzero entries only, and keeps the row primitive to tame
+    entry growth; row i over its pivot entry is row i of the rref."""
     nr = len(work)
     nc = len(work[0]) if nr else 0
     pivots = []
@@ -192,21 +226,32 @@ def rref(m: Mat):
             continue
         work[r], work[p] = work[p], work[r]
         piv = work[r][c]
+        support = [(j, b) for j, b in enumerate(work[r]) if b]
         for i in range(nr):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                row = [piv * a - f * b for a, b in zip(work[i], work[r])]
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
+            f = work[i][c]
+            if i != r and f:
+                row = [piv * a for a in work[i]] if piv != 1 else list(work[i])
+                for j, b in support:
+                    row[j] -= f * b
+                g = gcd(*row)
                 work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    out = []
-    for i, row in enumerate(work):
-        piv = row[pivots[i]] if i < len(pivots) else 1
-        out.append(tuple(Fraction(x, piv) for x in row))
-    return tuple(out), tuple(pivots)
+    return pivots
+
+
+def rref(m: Mat):
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    Elimination runs on denominator cleared integer rows (_rref_ints);
+    the form is unique, so the result matches entry by entry what
+    Fraction elimination would produce."""
+    work = _row_ints(m)
+    pivots = _rref_ints(work)
+    out = tuple(
+        _to_fractions(row, row[pivots[i]] if i < len(pivots) else 1) for i, row in enumerate(work)
+    )
+    return out, tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -261,26 +306,33 @@ def det(a: Mat) -> Fraction:
     return Fraction(sign * prev, den**n)
 
 
-def kernel_basis(m: Mat) -> Mat:
-    """Rows spanning the right kernel {x : m . x = 0}."""
-    nc = len(m[0]) if m else 0
-    r, piv = rref(m)
-    pivset = set(piv)
-    free = [j for j in range(nc) if j not in pivset]
+def _kernel_ints(work: list, pivots: list, nc: int) -> list:
+    """(f, x) per free column f of a reduced integer system: x is the
+    integer kernel vector with x[f] the least common multiple L of the
+    pivots P_i in play and x[p_i] = -W_i[f] L / P_i."""
+    rows = list(zip(work, pivots))
+    pivset = set(pivots)
     out = []
-    for f in free:
-        v = [ZERO] * nc
-        v[f] = ONE
-        for i, p in enumerate(piv):
-            v[p] = -r[i][f]
-        out.append(tuple(v))
-    return tuple(out)
+    for f in range(nc):
+        if f in pivset:
+            continue
+        den = lcm(*(row[p] for row, p in rows if row[f]))
+        x = [0] * nc
+        x[f] = den
+        for row, p in rows:
+            if row[f]:
+                x[p] = -row[f] * den // row[p]
+        out.append((f, x))
+    return out
 
 
-def image_basis(m: Mat) -> Mat:
-    """Rows spanning the column space of m."""
-    r, piv = rref(transpose(m))
-    return tuple(r[i] for i in range(len(piv)))
+def kernel_basis(m: Mat) -> Mat:
+    """Rows spanning the right kernel {x : m . x = 0}: one per free column
+    f of the rref, with x[f] = 1."""
+    nc = len(m[0]) if m else 0
+    work = _row_ints(m)
+    pivots = _rref_ints(work)
+    return tuple(_to_fractions(x, x[f]) for f, x in _kernel_ints(work, pivots, nc))
 
 
 @dataclass(frozen=True)
@@ -300,10 +352,21 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient:
                 raise MixedAmbient("span: vector length != ambient")
-        if not vectors:
-            return cls(ambient, ())
-        r, piv = rref(vectors)
-        return cls(ambient, r[: len(piv)])
+        return cls._of_int_rows(_row_ints(vectors), ambient)
+
+    @classmethod
+    def _of_int_rows(cls, work: list, ambient: int) -> "Subspace":
+        """The span of integer rows, which are reduced in place; the
+        cleared rows of the basis are kept from the elimination."""
+        pivots = _rref_ints(work)
+        rows = list(zip(work, pivots))
+        out = cls(ambient, tuple(_to_fractions(row, row[p]) for row, p in rows))
+        den = lcm(*(row[p] for row, p in rows))
+        out.__dict__["_cleared"] = (
+            den,
+            tuple((p, [(j, x * den // row[p]) for j, x in enumerate(row) if x]) for row, p in rows),
+        )
+        return out
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -316,11 +379,13 @@ class Subspace:
     @classmethod
     def kernel(cls, m: Mat) -> "Subspace":
         nc = len(m[0]) if m else 0
-        return cls.span(kernel_basis(m), nc)
+        work = _row_ints(m)
+        pivots = _rref_ints(work)
+        return cls._of_int_rows([x for _, x in _kernel_ints(work, pivots, nc)], nc)
 
     @classmethod
     def image(cls, m: Mat) -> "Subspace":
-        return cls.span(image_basis(m), len(m))
+        return cls._of_int_rows(_row_ints(transpose(m)), len(m))
 
     @property
     def dim(self) -> int:
@@ -329,29 +394,63 @@ class Subspace:
     def _pivots(self):
         return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.basis)
 
+    @cached_property
+    def _cleared(self):
+        """(D, rows): D a common denominator of the basis, and each basis
+        row times D as (pivot, sparse integer row).  Seeded by the
+        elimination that made the basis, else computed once."""
+        ints, den = _scaled_int_rows(self.basis)
+        return den, tuple(zip(self._pivots(), _sparse_rows(ints)))
+
+    def _int_rows(self) -> list:
+        """Fresh dense copies of the cleared basis rows."""
+        out = []
+        for _, row in self._cleared[1]:
+            dense = [0] * self.ambient
+            for j, x in row:
+                dense[j] = x
+            out.append(dense)
+        return out
+
+    def _residual(self, iv) -> list:
+        """D times the residual of the integer vector iv.  The basis is in
+        rref, so row i is the only one nonzero at its pivot and the
+        residual is v minus the sum of v[p_i] times row i."""
+        den, rows = self._cleared
+        out = [den * x for x in iv] if den != 1 else list(iv)
+        for p, row in rows:
+            f = iv[p]
+            if f:
+                for j, x in row:
+                    out[j] -= f * x
+        return out
+
+    def _cleared_vector(self, v) -> list:
+        v = vec(v)
+        if len(v) != self.ambient:
+            raise MixedAmbient("reduce: vector length != ambient")
+        return _scaled_int_rows([v])
+
     def reduce(self, v: Vec) -> Vec:
         """Residual of v after eliminating this subspace's pivot coordinates.
 
         The residual is zero iff v is a member, and reduce is linear, so
-        it doubles as a canonical projection along the subspace.
+        it doubles as a canonical projection along the subspace.  It is
+        computed on the cleared integer rows of v and of the basis, and
+        only the nonzero basis entries are visited.
         """
-        v = vec(v)
-        if len(v) != self.ambient:
-            raise MixedAmbient("reduce: vector length != ambient")
-        out = list(v)
-        for row, p in zip(self.basis, self._pivots()):
-            if out[p] != 0:
-                f = out[p]
-                out = [a - f * b for a, b in zip(out, row)]
-        return tuple(out)
+        (iv,), dv = self._cleared_vector(v)
+        return _to_fractions(self._residual(iv), self._cleared[0] * dv)
 
     def contains(self, v: Vec) -> bool:
-        return is_zero_vec(self.reduce(v))
+        (iv,), _ = self._cleared_vector(v)
+        return not any(self._residual(iv))
 
     def contains_space(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise MixedAmbient("contains_space: ambient mismatch")
-        return all(self.contains(v) for v in other.basis)
+        # membership does not see scale, so other's cleared rows will do
+        return not any(any(self._residual(iv)) for iv in other._int_rows())
 
     def coords(self, v: Vec):
         """Coefficients of v in the basis rows, or None."""
@@ -362,17 +461,21 @@ class Subspace:
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise MixedAmbient("add: ambient mismatch")
-        return Subspace.span(self.basis + other.basis, self.ambient)
+        return Subspace._of_int_rows(self._int_rows() + other._int_rows(), self.ambient)
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """Meet, on the cleared integer rows of both bases: the canonical
+        basis does not depend on their scale."""
         if self.ambient != other.ambient:
             raise MixedAmbient("intersect: ambient mismatch")
-        a, b = self.basis, other.basis
-        if not a or not b:
+        if not self.basis or not other.basis:
             return Subspace.zero(self.ambient)
+        a = [row for _, row in self._cleared[1]]
         # y . (a + b) = 0 means y[:len(a)] . a lies in both spaces
-        coeffs = tuple(y[: len(a)] for y in kernel_basis(transpose(a + b)))
-        return Subspace.span(matmul(coeffs, a), self.ambient)
+        cols = [list(c) for c in zip(*(self._int_rows() + other._int_rows()))]
+        kernel = _kernel_ints(cols, _rref_ints(cols), len(cols[0]))
+        coeffs = _sparse_rows([y[: len(a)] for _, y in kernel])
+        return Subspace._of_int_rows(_int_product(coeffs, a, self.ambient), self.ambient)
 
 
 # ---------------------------------------------------------------------------

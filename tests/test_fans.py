@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from math import floor
 from fractions import Fraction as F
 from itertools import product
 
@@ -668,6 +669,26 @@ def test_cone_over_three_corners_is_no_grid_face():
     assert grid.recognize(window[i]) is None
     assert first_fan_violation(window, grid)["kind"] == "missing-face"
     assert_decided_like_oracle(window, grid)
+
+
+@settings(max_examples=200)
+@given(
+    rank=st.integers(min_value=1, max_value=2),
+    a=st.integers(min_value=1, max_value=2),
+    data=st.data(),
+)
+def test_cut_keeps_a_cone_whole_exactly_when_its_host_box_holds_it(rank, a, data):
+    """The host test reads the level one points against the host box's
+    bounds; the closed box cone is the reference."""
+    grid = identity_grid(rank, a)
+    coord = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    points = data.draw(st.lists(
+        st.tuples(*[coord] * rank).map(lambda c: (F(1),) + c), min_size=1, max_size=3, unique=True))
+    small = Cone.from_generators(points, rank + 1)
+    point = small.interior_point()
+    host = tuple(floor(a * c / point[0]) for c in point[1:])
+    pieces = grid.cut(points)
+    assert (pieces == [(host, small)]) == box(host, a).contains_cone(small)
 
 
 @given(

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import fracs
 from relfan.errors import (
     NotInG,
     NotInGroup,
@@ -30,10 +32,13 @@ from relfan.hodge import (
 )
 from relfan.qlinalg import (
     identity,
+    inverse,
+    is_zero_mat,
     mat,
     matmul,
     matscale,
     matvec,
+    transpose,
     vec,
     zeros,
 )
@@ -218,6 +223,126 @@ def test_restriction_multiple_detects_non_multiples():
     assert fr.restriction_multiple(skew) is None
 
 
+# --- check_in_g and block_multiple against their definitions -----------------
+
+
+@lru_cache(maxsize=None)
+def oracle_frame(name):
+    """elliptic and triple have alternating grams, jordan3 a symmetric one."""
+    if name == "triple":
+        return kunneth_h3(standard_factors())
+    return {"elliptic": elliptic_frame, "jordan3": jordan3_frame}[name]()
+
+
+ORACLE_FRAMES = ["elliptic", "jordan3", "triple"]
+
+
+def dense_product(a, b):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)) for row in a)
+
+
+def isometry_reference(fr, a):
+    """a^T g + g a = 0, by two dense Fraction products."""
+    g = fr.gram
+    left, right = dense_product(transpose(a), g), dense_product(g, a)
+    return is_zero_mat(tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(left, right)))
+
+
+@st.composite
+def inner_blocks(draw, fr):
+    """g^-1 X with X = -s X^T, which lies in G, optionally moved off it at
+    one entry."""
+    r = fr.rank
+    sign = -1 if fr.weight % 2 else 1
+    x = [[F(0)] * r for _ in range(r)]
+    for i, j, v in draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, r - 1), fracs()), max_size=6)):
+        x[i][j] += v
+        x[j][i] -= sign * v
+    a = [list(row) for row in matmul(inverse(fr.gram), mat(x))]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        a[i][j] += draw(fracs().filter(bool))
+    return mat(a)
+
+
+@given(st.sampled_from(ORACLE_FRAMES), st.data())
+def test_check_in_g_matches_the_two_product_definition(name, data):
+    fr = oracle_frame(name)
+    a = data.draw(inner_blocks(fr))
+    h = data.draw(st.lists(fracs(), min_size=fr.rank, max_size=fr.rank))
+    n = fr.assemble(a, h)
+    if isometry_reference(fr, a):
+        check_in_g(fr, n)
+    else:
+        for call in (check_in_g, relative_filtration, relative_filtration_exists):
+            with pytest.raises(NotInG):
+                call(fr, n)
+
+
+@pytest.mark.parametrize("name", ORACLE_FRAMES)
+def test_check_in_g_on_pencil_and_dense_blocks(name):
+    fr = oracle_frame(name)
+    h = (F(1, 2),) * fr.rank
+    for lam in (0, 1, F(-3, 2)):
+        assert isometry_reference(fr, fr.restriction(fr.pencil(lam, h)))
+        check_in_g(fr, fr.pencil(lam, h))
+    dense = mat([[F(i + 2 * j + 1, 3) for j in range(fr.rank)] for i in range(fr.rank)])
+    assert not isometry_reference(fr, dense)
+    with pytest.raises(NotInG):
+        check_in_g(fr, fr.assemble(dense, h))
+
+
+def block_multiple_reference(fr, block):
+    n = fr.log_gamma
+    if is_zero_mat(n):
+        return F(0) if is_zero_mat(block) else None
+    i, j = next((i, j) for i, row in enumerate(n) for j, x in enumerate(row) if x)
+    lam = block[i][j] / n[i][j]
+    return lam if block == matscale(lam, n) else None
+
+
+def same_multiple(got, want):
+    return (got is None and want is None) or (got is not None and want is not None and got == want)
+
+
+@given(st.sampled_from(ORACLE_FRAMES), fracs(), st.data())
+def test_block_multiple_matches_the_matscale_definition(name, lam, data):
+    fr = oracle_frame(name)
+    r = fr.rank
+    n = fr.log_gamma
+    block = [list(row) for row in matscale(lam, n)]
+    assert same_multiple(fr.block_multiple(mat(block)), lam)
+    i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
+    block[i][j] += data.draw(fracs().filter(bool))
+    got = fr.block_multiple(mat(block))
+    assert same_multiple(got, block_multiple_reference(fr, mat(block)))
+    if n[i][j] == 0:
+        assert got is None
+    noise = data.draw(st.lists(st.lists(fracs(), min_size=r, max_size=r), min_size=r, max_size=r).map(mat))
+    assert same_multiple(fr.block_multiple(noise), block_multiple_reference(fr, noise))
+
+
+def test_block_multiple_off_the_support_and_at_zero():
+    fr = jordan3_frame()
+    n = fr.log_gamma
+    assert fr.block_multiple(zeros(3, 3)) == 0
+    assert fr.block_multiple(matscale(0, n)) == 0
+    # 1/2 log(gamma) plus one entry where log(gamma) is zero
+    moved = [list(row) for row in matscale(F(1, 2), n)]
+    zero_at = next((i, j) for i in range(3) for j in range(3) if n[i][j] == 0)
+    moved[zero_at[0]][zero_at[1]] = F(1)
+    assert fr.block_multiple(mat(moved)) is None
+    assert block_multiple_reference(fr, mat(moved)) is None
+    # one entry of the zero block set where log(gamma) is zero
+    lone = [[F(0)] * 3 for _ in range(3)]
+    lone[zero_at[0]][zero_at[1]] = F(1)
+    assert fr.block_multiple(mat(lone)) is None
+    trivial = Frame(rank=2, weight=-1, gram=((0, -1), (1, 0)), gamma=identity(2),
+                    hodge={(0, -1): 1, (-1, 0): 1})
+    assert trivial.block_multiple(zeros(2, 2)) == 0
+    assert trivial.block_multiple(((0, 1), (0, 0))) is None
+
+
 # --- P and Q -----------------------------------------------------------------
 
 
@@ -298,6 +423,28 @@ def test_zero_and_off_pencil_blocks_take_the_direct_path(monkeypatch):
     ell = elliptic_frame()
     with pytest.raises(NotNilpotent):
         pq_spaces(ell, matmul(((0, 1), (1, 0)), ell.gram))
+
+
+def test_relative_axioms_read_no_pencil_cache(monkeypatch):
+    """The certificate decides from the operator and the candidate alone:
+    with the frame's pencil caches made to raise, it still accepts the
+    construction and rejects a shifted candidate."""
+    fr = jordan3_frame()
+    ops = [fr.pencil(lam, h) for lam in (1, F(-1, 2)) for h in ((0, 1, 0), (1, 0, 0), (2, 2, 1))]
+    cands = [(n, relative_filtration(fr, n)) for n in ops]
+    assert any(filt is not None for _, filt in cands)
+
+    def forbidden(self):
+        raise AssertionError("the certificate read a pencil cache")
+
+    monkeypatch.setattr(Frame, "_pencil_pq", property(forbidden))
+    monkeypatch.setattr(Frame, "pencil_weight_filtration", property(forbidden))
+    with pytest.raises(AssertionError):
+        pq_spaces(fr, matscale(2, fr.log_gamma))
+    for n, filt in cands:
+        if filt is not None:
+            assert is_relative_weight_filtration(n, fr.base_filtration, filt)
+            assert not is_relative_weight_filtration(n, fr.base_filtration, filt.shift(2))
 
 
 # --- relative filtrations ------------------------------------------------------

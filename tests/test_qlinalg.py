@@ -13,6 +13,7 @@ from relfan.errors import (
     SpecFormatError,
 )
 from relfan.qlinalg import (
+    ZERO,
     Subspace,
     ZLattice,
     det,
@@ -175,6 +176,68 @@ def test_subspace_reduce_is_membership_test():
     assert s.contains((2, 1, 3))
     assert not s.contains((0, 0, 1))
     assert s.coords((2, 1, 3)) == (F(2), F(1))
+
+
+# --- sparse integer kernels against dense Fraction references -----------------
+
+
+def dense_matmul(a, b):
+    """Every inner product, in Fraction arithmetic."""
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)) for row in a)
+
+
+def dense_reduce(space, v):
+    """Sequential elimination of each pivot coordinate, in Fraction arithmetic."""
+    out = list(v)
+    for row in space.basis:
+        p = next(j for j, x in enumerate(row) if x)
+        f = out[p]
+        out = [a - f * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
+# mostly zero, fully dense with fractional entries, or all zero
+ENTRIES = {
+    "sparse": st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), fracs()),
+    "dense": fracs(),
+    "zero": st.just(F(0)),
+}
+
+
+def matrices(data, rows, cols):
+    elems = ENTRIES[data.draw(st.sampled_from(sorted(ENTRIES)))]
+    return data.draw(
+        st.lists(st.lists(elems, min_size=cols, max_size=cols), min_size=rows, max_size=rows).map(mat)
+    )
+
+
+@given(st.data(), st.integers(1, 5), st.integers(1, 5), st.integers(0, 5))
+def test_matmul_matches_the_dense_reference(data, n, k, m):
+    a, b = matrices(data, n, k), matrices(data, k, m)
+    out = matmul(a, b)
+    assert out == dense_matmul(a, b)
+    assert all(x is ZERO for row in out for x in row if x == 0)
+
+
+@given(st.data(), st.integers(1, 5))
+def test_rref_zeros_are_shared(data, n):
+    r, _ = rref(matrices(data, data.draw(st.integers(1, 4)), n))
+    assert all(x is ZERO for row in r for x in row if x == 0)
+
+
+@given(st.data(), st.integers(1, 6))
+def test_subspace_reduce_and_contains_match_the_dense_reference(data, n):
+    space = Subspace.span(data.draw(st.lists(st.lists(fracs(), min_size=n, max_size=n), max_size=n)), n)
+    coefs = data.draw(st.lists(fracs(), min_size=space.dim, max_size=space.dim))
+    member = tuple(sum((c * row[j] for c, row in zip(coefs, space.basis)), F(0)) for j in range(n))
+    other = vec(data.draw(st.lists(fracs(), min_size=n, max_size=n)))
+    for v in (member, other):
+        assert space.reduce(v) == dense_reduce(space, v)
+        member_by_rank = rank(space.basis + (v,)) == space.dim
+        assert space.contains(v) == is_zero_mat((dense_reduce(space, v),)) == member_by_rank
+    assert space.contains(member)
+    part = Subspace.span([member, other], n)
+    assert space.contains_space(part) == (space.contains(member) and space.contains(other))
 
 
 def test_subspace_ambient_mismatch():
