@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     GriffithsViolated,
@@ -37,7 +38,7 @@ from .gaussian import (
     realify_mat,
 )
 from .hodge import Frame, check_in_g
-from .qlinalg import det, identity, is_nilpotent, mat, matadd, matscale, zeros
+from .qlinalg import Subspace, det, identity, is_nilpotent, mat, matadd, matscale, zeros
 
 
 def hodge_numbers(frame: Frame) -> dict:
@@ -92,23 +93,27 @@ class PeriodPoint:
         return _level(self.jumps, p, self.frame.dim)
 
     def apply(self, op) -> "PeriodPoint":
-        """Transport along an invertible operator, revalidating the flag."""
-        moved = {p: s.apply(op).basis for p, s in self.jumps}
-        return PeriodPoint(self.frame, moved)
+        """Transport along an invertible operator, revalidating the flag.
+        The moved spaces, still nested, are the new levels as they stand."""
+        out = PeriodPoint.__new__(PeriodPoint)
+        out.frame, out.jumps = self.frame, tuple((p, s.apply(op)) for p, s in self.jumps)
+        out._graded = out._split_graded()
+        out._check_flag()
+        return out
 
     # --- graded pieces ---
 
     def _split_graded(self):
         fr = self.frame
         r = fr.rank
-        inner_full = GSpace(fr.dim, identity(fr.dim)[:r])
-        inner = {}
-        quot = {}
+        inner_full = _inner_full(fr.dim, r)
+        inner, quot = {}, {}
         for p, space in self.jumps:
             cut = space.intersect(inner_full)
-            inner[p] = GSpace(r, [row[:r] for row in cut.basis])
+            # cut is zero at e: its realified rref rows, cut short, stay rref
+            inner[p] = GSpace._of(Subspace(2 * r, tuple(row[: 2 * r] for row in cut.real.basis)))
             # the quotient line: rank-nullity of the last coordinate map
-            quot[p] = GSpace(1, [(ONE,)] if space.dim > cut.dim else [])
+            quot[p] = _LINE if space.dim > cut.dim else _NO_LINE
         return (
             (0, ((ONE,),), quot),
             (fr.weight, gmat(fr.gram), inner),
@@ -135,6 +140,15 @@ class PeriodPoint:
                         f"graded dimension at level {p} in weight {k} is "
                         f"{got}, the type data needs {want}"
                     )
+
+
+_LINE, _NO_LINE = GSpace(1, [(ONE,)]), GSpace(1)
+
+
+@lru_cache(maxsize=16)
+def _inner_full(dim: int, rank: int) -> GSpace:
+    """Q(i)^rank inside Q(i)^dim, built once per shape."""
+    return GSpace(dim, identity(dim)[:rank])
 
 
 def _level(spaces, p: int, ambient: int) -> GSpace:

@@ -15,6 +15,12 @@ Conventions that everything downstream relies on:
     at zero and shifted);
   * the relative filtration of an operator N is either a Filtration or
     None, never an exception, because nonexistence is an answer.
+
+The axiom certificates decide on cleared integer rows: N S <= T is one
+sparse product of N with S's rows and T's residuals; a graded piece
+upper / lower is read in one chart, lower.reduce(v) at the pivots of
+the complement it spans; and N^l is injective on Gr_(c+l) iff N^l
+W_(c+l) has rank graded_dim(c + l) modulo W_(c-l-1).
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from .errors import (
     NotInGroup,
     NotNilpotent,
     NotUnipotent,
-    PreconditionViolated,
     SpecFormatError,
 )
 from .qlinalg import (
@@ -40,6 +45,7 @@ from .qlinalg import (
     Vec,
     ZLattice,
     _int_product,
+    _rref_ints,
     _scaled_int_rows,
     _sparse_rows,
     det,
@@ -48,17 +54,14 @@ from .qlinalg import (
     is_nilpotent,
     is_zero_mat,
     is_zero_vec,
-    linear_map,
     log_unipotent,
     mat,
     mat_from_json,
     mat_to_json,
     matmul,
-    matpow,
     matscale,
     matvec,
     nilpotency_index,
-    rref,
     solve,
     transpose,
     vadd,
@@ -126,18 +129,6 @@ class Filtration:
         return {j: self.graded_dim(j) for j in self.jump_indices}
 
 
-def reduce_projector(space: Subspace) -> Mat:
-    """Matrix of v -> space.reduce(v), a projection killing the space."""
-    n = space.ambient
-    cols = [space.reduce(tuple(ONE if i == j else ZERO for i in range(n))) for j in range(n)]
-    return transpose(tuple(cols))
-
-
-def preimage_subspace(op: Mat, space: Subspace) -> Subspace:
-    """{v : op . v in space}."""
-    return Subspace.kernel(matmul(reduce_projector(space), op))
-
-
 def weight_filtration(n_mat: Mat, center: int = 0) -> Filtration:
     """Monodromy weight filtration of a nilpotent operator.
 
@@ -167,100 +158,96 @@ def weight_filtration(n_mat: Mat, center: int = 0) -> Filtration:
     return Filtration.from_spaces(spaces, amb).shift(-center)
 
 
-def _graded_chart(lower: Subspace, upper: Subspace):
-    """Complement basis of lower inside upper plus a coordinate map.
-
-    One rref of [A | I], A with the rows of lower then of upper as
-    columns: pivots inside A pick the complement greedily, and the I
-    part, the row operations E, gives coordinates (E . v at the pivot
-    rows) and membership (E . v zero below them) by two matvecs."""
-    amb = upper.ambient
-    cols = lower.basis + upper.basis
-    k, low = len(cols), len(lower.basis)
-    eye = identity(amb)
-    reduced, piv = rref(tuple(tuple(c[i] for c in cols) + eye[i] for i in range(amb)))
-    rank = sum(1 for p in piv if p < k)
-    comp = tuple(cols[p] for p in piv[low:rank])
-    left = linear_map(tuple(row[k:] for row in reduced[low:rank]))
-    outside = linear_map(tuple(row[k:] for row in reduced[rank:]))
-
-    def coords(v):
-        if not comp:
-            return ()
-        v = vec(v)
-        if not is_zero_vec(outside(v)):
-            raise PreconditionViolated("vector outside the graded chart")
-        return left(v)
-
-    return comp, coords
+def _operator_rows(n_mat: Mat) -> list:
+    """N as the sparse cleared integer rows of N^T: a row r times them
+    is (N r)^T up to a scale that no span, membership or rank sees."""
+    return _sparse_rows(_scaled_int_rows(transpose(n_mat))[0])
 
 
-def induced_graded_operator(op: Mat, lower: Subspace, upper: Subspace) -> Mat:
-    """Matrix of op on upper/lower.  Requires op(upper) <= upper and
-    op(lower) <= lower."""
-    comp, coords = _graded_chart(lower, upper)
-    cols = [coords(v) for v in matmul(comp, transpose(op))]
-    return transpose(tuple(cols)) if comp else ()
+def _push(nt: list, space: Subspace, times: int = 1) -> list:
+    """Dense integer rows spanning N^times space: the cleared basis rows
+    times nt, once per power, with no Fraction in between."""
+    rows = [row for _, row in space._cleared[1]]
+    for _ in range(times - 1):
+        rows = _sparse_rows(_int_product(rows, nt, len(nt)))
+    return _int_product(rows, nt, len(nt))
 
 
-def is_weight_filtration(n_mat: Mat, filt: Filtration, center: int) -> bool:
-    """Direct axiom check, independent of the construction above."""
-    amb = len(n_mat)
-    if filt.ambient != amb or not filt.is_exhaustive():
-        return False
-    lo = filt.jump_indices[0]
-    hi = filt.jump_indices[-1]
-    nt = transpose(n_mat)
-    for j in range(lo - 1, hi + 1):
-        if not all(map(filt.at(j - 2).contains, matmul(filt.at(j).basis, nt))):
+def _maps_into(nt: list, source: Subspace, target: Subspace) -> bool:
+    return not any(any(target._residual(row)) for row in _push(nt, source))
+
+
+def _shifts_by_two(nt: list, filt: Filtration) -> bool:
+    """N W_j <= W_(j-2) for every j: W_j is zero below the first jump,
+    and above the last the inclusion follows from the last jump's."""
+    lo, hi = filt.jump_indices[0], filt.jump_indices[-1]
+    return all(_maps_into(nt, filt.at(j), filt.at(j - 2)) for j in range(lo, hi + 1))
+
+
+def _lefschetz(nt: list, filt: Filtration, c: int) -> bool:
+    """N^l : Gr_(c+l) -> Gr_(c-l) is an isomorphism for every l >= 1,
+    for an N known to shift filt by -2, so that N^l W_(c+l-1) lies in
+    W_(c-l-1): the graded dimensions match, and N^l W_(c+l) has full
+    rank graded_dim(c + l) modulo W_(c-l-1) (its residuals' rank)."""
+    lo, hi = filt.jump_indices[0], filt.jump_indices[-1]
+    for l in range(1, max(hi - c, c - lo) + 1):
+        top = filt.graded_dim(c + l)
+        if top != filt.graded_dim(c - l):
             return False
-    span_l = max(hi - center, center - lo) + 1
-    for l in range(1, span_l + 1):
-        if filt.graded_dim(center + l) != filt.graded_dim(center - l):
-            return False
-        # induced map on graded pieces must be injective
-        nl = matpow(n_mat, l)
-        pre = preimage_subspace(nl, filt.at(center - l - 1))
-        if not filt.at(center + l - 1).contains_space(filt.at(center + l).intersect(pre)):
+        floor = filt.at(c - l - 1)
+        if top and len(_rref_ints([floor._residual(r) for r in _push(nt, filt.at(c + l), l)])) != top:
             return False
     return True
 
 
+def is_weight_filtration(n_mat: Mat, filt: Filtration, center: int) -> bool:
+    """Direct axiom check, independent of the construction above: filt
+    is exhaustive, N shifts it by -2, and the rank criterion of
+    _lefschetz holds at center."""
+    if filt.ambient != len(n_mat) or not filt.is_exhaustive():
+        return False
+    nt = _operator_rows(n_mat)
+    return _shifts_by_two(nt, filt) and _lefschetz(nt, filt, center)
+
+
+def _graded_piece(nt: list, cand: Filtration, lower: Subspace, upper: Subspace):
+    """N-bar (as rows of its transpose, like nt) and the filtration cand
+    induces on upper / lower, in one chart: C = span(lower.reduce(b) for
+    b in upper's basis).  Residuals modulo lower vanish at lower's
+    pivots, so C's pivots avoid them, and v in upper has coordinates
+    lower.reduce(v) at C's pivots.  The chart kills lower, so cand.at(j)
+    meet upper needs no '+ lower'; it changes only at cand's jumps."""
+    chart = Subspace._of_int_rows([lower._residual(row) for row in upper._int_rows()], upper.ambient)
+    pivots = [p for p, _ in chart._cleared[1]]
+
+    def coords(rows):
+        return [[r[p] for p in pivots] for r in map(lower._residual, rows)]
+
+    spaces = {}
+    for j, s in cand.jumps:
+        inside = s if upper.contains_space(s) else s.intersect(upper)
+        spaces[j] = Subspace._of_int_rows(coords(inside._int_rows()), len(pivots))
+    return _sparse_rows(coords(_push(nt, chart))), Filtration.from_spaces(spaces, len(pivots))
+
+
 def is_relative_weight_filtration(n_mat: Mat, base: Filtration, cand: Filtration) -> bool:
     """Axioms for a monodromy filtration of n_mat relative to base:
-    n shifts cand by -2, and on every graded piece of base the induced
-    filtration is the weight filtration of the induced operator,
-    centered at the piece's index."""
+    n preserves base and shifts cand by -2, and on every graded piece
+    upper / lower of base the induced filtration is the weight
+    filtration of the induced operator, centered at the piece's index.
+    Each piece is read in the chart of _graded_piece, where only the
+    _lefschetz part is left: as N shifts cand and preserves upper and
+    lower, N-bar shifts the induced filtration already."""
     amb = len(n_mat)
     if base.ambient != amb or cand.ambient != amb:
         raise MixedAmbient("relative filtration check: ambient mismatch")
     if not cand.is_exhaustive():
         return False
-    nt = transpose(n_mat)
-    for j, s in base.jumps:
-        if not all(map(s.contains, matmul(s.basis, nt))):
-            return False
-    lo = cand.jump_indices[0]
-    hi = cand.jump_indices[-1]
-    for j in range(lo, hi + 1):
-        if not all(map(cand.at(j - 2).contains, matmul(cand.at(j).basis, nt))):
-            return False
-    for w in base.jump_indices:
-        lower, upper = base.at(w - 1), base.at(w)
-        if lower.dim == upper.dim:
-            continue
-        comp, coords = _graded_chart(lower, upper)
-        nbar = induced_graded_operator(n_mat, lower, upper)
-        gdim = len(comp)
-        spaces = {}
-        for j in range(lo - 1, hi + 1):
-            inter = cand.at(j).intersect(upper)
-            rows = [coords(v) for v in inter.add(lower).basis]
-            spaces[j] = Subspace.span(rows, gdim)
-        graded = Filtration.from_spaces(spaces, gdim)
-        if not is_weight_filtration(nbar, graded, w):
-            return False
-    return True
+    nt = _operator_rows(n_mat)
+    if not all(_maps_into(nt, s, s) for _, s in base.jumps) or not _shifts_by_two(nt, cand):
+        return False
+    pieces = zip([Subspace.zero(amb)] + [s for _, s in base.jumps], base.jumps)
+    return all(_lefschetz(*_graded_piece(nt, cand, lower, upper), w) for lower, (w, upper) in pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +533,9 @@ def relative_filtration(frame: Frame, n_mat: Mat):
     check_in_g(frame, n_mat)
     a_block = frame.restriction(n_mat)
     wf = _inner_weight_filtration(frame, a_block)
-    h = frame.e_image(n_mat)
     w2 = wf.at(-2)
-    proj = reduce_projector(w2)
-    x = solve(matmul(proj, a_block), matvec(proj, h))
+    # proj . a_block and proj . h, with h = n(e) and proj the matrix of v -> w2.reduce(v)
+    x = solve(transpose(tuple(map(w2.reduce, transpose(a_block)))), w2.reduce(frame.e_image(n_mat)))
     if x is None:
         return None
     tilted = vadd(frame.embed_inner(vscale(-1, x)), frame.e_vector)

@@ -2,7 +2,9 @@
 
 test_deterministic_reports only compares two runs of the same code;
 these sha256 digests were taken from the reports of an earlier commit,
-so a refactor that changes any byte of these reports fails here.
+so a refactor that changes any byte of these reports fails here.  The
+rmf digests pin the constructed relative filtration, the existence
+witness and the verdict of the axiom certificate.
 """
 
 import hashlib
@@ -50,5 +52,40 @@ def test_report_bytes_frozen(tmp_path, capsys, fixture, fields, argv, digest):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"fixture": fixture, **BASE, **fields}))
     main([argv[0], "--spec", str(spec), *argv[1:]])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+TRIPLE_IMAGE = ["0", "0", "1", "0", "0", "0", "1", "0", "1", "0", "1", "0", "1", "0", "0", "0", "1", "0", "0", "0"]
+JORDAN3_OFF_PENCIL = [["2", "1", "0", "1"], ["-2", "0", "1", "0"], ["0", "-2", "-2", "-2"], ["0", "0", "0", "0"]]
+
+# (fixture, operator file, sha256 of the rmf report): on each fixture one
+# pencil operator whose relative filtration exists and one whose does
+# not, and on jordan3 a nilpotent isometry off the pencil (not a
+# multiple of log gamma) whose filtration exists; TRIPLE_IMAGE is
+# log(gamma) applied to (1, ..., 1)
+FROZEN_RMF = [
+    ("elliptic", {"e_image": ["1", "0"]}, "6a0696fdc0fa7efc9d8c026b06f138cdcf230cd80f3a2a2dbb48f0961ec485d4"),
+    ("elliptic", {"e_image": ["0", "1"]}, "6251b823e8ca31bee114a6ab8ed79fa8141f96e300b88537df34043c4fc7d046"),
+    ("jordan3", {"e_image": ["0", "1", "0"]}, "a66a0f47fb3933dac47c82f65d81c031644b4dde173c6726049680aabe5a83f1"),
+    ("jordan3", {"e_image": ["0", "0", "1"]}, "da17c4ea9b8af3c2a3d4d72c6b3203db2d1b8d8e71ad737b0716255804b7dfb2"),
+    ("jordan3", {"matrix": JORDAN3_OFF_PENCIL}, "08a4c75ac0d50b91ab7c9d162bb7ba341350910491fa8426bdd10c99984f1d26"),
+    ("triple", {"e_image": TRIPLE_IMAGE}, "6bddbd0a643a1d4912fd8f185ee0a484bf55370f2d31b62c9412d5ebbabfed42"),
+    ("triple", {"e_image": ["1"] + ["0"] * 19}, "271e2ad10e322e8eec5bb15a2deafaa7a1aad9f7b500fad434a7563055bdac13"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,operator,digest",
+    FROZEN_RMF,
+    ids=["elliptic-exists", "elliptic-absent", "jordan3-exists", "jordan3-absent", "jordan3-off-pencil",
+         "triple-exists", "triple-absent"],
+)
+def test_rmf_report_bytes_frozen(tmp_path, capsys, fixture, operator, digest):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"fixture": fixture, **BASE}))
+    n_data = tmp_path / "n.json"
+    n_data.write_text(json.dumps(operator))
+    assert main(["rmf", "--spec", str(spec), "--n-data", str(n_data)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

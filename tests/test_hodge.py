@@ -36,8 +36,10 @@ from relfan.qlinalg import (
     is_zero_mat,
     mat,
     matmul,
+    matpow,
     matscale,
     matvec,
+    rref,
     transpose,
     vec,
     zeros,
@@ -554,6 +556,258 @@ def test_exhaustive_tilt_search_confirms_absence():
                 spaces[j] = s
             cand = Filtration.from_spaces(spaces, 3)
             assert not is_relative_weight_filtration(n, fr.base_filtration, cand)
+
+
+# --- the certificates against the Fraction chart they replace -----------------
+
+
+def reference_chart(lower, upper):
+    """Complement basis of lower in upper and its coordinate map, by one
+    Fraction rref of [A | I], A the rows of lower then of upper as
+    columns: the I part at the complement's pivot rows gives coordinates."""
+    amb = upper.ambient
+    cols = lower.basis + upper.basis
+    k, low = len(cols), len(lower.basis)
+    reduced, piv = rref(tuple(tuple(c[i] for c in cols) + identity(amb)[i] for i in range(amb)))
+    rank = sum(1 for p in piv if p < k)
+    comp = tuple(cols[p] for p in piv[low:rank])
+    left = tuple(row[k:] for row in reduced[low:rank])
+    return comp, lambda v: matvec(left, v)
+
+
+def reference_induced(op, lower, upper):
+    comp, coords = reference_chart(lower, upper)
+    return transpose(tuple(coords(v) for v in matmul(comp, transpose(op))))
+
+
+def reference_preimage(op, space):
+    """{v : op v in space}, as the kernel of the reduce projector times op."""
+    proj = transpose(tuple(space.reduce(row) for row in identity(space.ambient)))
+    return Subspace.kernel(matmul(proj, op))
+
+
+def reference_is_weight_filtration(n, filt, center):
+    if filt.ambient != len(n) or not filt.is_exhaustive():
+        return False
+    lo, hi = filt.jump_indices[0], filt.jump_indices[-1]
+    for j in range(lo - 1, hi + 1):
+        if not all(map(filt.at(j - 2).contains, matmul(filt.at(j).basis, transpose(n)))):
+            return False
+    for l in range(1, max(hi - center, center - lo) + 2):
+        if filt.graded_dim(center + l) != filt.graded_dim(center - l):
+            return False
+        pre = reference_preimage(matpow(n, l), filt.at(center - l - 1))
+        if not filt.at(center + l - 1).contains_space(filt.at(center + l).intersect(pre)):
+            return False
+    return True
+
+
+def reference_is_relative(n, base, cand):
+    if not cand.is_exhaustive():
+        return False
+    nt = transpose(n)
+    for _, s in base.jumps:
+        if not all(map(s.contains, matmul(s.basis, nt))):
+            return False
+    lo, hi = cand.jump_indices[0], cand.jump_indices[-1]
+    for j in range(lo, hi + 1):
+        if not all(map(cand.at(j - 2).contains, matmul(cand.at(j).basis, nt))):
+            return False
+    for w in base.jump_indices:
+        lower, upper = base.at(w - 1), base.at(w)
+        comp, coords = reference_chart(lower, upper)
+        spaces = {
+            j: Subspace.span([coords(v) for v in cand.at(j).intersect(upper).add(lower).basis], len(comp))
+            for j in range(lo - 1, hi + 1)
+        }
+        graded = Filtration.from_spaces(spaces, len(comp))
+        if not reference_is_weight_filtration(reference_induced(n, lower, upper), graded, w):
+            return False
+    return True
+
+
+def tilted(fr, n, a):
+    """The inner weight filtration of n plus the line e - a at levels >= 0,
+    the shape of every candidate relative filtration."""
+    inner = weight_filtration(fr.restriction(n), center=fr.weight)
+    line = Subspace.span([tuple(-x for x in a) + (F(1),)], fr.dim)
+    spaces = {}
+    for j in sorted(set(inner.jump_indices) | {0}):
+        s = Subspace.span([fr.embed_inner(v) for v in inner.at(j).basis], fr.dim)
+        spaces[j] = s.add(line) if j >= 0 else s
+    return Filtration.from_spaces(spaces, fr.dim)
+
+
+def dropped(filt, k):
+    """filt without its k-th jump."""
+    return Filtration.from_spaces({j: s for i, (j, s) in enumerate(filt.jumps) if i != k}, filt.ambient)
+
+
+def certificate_cases(fr, n, draw_int, draw_a):
+    """The construction, or a tilt when there is none, and its variants."""
+    genuine = relative_filtration(fr, n)
+    base = genuine if genuine is not None else tilted(fr, n, draw_a())
+    out = [base, tilted(fr, n, draw_a()), dropped(base, draw_int(0, len(base.jumps) - 1))]
+    out += [base.shift(k) for k in (-2, -1, 1, 2)]
+    return out
+
+
+@given(st.sampled_from(["elliptic", "jordan3"]), st.data())
+def test_relative_certificate_matches_the_fraction_chart(name, data):
+    fr = oracle_frame(name)
+    lam = data.draw(st.sampled_from((0, 1, 2, F(-1, 2))))
+    h = data.draw(st.lists(st.integers(-3, 3), min_size=fr.rank, max_size=fr.rank))
+    n = fr.pencil(lam, h)
+
+    def draw_a():
+        return data.draw(st.lists(fracs(3, 2), min_size=fr.rank, max_size=fr.rank))
+
+    def draw_int(lo, hi):
+        return data.draw(st.integers(lo, hi))
+
+    # the candidates of n against n, and against the operator with the
+    # same e image and inner block zero, which shifts them too but leaves
+    # graded pieces where only the rank test can say no
+    for cand in certificate_cases(fr, n, draw_int, draw_a):
+        for op in (n, fr.pencil(0, h)):
+            want = reference_is_relative(op, fr.base_filtration, cand)
+            assert is_relative_weight_filtration(op, fr.base_filtration, cand) == want
+
+
+TRIPLE_CASES = [
+    (1, "ones"), (2, "ones"), (F(-1, 2), "ones"), (0, "ones"), (1, "zero"),
+    (3, "first"), (1, "last"), (F(1, 3), "image-of-first"), (2, "image-of-last"), (0, "first"),
+]
+
+
+@pytest.mark.parametrize("lam,image", TRIPLE_CASES)
+def test_relative_certificate_matches_the_fraction_chart_on_triple(lam, image):
+    fr = oracle_frame("triple")
+    r = fr.rank
+    unit = [tuple(F(int(i == k)) for i in range(r)) for k in (0, r - 1)]
+    h = {
+        "ones": matvec(fr.log_gamma, (F(1),) * r),
+        "zero": (F(0),) * r,
+        "first": unit[0],
+        "last": unit[1],
+        "image-of-first": matvec(fr.log_gamma, unit[0]),
+        "image-of-last": matvec(fr.log_gamma, unit[1]),
+    }[image]
+    n = fr.pencil(lam, h)
+    picks = iter([1, 0, 2])
+    cases = certificate_cases(fr, n, lambda lo, hi: min(next(picks), hi), lambda: (F(1, 2),) * r)
+    for op in (n, fr.pencil(0, h)):
+        verdicts = [is_relative_weight_filtration(op, fr.base_filtration, c) for c in cases]
+        assert verdicts == [reference_is_relative(op, fr.base_filtration, c) for c in cases]
+    assert is_relative_weight_filtration(n, fr.base_filtration, cases[0]) == (relative_filtration(fr, n) is not None)
+
+
+def kernel_flag(n):
+    """ker N <= ker N^2 <= ... <= everything: a chain every N preserves."""
+    spaces, k = [], 1
+    while not spaces or spaces[-1].dim < len(n):
+        spaces.append(Subspace.kernel(matpow(n, k)))
+        k += 1
+    return spaces
+
+
+@st.composite
+def chains(draw, n):
+    """An exhaustive or not, N-stable or not, chain of subspaces of Q^dim
+    at increasing indices: random spans, the kernel flag of N, or the
+    weight filtration of N."""
+    dim = len(n)
+    kind = draw(st.sampled_from(("random", "kernels", "weight")))
+    if kind == "weight":
+        filt = weight_filtration(n, center=draw(st.integers(-2, 2)))
+        return filt.shift(draw(st.integers(-1, 1)))
+    if kind == "kernels":
+        spaces = kernel_flag(n)
+    else:
+        vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), min_size=1, max_size=dim + 1))
+        cuts = sorted(draw(st.lists(st.integers(1, len(vectors)), min_size=1, max_size=4, unique=True)))
+        spaces = [Subspace.span(vectors[:c], dim) for c in cuts]
+    start = draw(st.integers(-4, 2))
+    steps = draw(st.lists(st.integers(1, 2), min_size=len(spaces), max_size=len(spaces)))
+    indices = [start + sum(steps[:i]) for i in range(len(spaces))]
+    if draw(st.booleans()):
+        spaces.append(Subspace.full(dim))
+        indices.append(indices[-1] + 1)
+    return Filtration.from_spaces(dict(zip(indices, spaces)), dim)
+
+
+@given(strict_upper(4, -2, 2), st.data())
+def test_weight_axioms_match_the_preimage_test(n, data):
+    filt = data.draw(chains(n))
+    # N^2 and 0 shift a weight filtration of N too, but fail to identify
+    # its graded pieces: only the rank test tells
+    for op in (n, matmul(n, n), zeros(4, 4)):
+        for c in (-1, 0, 1):
+            assert is_weight_filtration(op, filt, c) == reference_is_weight_filtration(op, filt, c)
+
+
+@st.composite
+def split_operators(draw):
+    """(N, base, M) on Q^4 = P(Q^2 + Q^2): N = P (N1 + N2) P^-1 with N1, N2
+    strictly upper, base P Q^2 at a and everything at b > a, and M =
+    P (W(N1) at a + W(N2) at b), a relative weight filtration of N.  P
+    is unit lower times unit upper triangular, so the spaces are in
+    general not spanned by coordinate vectors."""
+    blocks = [draw(strict_upper(2, -2, 2)) for _ in range(2)]
+    lower_p = [[draw(st.integers(-1, 1)) if j < i else int(i == j) for j in range(4)] for i in range(4)]
+    upper_p = [[draw(st.integers(-1, 1)) if j > i else int(i == j) for j in range(4)] for i in range(4)]
+    p = matmul(mat(lower_p), mat(upper_p))
+    n = [[F(0)] * 4 for _ in range(4)]
+    for k, blk in enumerate(blocks):
+        for i in range(2):
+            for j in range(2):
+                n[2 * k + i][2 * k + j] = blk[i][j]
+    n = matmul(matmul(p, mat(n)), inverse(p))
+    a = draw(st.integers(-3, 0))
+    b = a + draw(st.integers(1, 3))
+    moved = transpose(p)  # rows v -> (P v)^T = v P^T
+
+    def image(vectors):
+        return Subspace.span(matmul(vectors, moved), 4)
+
+    pieces = [weight_filtration(blk, center=c) for blk, c in zip(blocks, (a, b))]
+    spaces = {}
+    for j in range(min(f.jump_indices[0] for f in pieces), max(f.jump_indices[-1] for f in pieces) + 1):
+        first = [v + (F(0), F(0)) for v in pieces[0].at(j).basis]
+        second = [(F(0), F(0)) + v for v in pieces[1].at(j).basis]
+        spaces[j] = image(tuple(first + second))
+    base = Filtration.from_spaces({a: image(tuple(identity(4)[:2])), b: Subspace.full(4)}, 4)
+    return n, base, Filtration.from_spaces(spaces, 4)
+
+
+@given(split_operators(), st.data())
+def test_relative_certificate_with_a_nonzero_lower_piece(split, data):
+    """Bases whose top graded piece has a nonzero lower part and dimension
+    two, which the two-step frame bases never reach."""
+    n, base, genuine = split
+    assert is_relative_weight_filtration(n, base, genuine)
+    assert reference_is_relative(n, base, genuine)
+    k = data.draw(st.integers(0, len(genuine.jumps) - 1))
+    cands = [genuine, dropped(genuine, k), data.draw(chains(n))] + [genuine.shift(s) for s in (-2, -1, 1, 2)]
+    for cand in filter(Filtration.is_exhaustive, cands):
+        for op in (n, zeros(4, 4)):
+            assert is_relative_weight_filtration(op, base, cand) == reference_is_relative(op, base, cand)
+
+
+def test_oracle_cases_reach_both_verdicts():
+    fr = jordan3_frame()
+    n = fr.pencil(1, (0, 1, 0))
+    cases = certificate_cases(fr, n, lambda lo, hi: lo, lambda: (F(1), F(0), F(0)))
+    verdicts = [is_relative_weight_filtration(n, fr.base_filtration, c) for c in cases]
+    # genuine, tilted (the tilt joins only at level 0, which is everything
+    # here), the first jump dropped, then four shifts
+    assert verdicts == [True, True] + [False] * 5
+    # the zero N on Q^2 shifts a filtration with symmetric graded
+    # dimensions but does not identify them: only the rank test says no
+    zero = zeros(2, 2)
+    sym = Filtration.from_spaces({-1: Subspace.span([(1, 0)], 2), 1: Subspace.full(2)}, 2)
+    assert not is_weight_filtration(zero, sym, 0)
+    assert is_weight_filtration(J2, sym, 0)
 
 
 # --- commutation ---------------------------------------------------------------
