@@ -31,14 +31,25 @@ from .gaussian import (
     ONE,
     GSpace,
     Gi,
-    gexp_nilpotent,
     gmat,
     gvec,
     i_power,
     realify_mat,
+    unrealify_mat,
 )
 from .hodge import Frame, check_in_g
-from .qlinalg import Subspace, det, identity, is_nilpotent, mat, matadd, matscale, zeros
+from .qlinalg import (
+    Subspace,
+    det,
+    identity,
+    is_nilpotent,
+    mat,
+    matadd,
+    matmul,
+    matscale,
+    nilpotency_index,
+    zeros,
+)
 
 
 def hodge_numbers(frame: Frame) -> dict:
@@ -292,9 +303,21 @@ def nilpotent_orbit_test(pt: PeriodPoint, cone, y_samples=(1, 4, 16, 64, 256)) -
         total = matadd(total, n)
     if not is_nilpotent(total):
         raise GriffithsViolated("cone directions do not sum to a nilpotent operator")
+    return all(in_D(pt.apply(u)) for u in orbit_exponentials(total, y_samples))
+
+
+def orbit_exponentials(n_mat, y_samples) -> list:
+    """exp(i y N) for each height y.  The realified terms (iN)^k / k! are
+    formed once, and each exponential is their finite sum weighted by
+    y^k, read back to Q(i)."""
+    turned = realify_mat(gmat([[Gi(0, x) for x in row] for row in n_mat]))
+    terms = [identity(len(turned))]
+    for k in range(1, nilpotency_index(turned)):
+        terms.append(matscale(Fraction(1, k), matmul(terms[-1], turned)))
+    out = []
     for y in y_samples:
-        scaled = matscale(Fraction(y), total)
-        turned = gmat([[Gi(0, x) for x in row] for row in scaled])
-        if not in_D(pt.apply(gexp_nilpotent(turned))):
-            return False
-    return True
+        total = terms[0]
+        for k, term in enumerate(terms[1:], 1):
+            total = matadd(total, matscale(Fraction(y) ** k, term))
+        out.append(unrealify_mat(total))
+    return out

@@ -375,6 +375,22 @@ def pencil_commutes(fan: CellFan, a: Mat, b: Mat):
     return fan.kernel_space.contains(w)
 
 
+def _pencil_commute(fan: CellFan, pencil) -> bool:
+    """Whether pencil operators, given as (level, image of e) pairs,
+    commute pairwise, in O(n) kernel tests.  For nonzero levels the
+    kernel criterion of pencil_commutes reads h_b / lam_b - h_a / lam_a
+    in ker N, an equivalence, so each is compared with the first.  A
+    level zero operator commutes with one at a nonzero level iff its h
+    is in ker N, and with one at level zero always."""
+    moving = [vscale(ONE / lam, h) for lam, h in pencil if lam]
+    if not moving:
+        return True
+    ker = fan.kernel_space
+    return all(ker.contains(vsub(h, moving[0])) for h in moving[1:]) and all(
+        ker.contains(h) for lam, h in pencil if not lam
+    )
+
+
 def check_admissible(fan: CellFan, mats):
     """Structural validation plus existence of the relative filtration
     across the cone.  Structural failures raise; an honest existence
@@ -389,13 +405,14 @@ def check_admissible(fan: CellFan, mats):
         if lam is None and not is_nilpotent(m):
             raise PreconditionViolated("cone generator is not nilpotent")
         lams.append(lam)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            ok = pencil_commutes(fan, mats[i], mats[j])
-            if ok is None:
-                ok = matmul(mats[i], mats[j]) == matmul(mats[j], mats[i])
-            if not ok:
-                raise NotCommutative("cone generators do not commute")
+    pencil = [(lam, fr.e_image(m)) for m, lam in zip(mats, lams) if lam is not None]
+    # an off-pencil generator keeps the matrix test, against every other one
+    off = [i for i, lam in enumerate(lams) if lam is None]
+    pairs = {tuple(sorted((i, j))) for i in off for j in range(len(mats)) if j != i}
+    if not _pencil_commute(fan, pencil) or any(
+        matmul(mats[i], mats[j]) != matmul(mats[j], mats[i]) for i, j in pairs
+    ):
+        raise NotCommutative("cone generators do not commute")
     if all(lam is not None and lam > 0 for lam in lams):
         # all generators sit at positive pencil levels, so the cone is
         # sharp, every nonzero face representative does too and existence

@@ -10,7 +10,16 @@ free.  ChartGrid enumerates a window of faces, cuts a chart cone along
 the boxes, lifts chart cones and faces to the ambient space, and
 recognizes a lifted cone again by decoding its rays to grid points.
 An injective lift carries extreme rays to extreme rays, so a lifted
-cone is its lifted rays, with span and facets left lazy.
+cone is its lifted rays, with span and facets left lazy; each lifted
+primitive ray is an integer combination of the chart's cleared columns
+and one gcd.
+
+A segment, the cone over one or two level one points, is cut in
+closed form: it crosses the walls of the grid at times written down
+coordinate by coordinate, and each run of the segment between two
+crossings lies in one box, so no box is built and no double
+description runs.  A cone over three or more points keeps the product
+path: it meets each box of its window by double description.
 
 When the chart is injective it preserves face lattices and meets, so
 a window of lifted faces can be decided on symbols, as for cube
@@ -25,14 +34,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, gcd
 from typing import NamedTuple
 
 from .cones import Cone, check_fan, sorted_unique
 from .errors import InvariantViolation
 from .qlinalg import (
+    ONE,
+    ZERO,
     Subspace,
     Vec,
+    _row_ints,
+    _scaled_int_rows,
+    _sparse_rows,
     inverse,
     linear_map,
     matvec,
@@ -103,31 +117,6 @@ def box(n, a: int) -> Cone:
     return Cone._known(k + 1, rays, Subspace.full(k + 1), normals or [(Fraction(1),)])
 
 
-def _segment_boxes(g, h, lo, hi):
-    """Integer boxes [n, n+1] crossed by the segment from g to h, both
-    already scaled to the grid; endpoints on box walls resolve to the
-    box inside the lo..hi window."""
-    times = {Fraction(0), Fraction(1)}
-    for gj, hj in zip(g, h):
-        d = hj - gj
-        if d:
-            for k in range(ceil(min(gj, hj)), floor(max(gj, hj)) + 1):
-                t = Fraction(k - gj, d)
-                if 0 < t < 1:
-                    times.add(t)
-    cuts = sorted(times)
-    out = []
-    for t0, t1 in zip(cuts, cuts[1:]):
-        tm = (t0 + t1) / 2
-        n = tuple(
-            min(max(floor(gj + tm * (hj - gj)), l), u)
-            for (gj, hj), l, u in zip(zip(g, h), lo, hi)
-        )
-        if not out or out[-1] != n:
-            out.append(n)
-    return out
-
-
 class ChartGrid:
     """The grid of boxes [n, n + 1] / a in one chart, and its faces
     lifted to operator space.
@@ -143,6 +132,8 @@ class ChartGrid:
     def __init__(self, columns, a: int, ambient: int):
         self.a, self.ambient, self.rank = a, ambient, len(columns) - 1
         self.lift = linear_map(transpose(columns))
+        # the columns over one common denominator, which no ray sees
+        self._columns = _sparse_rows(_scaled_int_rows(columns)[0])
         _, pivots = rref(columns)
         self.injective = len(pivots) == len(columns)
         if self.injective:
@@ -155,11 +146,27 @@ class ChartGrid:
     def _lift_point(self, v) -> Vec:
         return self.lift((Fraction(self.a),) + tuple(map(Fraction, v)))
 
+    def _lift_ray(self, coords) -> Vec:
+        """primitive(lift(x)) for integer chart coordinates on the ray of
+        x: the sum of c_j col_j over the cleared integer columns, over
+        their nonzero entries only, and one gcd."""
+        acc = {}
+        for c, col in zip(coords, self._columns):
+            if c:
+                for i, x in col:
+                    acc[i] = acc.get(i, 0) + c * x
+        g = gcd(*acc.values())
+        out = [ZERO] * self.ambient
+        for i, x in acc.items():
+            if x:
+                out[i] = Fraction(x // g)
+        return tuple(out)
+
     def ray(self, v) -> Vec:
         """The lifted primitive ray through grid point v."""
         r = self._rays.get(v)
         if r is None:
-            r = self._rays[v] = primitive(self._lift_point(v))
+            r = self._rays[v] = self._lift_ray((self.a,) + tuple(v))
             self._owned[id(r)] = v
         return r
 
@@ -183,14 +190,18 @@ class ChartGrid:
         rays to extreme rays (Ziegler, Lectures on Polytopes, ch. 2), so
         the lifted primitive rays are the canonical form and span and
         facets stay lazy; otherwise it is built generically."""
-        images = [self.lift(r) for r in cone.rays]
         if not self.injective:
-            return Cone.from_generators(images, self.ambient)
-        return Cone(self.ambient, tuple(sorted(map(primitive, images))))
+            return Cone.from_generators([self.lift(r) for r in cone.rays], self.ambient)
+        return Cone(self.ambient, tuple(sorted(map(self._lift_ray, _row_ints(cone.rays)))))
 
     def cut(self, points) -> list:
-        """(box corner, chart piece) pairs: the chart cone over the level
-        one points cut along the boxes of the grid, full pieces only."""
+        """(box corner, chart piece) pairs, sorted by corner: the chart cone
+        over the level one points cut along the boxes of the grid, full
+        pieces only.  One or two points span a segment at level one, cut
+        in closed form (_cut_segment); three or more meet each box of
+        their bounding window by double description."""
+        if len(points) <= 2:
+            return self._cut_segment(points[0], points[-1])
         a, rank = self.a, self.rank
         small = Cone.from_generators(points, rank + 1)
         # a cone inside one box floors to it at every relative interior
@@ -203,18 +214,45 @@ class ChartGrid:
         lo = [floor(min(g[j] for g in grids)) for j in range(rank)]
         hi = [max(ceil(max(g[j] for g in grids)) - 1, l)
               for j, l in enumerate(lo)]
-        if len(grids) <= 2:
-            boxes = _segment_boxes(grids[0], grids[-1], lo, hi)
-        else:
-            boxes = product(*[range(l, h + 1) for l, h in zip(lo, hi)])
         pieces = []
-        for n in sorted(boxes):
+        for n in product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
             piece = small.intersect(box(n, a))
             if piece.dim == small.dim:
                 pieces.append((n, piece))
         if not pieces:
             raise InvariantViolation("subdivision produced no full dimensional piece")
         return pieces
+
+    def _cut_segment(self, p, q) -> list:
+        """cut of the cone over level one points p and q.  The segment
+        P(t) = p + t (q - p) crosses the integer walls of the grid at times
+        written down coordinate by coordinate.  Between two crossings no
+        coordinate of P(t) meets an integer, so the open interval floors
+        to one box, read at its midpoint; at a crossing some coordinate
+        passes an integer, so the next interval floors to another box.
+        The closed interval [t0, t1] is then the segment's meet with its
+        box, and the piece is the cone over P(t0) and P(t1) (Ziegler,
+        Lectures on Polytopes, ch. 2)."""
+        a = self.a
+        if p == q:
+            return [(tuple(floor(a * c) for c in p[1:]), Cone(self.rank + 1, (primitive(p),)))]
+        times = {ZERO, ONE}
+        for x, y in zip(p[1:], q[1:]):
+            gx, gy = a * x, a * y
+            if gx != gy:
+                times.update((k - gx) / (gy - gx)
+                             for k in range(ceil(min(gx, gy)), floor(max(gx, gy)) + 1))
+        cuts = sorted(times)
+
+        def at(t):
+            return tuple(x + t * (y - x) for x, y in zip(p, q))
+
+        pieces = [
+            (tuple(floor(a * c) for c in at((t0 + t1) / 2)[1:]),
+             Cone(self.rank + 1, tuple(sorted((primitive(at(t0)), primitive(at(t1)))))))
+            for t0, t1 in zip(cuts, cuts[1:])
+        ]
+        return sorted(pieces, key=lambda piece: piece[0])
 
     def cone(self, face: GridFace) -> Cone:
         """The lifted face.  Injective, its rays are the lifted corners and

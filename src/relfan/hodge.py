@@ -478,9 +478,13 @@ def check_in_g(frame: Frame, n_mat: Mat) -> None:
 def _inner_weight_filtration(frame: Frame, block: Mat) -> Filtration:
     """Weight filtration of a nilpotent inner block centered at the frame
     weight: the frame's cached copy for a nonzero multiple of log(gamma),
-    computed directly for every other block (lam = 0 included)."""
-    if frame.block_multiple(block):
+    one jump at the frame weight for the zero block (lam = 0), and
+    computed directly for every other block."""
+    lam = frame.block_multiple(block)
+    if lam:
         return frame.pencil_weight_filtration
+    if lam is not None:
+        return Filtration(len(block), ((frame.weight, Subspace.full(len(block))),))
     if not is_nilpotent(block):
         raise NotNilpotent("inner block is not nilpotent")
     return weight_filtration(block, center=frame.weight)

@@ -483,13 +483,14 @@ class Subspace:
 
 
 def primitive(v: Vec) -> Vec:
-    """Shortest integral vector on the same ray (orientation kept)."""
+    """Shortest integral vector on the same ray (orientation kept), its
+    zero entries the shared ZERO."""
     v = vec(v)
     if is_zero_vec(v):
-        return v
+        return (ZERO,) * len(v)
     ints = _scaled_int_rows([v])[0][0]
     g = gcd(*ints)
-    return tuple(Fraction(x // g) for x in ints)
+    return tuple([Fraction(x // g) if x else ZERO for x in ints])
 
 
 def hnf(rows) -> tuple:

@@ -20,6 +20,7 @@ from relfan.classifying import (
     in_D,
     in_compact_dual,
     nilpotent_orbit_test,
+    orbit_exponentials,
     small_griffiths,
 )
 from relfan.cones import Cone
@@ -191,6 +192,15 @@ def test_orbit_form_positive_at_every_height():
         # the moved line is tau = i*y, reduced to (1, -i/y)
         assert hermitian_gram(moved, -1, 0) == ((gi(F(2, y)),),)
         assert in_D(moved)
+
+
+@pytest.mark.parametrize("frame", [elliptic_frame(), jordan3_frame()], ids=["elliptic", "jordan3"])
+def test_orbit_exponentials_match_series_at_every_height(frame):
+    heights = (1, 4, 16, 64, 256, F(1, 3))
+    first, last = (1,) + (0,) * (frame.rank - 1), (0,) * (frame.rank - 1) + (1,)
+    for n in (frame.pencil(1, zero_vec(frame.rank)), frame.pencil(2, first), frame.pencil(0, last)):
+        want = [gexp_nilpotent(gmat([[Gi(0, F(y) * x) for x in row] for row in n])) for y in heights]
+        assert orbit_exponentials(n, heights) == want
 
 
 def test_orbit_degenerate_direction_fails():

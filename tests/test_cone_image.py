@@ -13,7 +13,7 @@ from relfan.errors import NotSharp
 from relfan.fans import CellFan
 from relfan.grid import ChartGrid, box
 from relfan.hodge import Frame
-from relfan.qlinalg import identity, mat
+from relfan.qlinalg import ZERO, identity, linear_map, mat, primitive, transpose
 
 
 def sharp_cones(n):
@@ -60,6 +60,32 @@ def test_injective_image_matches_double_description(case):
     assert not dd.called
     assert "span" not in got.__dict__ and "facet_normals" not in got.__dict__
     assert_same(got, oracle(grid, cone))
+
+
+@st.composite
+def fraction_charts(draw):
+    """An injective chart whose columns have mixed denominators, so the
+    integer columns are cleared over a common one."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    extra = draw(st.integers(0, 3))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3, 5)))
+    rows = [tuple(Fraction(int(i == j), draw(st.integers(1, 4))) for j in range(n)) for i in range(n)]
+    rows += [tuple(draw(entry) for _ in range(n)) for _ in range(extra)]
+    columns = tuple(zip(*draw(st.permutations(rows))))
+    return ChartGrid(columns, draw(st.integers(1, 3)), len(rows)), columns
+
+
+@given(fraction_charts(), st.data())
+def test_integer_lift_matches_fraction_lift(chart, data):
+    grid, columns = chart
+    lift = linear_map(transpose(columns))
+    point = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=grid.rank, max_size=grid.rank)))
+    assert grid.ray(point) == primitive(lift((Fraction(grid.a),) + tuple(map(Fraction, point))))
+    cone = data.draw(sharp_cones(grid.rank + 1))
+    want = tuple(sorted(primitive(lift(r)) for r in cone.rays))
+    got = grid.lift_cone(cone)
+    assert got.rays == want
+    assert all(x is ZERO for r in got.rays for x in r if not x)
 
 
 @given(st.sampled_from((3, 4)).flatmap(

@@ -285,6 +285,57 @@ def test_commutation_criterion_matches_products(ell, jd3):
     assert checked_true and checked_false
 
 
+# nilpotent inner blocks in g that are not multiples of log(gamma)
+OFF_PENCIL_BLOCKS = {"elliptic": ((0, 0), (1, 0)), "jordan3": ((0, 0, 0), (1, 0, 0), (0, 1, 0))}
+
+
+def commute_pairwise(fan, mats) -> bool:
+    """Pairwise commutation: the kernel criterion on two pencil
+    operators, the matrix products otherwise."""
+    for i, a in enumerate(mats):
+        for b in mats[i + 1:]:
+            ok = pencil_commutes(fan, a, b)
+            if ok is None:
+                ok = matmul(a, b) == matmul(b, a)
+            if not ok:
+                return False
+    return True
+
+
+@given(data=st.data())
+def test_admissible_commutation_matches_pairwise_oracle(ell, jd3, data):
+    name = data.draw(st.sampled_from(sorted(OFF_PENCIL_BLOCKS)))
+    fan = ell if name == "elliptic" else jd3
+    fr = fan.frame
+    small = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2)))
+    vector = st.tuples(*[small] * fr.rank)
+    base, kernel = data.draw(vector), fan.kernel_space.basis
+    commuting = data.draw(st.booleans())
+    mats = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        lam = data.draw(st.sampled_from((0, 0, 1, 2, F(1, 2), -1)))
+        if data.draw(st.integers(0, 4)) == 0:
+            # off the pencil: commutes with its own multiples only
+            scale = data.draw(st.sampled_from((1, 2)))
+            mats.append(fr.assemble(matscale(scale, OFF_PENCIL_BLOCKS[name]), vscale(scale, base)))
+        elif commuting:
+            # h / lam in one coset of ker N, or h in ker N at level zero
+            k = [data.draw(small) for _ in kernel]
+            h = vadd(vscale(lam, base), matvec(tuple(zip(*kernel)), k))
+            mats.append(fr.pencil(lam, h))
+        else:
+            mats.append(fr.pencil(lam, data.draw(vector)))
+    try:
+        check_admissible(fan, mats)
+        refused = False
+    except NotCommutative:
+        refused = True
+    except NotSharp:
+        # raised after commutation passed, by the faces of a cone with a line
+        refused = False
+    assert refused == (not commute_pairwise(fan, mats))
+
+
 # --- subdivision --------------------------------------------------------
 
 def test_elliptic_segment_subdivision(ell):

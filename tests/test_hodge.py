@@ -405,7 +405,7 @@ def test_pencil_cache_matches_the_direct_computation(name, monkeypatch):
         assert fr.pencil_weight_filtration == weight_filtration(matscale(lam, n), center=fr.weight)
 
 
-def test_zero_and_off_pencil_blocks_take_the_direct_path(monkeypatch):
+def test_off_pencil_blocks_take_the_direct_path_zero_blocks_none(monkeypatch):
     calls = []
     direct = hodge.weight_filtration
     monkeypatch.setattr(hodge, "weight_filtration", lambda m, center=0: calls.append(m) or direct(m, center))
@@ -416,15 +416,25 @@ def test_zero_and_off_pencil_blocks_take_the_direct_path(monkeypatch):
     pq_spaces(fr, off_pencil)
     pq_spaces(fr, zeros(3, 3))
     relative_filtration(fr, fr.pencil(0, (0, 1, 0)))
-    assert calls == [off_pencil, zeros(3, 3), zeros(3, 3)]
+    # the zero block's filtration is written down, not computed
+    assert calls == [off_pencil]
     assert "pencil_weight_filtration" not in vars(fr)
     pq_spaces(fr, matscale(2, n))
     relative_filtration(fr, fr.pencil(-3, (0, 1, 0)))
-    assert calls[3:] == [n]  # the cache, built once
+    assert calls[1:] == [n]  # the cache, built once
     # a non-nilpotent block off the pencil is refused, not served from the cache
     ell = elliptic_frame()
     with pytest.raises(NotNilpotent):
         pq_spaces(ell, matmul(((0, 1), (1, 0)), ell.gram))
+
+
+@pytest.mark.parametrize("name", ORACLE_FRAMES)
+def test_zero_block_filtration_is_one_jump_at_the_weight(name):
+    fr = oracle_frame(name)
+    block = zeros(fr.rank, fr.rank)
+    direct = weight_filtration(block, center=fr.weight)
+    assert hodge._inner_weight_filtration(fr, block) == direct
+    assert direct.jump_indices == (fr.weight,)
 
 
 def test_relative_axioms_read_no_pencil_cache(monkeypatch):

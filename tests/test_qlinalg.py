@@ -425,3 +425,10 @@ def test_primitive():
     assert primitive(vec([F(2, 3), F(-4, 3)])) == vec([1, -2])
     assert primitive(vec([0, 0])) == vec([0, 0])
     assert primitive(vec([-2, -4])) == vec([-1, -2])
+
+
+@given(st.lists(fracs(), min_size=1, max_size=12))
+def test_primitive_shares_zero(v):
+    p = primitive(vec(v))
+    assert all(x is ZERO for x in p if not x)
+    assert all(x is ZERO for x in primitive(vec([0] * 3 + list(v))) if not x)
