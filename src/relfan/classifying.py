@@ -16,7 +16,6 @@ on the realified hermitian form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
     InvariantViolation,
     MixedAmbient,
     NotInCompactDual,
+    NotNilpotent,
     PreconditionViolated,
 )
 from .fans import unflatten
@@ -39,16 +39,11 @@ from .gaussian import (
 )
 from .hodge import Frame, check_in_g
 from .qlinalg import (
+    NilpotentPowers,
     Subspace,
     det,
     identity,
-    is_nilpotent,
     mat,
-    matadd,
-    matmul,
-    matscale,
-    nilpotency_index,
-    zeros,
 )
 
 
@@ -298,26 +293,16 @@ def nilpotent_orbit_test(pt: PeriodPoint, cone, y_samples=(1, 4, 16, 64, 256)) -
             raise GriffithsViolated("cone generator is not transversal at the point")
     if not gens:
         return in_D(pt)
-    total = zeros(fr.dim, fr.dim)
-    for n in gens:
-        total = matadd(total, n)
-    if not is_nilpotent(total):
-        raise GriffithsViolated("cone directions do not sum to a nilpotent operator")
-    return all(in_D(pt.apply(u)) for u in orbit_exponentials(total, y_samples))
+    total = tuple(tuple(sum(col) for col in zip(*rows)) for rows in zip(*gens))
+    try:
+        moves = orbit_exponentials(total, y_samples)
+    except NotNilpotent as exc:
+        raise GriffithsViolated("cone directions do not sum to a nilpotent operator") from exc
+    return all(in_D(pt.apply(u)) for u in moves)
 
 
 def orbit_exponentials(n_mat, y_samples) -> list:
-    """exp(i y N) for each height y.  The realified terms (iN)^k / k! are
-    formed once, and each exponential is their finite sum weighted by
-    y^k, read back to Q(i)."""
-    turned = realify_mat(gmat([[Gi(0, x) for x in row] for row in n_mat]))
-    terms = [identity(len(turned))]
-    for k in range(1, nilpotency_index(turned)):
-        terms.append(matscale(Fraction(1, k), matmul(terms[-1], turned)))
-    out = []
-    for y in y_samples:
-        total = terms[0]
-        for k, term in enumerate(terms[1:], 1):
-            total = matadd(total, matscale(Fraction(y) ** k, term))
-        out.append(unrealify_mat(total))
-    return out
+    """exp(i y N) for each height y, on the powers of the realified iN,
+    formed once, read back to Q(i)."""
+    powers = NilpotentPowers(realify_mat(gmat([[Gi(0, x) for x in row] for row in n_mat])))
+    return [unrealify_mat(powers.exp(y)) for y in y_samples]

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import factorial, floor, lcm
+from math import factorial, floor, gcd, lcm, prod
 
 from .cones import Cone, sorted_unique
 from .errors import (
@@ -64,22 +64,19 @@ from .qlinalg import (
     ONE,
     ZERO,
     Mat,
+    NilpotentPowers,
     Subspace,
     Vec,
     ZLattice,
-    exp_nilpotent,
     identity,
     inverse,
     is_nilpotent,
     is_zero_mat,
     is_zero_vec,
     mat,
-    matadd,
     matmul,
     matpow,
-    matscale,
     matvec,
-    nilpotency_index,
     order_in_quotient,
     snf,
     solve,
@@ -252,10 +249,14 @@ class CellFan:
         """Chart coordinates (level, coset key, cube coordinates) of an
         operator on the positive pencil, or None when the operator is
         off it or its normalized image of e leaves P."""
-        lam = self.frame.restriction_multiple(n_mat)
+        return self._place(self.frame.restriction_multiple(n_mat), self.frame.e_image(n_mat))
+
+    def _place(self, lam, h: Vec):
+        """locate for an operator at pencil level lam (None off the pencil)
+        whose image of e is h."""
         if lam is None or lam <= 0:
             return None
-        split = self._split(vscale(ONE / lam, self.frame.e_image(n_mat)))
+        split = self._split(vscale(ONE / lam, h))
         if split is None:
             return None
         cube, key = split
@@ -310,7 +311,7 @@ class CellFan:
             raise NotInGroup("shift has the wrong length")
         if not self.inner_lattice.contains(shift):
             raise NotInGroup("shift is not in the inner lattice")
-        gp = matpow(fr.gamma if power >= 0 else inverse(fr.gamma), abs(power))
+        gp = fr.log_powers.exp(power)
         rows = [gp[i] + (shift[i],) for i in range(fr.rank)]
         rows.append(zero_vec(fr.rank) + (ONE,))
         return tuple(rows)
@@ -395,8 +396,14 @@ def check_admissible(fan: CellFan, mats):
     """Structural validation plus existence of the relative filtration
     across the cone.  Structural failures raise; an honest existence
     failure returns (False, witness)."""
+    return _admissible(fan, [mat(m) for m in mats])[0]
+
+
+def _admissible(fan: CellFan, mats):
+    """check_admissible's answer, the pencil level of each generator (None
+    off the pencil) and, when every level is positive, the locate of each
+    generator, which decides its membership in P; else None."""
     fr = fan.frame
-    mats = [mat(m) for m in mats]
     lams = []
     for m in mats:
         check_in_g(fr, m)
@@ -417,19 +424,20 @@ def check_admissible(fan: CellFan, mats):
         # all generators sit at positive pencil levels, so the cone is
         # sharp, every nonzero face representative does too and existence
         # is convex in the normalized slice: the generators decide
-        for m, lam in zip(mats, lams):
-            if not fan.p_space.contains(vscale(ONE / lam, fr.e_image(m))):
-                return False, {"generator": m, "reason": "image of e outside the existence space"}
-        return True, None
+        located = [fan._place(lam, fr.e_image(m)) for m, lam in zip(mats, lams)]
+        if None in located:
+            m = mats[located.index(None)]
+            return (False, {"generator": m, "reason": "image of e outside the existence space"}), lams, None
+        return (True, None), lams, located
     for face in Cone.from_generators([flatten(m) for m in mats], fan.ambient).faces():
         rep = face.interior_point()
         if is_zero_vec(rep):
             continue
         rep_mat = unflatten(rep, fr.dim)
         if not relative_filtration_exists(fr, rep_mat):
-            return False, {"face": face.rays, "representative": rep_mat,
-                           "reason": "no relative filtration on this face"}
-    return True, None
+            return (False, {"face": face.rays, "representative": rep_mat,
+                            "reason": "no relative filtration on this face"}), lams, None
+    return (True, None), lams, None
 
 
 def subdivide_against(fan: CellFan, mats):
@@ -441,13 +449,13 @@ def subdivide_against(fan: CellFan, mats):
     The generators are located in the pencil chart of their coset,
     where every cell is a box, and only the pieces are lifted."""
     mats = [mat(m) for m in mats]
-    ok, witness = check_admissible(fan, mats)
+    (ok, witness), lams, located = _admissible(fan, mats)
     if not ok:
         raise PreconditionViolated(f"cone is not admissible: {witness['reason']}")
-    mats = [m for m in mats if not is_zero_mat(m)]
-    if not mats:
+    if located is None:
+        located = [fan._place(lam, fan.frame.e_image(m)) for m, lam in zip(mats, lams) if not is_zero_mat(m)]
+    if not located:
         return [((fan.zero_key(), (0,) * fan.cube_rank), Cone.zero(fan.ambient))]
-    located = [fan.locate(m) for m in mats]
     if None in located:
         # an admissible generator pinned at pencil level zero: no cell of
         # the fan meets its ray outside the origin
@@ -488,23 +496,16 @@ def minimal_integral_exponent(fan: CellFan, n_mat: Mat) -> int:
     if lam is None or lam < 0:
         raise PreconditionViolated("operator is not on the nonnegative pencil")
     basis, to_coords, from_coords = fan._lattice_coords
-    in_coords = matmul(matmul(to_coords, mat(n_mat)), from_coords)
-    k = nilpotency_index(in_coords)
+    powers = NilpotentPowers(matmul(matmul(to_coords, mat(n_mat)), from_coords))
     need = {}
-    term = identity(fr.dim)
-    for i in range(1, k):
-        term = matscale(Fraction(1, i), matmul(term, in_coords))
-        den = 1
-        for row in term:
-            for x in row:
-                den = lcm(den, x.denominator)
+    for i in range(1, len(powers)):
+        # N^i / i! = P_i / scale has the denominator scale / gcd(scale, P_i)
+        scale = powers.den**i * factorial(i)
+        den = scale // gcd(scale, *(x for row in powers.ints[i] for x in row))
         for p, v in _prime_factors(den).items():
             need[p] = max(need.get(p, 0), -(-v // i))
-    a = 1
-    for p, v in need.items():
-        a *= p ** v
-    a = lcm(a, lam.denominator)
-    ex = exp_nilpotent(matscale(a, mat(n_mat)))
+    a = lcm(prod(p**v for p, v in need.items()), lam.denominator)
+    ex = matmul(matmul(from_coords, powers.exp(a)), to_coords)
     for b in basis:
         if not fr.lattice.contains(matvec(ex, b)):
             raise InvariantViolation("computed exponent is not integral on the lattice")
@@ -536,15 +537,9 @@ def neron_lattice(fan: CellFan) -> ZLattice:
     condition is v inside the image's span with u^(-1) v in the lattice.
     """
     fr = fan.frame
-    np = fr.log_gamma
-    k = nilpotency_index(np) if not is_zero_mat(np) else 1
-    u = identity(fr.rank)
-    term = identity(fr.rank)
-    for i in range(1, k):
-        term = matmul(term, np)
-        u = matadd(u, matscale(Fraction(1, factorial(i + 1)), term))
+    u = fr.log_powers.series(lambda i: Fraction(1, factorial(i + 1)))
     pulled = fan.inner_lattice.apply(inverse(u))
-    return pulled.intersect_subspace(Subspace.image(np))
+    return pulled.intersect_subspace(Subspace.image(fr.log_gamma))
 
 
 def ray_window(fan: CellFan, lattice: ZLattice, bound: int) -> tuple:
@@ -570,8 +565,7 @@ def check_square_zero_pure(frame: Frame) -> dict:
     """
     if frame.graded_types is None:
         raise MissingHodgeData("declared graded types are required for this predicate")
-    np = frame.log_gamma
-    square_zero = is_zero_mat(matmul(np, np))
+    square_zero = len(frame.log_powers) <= 2
     wf = frame.pencil_weight_filtration
     computed = {j: d for j, d in wf.graded_dims().items() if d}
     declared = {w: sum(m for _, _, m in types) for w, types in frame.graded_types.items()}

@@ -38,7 +38,8 @@ class CurveFactor:
 
     The degree zero and two monodromies are trivial for every factor we
     consider; a factor degenerates exactly when its degree one
-    monodromy is not the identity.
+    monodromy is not the identity.  Construction sets log_monodromy,
+    the nilpotent logarithm of the degree one monodromy, once.
     """
 
     name: str
@@ -49,7 +50,8 @@ class CurveFactor:
         if len(m) != 2 or any(len(r) != 2 for r in m):
             raise SpecFormatError("degree one monodromy must be two by two")
         object.__setattr__(self, "monodromy", m)
-        log_unipotent(mat(m))  # raises NotUnipotent when it is not
+        # raises NotUnipotent when the monodromy is not unipotent
+        object.__setattr__(self, "log_monodromy", log_unipotent(mat(m)))
         if matmul(matmul(transpose(m), _SYMPLECTIC), m) != mat(_SYMPLECTIC):
             raise PreconditionViolated("monodromy does not preserve the intersection form")
 
@@ -64,10 +66,6 @@ class CurveFactor:
     @property
     def degenerates(self) -> bool:
         return self.monodromy != ((1, 0), (0, 1))
-
-    @property
-    def log_monodromy(self) -> tuple:
-        return log_unipotent(mat(self.monodromy))
 
     @property
     def weighted_types(self) -> dict:

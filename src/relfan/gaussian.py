@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import SpecFormatError
-from .qlinalg import Mat, Subspace, Vec, exp_nilpotent, linear_map
+from .qlinalg import Mat, Subspace, Vec, linear_map
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,6 @@ def unrealify_mat(m) -> tuple:
 def _with_i(w) -> tuple:
     """A realified vector and i times it."""
     return w, tuple(x for k in range(0, len(w), 2) for x in (-w[k + 1], w[k]))
-
-
-def gexp_nilpotent(m) -> tuple:
-    """exp of a nilpotent Q(i) matrix by its finite series."""
-    return unrealify_mat(exp_nilpotent(realify_mat(m)))
 
 
 class GSpace:

@@ -232,25 +232,23 @@ class ChartGrid:
         passes an integer, so the next interval floors to another box.
         The closed interval [t0, t1] is then the segment's meet with its
         box, and the piece is the cone over P(t0) and P(t1) (Ziegler,
-        Lectures on Polytopes, ch. 2)."""
+        Lectures on Polytopes, ch. 2).  Each crossing point is built once,
+        and a midpoint is floored from the grid coordinates a P(t) alone."""
         a = self.a
         if p == q:
             return [(tuple(floor(a * c) for c in p[1:]), Cone(self.rank + 1, (primitive(p),)))]
+        start = [a * x for x in p[1:]]
+        steps = [a * y - g for y, g in zip(q[1:], start)]
         times = {ZERO, ONE}
-        for x, y in zip(p[1:], q[1:]):
-            gx, gy = a * x, a * y
-            if gx != gy:
-                times.update((k - gx) / (gy - gx)
-                             for k in range(ceil(min(gx, gy)), floor(max(gx, gy)) + 1))
+        for g, d in zip(start, steps):
+            if d:
+                times.update((k - g) / d for k in range(ceil(min(g, g + d)), floor(max(g, g + d)) + 1))
         cuts = sorted(times)
-
-        def at(t):
-            return tuple(x + t * (y - x) for x, y in zip(p, q))
-
+        ends = [primitive(tuple(x + t * (y - x) for x, y in zip(p, q))) for t in cuts]
         pieces = [
-            (tuple(floor(a * c) for c in at((t0 + t1) / 2)[1:]),
-             Cone(self.rank + 1, tuple(sorted((primitive(at(t0)), primitive(at(t1)))))))
-            for t0, t1 in zip(cuts, cuts[1:])
+            (tuple(floor(g + (t0 + t1) / 2 * d) for g, d in zip(start, steps)),
+             Cone(self.rank + 1, tuple(sorted((r0, r1)))))
+            for t0, t1, r0, r1 in zip(cuts, cuts[1:], ends, ends[1:])
         ]
         return sorted(pieces, key=lambda piece: piece[0])
 
@@ -335,9 +333,10 @@ def first_fan_violation(window, grid):
         return bad[0] if bad else None
     faces = [grid.recognize(c) for c in window]
     present = set(faces)
-    index = {c.rays for c in window}
+    index = None  # the rays of every window cone, built on first use
     for c, face in zip(window, faces):
         if face is None or any(f not in present for f in face.facets()):
+            index = index or {c.rays for c in window}
             gone = next((f for f in c.facets() if f.rays not in index), None)
             if gone is not None:
                 return {"kind": "missing-face", "cone": c, "face": gone}

@@ -43,6 +43,7 @@ from .qlinalg import (
     Mat,
     Subspace,
     Vec,
+    NilpotentPowers,
     ZLattice,
     _int_product,
     _rref_ints,
@@ -51,7 +52,6 @@ from .qlinalg import (
     det,
     frac,
     identity,
-    is_nilpotent,
     is_zero_mat,
     is_zero_vec,
     log_unipotent,
@@ -61,7 +61,6 @@ from .qlinalg import (
     matmul,
     matscale,
     matvec,
-    nilpotency_index,
     solve,
     transpose,
     vadd,
@@ -136,13 +135,11 @@ def weight_filtration(n_mat: Mat, center: int = 0) -> Filtration:
         W_k = sum over j >= max(0, -k) of Ker(N^(k+j+1)) meet Im(N^j)
     then shifts so the filtration is centered at `center`.
     """
-    d = nilpotency_index(n_mat)
-    amb = len(n_mat)
-    powers = [identity(amb)]
-    for _ in range(d):
-        powers.append(matmul(n_mat, powers[-1]))
-    kers = [Subspace.kernel(p) for p in powers]
-    ims = [Subspace.image(p) for p in powers]
+    powers = NilpotentPowers(n_mat)
+    d, amb = len(powers), powers.size
+    # kernels and images do not see the scale of the integer powers
+    kers = [Subspace.kernel(p) for p in powers.ints] + [Subspace.full(amb)]
+    ims = [Subspace.image(p) for p in powers.ints]
 
     def level(k):
         out = Subspace.zero(amb)
@@ -328,7 +325,7 @@ class Frame:
             raise SpecFormatError("frame: lattice must contain e")
         if matmul(matmul(transpose(self.gamma), self.gram), self.gamma) != self.gram:
             raise NotInGroup("frame: gamma does not preserve the pairing")
-        log_unipotent(self.gamma)  # raises NotUnipotent when it is not
+        self.log_gamma = log_unipotent(self.gamma)  # raises NotUnipotent when it is not
         inner = self.inner_lattice
         for b in inner.basis_vectors():
             if not inner.contains(matvec(self.gamma, b[:r]) + (ZERO,)):
@@ -338,6 +335,8 @@ class Frame:
             raise SpecFormatError("frame: hodge multiplicities must sum to the rank")
         if any(p + q != self.weight for p, q, _ in self.hodge):
             raise SpecFormatError("frame: hodge types must have p + q = weight")
+        if any((q, p, m) not in self.hodge for p, q, m in self.hodge):
+            raise SpecFormatError("frame: hodge numbers must have h^(p,q) = h^(q,p)")
         if self.graded_types is not None:
             self.graded_types = {
                 _integer(w, "graded types"): _as_type_counts(d, "graded types")
@@ -372,9 +371,9 @@ class Frame:
         return self.lattice.intersect_subspace(self.inner_space)
 
     @cached_property
-    def log_gamma(self) -> Mat:
-        """Nilpotent logarithm of gamma on the inner piece (rational)."""
-        return log_unipotent(self.gamma)
+    def log_powers(self) -> NilpotentPowers:
+        """The powers of log(gamma), for every series in it."""
+        return NilpotentPowers(self.log_gamma)
 
     @cached_property
     def pencil_weight_filtration(self) -> Filtration:
@@ -485,9 +484,10 @@ def _inner_weight_filtration(frame: Frame, block: Mat) -> Filtration:
         return frame.pencil_weight_filtration
     if lam is not None:
         return Filtration(len(block), ((frame.weight, Subspace.full(len(block))),))
-    if not is_nilpotent(block):
-        raise NotNilpotent("inner block is not nilpotent")
-    return weight_filtration(block, center=frame.weight)
+    try:
+        return weight_filtration(block, center=frame.weight)
+    except NotNilpotent as exc:
+        raise NotNilpotent("inner block is not nilpotent") from exc
 
 
 def pq_spaces(frame: Frame, inner_op: Mat):

@@ -17,6 +17,10 @@ result is the shared ZERO.  A Subspace keeps the cleared integer rows
 of its basis from the elimination that made it, so membership,
 reduction, sums and meets build no Fraction until the answer.
 
+NilpotentPowers is the one kernel for the powers of a nilpotent
+operator: exp, log, gamma^p, the orbit exponentials and every other
+series in it are read off its integer powers, with one Fraction pass.
+
 The integer side (Hermite and Smith forms, saturation, kernels over Z)
 is hand rolled: we need the transformation matrices, and more
 importantly a deterministic canonical basis for every lattice, because
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .errors import (
     MixedAmbient,
@@ -780,50 +784,73 @@ def order_in_quotient(x: Vec, lat: ZLattice, modulo: Subspace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# nilpotent exponentials
+# powers of a nilpotent operator
+
+
+class NilpotentPowers:
+    """N^0, ..., N^(k-1) for a nilpotent N, k its nilpotency index (the
+    length), formed once on cleared integer rows: N^i = P_i / d^i, with d
+    the common denominator of N and ints[i] = P_i = (d N)^i (Cohen, A Course
+    in Computational Algebraic Number Theory, 1993, 2.2)."""
+
+    def __init__(self, n_mat: Mat):
+        self.size = len(n_mat)
+        ints, self.den = _scaled_int_rows(n_mat)
+        step = _sparse_rows(ints)
+        power = [[int(i == j) for j in range(self.size)] for i in range(self.size)]
+        self.ints, self._sparse = [], []
+        while any(map(any, power)):
+            if len(self.ints) == self.size:
+                raise NotNilpotent("matrix power did not vanish by the ambient rank")
+            self.ints.append(power)
+            self._sparse.append(_sparse_rows(power))
+            power = _int_product(self._sparse[-1], step, self.size)
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def series(self, coeff) -> Mat:
+        """sum of coeff(i) N^i over i < len(self), on the integer powers
+        over one common denominator, converted to Fraction once."""
+        scaled = [Fraction(coeff(i)) / self.den**i for i in range(len(self))]
+        den = lcm(*(c.denominator for c in scaled))
+        acc = [[0] * self.size for _ in range(self.size)]
+        for c, power in zip(scaled, self._sparse):
+            f = c.numerator * (den // c.denominator)
+            if f:
+                for out, row in zip(acc, power):
+                    for j, x in row:
+                        out[j] += f * x
+        return tuple(_to_fractions(row, den) for row in acc)
+
+    def exp(self, t=1) -> Mat:
+        """exp(t N)."""
+        return self.series(lambda i: Fraction(t) ** i / factorial(i))
 
 
 def nilpotency_index(n_mat: Mat) -> int:
     """Least k with n_mat**k = 0.  Raises NotNilpotent otherwise."""
-    n = len(n_mat)
-    p = identity(n)
-    for k in range(n + 1):
-        if is_zero_mat(p):
-            return k
-        p = matmul(n_mat, p)
-    raise NotNilpotent("matrix power did not vanish by the ambient rank")
+    return len(NilpotentPowers(n_mat))
 
 
 def is_nilpotent(n_mat: Mat) -> bool:
     try:
-        nilpotency_index(n_mat)
+        NilpotentPowers(n_mat)
         return True
     except NotNilpotent:
         return False
 
 
 def exp_nilpotent(n_mat: Mat) -> Mat:
-    k = nilpotency_index(n_mat)
-    out = identity(len(n_mat))
-    term = identity(len(n_mat))
-    for i in range(1, k):
-        term = matscale(Fraction(1, i), matmul(term, n_mat))
-        out = matadd(out, term)
-    return out
+    return NilpotentPowers(n_mat).exp()
 
 
 def log_unipotent(u_mat: Mat) -> Mat:
-    m = matsub(u_mat, identity(len(u_mat)))
     try:
-        k = nilpotency_index(m)
+        powers = NilpotentPowers(matsub(u_mat, identity(len(u_mat))))
     except NotNilpotent as exc:
         raise NotUnipotent("matrix minus identity is not nilpotent") from exc
-    out = zeros(len(u_mat), len(u_mat))
-    term = identity(len(u_mat))
-    for i in range(1, k):
-        term = matmul(term, m)
-        out = matadd(out, matscale(Fraction((-1) ** (i + 1), i), term))
-    return out
+    return powers.series(lambda i: Fraction((-1) ** (i + 1), i) if i else 0)
 
 
 # ---------------------------------------------------------------------------

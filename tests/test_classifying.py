@@ -31,13 +31,15 @@ from relfan.errors import (
     NotInG,
     PreconditionViolated,
 )
-from relfan.fans import flatten
+from relfan import classifying
+from relfan.fans import flatten, unflatten
 from relfan.fixtures import elliptic_frame, jordan3_frame
-from relfan.gaussian import Gi, gexp_nilpotent, gmat
+from relfan.gaussian import Gi, gmat
 from relfan.hodge import Frame
 from relfan.qlinalg import exp_nilpotent, identity, zero_vec
 
 from conftest import fracs
+from dense_series import gexp_nilpotent
 
 
 def gi(a, b=0):
@@ -201,6 +203,27 @@ def test_orbit_exponentials_match_series_at_every_height(frame):
     for n in (frame.pencil(1, zero_vec(frame.rank)), frame.pencil(2, first), frame.pencil(0, last)):
         want = [gexp_nilpotent(gmat([[Gi(0, F(y) * x) for x in row] for row in n])) for y in heights]
         assert orbit_exponentials(n, heights) == want
+
+
+def test_orbit_moves_along_the_sum_of_the_generators(monkeypatch):
+    pt = elliptic_point(gi(0))
+    fr = pt.frame
+    cone = Cone.from_generators([flatten(fr.pencil(1, (0, 0))), flatten(fr.pencil(1, (1, 0)))], fr.dim**2)
+    seen = []
+    direct = classifying.orbit_exponentials
+    monkeypatch.setattr(classifying, "orbit_exponentials", lambda n, ys: seen.append(n) or direct(n, ys))
+    assert nilpotent_orbit_test(pt, cone)
+    left, right = (unflatten(r, fr.dim) for r in cone.rays)
+    assert seen == [tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(left, right))]
+
+
+def test_orbit_rejects_directions_whose_sum_is_not_nilpotent():
+    pt = elliptic_point(gi(0, 1))
+    fr = pt.frame
+    up, down = fr.assemble(((0, 1), (0, 0)), (0, 0)), fr.assemble(((0, 0), (1, 0)), (0, 0))
+    cone = Cone.from_generators([flatten(up), flatten(down)], fr.dim**2)
+    with pytest.raises(GriffithsViolated, match="nilpotent"):
+        nilpotent_orbit_test(pt, cone)
 
 
 def test_orbit_degenerate_direction_fails():

@@ -118,6 +118,17 @@ def test_non_integral_frame_field_exits_2(tmp_path, capsys, field, value):
     assert "must be an integer" in err
 
 
+def test_asymmetric_hodge_numbers_exit_2(tmp_path, capsys):
+    payload = frame_to_json(elliptic_frame())
+    payload["hodge_numbers"] = [[0, -1, 2]]
+    spec = write_spec(tmp_path, frame=payload)
+    for suite in ("axioms", "gamma", "completeness", "relations"):
+        code, _, err = run(capsys, "check", "--suite", suite, "--spec", spec)
+        assert code == 2
+        assert "h^(p,q) = h^(q,p)" in err
+    assert run(capsys, "build", "--spec", spec)[0] == 2
+
+
 def test_gram_of_the_wrong_size_exits_2(tmp_path, capsys):
     payload = frame_to_json(elliptic_frame())
     payload["gram"] = [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from unittest import mock
 from math import floor
 from fractions import Fraction as F
 from itertools import product
@@ -39,16 +40,21 @@ from relfan.fans import (
     unflatten,
 )
 from relfan.fixtures import elliptic_frame, jordan3_frame
+from relfan.gallery import kunneth_h3, standard_factors
 from relfan.grid import ORIGIN, ChartGrid, GridFace, box, first_fan_violation, window_face_table
-from relfan.hodge import relative_filtration
+from relfan.hodge import Frame, relative_filtration
 from relfan.qlinalg import (
+    Subspace,
+    ZLattice,
     exp_nilpotent,
     identity,
     inverse,
     is_zero_mat,
     matmul,
+    matpow,
     matscale,
     matvec,
+    solve,
     vadd,
     vscale,
     zero_vec,
@@ -222,6 +228,18 @@ def test_gamma_element_validation(ell):
         ell.gamma_matrix(0, (1, 2, 3))
 
 
+@pytest.mark.parametrize("frame", [elliptic_frame, jordan3_frame, lambda: kunneth_h3(standard_factors())],
+                         ids=["elliptic", "jordan3", "triple"])
+def test_gamma_matrix_is_the_gamma_power(frame):
+    """exp(p log gamma), read off the frame's powers, against gamma or its
+    inverse multiplied out |p| times."""
+    fan = CellFan(frame())
+    fr = fan.frame
+    for p in range(-3, 4):
+        want = matpow(fr.gamma if p >= 0 else inverse(fr.gamma), abs(p))
+        assert fr.restriction(fan.gamma_matrix(p, zero_vec(fr.rank))) == want
+
+
 def test_conjugate_matrix_shape(ell):
     g = ell.gamma_matrix(1, (0, 1))
     assert g == ((F(1), F(1), F(0)), (F(0), F(1), F(1)), (F(0), F(0), F(1)))
@@ -383,6 +401,24 @@ def test_subdivision_covers_sampled_points(ell, jd3):
             cone = Cone.from_generators([flatten(m) for m in mats], fan.ambient)
             for pt in sample_points(cone, rng, count=12):
                 assert any(piece.contains(pt) for _, piece in pieces)
+
+
+def test_subdivision_validates_each_generator_once(ell, jd3):
+    """Locating reuses the pencil level and the membership in P that
+    admissibility found: one check_in_g, one restriction_multiple and one
+    membership test in P per generator."""
+    rng = random.Random(13)
+    for fan in (ell, jd3):
+        fr = fan.frame
+        for _ in range(10):
+            mats = random_admissible_cone(fan, rng)
+            contains = Subspace.contains
+            with mock.patch.object(fans, "check_in_g", wraps=fans.check_in_g) as in_g, \
+                 mock.patch.object(fr, "restriction_multiple", wraps=fr.restriction_multiple) as level, \
+                 mock.patch.object(Subspace, "contains", autospec=True, side_effect=contains) as member:
+                assert subdivide_against(fan, mats)
+            assert in_g.call_count == level.call_count == len(mats)
+            assert sum(call.args[0] is fan.p_space for call in member.call_args_list) == len(mats)
 
 
 def test_subdivision_pieces_respect_hosts(jd3):
@@ -893,6 +929,21 @@ def test_jordan3_lattice_separation(jd3):
     ner = neron_lattice(jd3)
     assert ner.basis_vectors() == ((F(1), F(0), F(0)), (F(0), F(1), F(0)))
     assert jd3.q_lattice != ner
+
+
+def test_neron_lattice_is_the_image_moved_integrally():
+    """v is in the Neron lattice iff v = N(a) with (gamma - 1) a in the
+    inner lattice, decided by solve alone.  The inner lattice 2Z + Z + Z
+    of jordan3 is one where the unit sum N^i / (i + 1)! shows."""
+    base = jordan3_frame()
+    lattice = ZLattice.from_vectors([(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 4)
+    fan = CellFan(Frame(rank=3, weight=-2, gram=base.gram, gamma=base.gamma, lattice=lattice,
+                        hodge={(p, q): m for p, q, m in base.hodge}))
+    fr, ner = fan.frame, neron_lattice(fan)
+    moved = tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(fr.gamma))
+    for v in product([F(k, 2) for k in range(-3, 4)], repeat=3):
+        a = solve(fr.log_gamma, v)
+        assert ner.contains(v) == (a is not None and fan.inner_lattice.contains(matvec(moved, a)))
 
 
 def test_ray_window_contents(ell):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relfan.classifying import _positive_definite
+from relfan.classifying import _positive_definite, orbit_exponentials
 from relfan.errors import NotNilpotent, SpecFormatError
 from relfan.gaussian import (
     I,
@@ -20,7 +20,6 @@ from relfan.gaussian import (
     Gi,
     coerce,
     format_gi,
-    gexp_nilpotent,
     gmat,
     gvec,
     i_power,
@@ -231,14 +230,16 @@ def test_positive_definite_hermitian_two_by_two():
 
 def test_exp_matches_rational_layer():
     n = ((F(0), F(2), F(0)), (F(0), F(0), F(2)), (F(0), F(0), F(0)))
-    assert gexp_nilpotent(gmat(n)) == gmat(exp_nilpotent(n))
+    assert gmat(exp_nilpotent(n)) == gmat([[1, 2, 2], [0, 1, 2], [0, 0, 1]])
+    # exp(i N) = 1 + i N - N^2 / 2 over Q(i)
+    assert orbit_exponentials(n, (1,)) == [gmat([[1, gi(0, 2), -2], [0, 1, gi(0, 2)], [0, 0, 1]])]
 
 
 def test_exp_imaginary_direction():
-    n = gmat([[ZERO, gi(0, 3)], [ZERO, ZERO]])
-    assert gexp_nilpotent(n) == gmat([[ONE, gi(0, 3)], [ZERO, ONE]])
+    n = ((F(0), F(3)), (F(0), F(0)))
+    assert orbit_exponentials(n, (1,)) == [gmat([[ONE, gi(0, 3)], [ZERO, ONE]])]
 
 
 def test_exp_rejects_non_nilpotent():
     with pytest.raises(NotNilpotent):
-        gexp_nilpotent(gmat([[ONE, ZERO], [ZERO, ONE]]))
+        orbit_exponentials(((F(1), F(0)), (F(0), F(1))), (1,))

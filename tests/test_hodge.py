@@ -170,6 +170,9 @@ def test_frame_rejects_bad_hodge_numbers():
     with pytest.raises(SpecFormatError):
         Frame(rank=2, weight=-1, gram=((0, -1), (1, 0)), gamma=((1, 1), (0, 1)),
               hodge={(0, 0): 2})
+    with pytest.raises(SpecFormatError, match="h\\^\\(p,q\\) = h\\^\\(q,p\\)"):
+        Frame(rank=2, weight=-1, gram=((0, -1), (1, 0)), gamma=((1, 1), (0, 1)),
+              hodge={(0, -1): 2})
 
 
 def test_frame_rejects_gram_of_the_wrong_size():

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import fracs, int_fracs
+from dense_series import dense_exp, dense_log, dense_nilpotency_index, dense_series
 from relfan.errors import (
     MixedAmbient,
     NotNilpotent,
@@ -12,8 +14,11 @@ from relfan.errors import (
     PreconditionViolated,
     SpecFormatError,
 )
+from relfan.fixtures import elliptic_frame, jordan3_frame
+from relfan.gallery import kunneth_h3, standard_factors
 from relfan.qlinalg import (
     ZERO,
+    NilpotentPowers,
     Subspace,
     ZLattice,
     det,
@@ -24,6 +29,7 @@ from relfan.qlinalg import (
     identity,
     int_left_kernel,
     inverse,
+    is_nilpotent,
     is_zero_mat,
     kernel_basis,
     log_unipotent,
@@ -419,6 +425,73 @@ def test_exp_log_roundtrip_on_strict_upper(m):
     u = exp_nilpotent(n)
     assert log_unipotent(u) == n
     assert is_zero_mat(matmul(n, matmul(n, n)))
+
+
+# --- the powers kernel against the dense Fraction loops ------------------------
+
+
+def strict_upper(max_dim=6):
+    """Strictly upper triangular matrices of size 1 to max_dim, their
+    entries zero or with mixed denominators."""
+    entry = st.one_of(st.just(F(0)), fracs(max_num=6, max_den=6))
+
+    def build(n):
+        return st.lists(entry, min_size=n * n, max_size=n * n).map(
+            lambda xs: tuple(tuple(xs[i * n + j] if j > i else F(0) for j in range(n)) for i in range(n))
+        )
+
+    return st.integers(1, max_dim).flatmap(build)
+
+
+def check_kernel(n, coeffs):
+    """The kernel against the dense loops: the index, each power
+    P_i / d^i, a series with the given coefficients (cycled), exp and
+    log."""
+    powers = NilpotentPowers(n)
+    assert len(powers) == nilpotency_index(n) == dense_nilpotency_index(n)
+    for i, p in enumerate(powers.ints):
+        want = dense_series(n, lambda j: int(j == i))
+        assert tuple(tuple(F(x, powers.den**i) for x in row) for row in p) == want
+
+    def coeff(i):
+        return coeffs[i % len(coeffs)]
+
+    assert powers.series(coeff) == dense_series(n, coeff)
+    assert exp_nilpotent(n) == dense_exp(n)
+    u = dense_exp(n)
+    assert log_unipotent(u) == dense_log(u) == n
+
+
+@given(strict_upper(), st.lists(fracs(), min_size=1, max_size=6))
+def test_nilpotent_powers_match_dense_reference(n, coeffs):
+    check_kernel(n, coeffs)
+
+
+@given(strict_upper())
+def test_exp_of_log_is_the_unipotent(n):
+    u = tuple(tuple(x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(n))
+    assert log_unipotent(u) == dense_log(u)
+    assert exp_nilpotent(log_unipotent(u)) == u
+
+
+@pytest.mark.parametrize("frame", [elliptic_frame, jordan3_frame, lambda: kunneth_h3(standard_factors())],
+                         ids=["elliptic", "jordan3", "triple"])
+def test_nilpotent_powers_of_fixture_logs(frame):
+    fr = frame()
+    check_kernel(fr.log_gamma, [F(1, 3), F(-2), F(5, 7)])
+    assert fr.log_powers.series(lambda i: F(1, factorial(i))) == fr.gamma
+
+
+@given(square(3, int_fracs(-2, 2)))
+def test_nilpotency_decided_like_dense_reference(m):
+    try:
+        want = dense_nilpotency_index(m)
+    except NotNilpotent:
+        assert not is_nilpotent(m)
+        with pytest.raises(NotNilpotent):
+            NilpotentPowers(m)
+    else:
+        assert len(NilpotentPowers(m)) == want
 
 
 def test_primitive():
