@@ -23,11 +23,13 @@ locate inverts the chart: an operator on the positive pencil goes to
 The box grid of a coset is its ChartGrid (grid.py), the one owner of
 boxes, their cuts and their lifts.  Every window cone is a GridFace
 symbol of it, where the faces table and the fan axioms of a window are
-decided; cells and windows lift only corner rays, conjugation is an
-identity of chart maps checked once per coset key, and subdivision
+decided; cells and windows lift only corner rays, and subdivision
 cuts in the chart and lifts only the rays of its pieces.  Double
 description in operator space is left to cones off the positive pencil
-and to the generic oracles in cones.py.
+and to the generic oracles in cones.py.  Conjugation is an identity of
+chart maps, read once per coset key off the block identity g M g^-1 =
+[[G A G^-1, G h - G A G^-1 s], [0, 0]] for g = [[G, s], [0, 1]], G =
+gamma^p = exp(p log gamma), and M = [[A, h], [0, 0]], with no inverse.
 
 Also here: the coarser comparison fans (rays over the inner image
 lattice, rays over the torus lattice, unit cube cells, rays over the
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import factorial, floor, gcd, lcm, prod
 
@@ -78,6 +80,7 @@ from .qlinalg import (
     matpow,
     matvec,
     order_in_quotient,
+    sandwich,
     snf,
     solve,
     transpose,
@@ -109,6 +112,7 @@ class CellFan:
     frame: Frame
     _denominators: dict = field(default_factory=dict, init=False, repr=False)
     _grids: dict = field(default_factory=dict, init=False, repr=False)
+    _gamma_powers: dict = field(default_factory=dict, init=False, repr=False)
 
     # --- derived geometry ---
 
@@ -167,11 +171,11 @@ class CellFan:
 
     @cached_property
     def _lattice_coords(self):
-        """The frame lattice basis and the changes to its coordinates and
-        back."""
-        basis = self.frame.lattice.basis_vectors()
-        to_coords = inverse(transpose(basis))
-        return basis, to_coords, inverse(to_coords)
+        """The changes of an operator's matrix to coordinates over the frame
+        lattice basis and back."""
+        to_coords = inverse(transpose(self.frame.lattice.basis_vectors()))
+        from_coords = inverse(to_coords)
+        return sandwich(to_coords, from_coords), sandwich(from_coords, to_coords)
 
     @property
     def section_basis(self) -> tuple:
@@ -306,19 +310,20 @@ class CellFan:
 
     def gamma_matrix(self, power: int, shift) -> Mat:
         fr = self.frame
-        shift = vec(shift)
-        if len(shift) != fr.rank:
-            raise NotInGroup("shift has the wrong length")
-        if not self.inner_lattice.contains(shift):
-            raise NotInGroup("shift is not in the inner lattice")
+        shift = self._shift(shift)
         gp = fr.log_powers.exp(power)
         rows = [gp[i] + (shift[i],) for i in range(fr.rank)]
         rows.append(zero_vec(fr.rank) + (ONE,))
         return tuple(rows)
 
-    def conjugate(self, power: int, shift, n_mat: Mat) -> Mat:
-        g = self.gamma_matrix(power, shift)
-        return matmul(matmul(g, n_mat), inverse(g))
+    def _shift(self, shift) -> Vec:
+        """The shift of e, refused unless it is in the inner lattice."""
+        shift = vec(shift)
+        if len(shift) != self.frame.rank:
+            raise NotInGroup("shift has the wrong length")
+        if not self.inner_lattice.contains(shift):
+            raise NotInGroup("shift is not in the inner lattice")
+        return shift
 
     def conjugate_cell(self, power: int, shift, index):
         """Image index of a cell under conjugation by the automorphism
@@ -331,20 +336,20 @@ class CellFan:
 
     def conjugate_key(self, power: int, shift, key):
         """The coset-level step of conjugate_cell, independent of the cube
-        index: (new key, integer steps).  The postcondition is checked on
-        the chart columns, building no cell: conj . grid(key).lift =
-        grid(new_key).lift . T with T(t, c) = (t, c + t cube), and T maps
-        box(n, a) onto box(n + a cube, a)."""
+        index: (new key, integer steps).  By g M g^-1 = [[G A G^-1, G h -
+        G A G^-1 s], [0, 0]], the chart's base pencil(1, b) goes to
+        pencil(1, G b - N s) when G N = N G, and then box n of key to box
+        n + steps of the new key iff also G d = d for every cube direction
+        d.  G and both tests depend only on the power: _gamma_powers keeps
+        them per power."""
         key = vec(key)
-        fr = self.frame
-        g = self.gamma_matrix(power, shift)
-        g_inv = inverse(g)
-
-        def conj(m):
-            return matmul(matmul(g, m), g_inv)
-
-        base = conj(fr.pencil(1, self.section(key)))
-        split = self._split(fr.e_image(base))
+        shift = self._shift(shift)
+        if power not in self._gamma_powers:
+            g, n = self.frame.log_powers.exp(power), self.frame.log_gamma
+            fixes = matmul(g, n) == matmul(n, g) and all(matvec(g, d) == d for d in self.cube_basis)
+            self._gamma_powers[power] = g, fixes
+        g, fixes = self._gamma_powers[power]
+        split = self._split(vsub(matvec(g, self.section(key)), matvec(self.frame.log_gamma, shift)))
         if split is None:
             raise InvariantViolation("conjugated section left the existence space")
         cube, new_key = split
@@ -354,8 +359,7 @@ class CellFan:
         steps = [a * c for c in cube]
         if any(s.denominator != 1 for s in steps):
             raise InvariantViolation("conjugation moved a cell off the grid")
-        directions = [fr.pencil(0, d) for d in self.cube_basis]
-        if base != fr.pencil(1, fr.e_image(base)) or any(conj(m) != m for m in directions):
+        if not fixes:
             raise InvariantViolation("conjugated cell is not the indexed cell")
         return new_key, tuple(int(s) for s in steps)
 
@@ -489,14 +493,17 @@ def _prime_factors(n: int) -> dict:
 
 def minimal_integral_exponent(fan: CellFan, n_mat: Mat) -> int:
     """Least a >= 1 such that exp(a * N) preserves the frame lattice and
-    restricts to an integral power of gamma."""
+    restricts to an integral power of gamma.  In lattice coordinates,
+    column j of exp(a N) holds the coordinates of the image of basis
+    vector j, so exp(a N) preserves the lattice iff its entries are
+    integers."""
     fr = fan.frame
     check_in_g(fr, n_mat)
     lam = fr.restriction_multiple(n_mat)
     if lam is None or lam < 0:
         raise PreconditionViolated("operator is not on the nonnegative pencil")
-    basis, to_coords, from_coords = fan._lattice_coords
-    powers = NilpotentPowers(matmul(matmul(to_coords, mat(n_mat)), from_coords))
+    into, back = fan._lattice_coords
+    powers = NilpotentPowers(into(mat(n_mat)))
     need = {}
     for i in range(1, len(powers)):
         # N^i / i! = P_i / scale has the denominator scale / gcd(scale, P_i)
@@ -505,14 +512,13 @@ def minimal_integral_exponent(fan: CellFan, n_mat: Mat) -> int:
         for p, v in _prime_factors(den).items():
             need[p] = max(need.get(p, 0), -(-v // i))
     a = lcm(prod(p**v for p, v in need.items()), lam.denominator)
-    ex = matmul(matmul(from_coords, powers.exp(a)), to_coords)
-    for b in basis:
-        if not fr.lattice.contains(matvec(ex, b)):
-            raise InvariantViolation("computed exponent is not integral on the lattice")
+    ex = powers.exp(a)
+    if any(x.denominator != 1 for row in ex for x in row):
+        raise InvariantViolation("computed exponent is not integral on the lattice")
     power = a * lam
     if power.denominator != 1:
         raise InvariantViolation("computed exponent does not clear the pencil level")
-    if fr.restriction(ex) != matpow(fr.gamma, int(power)):
+    if fr.restriction(back(ex)) != matpow(fr.gamma, int(power)):
         raise InvariantViolation("exponential does not restrict to a gamma power")
     return a
 
@@ -738,22 +744,22 @@ def strong_compatibility_report(fan: CellFan, window, gammas) -> list:
     Cones the zero key's grid recognizes are indexed by their grid face.
     Any other cone is located from its interior point and compared with
     the lifted corner rays of the located box.  Conjugation depends only
-    on the coset key, so conjugate_key runs once per (sample, key).
+    on the coset key, so conjugate_key runs once per (key, sample), and
+    each cell reads its key's verdict.
     """
     fr = fan.frame
     top = 1 + fan.cube_rank
     zero, grid = fan.zero_key(), fan.grid()
-    conjugated = {}
 
-    def conjugation_error(power, shift, key):
-        at = (power, vec(shift), key)
-        if at not in conjugated:
+    @cache
+    def first_failure(key):
+        """The first sample whose conjugation of the coset fails, or None."""
+        for power, shift in gammas:
             try:
                 fan.conjugate_key(power, shift, key)
-                conjugated[at] = None
             except InvariantViolation as exc:
-                conjugated[at] = str(exc)
-        return conjugated[at]
+                return {"gamma": (power, shift), "error": str(exc)}
+        return None
 
     checks = []
     for c in window:
@@ -771,12 +777,7 @@ def strong_compatibility_report(fan: CellFan, window, gammas) -> list:
                         "witness": {"cone": c.rays, "index": idx},
                     })
                     continue
-            bad = None
-            for power, shift in gammas:
-                error = conjugation_error(power, shift, idx[0])
-                if error is not None:
-                    bad = {"gamma": (power, shift), "error": error}
-                    break
+            bad = first_failure(idx[0])
             checks.append({
                 "name": "cell-conjugation-stable",
                 "ok": bad is None,

@@ -86,7 +86,12 @@ class GridFace(NamedTuple):
         return [ORIGIN] + [_grid_face(choice) for choice in product(*options)]
 
     def facets(self) -> list:
-        return [f for f in self.faces() if f.dim == self.dim - 1]
+        """Each free coordinate pinned low or high; a vertex has ORIGIN."""
+        if self.corner is None or not any(self.free):
+            return [] if self.corner is None else [ORIGIN]
+        pins = [(j, self.free[:j] + (False,) + self.free[j + 1:]) for j, f in enumerate(self.free) if f]
+        return [GridFace(self.corner[:j] + (self.corner[j] + up,) + self.corner[j + 1:], free)
+                for j, free in pins for up in (0, 1)]
 
 
 ORIGIN = GridFace(None, ())

@@ -135,7 +135,11 @@ def weight_filtration(n_mat: Mat, center: int = 0) -> Filtration:
         W_k = sum over j >= max(0, -k) of Ker(N^(k+j+1)) meet Im(N^j)
     then shifts so the filtration is centered at `center`.
     """
-    powers = NilpotentPowers(n_mat)
+    return _weight_filtration(NilpotentPowers(n_mat), center)
+
+
+def _weight_filtration(powers: NilpotentPowers, center: int) -> Filtration:
+    """weight_filtration of the operator whose powers are given."""
     d, amb = len(powers), powers.size
     # kernels and images do not see the scale of the integer powers
     kers = [Subspace.kernel(p) for p in powers.ints] + [Subspace.full(amb)]
@@ -379,7 +383,7 @@ class Frame:
     def pencil_weight_filtration(self) -> Filtration:
         """W(log gamma) centered at the frame weight.  W(lam N) = W(N) for
         every lam != 0, so this one copy serves the whole pencil."""
-        return weight_filtration(self.log_gamma, center=self.weight)
+        return _weight_filtration(self.log_powers, self.weight)
 
     @cached_property
     def base_filtration(self) -> Filtration:

@@ -3,7 +3,7 @@
 import hashlib
 import random
 from unittest import mock
-from math import floor
+from math import factorial, floor, gcd, lcm, prod
 from fractions import Fraction as F
 from itertools import product
 
@@ -44,6 +44,7 @@ from relfan.gallery import kunneth_h3, standard_factors
 from relfan.grid import ORIGIN, ChartGrid, GridFace, box, first_fan_violation, window_face_table
 from relfan.hodge import Frame, relative_filtration
 from relfan.qlinalg import (
+    NilpotentPowers,
     Subspace,
     ZLattice,
     exp_nilpotent,
@@ -55,6 +56,7 @@ from relfan.qlinalg import (
     matscale,
     matvec,
     solve,
+    transpose,
     vadd,
     vscale,
     zero_vec,
@@ -71,6 +73,11 @@ def jd3():
     return CellFan(jordan3_frame())
 
 
+@pytest.fixture(scope="module")
+def triple():
+    return CellFan(kunneth_h3(standard_factors()))
+
+
 # --- oracles -----------------------------------------------------------
 
 def brute_min_exponent(fan, n_mat, limit=64):
@@ -85,6 +92,50 @@ def brute_min_exponent(fan, n_mat, limit=64):
         if all(fr.lattice.contains(matvec(ex, b)) for b in basis):
             return a
     raise AssertionError("no integral multiple found in range")
+
+
+def conjugate(fan, power, shift, n_mat):
+    """The matrix reference for conjugation: g M g^-1 with g the
+    automorphism fan.gamma_matrix(power, shift)."""
+    g = fan.gamma_matrix(power, shift)
+    return matmul(matmul(g, n_mat), inverse(g))
+
+
+def matrix_conjugate_key(fan, power, shift, key):
+    """conjugate_key by matrices: conjugate the chart's base and its cube
+    directions, require the conjugated chart to be a chart of the fan
+    (level column on the pencil at level one, directions fixed), and
+    locate the conjugated base."""
+    fr = fan.frame
+    base = conjugate(fan, power, shift, fr.pencil(1, fan.section(key)))
+    assert fr.restriction(base) == fr.log_gamma
+    for d in fan.cube_basis:
+        assert conjugate(fan, power, shift, fr.pencil(0, d)) == fr.pencil(0, d)
+    _, new_key, cube = fan.locate(base)
+    return new_key, tuple(fan.denominator(key) * c for c in cube)
+
+
+def basis_vector_min_exponent(fan, n_mat):
+    """minimal_integral_exponent with the lattice test run per basis
+    vector: exp(a N) b must lie in the frame lattice for each b."""
+    fr = fan.frame
+    lam = fr.restriction_multiple(n_mat)
+    basis = fr.lattice.basis_vectors()
+    to_coords = inverse(transpose(basis))
+    from_coords = inverse(to_coords)
+    powers = NilpotentPowers(matmul(matmul(to_coords, n_mat), from_coords))
+    need = {}
+    for i in range(1, len(powers)):
+        scale = powers.den**i * factorial(i)
+        den = scale // gcd(scale, *(x for row in powers.ints[i] for x in row))
+        for p, v in fans._prime_factors(den).items():
+            need[p] = max(need.get(p, 0), -(-v // i))
+    a = lcm(prod(p**v for p, v in need.items()), lam.denominator)
+    ex = matmul(matmul(from_coords, powers.exp(a)), to_coords)
+    assert all(fr.lattice.contains(matvec(ex, b)) for b in basis)
+    assert (a * lam).denominator == 1
+    assert fr.restriction(ex) == matpow(fr.gamma, int(a * lam))
+    return a
 
 
 def sample_points(cone, rng, count=40):
@@ -211,7 +262,7 @@ def test_conjugation_matches_pointwise_transport(ell, jd3):
             n = (rng.randrange(-2, 3),) * fan.cube_rank
             got = fan.conjugate_cell(power, shift, (key, n))
             rep = fan.cell(key, n).interior_point()
-            moved = fan.conjugate(power, shift, unflatten(rep, fr.dim))
+            moved = conjugate(fan, power, shift, unflatten(rep, fr.dim))
             assert fan.cell_containing(moved) == got
 
 
@@ -807,6 +858,21 @@ def test_grid_face_geometry_matches_generic(rank, a, data):
         assert closed.facet_normals == generic.facet_normals
 
 
+@given(
+    rank=st.integers(min_value=0, max_value=6),
+    data=st.data(),
+)
+def test_grid_face_facets_written_down(rank, data):
+    """facets() against the faces one dimension down, filtered from all
+    3^free faces."""
+    corner = tuple(data.draw(st.integers(min_value=-2, max_value=2)) for _ in range(rank))
+    free = tuple(data.draw(st.booleans()) for _ in range(rank))
+    for face in (GridFace(corner, free), ORIGIN):
+        want = [f for f in face.faces() if f.dim == face.dim - 1]
+        got = face.facets()
+        assert len(got) == len(want) and set(got) == set(want)
+
+
 def test_window_sizes_and_origin(ell, jd3):
     for fan in (ell, jd3):
         for bound in (0, 1, 3):
@@ -846,6 +912,64 @@ def test_gamma_report_same_on_recognized_and_decoded_cones(jd3):
             jd3.conjugate_cell(*gammas[-1], (jd3.zero_key(), (0,)))
 
 
+CONJUGATION_CASES = [("ell", None), ("jd3", None), ("jd3", (F(1, 2),)), ("jd3", (F(2, 3),)), ("triple", None)]
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_conjugate_key_matches_matrix_conjugation(ell, jd3, triple, data):
+    """The block identity against g M g^-1 by matrices, for powers -2..2
+    and shifts drawn from the inner lattice."""
+    name, key = data.draw(st.sampled_from(CONJUGATION_CASES))
+    fan = {"ell": ell, "jd3": jd3, "triple": triple}[name]
+    key = fan.zero_key() if key is None else key
+    power = data.draw(st.integers(min_value=-2, max_value=2))
+    basis = fan.inner_lattice.basis_vectors()
+    coeffs = [data.draw(st.integers(min_value=-2, max_value=2)) for _ in basis]
+    shift = fans.combine(coeffs, basis, fan.frame.rank)
+    assert fan.conjugate_key(power, shift, key) == matrix_conjugate_key(fan, power, shift, key)
+
+
+def test_conjugate_key_forms_no_inverse_and_no_pencil(jd3, monkeypatch):
+    key = (F(1, 2),)
+    shifts = [zero_vec(3), *jd3.inner_lattice.basis_vectors()]
+    want = {(p, s): jd3.conjugate_key(p, s, key) for p in (-2, 0, 2) for s in shifts}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("conjugate_key formed an inverse or a pencil operator")
+
+    monkeypatch.setattr(fans, "inverse", refused)
+    monkeypatch.setattr(Frame, "pencil", refused)
+    jd3._gamma_powers.clear()
+    for (p, s), got in want.items():
+        assert jd3.conjugate_key(p, s, key) == got
+
+
+def test_conjugate_key_faults_raise_their_checks(monkeypatch):
+    """Each planted fault trips its own check, with its message."""
+    fan = CellFan(jordan3_frame())
+    zero = fan.zero_key()
+    assert fan.conjugate_key(1, (0, 0, 1), zero) == ((F(-2),), (0,))
+    split = fan._split
+    faults = [
+        ("_split", lambda v: None, "conjugated section left the existence space"),
+        ("denominator", lambda key: 1 if key == zero else 2, "conjugation changed the coset order"),
+        ("_split", lambda v: ((F(1, 3),), split(v)[1]), "conjugation moved a cell off the grid"),
+    ]
+    for attr, fault, message in faults:
+        with monkeypatch.context() as m:
+            m.setattr(fan, attr, fault)
+            with pytest.raises(InvariantViolation, match=message):
+                fan.conjugate_key(1, (0, 0, 1), zero)
+    # 2 gamma^p commutes with log(gamma) but doubles every cube direction
+    powers = fan.frame.log_powers
+    exp = powers.exp
+    monkeypatch.setattr(powers, "exp", lambda t=1: matscale(2, exp(t)))
+    fan._gamma_powers.clear()
+    with pytest.raises(InvariantViolation, match="conjugated cell is not the indexed cell"):
+        fan.conjugate_key(1, (0, 0, 1), zero)
+
+
 def test_denominator_computed_once_per_key(monkeypatch):
     fan = CellFan(jordan3_frame())
     calls = []
@@ -876,6 +1000,52 @@ def test_minimal_exponent_against_brute_force(ell, jd3):
     ]
     for fan, m in cases:
         assert minimal_integral_exponent(fan, m) == brute_min_exponent(fan, m)
+
+
+def jordan3_on_2z():
+    """jordan3 over the lattice 2Z + Z + Z + Z, where the change to
+    lattice coordinates is not the identity."""
+    base = jordan3_frame()
+    lattice = ZLattice.from_vectors([(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 4)
+    return CellFan(Frame(rank=3, weight=-2, gram=base.gram, gamma=base.gamma, lattice=lattice,
+                         hodge={(p, q): m for p, q, m in base.hodge}))
+
+
+@pytest.mark.parametrize("name,bound", [("ell", 2), ("jd3", 2), ("jd3-2z", 2), ("triple", 0)])
+def test_minimal_exponent_matches_basis_vector_form(ell, jd3, triple, name, bound):
+    """Integrality read in lattice coordinates against exp(a N) b tested
+    for each lattice basis vector b, on every ray of a window."""
+    fan = {"ell": ell, "jd3": jd3, "triple": triple}.get(name) or jordan3_on_2z()
+    rays = [c.rays[0] for c in fan.window(bound) if len(c.rays) == 1]
+    assert rays
+    for r in rays:
+        m = unflatten(r, fan.frame.dim)
+        assert minimal_integral_exponent(fan, m) == basis_vector_min_exponent(fan, m)
+
+
+def test_minimal_exponent_faults_raise_their_checks(ell, monkeypatch):
+    m = ell.frame.pencil(1, (F(1, 2), F(0)))
+    assert minimal_integral_exponent(ell, m) == 2
+    # a wrong exponent: the factors of the series' denominators dropped
+    with monkeypatch.context() as p:
+        p.setattr(fans, "_prime_factors", lambda n: {})
+        with pytest.raises(InvariantViolation, match="computed exponent is not integral on the lattice"):
+            minimal_integral_exponent(ell, m)
+    # gamma = exp(2 M) for M = (1/2) log(gamma) = [[0, 1], [0, 0]], so
+    # exp(M) is integral though it is no integral power of gamma
+    wide = CellFan(Frame(rank=2, weight=-1, gram=((0, -1), (1, 0)), gamma=((1, 2), (0, 1)),
+                         hodge={(0, -1): 1, (-1, 0): 1}))
+    half = wide.frame.pencil(F(1, 2), (F(0), F(0)))
+    assert minimal_integral_exponent(wide, half) == 2
+    # a wrong exponent: the denominator of the pencil level dropped
+    with monkeypatch.context() as p:
+        p.setattr(fans, "lcm", lambda a, b: a)
+        with pytest.raises(InvariantViolation, match="computed exponent does not clear the pencil level"):
+            minimal_integral_exponent(wide, half)
+    with monkeypatch.context() as p:
+        p.setattr(fans, "matpow", lambda a, k: matpow(a, k + 1))
+        with pytest.raises(InvariantViolation, match="exponential does not restrict to a gamma power"):
+            minimal_integral_exponent(ell, m)
 
 
 def test_minimal_exponent_frozen_values(ell):

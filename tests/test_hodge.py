@@ -31,6 +31,7 @@ from relfan.hodge import (
     weight_filtration,
 )
 from relfan.qlinalg import (
+    NilpotentPowers,
     identity,
     inverse,
     is_zero_mat,
@@ -410,8 +411,8 @@ def test_pencil_cache_matches_the_direct_computation(name, monkeypatch):
 
 def test_off_pencil_blocks_take_the_direct_path_zero_blocks_none(monkeypatch):
     calls = []
-    direct = hodge.weight_filtration
-    monkeypatch.setattr(hodge, "weight_filtration", lambda m, center=0: calls.append(m) or direct(m, center))
+    direct = hodge._weight_filtration
+    monkeypatch.setattr(hodge, "_weight_filtration", lambda p, center: calls.append(p) or direct(p, center))
     fr = jordan3_frame()
     n = fr.log_gamma
     off_pencil = matmul(n, n)
@@ -420,11 +421,12 @@ def test_off_pencil_blocks_take_the_direct_path_zero_blocks_none(monkeypatch):
     pq_spaces(fr, zeros(3, 3))
     relative_filtration(fr, fr.pencil(0, (0, 1, 0)))
     # the zero block's filtration is written down, not computed
-    assert calls == [off_pencil]
+    assert [p.ints for p in calls] == [NilpotentPowers(off_pencil).ints]
     assert "pencil_weight_filtration" not in vars(fr)
     pq_spaces(fr, matscale(2, n))
     relative_filtration(fr, fr.pencil(-3, (0, 1, 0)))
-    assert calls[1:] == [n]  # the cache, built once
+    # the cache, built once, on the frame's own powers of log(gamma)
+    assert len(calls) == 2 and calls[1] is fr.log_powers
     # a non-nilpotent block off the pencil is refused, not served from the cache
     ell = elliptic_frame()
     with pytest.raises(NotNilpotent):
