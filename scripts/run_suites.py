@@ -1,10 +1,11 @@
 """Drive every CLI suite against one fixture and summarize the exits.
 
 One command smoke: builds the window, runs each check suite in turn
-with text reports, then rmf on one pencil operator of the fixture (lam
+with text reports, then rmf on two pencil operators of the fixture (lam
 1, e sent to log(gamma) applied to the all ones vector, so the relative
-filtration exists and its axioms are certified), and ends with an exit
-code table.  Above window
+filtration exists and its axioms are certified; and lam 0, e sent to
+the all ones vector, which takes the zero block's path), and ends with
+an exit code table.  Above window
 0 the rank twenty fixture skips the window heavy steps unless forced,
 since its window has (4b+3)^6 + 1 cones: 730 at window 0, 117,650 at
 window 1.
@@ -56,12 +57,12 @@ def main(argv=None):
             rc = relfan(["check", "--spec", str(spec), "--suite", suite, "--format", "text"])
             results.append((suite, rc))
         frame = load_spec(str(spec)).frame
-        operator = Path(tmp) / "operator.json"
-        operator.write_text(json.dumps({
-            "e_image": vec_to_json(matvec(frame.log_gamma, (1,) * frame.rank)),
-            "lam": 1,
-        }))
-        results.append(("rmf", relfan(["rmf", "--spec", str(spec), "--n-data", str(operator), "--format", "text"])))
+        ones = (1,) * frame.rank
+        for lam, image in ((1, matvec(frame.log_gamma, ones)), (0, ones)):
+            operator = Path(tmp) / f"operator{lam}.json"
+            operator.write_text(json.dumps({"e_image": vec_to_json(image), "lam": lam}))
+            rc = relfan(["rmf", "--spec", str(spec), "--n-data", str(operator), "--format", "text"])
+            results.append((f"rmf lam {lam}", rc))
 
     print()
     width = max(len(name) for name, _ in results)

@@ -58,7 +58,7 @@ from .errors import (
 from .grid import ChartGrid, GridFace, box
 from .hodge import (
     Frame,
-    check_in_g,
+    _membership,
     pq_spaces,
     relative_filtration_exists,
 )
@@ -280,10 +280,10 @@ class CellFan:
     def cell_containing(self, n_mat: Mat):
         """Index (key, n) of the cell whose relative interior, or floor
         boundary, holds the operator; None when no cell does."""
-        check_in_g(self.frame, n_mat)
-        if is_zero_mat(n_mat):
+        ints, lam = _membership(self.frame, n_mat)
+        if not any(map(any, ints)):
             return self.zero_key(), (0,) * self.cube_rank
-        at = self.locate(n_mat)
+        at = self._place(lam, self.frame.e_image(n_mat))
         if at is None:
             return None
         _, key, cube = at
@@ -292,8 +292,7 @@ class CellFan:
     def is_ray_member(self, n_mat: Mat) -> bool:
         """Whether the ray through the operator is a one dimensional
         face of the fan: exactly the rays through cube corners."""
-        check_in_g(self.frame, n_mat)
-        at = self.locate(n_mat)
+        at = self._place(_membership(self.frame, n_mat)[1], self.frame.e_image(n_mat))
         if at is None:
             return False
         _, key, cube = at
@@ -410,8 +409,7 @@ def _admissible(fan: CellFan, mats):
     fr = fan.frame
     lams = []
     for m in mats:
-        check_in_g(fr, m)
-        lam = fr.restriction_multiple(m)
+        lam = _membership(fr, m)[1]
         # pencil operators inherit nilpotency from the inner block
         if lam is None and not is_nilpotent(m):
             raise PreconditionViolated("cone generator is not nilpotent")
@@ -498,8 +496,7 @@ def minimal_integral_exponent(fan: CellFan, n_mat: Mat) -> int:
     vector j, so exp(a N) preserves the lattice iff its entries are
     integers."""
     fr = fan.frame
-    check_in_g(fr, n_mat)
-    lam = fr.restriction_multiple(n_mat)
+    lam = _membership(fr, n_mat)[1]
     if lam is None or lam < 0:
         raise PreconditionViolated("operator is not on the nonnegative pencil")
     into, back = fan._lattice_coords
@@ -763,8 +760,10 @@ def strong_compatibility_report(fan: CellFan, window, gammas) -> list:
 
     checks = []
     for c in window:
-        face = grid.recognize(c) if grid.injective else None
-        dim = c.dim if face is None else face.dim
+        # a cone spans at most as many dimensions as it has rays, one ray
+        # spans one: below top rays the ray count decides both branches
+        face = grid.recognize(c) if grid.injective and len(c.rays) >= top else None
+        dim = len(c.rays) if len(c.rays) < top else c.dim if face is None else face.dim
         if dim == top:
             if face is not None:
                 idx = (zero, face.corner)

@@ -16,7 +16,10 @@ Conventions that everything downstream relies on:
   * the relative filtration of an operator N is either a Filtration or
     None, never an exception, because nonexistence is an answer.
 
-The axiom certificates decide on cleared integer rows: N S <= T is one
+An operator is cleared to integer rows once at the public edge
+(_membership): membership, its pencil level, P membership of n(e) and
+the tilt of e are all read off those rows.  The axiom certificates
+decide on cleared integer rows of their own: N S <= T is one
 sparse product of N with S's rows and T's residuals; a graded piece
 upper / lower is read in one chart, lower.reduce(v) at the pivots of
 the complement it spans; and N^l is injective on Gr_(c+l) iff N^l
@@ -26,6 +29,7 @@ W_(c+l) has rank graded_dim(c + l) modulo W_(c-l-1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
@@ -46,14 +50,13 @@ from .qlinalg import (
     NilpotentPowers,
     ZLattice,
     _int_product,
+    _kernel_ints,
     _rref_ints,
     _scaled_int_rows,
     _sparse_rows,
     det,
     frac,
     identity,
-    is_zero_mat,
-    is_zero_vec,
     log_unipotent,
     mat,
     mat_from_json,
@@ -61,11 +64,8 @@ from .qlinalg import (
     matmul,
     matscale,
     matvec,
-    solve,
     transpose,
-    vadd,
     vec,
-    vscale,
     zero_vec,
 )
 
@@ -126,6 +126,13 @@ class Filtration:
 
     def graded_dims(self) -> dict:
         return {j: self.graded_dim(j) for j in self.jump_indices}
+
+    @cached_property
+    def _embedded_levels(self) -> dict:
+        """The levels at the jumps and at 0 as the inner piece of a frame,
+        one zero coordinate (e's) appended; built once per filtration."""
+        levels = sorted(set(self.jump_indices) | {0})
+        return {j: Subspace.span([v + (ZERO,) for v in self.at(j).basis], self.ambient + 1) for j in levels}
 
 
 def weight_filtration(n_mat: Mat, center: int = 0) -> Filtration:
@@ -400,7 +407,7 @@ class Frame:
         e_image = vec(e_image)
         if len(inner_op) != self.rank or len(e_image) != self.rank:
             raise MixedAmbient("assemble: inner data of the wrong size")
-        rows = [inner_op[i] + (e_image[i],) for i in range(self.rank)]
+        rows = [inner_op[i] + (e_image[i] or ZERO,) for i in range(self.rank)]
         rows.append(zero_vec(self.dim))
         return tuple(rows)
 
@@ -416,28 +423,37 @@ class Frame:
 
     @cached_property
     def _sparse_gram(self) -> list:
-        """The gram's cleared integer rows, sparse, for check_in_g."""
+        """The gram's cleared integer rows, sparse, for the isometry test."""
         return _sparse_rows(_scaled_int_rows(self.gram)[0])
 
     @cached_property
-    def _log_gamma_support(self) -> tuple:
-        """The (i, j, entry) triples of log(gamma) with entry != 0."""
-        return tuple((i, j, x) for i, row in enumerate(self.log_gamma) for j, x in enumerate(row) if x)
+    def _log_gamma_ints(self) -> tuple:
+        """log(gamma) = L / s cleared: s, and the (i, j, L[i][j]) triples
+        with L[i][j] != 0."""
+        ints, den = _scaled_int_rows(self.log_gamma)
+        return den, tuple((i, j, x) for i, row in enumerate(ints) for j, x in enumerate(row) if x)
+
+    def _level(self, ints: list, den: int):
+        """lam with the inner block A / den of cleared rows equal to lam * L
+        / s, else None: A[i][j] L[i0][j0] = A[i0][j0] L[i][j] on the support
+        of L, and A has as many nonzero entries as lam L."""
+        r = self.rank
+        nonzero = r * r - sum(row[:r].count(0) for row in ints[:r])
+        scale, support = self._log_gamma_ints
+        if not support:
+            return None if nonzero else ZERO
+        i0, j0, x0 = support[0]
+        a0 = ints[i0][j0]
+        if nonzero != (len(support) if a0 else 0) or any(ints[i][j] * x0 != a0 * x for i, j, x in support):
+            return None
+        return Fraction(a0 * scale, den * x0)
 
     def block_multiple(self, block: Mat):
-        """lam with block equal to lam * log(gamma), else None: block must
-        match lam * log(gamma) on the support of log(gamma) and vanish
-        everywhere else, which holds iff it has as many nonzero entries
-        as the support has where lam * log(gamma) is nonzero."""
-        support = self._log_gamma_support
-        if not support:
-            return ZERO if is_zero_mat(block) else None
-        i, j, x = support[0]
-        lam = block[i][j] / x
-        if any(block[i][j] != lam * x for i, j, x in support):
-            return None
-        nonzero = sum(1 for row in block for y in row if y)
-        return lam if nonzero == (len(support) if lam else 0) else None
+        """lam with block, or the inner block of an operator, equal to
+        lam * log(gamma), else None."""
+        return self._level(*_scaled_int_rows(block))
+
+    restriction_multiple = block_multiple
 
     @cached_property
     def _pencil_pq(self) -> tuple:
@@ -446,48 +462,50 @@ class Frame:
         filtration."""
         return _pq_spaces(self, self.pencil_weight_filtration, self.log_gamma)
 
-    def restriction_multiple(self, n_mat: Mat):
-        """lam with inner block equal to lam * log(gamma), else None."""
-        return self.block_multiple(self.restriction(n_mat))
+    @cached_property
+    def _zero_block_filtration(self) -> Filtration:
+        """W of the zero inner block centered at the frame weight: one jump."""
+        return Filtration(self.rank, ((self.weight, Subspace.full(self.rank)),))
+
+
+def _membership(frame: Frame, n_mat: Mat) -> tuple:
+    """check_in_g on the operator cleared once; returns its integer rows
+    (over one common scale) and its pencil level.  With g the gram
+    (g^T = s g) and a the inner block, a^T g + g a = s M^T + M for the
+    one product M = g a, so a is an infinitesimal isometry iff
+    M = -s M^T, which the common scale of the entries does not change."""
+    n_mat = mat(n_mat)
+    if len(n_mat) != frame.dim or (n_mat and len(n_mat[0]) != frame.dim):
+        raise MixedAmbient("operator has the wrong ambient size")
+    ints, den = _scaled_int_rows(n_mat)
+    r = frame.rank
+    if any(ints[r]):
+        raise NotInG("operator does not kill the weight zero quotient")
+    m = _int_product(frame._sparse_gram, _sparse_rows(row[:r] for row in ints[:r]), r)
+    sign = 1 if frame.weight % 2 else -1  # -s
+    if m != [[sign * x for x in col] for col in zip(*m)]:
+        raise NotInG("inner block is not an infinitesimal isometry")
+    return ints, frame._level(ints, den)
 
 
 def check_in_g(frame: Frame, n_mat: Mat) -> None:
     """Membership in the operators compatible with the frame: the inner
     block kills the pairing infinitesimally, e goes into the inner
-    piece, the quotient action is zero.  Raises NotInG.
-
-    With g the gram (g^T = s g, s = +-1) and a the inner block,
-    a^T g + g a = s M^T + M for the one product M = g a, so a is an
-    infinitesimal isometry iff M[i][j] + s M[j][i] = 0 for i <= j.  M is
-    formed on the cleared integer entries, whose common scale does not
-    change which entries vanish."""
-    n_mat = mat(n_mat)
-    if len(n_mat) != frame.dim or (n_mat and len(n_mat[0]) != frame.dim):
-        raise MixedAmbient("operator has the wrong ambient size")
-    if not is_zero_vec(n_mat[frame.rank]):
-        raise NotInG("operator does not kill the weight zero quotient")
-    r = frame.rank
-    ia, _ = _scaled_int_rows(frame.restriction(n_mat))
-    m = _int_product(frame._sparse_gram, _sparse_rows(ia), r)
-    sign = -1 if frame.weight % 2 else 1
-    if any(m[i][j] + sign * m[j][i] for i in range(r) for j in range(i, r)):
-        raise NotInG("inner block is not an infinitesimal isometry")
+    piece, the quotient action is zero.  Raises NotInG."""
+    _membership(frame, n_mat)
 
 
 # ---------------------------------------------------------------------------
 # the relative construction
 
 
-def _inner_weight_filtration(frame: Frame, block: Mat) -> Filtration:
-    """Weight filtration of a nilpotent inner block centered at the frame
-    weight: the frame's cached copy for a nonzero multiple of log(gamma),
-    one jump at the frame weight for the zero block (lam = 0), and
+def _inner_weight_filtration(frame: Frame, block: Mat, lam) -> Filtration:
+    """Weight filtration of a nilpotent inner block at pencil level lam
+    (None off the pencil) centered at the frame weight: the frame's
+    cached copy for lam != 0 and for the zero block (lam = 0), and
     computed directly for every other block."""
-    lam = frame.block_multiple(block)
-    if lam:
-        return frame.pencil_weight_filtration
     if lam is not None:
-        return Filtration(len(block), ((frame.weight, Subspace.full(len(block))),))
+        return frame.pencil_weight_filtration if lam else frame._zero_block_filtration
     try:
         return weight_filtration(block, center=frame.weight)
     except NotNilpotent as exc:
@@ -505,9 +523,14 @@ def pq_spaces(frame: Frame, inner_op: Mat):
     reads the frame's cached copy, since lam * N and N have the same
     image, kernel and weight filtration.
     """
-    if frame.block_multiple(inner_op):
+    return _block_pq(frame, inner_op, frame.block_multiple(inner_op))
+
+
+def _block_pq(frame: Frame, block: Mat, lam):
+    """pq_spaces of an inner block at pencil level lam."""
+    if lam:
         return frame._pencil_pq
-    return _pq_spaces(frame, _inner_weight_filtration(frame, inner_op), inner_op)
+    return _pq_spaces(frame, _inner_weight_filtration(frame, block, lam), block)
 
 
 def _pq_spaces(frame: Frame, wf: Filtration, inner_op: Mat):
@@ -537,31 +560,33 @@ def relative_filtration(frame: Frame, n_mat: Mat):
     centered at the frame weight.  Existence reduces to the image of e
     lying in P; when it does, a correction a with
     n(e) - inner(a) in level(-2) tilts e into every level >= 0.
+
+    On the cleared rows, residuals modulo level(-2) are reductions times
+    one constant, so [residual(c_k) | residual(n(e))] over the inner
+    block's columns c_k has the rref of the reduced system, and its
+    kernel vector at the last column is the tilted e = (-a, 1) up to scale.
     """
-    check_in_g(frame, n_mat)
-    a_block = frame.restriction(n_mat)
-    wf = _inner_weight_filtration(frame, a_block)
+    ints, lam = _membership(frame, n_mat)
+    r = frame.rank
+    wf = _inner_weight_filtration(frame, frame.restriction(n_mat), lam)
     w2 = wf.at(-2)
-    # proj . a_block and proj . h, with h = n(e) and proj the matrix of v -> w2.reduce(v)
-    x = solve(transpose(tuple(map(w2.reduce, transpose(a_block)))), w2.reduce(frame.e_image(n_mat)))
-    if x is None:
+    work = [list(row) for row in zip(*map(w2._residual, zip(*ints[:r])))]
+    pivots = _rref_ints(work)
+    if r in pivots:
         return None
-    tilted = vadd(frame.embed_inner(vscale(-1, x)), frame.e_vector)
-    line = Subspace.span([tilted], frame.dim)
-    spaces = {}
-    for j in sorted(set(wf.jump_indices) | {0}):
-        s = Subspace.span([frame.embed_inner(v) for v in wf.at(j).basis], frame.dim)
-        if j >= 0:
-            s = s.add(line)
-        spaces[j] = s
+    tilted = _kernel_ints(work, pivots, r + 1)[-1][1]
+    spaces = {
+        j: s if j < 0 else Subspace._of_int_rows(s._int_rows() + [tilted[:]], frame.dim)
+        for j, s in wf._embedded_levels.items()
+    }
     return Filtration.from_spaces(spaces, frame.dim)
 
 
 def relative_filtration_exists(frame: Frame, n_mat: Mat) -> bool:
-    check_in_g(frame, n_mat)
-    a_block = frame.restriction(n_mat)
-    p, _, _ = pq_spaces(frame, a_block)
-    return p.contains(frame.e_image(n_mat))
+    """Whether n(e) lies in P, read off the operator's cleared e-column."""
+    ints, lam = _membership(frame, n_mat)
+    p, _, _ = _block_pq(frame, frame.restriction(n_mat), lam)
+    return not any(p._residual([row[frame.rank] for row in ints[:frame.rank]]))
 
 
 # ---------------------------------------------------------------------------

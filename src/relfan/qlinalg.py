@@ -13,7 +13,10 @@ the same.  The operators here are sparse (a nilpotent logarithm at
 rank 20 has a handful of nonzero entries), so products and elimination
 steps combine rows over the nonzero entries only, in the row-by-row
 manner of Gustavson (ACM TOMS 4, 1978), and every zero entry of a
-result is the shared ZERO.  A Subspace keeps the cleared integer rows
+result is the shared ZERO, as is every zero that matscale and frac
+return, so a clear reads no Fraction attribute for it.  Callers clear
+an operator once at their public edge and pass the integer rows on
+(hodge._membership).  A Subspace keeps the cleared integer rows
 of its basis from the elimination that made it, so membership,
 reduction, sums and meets build no Fraction until the answer.
 
@@ -57,16 +60,17 @@ def frac(x) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise SpecFormatError(f"not an exact scalar: {x!r}")
     try:
-        return Fraction(x)
+        return Fraction(x) or ZERO
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecFormatError(f"unparsable scalar {x!r}") from exc
 
 
 def format_scalar(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """"p" or "p/q", read off the scalar with no new Fraction."""
+    if type(x) is int:
+        return str(x)
+    n, d = x.numerator, x.denominator
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def vec(xs) -> Vec:
@@ -186,8 +190,9 @@ def matsub(a: Mat, b: Mat) -> Mat:
 
 
 def matscale(c, a: Mat) -> Mat:
+    """c . a, every zero entry the shared ZERO."""
     c = frac(c)
-    return tuple(tuple(c * x for x in r) for r in a)
+    return tuple(tuple(ZERO if x is ZERO else c * x or ZERO for x in r) for r in a)
 
 
 def matpow(a: Mat, k: int) -> Mat:

@@ -456,19 +456,20 @@ def test_subdivision_covers_sampled_points(ell, jd3):
 
 def test_subdivision_validates_each_generator_once(ell, jd3):
     """Locating reuses the pencil level and the membership in P that
-    admissibility found: one check_in_g, one restriction_multiple and one
-    membership test in P per generator."""
+    admissibility found: one membership step, which reads the pencil
+    level, no further restriction_multiple and one membership test in P
+    per generator."""
     rng = random.Random(13)
     for fan in (ell, jd3):
         fr = fan.frame
         for _ in range(10):
             mats = random_admissible_cone(fan, rng)
             contains = Subspace.contains
-            with mock.patch.object(fans, "check_in_g", wraps=fans.check_in_g) as in_g, \
+            with mock.patch.object(fans, "_membership", wraps=fans._membership) as in_g, \
                  mock.patch.object(fr, "restriction_multiple", wraps=fr.restriction_multiple) as level, \
                  mock.patch.object(Subspace, "contains", autospec=True, side_effect=contains) as member:
                 assert subdivide_against(fan, mats)
-            assert in_g.call_count == level.call_count == len(mats)
+            assert in_g.call_count == len(mats) and level.call_count == 0
             assert sum(call.args[0] is fan.p_space for call in member.call_args_list) == len(mats)
 
 
@@ -894,6 +895,20 @@ def test_conjugate_key_matches_conjugate_cell(ell, jd3, name, key):
             for n in product(range(-2, 3), repeat=fan.cube_rank):
                 want = (new_key, tuple(m + s for m, s in zip(n, steps)))
                 assert fan.conjugate_cell(power, shift, (key, n)) == want
+
+
+def test_gamma_report_recognizes_only_cones_with_enough_rays(jd3):
+    """A cone spans at most as many dimensions as it has rays, so only
+    cones with at least top = 1 + cube_rank rays reach recognize, and
+    the checks come out as if every cone were recognized."""
+    window, top, grid = jd3.window(2), 1 + jd3.cube_rank, jd3.grid()
+    with mock.patch.object(ChartGrid, "recognize", autospec=True, side_effect=ChartGrid.recognize) as seen:
+        report = strong_compatibility_report(jd3, window, [(1, (0, 0, 0))])
+    assert seen.call_count == sum(len(c.rays) >= top for c in window)
+    assert all(len(call.args[1].rays) >= top for call in seen.call_args_list)
+    dims = [grid.recognize(c).dim if grid.recognize(c) else c.dim for c in window]
+    kinds = {top: "cell-conjugation-stable", 1: "ray-integral-exponential"}
+    assert [check["name"] for check in report] == [kinds[d] for d in dims if d in kinds]
 
 
 def test_gamma_report_same_on_recognized_and_decoded_cones(jd3):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 from functools import lru_cache
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from relfan.errors import (
     NotUnipotent,
     SpecFormatError,
 )
-from relfan import hodge
+from relfan import hodge, qlinalg
 from relfan.fixtures import elliptic_frame, jordan3_frame
 from relfan.gallery import kunneth_h3, standard_factors
 from relfan.hodge import (
@@ -31,6 +33,7 @@ from relfan.hodge import (
     weight_filtration,
 )
 from relfan.qlinalg import (
+    ZERO,
     NilpotentPowers,
     identity,
     inverse,
@@ -41,8 +44,11 @@ from relfan.qlinalg import (
     matscale,
     matvec,
     rref,
+    solve,
     transpose,
+    vadd,
     vec,
+    vscale,
     zeros,
 )
 
@@ -403,7 +409,7 @@ def test_pencil_cache_matches_the_direct_computation(name, monkeypatch):
     cached = results()
     assert "pencil_weight_filtration" in vars(fr)
     with monkeypatch.context() as m:
-        m.setattr(Frame, "block_multiple", lambda self, block: None)
+        m.setattr(Frame, "_level", lambda self, ints, den: None)
         assert results() == cached
     for lam in (2, -3):
         assert fr.pencil_weight_filtration == weight_filtration(matscale(lam, n), center=fr.weight)
@@ -438,7 +444,7 @@ def test_zero_block_filtration_is_one_jump_at_the_weight(name):
     fr = oracle_frame(name)
     block = zeros(fr.rank, fr.rank)
     direct = weight_filtration(block, center=fr.weight)
-    assert hodge._inner_weight_filtration(fr, block) == direct
+    assert hodge._inner_weight_filtration(fr, block, fr.block_multiple(block)) == direct
     assert direct.jump_indices == (fr.weight,)
 
 
@@ -547,6 +553,152 @@ def test_relative_axiom_checker_rejects_shifted_candidate():
     n = fr.pencil(1, (1, 0))
     m = relative_filtration(fr, n)
     assert not is_relative_weight_filtration(n, fr.base_filtration, m.shift(2))
+
+
+# --- one clear per operator, against the Fraction paths ----------------------
+
+
+def membership_reference(fr, n):
+    """check_in_g and restriction_multiple on Fractions: the pencil level
+    (None off the pencil), or the message of the NotInG raised."""
+    if any(x != 0 for x in n[fr.rank]):
+        return "operator does not kill the weight zero quotient"
+    a = fr.restriction(n)
+    if not isometry_reference(fr, a):
+        return "inner block is not an infinitesimal isometry"
+    return block_multiple_reference(fr, a)
+
+
+def relative_filtration_reference(fr, n):
+    """The construction on Fraction rows, with no cache: W of the inner
+    block computed directly, the tilt solved on reduced columns, each
+    level embedded and spanned afresh."""
+    a = fr.restriction(n)
+    wf = weight_filtration(a, center=fr.weight)
+    w2 = wf.at(-2)
+    x = solve(transpose(tuple(map(w2.reduce, transpose(a)))), w2.reduce(fr.e_image(n)))
+    if x is None:
+        return None
+    line = Subspace.span([vadd(fr.embed_inner(vscale(-1, x)), fr.e_vector)], fr.dim)
+    spaces = {}
+    for j in sorted(set(wf.jump_indices) | {0}):
+        level = Subspace.span([fr.embed_inner(v) for v in wf.at(j).basis], fr.dim)
+        spaces[j] = level.add(line) if j >= 0 else level
+    return Filtration.from_spaces(spaces, fr.dim)
+
+
+def exists_reference(fr, n):
+    """n(e) in P = image + W_(-2) of the inner block, on Fractions."""
+    a = fr.restriction(n)
+    p = Subspace.image(a).add(weight_filtration(a, center=fr.weight).at(-2))
+    return p.contains(fr.e_image(n))
+
+
+LOWER_SHIFT = ((0, 0, 0), (1, 0, 0), (0, 1, 0))  # a nilpotent isometry of jordan3 off its pencil
+
+
+@st.composite
+def rmf_operators(draw, fr):
+    """Pencil operators at lam in {0, +-1, 1/2, 3}, isometries off the
+    pencil (nilpotent on jordan3, or as drawn), and operators with a
+    nonzero quotient row or a perturbed inner block."""
+    r = fr.rank
+    h = draw(st.lists(fracs(), min_size=r, max_size=r))
+    if draw(st.booleans()):
+        # inside P of every nonzero multiple of log(gamma): N u plus W_(-2)
+        low = fr.pencil_weight_filtration.at(-2).basis
+        h = matvec(fr.log_gamma, h)
+        for b in low:
+            h = vadd(h, vscale(draw(fracs()), b))
+    kind = draw(st.sampled_from(["pencil", "pencil", "off", "quotient", "perturbed"]))
+    if kind == "off" and fr.rank == 3 and fr.weight == -2 and draw(st.booleans()):
+        block = matscale(draw(fracs().filter(bool)), LOWER_SHIFT)
+    elif kind == "off":
+        block = draw(inner_blocks(fr))
+    else:
+        block = matscale(draw(st.sampled_from([0, 1, -1, F(1, 2), 3])), fr.log_gamma)
+    rows = [list(row) for row in fr.assemble(block, h)]
+    i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r))
+    if kind == "quotient":
+        rows[r][j] += draw(fracs().filter(bool))
+    if kind == "perturbed":
+        rows[i][min(j, r - 1)] += draw(fracs().filter(bool))
+    return mat(rows)
+
+
+@given(st.sampled_from(ORACLE_FRAMES), st.data())
+def test_membership_step_and_construction_match_the_fraction_paths(name, data):
+    fr = oracle_frame(name)
+    n = data.draw(rmf_operators(fr))
+    want = membership_reference(fr, n)
+    if isinstance(want, str):
+        for call in (hodge._membership, check_in_g, relative_filtration_exists, relative_filtration):
+            with pytest.raises(NotInG, match=want):
+                call(fr, n)
+        return
+    ints, lam = hodge._membership(fr, n)
+    assert same_multiple(lam, want) and same_multiple(fr.restriction_multiple(n), want)
+    try:
+        expected = (exists_reference(fr, n), relative_filtration_reference(fr, n))
+    except NotNilpotent:
+        for call in (relative_filtration_exists, relative_filtration):
+            with pytest.raises(NotNilpotent):
+                call(fr, n)
+        return
+    assert (relative_filtration_exists(fr, n), relative_filtration(fr, n)) == expected
+    assert expected[0] == (expected[1] is not None)
+
+
+def test_the_operator_rows_are_the_operator_over_one_scale():
+    fr = jordan3_frame()
+    n = fr.pencil(F(1, 2), (F(1, 3), 0, F(-5, 4)))
+    ints, lam = hodge._membership(fr, n)
+    scale = F(ints[0][1]) / n[0][1]
+    assert lam == F(1, 2) and scale.denominator == 1
+    assert all(F(x) == y * scale for row, nrow in zip(ints, n) for x, y in zip(row, nrow))
+
+
+@pytest.mark.parametrize("name", ORACLE_FRAMES)
+def test_every_zero_of_a_pencil_operator_is_the_shared_zero(name):
+    fr = oracle_frame(name)
+    for lam in (0, 1, F(1, 2)):
+        for h in ((0,) * fr.rank, tuple(F(k % 3 - 1) for k in range(fr.rank))):
+            n = fr.pencil(lam, h)
+            assert all(x is ZERO for row in n for x in row if x == 0)
+
+
+def full_clears(mocks, n, fr):
+    """How many of the recorded _scaled_int_rows calls cleared n, and how
+    many cleared its inner block."""
+    seen = [tuple(map(tuple, call.args[0])) for m in mocks for call in m.call_args_list]
+    return seen.count(n), seen.count(fr.restriction(n))
+
+
+@pytest.mark.parametrize("name", ORACLE_FRAMES)
+def test_each_public_call_clears_its_operator_once(name):
+    """check_in_g, relative_filtration_exists and relative_filtration each
+    clear the operator once and never its inner block on the pencil, and
+    the construction runs no Fraction solve and no reduce."""
+    fr = oracle_frame(name)
+    h = tuple(F(k % 3 - 1, 1 + k % 2) for k in range(fr.rank))
+    ops = [(fr.pencil(lam, h), True) for lam in (0, 1, F(-1, 2), 3)]
+    if name == "jordan3":
+        ops.append((fr.assemble(LOWER_SHIFT, h), False))
+    clear = qlinalg._scaled_int_rows
+    for n, on_pencil in ops:
+        for call in (check_in_g, relative_filtration_exists, relative_filtration):
+            call(fr, n)  # frame caches are built outside the count
+            with mock.patch.object(hodge, "_scaled_int_rows", wraps=clear) as here, \
+                 mock.patch.object(qlinalg, "_scaled_int_rows", wraps=clear) as there, \
+                 mock.patch.object(qlinalg, "solve", wraps=qlinalg.solve) as solved, \
+                 mock.patch.object(qlinalg, "rref", wraps=qlinalg.rref) as reduced_rows, \
+                 mock.patch.object(Subspace, "reduce", autospec=True, side_effect=Subspace.reduce) as reduced:
+                call(fr, n)
+            whole, block = full_clears((here, there), n, fr)
+            assert whole == 1, (call.__name__, whole)
+            assert block == 0 or not on_pencil
+            if call is relative_filtration:
+                assert solved.call_count == reduced_rows.call_count == reduced.call_count == 0
 
 
 def test_exhaustive_tilt_search_confirms_absence():

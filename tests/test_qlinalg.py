@@ -35,6 +35,7 @@ from relfan.qlinalg import (
     log_unipotent,
     mat,
     matmul,
+    matscale,
     matvec,
     nilpotency_index,
     order_in_quotient,
@@ -75,6 +76,14 @@ def test_format_scalar_roundtrip():
     assert format_scalar(F(-7, 2)) == "-7/2"
     assert format_scalar(F(4)) == "4"
     assert frac(format_scalar(F(22, 7))) == F(22, 7)
+    assert [format_scalar(x) for x in (0, -3, ZERO, F(6, 3), F(-1, 9))] == ["0", "-3", "0", "2", "-1/9"]
+
+
+def test_zero_entries_at_the_edges_are_the_shared_zero():
+    assert frac("0") is ZERO and frac(0) is ZERO and frac("0/5") is ZERO
+    scaled = matscale(F(1, 2), ((F(0), F(3)), (ZERO, F(-1, 3))))
+    assert scaled[0][0] is ZERO and scaled[1][0] is ZERO and scaled[0][1] == F(3, 2)
+    assert all(x is ZERO for row in matscale(0, ((F(1), F(2)),)) for x in row)
 
 
 # --- rref / solve / kernel -------------------------------------------------
