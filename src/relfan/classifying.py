@@ -8,14 +8,21 @@ are computed piecewise: membership in the flag variety is a type
 invariant, isotropy selects the compact dual, and positivity of the
 induced hermitian forms selects the open domain inside it.
 
-Q(i)-subspaces are realified ``GSpace`` values, so all elimination runs
-in ``qlinalg``; positivity is Sylvester's criterion, by ``qlinalg.det``,
-on the realified hermitian form.
+Q(i)-subspaces are realified ``GSpace`` values, and the predicates read
+their cleared integer rows X.  Each graded piece has one integer form K
+per twist, the real part of x^T G y or of i^(p-q) x^T G conj(y) in
+realified coordinates, built once per frame.  Two i-stable levels are
+isotropic iff X K Y^T = 0.  On a (p, q) piece S = X K X^T is symmetric
+iff the form is hermitian, and positivity is Sylvester's criterion on
+S, whose leading minors are the pivots of one fraction-free (Bareiss)
+pass; clearing scales each by a positive square.  A move multiplies
+each level's rows by the realified operator, cleared once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -28,20 +35,21 @@ from .errors import (
 )
 from .fans import unflatten
 from .gaussian import (
-    ONE,
     GSpace,
     Gi,
     gmat,
     gvec,
-    i_power,
     realify_mat,
+    transport,
     unrealify_mat,
 )
 from .hodge import Frame, check_in_g
 from .qlinalg import (
     NilpotentPowers,
     Subspace,
-    det,
+    _int_product,
+    _rref_ints,
+    _scaled_int_rows,
     identity,
     mat,
 )
@@ -68,7 +76,7 @@ class PeriodPoint:
     frame: Frame
     jumps: dict
 
-    _graded: tuple = field(init=False, repr=False)
+    _graded: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         fr = self.frame
@@ -101,46 +109,43 @@ class PeriodPoint:
     def apply(self, op) -> "PeriodPoint":
         """Transport along an invertible operator, revalidating the flag.
         The moved spaces, still nested, are the new levels as they stand."""
+        columns = transport(op)
         out = PeriodPoint.__new__(PeriodPoint)
-        out.frame, out.jumps = self.frame, tuple((p, s.apply(op)) for p, s in self.jumps)
+        out.frame, out.jumps = self.frame, tuple((p, s._moved(columns)) for p, s in self.jumps)
         out._graded = out._split_graded()
         out._check_flag()
         return out
 
     # --- graded pieces ---
 
-    def _split_graded(self):
-        fr = self.frame
-        r = fr.rank
-        inner_full = _inner_full(fr.dim, r)
-        inner, quot = {}, {}
+    def _split_graded(self) -> dict:
+        """weight -> (gram, levels): each level cut by the e coordinate."""
+        fr, n = self.frame, 2 * self.frame.rank
+        inner, quot = [], []
         for p, space in self.jumps:
-            cut = space.intersect(inner_full)
-            # cut is zero at e: its realified rref rows, cut short, stay rref
-            inner[p] = GSpace._of(Subspace(2 * r, tuple(row[: 2 * r] for row in cut.real.basis)))
-            # the quotient line: rank-nullity of the last coordinate map
-            quot[p] = _LINE if space.dim > cut.dim else _NO_LINE
-        return (
-            (0, ((ONE,),), quot),
-            (fr.weight, gmat(fr.gram), inner),
-        )
+            # with the e pair first, the rref pivots there iff the level
+            # reaches the quotient line, and its other rows span the cut
+            rows = [w[n:] + w[:n] for w in space.real._int_rows()]
+            pivots = _rref_ints(rows)
+            cut = [w[2:] for w, c in zip(rows, pivots) if c > 1]
+            inner.append((p, GSpace._of(Subspace._of_int_rows(cut, n))))
+            quot.append((p, _LINE if 0 in pivots else _zero(1)))
+        return {0: (_UNIT, tuple(quot)), fr.weight: (fr.gram, tuple(inner))}
 
     def graded(self, k: int, p: int) -> GSpace:
         """The level p piece of the filtration induced on gr(k)."""
-        for weight, _, table in self._graded:
-            if weight == k:
-                ambient = 1 if k == 0 else self.frame.rank
-                return _level(sorted(table.items(), reverse=True), p, ambient)
-        raise PreconditionViolated(f"no graded piece in weight {k}")
+        if k not in self._graded:
+            raise PreconditionViolated(f"no graded piece in weight {k}")
+        gram, table = self._graded[k]
+        return _level(table, p, len(gram))
 
     def _check_flag(self):
-        numbers = hodge_numbers(self.frame)
-        for k, _, table in self._graded:
-            types = numbers[k]
-            levels = sorted({p for p, _ in types} | set(table))
+        for k, types in hodge_numbers(self.frame).items():
+            gram, table = self._graded[k]
+            levels = sorted({p for p, _ in types} | {p for p, _ in table})
             for p in range(levels[0] - 1, levels[-1] + 2):
                 want = sum(m for (pp, _), m in types.items() if pp >= p)
-                got = self.graded(k, p).dim
+                got = _level(table, p, len(gram)).dim
                 if got != want:
                     raise PreconditionViolated(
                         f"graded dimension at level {p} in weight {k} is "
@@ -148,19 +153,20 @@ class PeriodPoint:
                     )
 
 
-_LINE, _NO_LINE = GSpace(1, [(ONE,)]), GSpace(1)
+_UNIT = identity(1)
+_LINE = GSpace(1, _UNIT)
 
 
 @lru_cache(maxsize=16)
-def _inner_full(dim: int, rank: int) -> GSpace:
-    """Q(i)^rank inside Q(i)^dim, built once per shape."""
-    return GSpace(dim, identity(dim)[:rank])
+def _zero(ambient: int) -> GSpace:
+    """The zero space of Q(i)^ambient, shared."""
+    return GSpace(ambient)
 
 
 def _level(spaces, p: int, ambient: int) -> GSpace:
     """Value at level p of a filtration given as (level, space) pairs in
     decreasing level order: the space of the lowest level >= p."""
-    found = GSpace(ambient)
+    found = _zero(ambient)
     for q, space in spaces:
         if q < p:
             break
@@ -190,32 +196,82 @@ def extend_inner_filtration(frame: Frame, jumps: dict) -> PeriodPoint:
     return PeriodPoint(frame, full)
 
 
+# --- forms on cleared rows ---
+
+# the realified block of one gram entry, as (row, column, sign) offsets:
+# Re(x y) for the bilinear form (None), Re(i^t x conj(y)) at twist t
+_BLOCKS = {
+    None: ((0, 0, 1), (1, 1, -1)), 0: ((0, 0, 1), (1, 1, 1)), 1: ((0, 1, 1), (1, 0, -1)),
+    2: ((0, 0, -1), (1, 1, -1)), 3: ((0, 1, -1), (1, 0, 1)),
+}
+
+
+def _form(pt: PeriodPoint, k: int, twist):
+    """(s, K): K the sparse integer rows of s times the realified form
+    of the weight k piece at a twist, built once per frame."""
+    forms = pt.frame._period_forms
+    if (k, twist) not in forms:
+        ints, scale = _scaled_int_rows(pt._graded[k][0])
+        rows = [[] for _ in range(2 * len(ints))]
+        for a, row in enumerate(ints):
+            for b, g in enumerate(row):
+                for da, db, sign in _BLOCKS[twist] if g else ():
+                    rows[2 * a + da].append((2 * b + db, sign * g))
+        forms[k, twist] = scale, rows
+    return forms[k, twist]
+
+
+def _form_product(xs, form, ys) -> list:
+    """X K Y^T for the sparse integer rows of X, K and Y."""
+    xk = _int_product(xs, form, len(form))
+    return [[sum(row[j] * y for j, y in yrow) for yrow in ys] for row in xk]
+
+
+def _leading_minors(rows):
+    """The leading principal minors of an integer matrix up to the first
+    zero one: the pivots of a fraction-free (Bareiss) pass with no row
+    swaps, step c pivoting on the minor of order c + 1."""
+    rows, prev = [list(r) for r in rows], 1
+    for c, top in enumerate(rows):
+        piv = top[c]
+        yield piv
+        if not piv:
+            return
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = piv
+
+
 # --- predicates ---
 
-def _pairing(gram, x, y) -> Gi:
-    acc = Gi()
-    for s, xs in enumerate(x):
-        if not xs:
-            continue
-        for t, g in enumerate(gram[s]):
-            if g:
-                acc = acc + xs * g * y[t]
-    return acc
-
-
 def in_compact_dual(pt: PeriodPoint) -> bool:
-    """Bilinear isotropy: levels p and q pair to zero once p + q > k."""
-    for k, gram, table in pt._graded:
-        levels = [p for p in table if table[p].dim]
-        for p in levels:
-            for q in levels:
-                if p + q <= k:
-                    continue
-                for x in table[p].basis:
-                    for y in table[q].basis:
-                        if _pairing(gram, x, y):
-                            return False
+    """Bilinear isotropy: levels p and q pair to zero once p + q > k.
+    The levels are nested, so level p is tested against level k + 1 - p
+    alone."""
+    for k, (gram, table) in pt._graded.items():
+        _, form = _form(pt, k, None)
+        for p, space in table:
+            other = _level(table, k + 1 - p, len(gram))
+            if any(map(any, _form_product(space._rows, form, other._rows))):
+                return False
     return True
+
+
+def _hermitian_form(pt: PeriodPoint, k: int, p: int):
+    """(c, S) with S = X K X^T on the (p, k - p) intersection, X its
+    cleared rows, and S / c the realified form in its rref basis; None
+    when the intersection has the wrong dimension."""
+    q = k - p
+    piece = pt.graded(k, p).intersect(pt.graded(k, q).conjugate())
+    if piece.dim != hodge_numbers(pt.frame)[k].get((p, q), 0):
+        return None
+    rows = piece._rows
+    scale, form = _form(pt, k, (p - q) % 4)
+    s = _form_product(rows, form, rows)
+    if any(s[a][b] != s[b][a] for a in range(len(s)) for b in range(a)):
+        raise InvariantViolation("induced form is not hermitian")
+    return piece.real._cleared[0] ** 2 * scale, s
 
 
 def hermitian_gram(pt: PeriodPoint, k: int, p: int):
@@ -223,34 +279,24 @@ def hermitian_gram(pt: PeriodPoint, k: int, p: int):
     or None when that intersection has the wrong dimension.
 
     Computed in the reduced basis of the intersection, so individual
-    entries rescale with the pivots; the signature does not.
+    entries rescale with the pivots; the signature does not.  Entry
+    (a, b) is read off S = X K X^T as S[2a][2b] + i S[2a][2b + 1] over
+    the scales.
     """
-    numbers = hodge_numbers(pt.frame)[k]
-    q = k - p
-    want = numbers.get((p, q), 0)
-    piece = pt.graded(k, p).intersect(pt.graded(k, q).conjugate())
-    if piece.dim != want:
+    form = _hermitian_form(pt, k, p)
+    if form is None:
         return None
-    gram = next(g for kk, g, _ in pt._graded if kk == k)
-    sign = i_power(p - q)
-    rows = []
-    for x in piece.basis:
-        rows.append(
-            tuple(sign * _pairing(gram, x, tuple(c.conjugate() for c in y)) for y in piece.basis)
-        )
-    m = tuple(rows)
-    for a in range(len(m)):
-        for b in range(len(m)):
-            if m[a][b].conjugate() != m[b][a]:
-                raise InvariantViolation("induced form is not hermitian")
-    return m
+    scale, s = form
+    return tuple(
+        tuple(Gi(Fraction(s[a][b], scale), Fraction(s[a][b + 1], scale)) for b in range(0, len(s), 2))
+        for a in range(0, len(s), 2)
+    )
 
 
 def _positive_definite(m) -> bool:
     """Sylvester's criterion on the realified form: a hermitian
     H = A + iB is positive definite iff [[A, -B], [B, A]] is."""
-    form = realify_mat(m)
-    return all(det(tuple(row[:t] for row in form[:t])) > 0 for t in range(1, len(form) + 1))
+    return all(minor > 0 for minor in _leading_minors(_scaled_int_rows(realify_mat(m))[0]))
 
 
 def in_D(pt: PeriodPoint) -> bool:
@@ -262,8 +308,8 @@ def in_D(pt: PeriodPoint) -> bool:
         for (p, q), m in types.items():
             if m == 0:
                 continue
-            gram = hermitian_gram(pt, k, p)
-            if gram is None or not _positive_definite(gram):
+            form = _hermitian_form(pt, k, p)
+            if form is None or not all(minor > 0 for minor in _leading_minors(form[1])):
                 return False
     return True
 
@@ -272,8 +318,8 @@ def small_griffiths(pt: PeriodPoint, n_mat) -> bool:
     """Infinitesimal transversality: the operator moves each level into
     the next one down."""
     check_in_g(pt.frame, n_mat)
-    op = mat(n_mat)
-    return all(pt.at(p - 1).contains_space(space.apply(op)) for p, space in pt.jumps)
+    columns = transport(mat(n_mat))
+    return all(pt.at(p - 1).contains_space(space._moved(columns)) for p, space in pt.jumps)
 
 
 def nilpotent_orbit_test(pt: PeriodPoint, cone, y_samples=(1, 4, 16, 64, 256)) -> bool:

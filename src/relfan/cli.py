@@ -57,13 +57,13 @@ from .gaussian import Gi, format_gi
 from .grid import first_fan_violation, window_face_table
 from .hodge import (
     Frame,
-    check_in_g,
+    _block_pq,
+    _membership,
+    _relative_filtration,
+    _relative_filtration_exists,
     frame_from_json,
     frame_to_json,
     is_relative_weight_filtration,
-    pq_spaces,
-    relative_filtration,
-    relative_filtration_exists,
 )
 from .qlinalg import (
     format_scalar,
@@ -434,10 +434,10 @@ def _load_operator(path: str, frame: Frame):
 def cmd_rmf(spec: SpecData, operator_path: str) -> dict:
     frame = spec.frame
     n_mat = _load_operator(operator_path, frame)
-    check_in_g(frame, n_mat)
-    exists = relative_filtration_exists(frame, n_mat)
-    filt = relative_filtration(frame, n_mat)
-    allowed, _, _ = pq_spaces(frame, frame.restriction(n_mat))
+    ints, lam = _membership(frame, n_mat)  # check_in_g, once for all three
+    exists = _relative_filtration_exists(frame, n_mat, ints, lam)
+    filt = _relative_filtration(frame, n_mat, ints, lam)
+    allowed, _, _ = _block_pq(frame, frame.restriction(n_mat), lam)
     witness = {
         "e_image": vec_to_json(frame.e_image(n_mat)),
         "allowed_space": [vec_to_json(b) for b in allowed.basis],

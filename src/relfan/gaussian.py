@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import SpecFormatError
-from .qlinalg import Mat, Subspace, Vec, linear_map
+from .errors import MixedAmbient, SpecFormatError
+from .qlinalg import Mat, Subspace, Vec, _int_product, _scaled_int_rows, _sparse_rows
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,11 @@ class Gi:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        # a Fraction part is kept; any other input is parsed by Fraction
+        if type(self.re) is not Fraction:
+            object.__setattr__(self, "re", Fraction(self.re))
+        if type(self.im) is not Fraction:
+            object.__setattr__(self, "im", Fraction(self.im))
 
     def __add__(self, other):
         other = coerce(other)
@@ -81,12 +84,8 @@ def coerce(x) -> Gi:
     if isinstance(x, Gi):
         return x
     if isinstance(x, (int, Fraction)):
-        return Gi(Fraction(x))
+        return Gi(x)
     raise SpecFormatError(f"cannot interpret {x!r} as a Gaussian rational")
-
-
-def i_power(n: int) -> Gi:
-    return (ONE, I, -ONE, -I)[n % 4]
 
 
 def format_gi(z: Gi) -> str:
@@ -127,6 +126,15 @@ def realify_mat(m) -> Mat:
 def unrealify_mat(m) -> tuple:
     # column 2b of a realified matrix is its realified column b
     return tuple(zip(*(unrealify(col) for col in tuple(zip(*m))[::2])))
+
+
+def transport(op) -> list:
+    """The sparse cleared rows of realify_mat(op) transposed: a realified
+    row w times them is op . w up to a positive scale."""
+    ints, _ = _scaled_int_rows(realify_mat(op))
+    if any(len(row) != len(ints) for row in ints):
+        raise MixedAmbient("operator is not square")
+    return _sparse_rows(zip(*ints))
 
 
 def _with_i(w) -> tuple:
@@ -179,13 +187,35 @@ class GSpace:
     def intersect(self, other: "GSpace") -> "GSpace":
         return GSpace._of(self.real.intersect(other.real))
 
+    @property
+    def _rows(self) -> list:
+        """The sparse cleared rows of ``real``: b_k and i b_k realified,
+        times one positive scale, at rows 2k and 2k + 1."""
+        return [row for _, row in self.real._cleared[1]]
+
     def apply(self, op) -> "GSpace":
-        image = map(linear_map(realify_mat(op)), self.real.basis)
-        return GSpace._of(Subspace.span(image, self.real.ambient))
+        return self._moved(transport(op))
+
+    def _moved(self, columns) -> "GSpace":
+        """The image under an operator given by ``transport``."""
+        n = self.real.ambient
+        if len(columns) != n:
+            raise MixedAmbient("operator of the wrong size")
+        return GSpace._of(Subspace._of_int_rows(_int_product(self._rows, columns, n), n))
 
     def conjugate(self) -> "GSpace":
-        conj = (tuple(-x if k % 2 else x for k, x in enumerate(w)) for w in self.real.basis)
-        return GSpace._of(Subspace.span(conj, self.real.ambient))
+        """Conjugation negates the odd coordinates of each row, and the row
+        i b_k, whose pivot is odd, is then negated whole to bring its pivot
+        back to 1: each row flips the coordinates of the other parity than
+        its pivot.  No zero moves, so the flipped rref rows are the rref of
+        the conjugate, with no elimination."""
+        real, (den, rows) = self.real, self.real._cleared
+        basis = tuple(
+            tuple(-x if (j - p) & 1 and x else x for j, x in enumerate(w)) for w, (p, _) in zip(real.basis, rows)
+        )
+        out = Subspace(real.ambient, basis)
+        out.__dict__["_cleared"] = den, tuple((p, [(j, -x if (j - p) & 1 else x) for j, x in r]) for p, r in rows)
+        return GSpace._of(out)
 
     def __eq__(self, other):
         return isinstance(other, GSpace) and self.real == other.real

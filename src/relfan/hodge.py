@@ -67,6 +67,7 @@ from .qlinalg import (
     transpose,
     vec,
     zero_vec,
+    zeros,
 )
 
 
@@ -463,9 +464,19 @@ class Frame:
         return _pq_spaces(self, self.pencil_weight_filtration, self.log_gamma)
 
     @cached_property
+    def _period_forms(self) -> dict:
+        """Memo of the classifying layer's realified forms, by weight and twist."""
+        return {}
+
+    @cached_property
     def _zero_block_filtration(self) -> Filtration:
         """W of the zero inner block centered at the frame weight: one jump."""
         return Filtration(self.rank, ((self.weight, Subspace.full(self.rank)),))
+
+    @cached_property
+    def _zero_block_pq(self) -> tuple:
+        """pq_spaces of the zero inner block, the one at pencil level 0."""
+        return _pq_spaces(self, self._zero_block_filtration, zeros(self.rank, self.rank))
 
 
 def _membership(frame: Frame, n_mat: Mat) -> tuple:
@@ -527,9 +538,9 @@ def pq_spaces(frame: Frame, inner_op: Mat):
 
 
 def _block_pq(frame: Frame, block: Mat, lam):
-    """pq_spaces of an inner block at pencil level lam."""
-    if lam:
-        return frame._pencil_pq
+    """pq_spaces of an inner block at pencil level lam (None off the pencil)."""
+    if lam is not None:
+        return frame._pencil_pq if lam else frame._zero_block_pq
     return _pq_spaces(frame, _inner_weight_filtration(frame, block, lam), block)
 
 
@@ -566,7 +577,11 @@ def relative_filtration(frame: Frame, n_mat: Mat):
     block's columns c_k has the rref of the reduced system, and its
     kernel vector at the last column is the tilted e = (-a, 1) up to scale.
     """
-    ints, lam = _membership(frame, n_mat)
+    return _relative_filtration(frame, n_mat, *_membership(frame, n_mat))
+
+
+def _relative_filtration(frame: Frame, n_mat: Mat, ints: list, lam):
+    """relative_filtration on the operator's membership step (ints, lam)."""
     r = frame.rank
     wf = _inner_weight_filtration(frame, frame.restriction(n_mat), lam)
     w2 = wf.at(-2)
@@ -584,7 +599,11 @@ def relative_filtration(frame: Frame, n_mat: Mat):
 
 def relative_filtration_exists(frame: Frame, n_mat: Mat) -> bool:
     """Whether n(e) lies in P, read off the operator's cleared e-column."""
-    ints, lam = _membership(frame, n_mat)
+    return _relative_filtration_exists(frame, n_mat, *_membership(frame, n_mat))
+
+
+def _relative_filtration_exists(frame: Frame, n_mat: Mat, ints: list, lam) -> bool:
+    """relative_filtration_exists on the operator's membership step."""
     p, _, _ = _block_pq(frame, frame.restriction(n_mat), lam)
     return not any(p._residual([row[frame.rank] for row in ints[:frame.rank]]))
 

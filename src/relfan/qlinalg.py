@@ -488,6 +488,8 @@ class Subspace:
             raise MixedAmbient("intersect: ambient mismatch")
         if not self.basis or not other.basis:
             return Subspace.zero(self.ambient)
+        if self.dim == self.ambient or other.dim == self.ambient:  # the meet with everything
+            return other if self.dim == self.ambient else self
         a = [row for _, row in self._cleared[1]]
         # y . (a + b) = 0 means y[:len(a)] . a lies in both spaces
         cols = [list(c) for c in zip(*(self._int_rows() + other._int_rows()))]

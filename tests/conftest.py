@@ -9,6 +9,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# more examples for the property tests of a chosen file, on request:
+# python -m pytest tests/test_classifying.py --hypothesis-profile=deep
+settings.register_profile("deep", parent=settings.get_profile("exact"), max_examples=600)
 settings.load_profile("exact")
 
 

@@ -10,7 +10,8 @@ generic minor machinery against the classical statement.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from relfan.classifying import (
     PeriodPoint,
@@ -26,6 +27,7 @@ from relfan.classifying import (
 from relfan.cones import Cone
 from relfan.errors import (
     GriffithsViolated,
+    InvariantViolation,
     MixedAmbient,
     NotInCompactDual,
     NotInG,
@@ -34,9 +36,9 @@ from relfan.errors import (
 from relfan import classifying
 from relfan.fans import flatten, unflatten
 from relfan.fixtures import elliptic_frame, jordan3_frame
-from relfan.gaussian import Gi, gmat
+from relfan.gaussian import I, ONE, GSpace, Gi, gmat, realify_mat
 from relfan.hodge import Frame
-from relfan.qlinalg import exp_nilpotent, identity, zero_vec
+from relfan.qlinalg import Subspace, det, exp_nilpotent, identity, linear_map, zero_vec
 
 from conftest import fracs
 from dense_series import gexp_nilpotent
@@ -276,3 +278,235 @@ def test_exp_log_consistency_with_rational_layer():
     for fr in (elliptic_frame(), jordan3_frame()):
         n = fr.pencil(F(1), zero_vec(fr.rank))
         assert gexp_nilpotent(gmat(n)) == gmat(exp_nilpotent(n))
+
+
+# --- integer kernels against the Gi paths they replaced ----------------------
+#
+# The references below are the Q(i) scalar computations the classifying layer
+# ran before it moved onto cleared integer rows: the pairing summed entry by
+# entry over Gi, the hermitian gram built from it, positivity by one det per
+# leading block, the graded pieces cut by a meet with the inner coordinates,
+# and a move applied level by level through realify_mat on Fractions.
+
+
+def ref_pairing(gram, x, y):
+    acc = Gi()
+    for s, xs in enumerate(x):
+        for t, g in enumerate(gram[s]):
+            acc = acc + xs * g * y[t]
+    return acc
+
+
+def ref_graded(pt, k, p):
+    fr = pt.frame
+    space = pt.at(p)
+    cut = space.intersect(GSpace(fr.dim, identity(fr.dim)[: fr.rank]))
+    if k == 0:
+        return GSpace(1, [(1,)] if space.dim > cut.dim else [])
+    return GSpace(fr.rank, [v[: fr.rank] for v in cut.basis])
+
+
+def ref_gram(pt, k):
+    return gmat(pt.frame.gram) if k else gmat([[1]])
+
+
+def ref_in_compact_dual(pt):
+    for k in hodge_numbers(pt.frame):
+        for p in pt.jump_indices:
+            for q in pt.jump_indices:
+                if p + q <= k:
+                    continue
+                for x in ref_graded(pt, k, p).basis:
+                    for y in ref_graded(pt, k, q).basis:
+                        if ref_pairing(ref_gram(pt, k), x, y):
+                            return False
+    return True
+
+
+def ref_hermitian_gram(pt, k, p):
+    q = k - p
+    conj = GSpace(pt.frame.rank if k else 1, [[c.conjugate() for c in v] for v in ref_graded(pt, k, q).basis])
+    piece = ref_graded(pt, k, p).intersect(conj)
+    if piece.dim != hodge_numbers(pt.frame)[k].get((p, q), 0):
+        return None
+    sign = (ONE, I, -ONE, -I)[(p - q) % 4]
+    m = tuple(
+        tuple(sign * ref_pairing(ref_gram(pt, k), x, [c.conjugate() for c in y]) for y in piece.basis)
+        for x in piece.basis
+    )
+    assert all(m[a][b].conjugate() == m[b][a] for a in range(len(m)) for b in range(len(m)))
+    return m
+
+
+def ref_positive_definite(m):
+    form = realify_mat(m)
+    return all(det(tuple(row[:t] for row in form[:t])) > 0 for t in range(1, len(form) + 1))
+
+
+def ref_in_D(pt):
+    if not ref_in_compact_dual(pt):
+        return None
+    for k, types in hodge_numbers(pt.frame).items():
+        for (p, _), m in types.items():
+            gram = ref_hermitian_gram(pt, k, p)
+            if m and (gram is None or not ref_positive_definite(gram)):
+                return False
+    return True
+
+
+def ref_apply(pt, op):
+    move = linear_map(realify_mat(op))
+    return tuple((p, GSpace._of(Subspace.span(map(move, s.real.basis), s.real.ambient))) for p, s in pt.jumps)
+
+
+def assert_matches_reference(pt):
+    isotropic = ref_in_compact_dual(pt)
+    assert in_compact_dual(pt) == isotropic
+    if isotropic:
+        assert in_D(pt) == ref_in_D(pt)
+    else:
+        with pytest.raises(NotInCompactDual):
+            in_D(pt)
+    for k, types in hodge_numbers(pt.frame).items():
+        for p in {p for p, _ in types} | set(pt.jump_indices):
+            assert pt.graded(k, p) == ref_graded(pt, k, p)
+            assert hermitian_gram(pt, k, p) == ref_hermitian_gram(pt, k, p)
+
+
+gis = st.builds(Gi, fracs(), fracs())
+
+
+@given(gis)
+def test_elliptic_points_match_the_gi_paths(tau):
+    assert_matches_reference(elliptic_point(tau))
+
+
+@st.composite
+def jordan3_points(draw):
+    """F^0 the isotropic line (1, t, t^2 / 2), and F^-1 its orthogonal
+    plane, spanned by it and (0, 1, t); or else a plane drawn freely."""
+    t = draw(gis)
+    top = (Gi(1), t, t * t * Gi(F(1, 2)))
+    other = (Gi(), Gi(1), t) if draw(st.booleans()) else draw(st.tuples(gis, gis, gis))
+    assume(GSpace(3, [top, other]).dim == 2)
+    return extend_inner_filtration(jordan3_frame(), {0: [top], -1: [other], -2: identity(3)})
+
+
+@given(jordan3_points())
+def test_jordan3_points_match_the_gi_paths(pt):
+    assert_matches_reference(pt)
+
+
+def weight_minus_two_frame(gram):
+    return Frame(rank=2, weight=-2, gram=gram, gamma=identity(2), hodge={(0, -2): 1, (-2, 0): 1})
+
+
+# the two hand frames by name: the gram and its isotropic lines
+HAND_FRAMES = {
+    "diagonal": (((1, 0), (0, -1)), [(1, 1), (1, -1)]),
+    "hyperbolic": (((0, 1), (1, 0)), [(1, 0), (0, 1)]),
+}
+
+
+@given(st.sampled_from(sorted(HAND_FRAMES)), st.data())
+def test_weight_minus_two_points_match_the_gi_paths(name, data):
+    gram, isotropic = HAND_FRAMES[name]
+    line = data.draw(st.one_of(st.sampled_from(isotropic), st.tuples(gis, gis)))
+    assume(any(line))
+    fr = weight_minus_two_frame(gram)
+    assert_matches_reference(extend_inner_filtration(fr, {0: [line], -2: identity(2)}))
+
+
+SL2_GENERATORS = [((1, 1), (0, 1)), ((0, -1), (1, 0)), ((1, 0), (1, 1))]
+
+
+@given(gis, st.lists(st.sampled_from(SL2_GENERATORS), min_size=1, max_size=4))
+def test_integral_symplectic_moves_match_the_gi_paths(tau, word):
+    pt = elliptic_point(tau)
+    for s in word:
+        op = block_diag(s)
+        moved = pt.apply(op)
+        assert moved.jumps == ref_apply(pt, op)
+        assert_matches_reference(moved)
+        pt = moved
+
+
+@given(st.sampled_from(["elliptic", "jordan3"]), st.data())
+def test_orbit_moves_match_the_gi_paths(name, data):
+    if name == "elliptic":
+        pt, n = elliptic_point(data.draw(gis)), elliptic_frame().pencil(F(1), (0, 0))
+    else:
+        pt, n = jordan3_point((0, 1, 0)), jordan3_frame().pencil(F(1), zero_vec(3))
+    for u in orbit_exponentials(n, (1, data.draw(fracs().filter(lambda y: y > 0)))):
+        moved = pt.apply(u)
+        assert moved.jumps == ref_apply(pt, u)
+        assert_matches_reference(moved)
+
+
+def test_membership_and_isotropy_build_no_gaussian_scalar(monkeypatch):
+    # fresh frames, so the forms are built inside the refused calls too
+    points = [
+        extend_inner_filtration(elliptic_frame(), {0: [(gi(0, 1), 1)], -1: identity(2)}),
+        jordan3_point((0, 1, 0)),
+        extend_inner_filtration(weight_minus_two_frame(HAND_FRAMES["hyperbolic"][0]), {0: [(1, 0)], -2: identity(2)}),
+    ]
+
+    def refuse(self):
+        raise AssertionError("a Gi was built")
+
+    monkeypatch.setattr(Gi, "__post_init__", refuse)
+    assert [in_compact_dual(pt) for pt in points] == [True, True, True]
+    assert [in_D(pt) for pt in points] == [True, False, False]
+
+
+def test_a_non_symmetric_form_is_refused(monkeypatch):
+    pt = elliptic_point(gi(0, 1))
+    built = classifying._form
+
+    def skewed(pt, k, twist):
+        scale, rows = built(pt, k, twist)
+        if twist is None:
+            return scale, rows
+        rows = [list(r) for r in rows]
+        rows[0].append((1, 1))
+        rows[1].append((0, -1))
+        return scale, rows
+
+    monkeypatch.setattr(classifying, "_form", skewed)
+    with pytest.raises(InvariantViolation, match="induced form is not hermitian"):
+        in_D(pt)
+    with pytest.raises(InvariantViolation, match="induced form is not hermitian"):
+        hermitian_gram(pt, -1, 0)
+
+
+@st.composite
+def symmetric_int_matrices(draw):
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entries)
+    return m
+
+
+@given(symmetric_int_matrices())
+def test_leading_minors_are_the_leading_dets(m):
+    dets = [det(tuple(tuple(F(x) for x in row[:t]) for row in m[:t])) for t in range(1, len(m) + 1)]
+    want = dets[: dets.index(0) + 1] if 0 in dets else dets
+    assert list(classifying._leading_minors(m)) == want
+    assert all(d > 0 for d in classifying._leading_minors(m)) == all(d > 0 for d in dets)
+
+
+def test_leading_minors_stop_at_the_first_zero():
+    assert list(classifying._leading_minors([[0, 1], [1, 0]])) == [0]
+    assert list(classifying._leading_minors([[1, 1, 0], [1, 1, 0], [0, 0, 5]])) == [1, 0]
+    assert list(classifying._leading_minors([[2, 1], [1, -3]])) == [2, -7]
+
+
+def test_levels_outside_the_jumps_share_one_zero_space():
+    pt = elliptic_point(gi(0, 1))
+    assert pt.at(1) is pt.at(7)
+    assert pt.graded(-1, 1) is pt.graded(-1, 3)
+    assert pt.graded(0, 1) is pt.graded(0, 2)
+    assert pt.at(1).dim == pt.graded(-1, 1).dim == pt.graded(0, 1).dim == 0

@@ -467,3 +467,24 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["suite"] == "axioms"
+
+
+def test_rmf_runs_one_membership_step(tmp_path, capsys, monkeypatch):
+    """check_in_g, the criterion, the construction and the witness share
+    the operator's one membership step."""
+    from relfan import cli
+
+    calls = []
+    step = cli._membership
+    monkeypatch.setattr(cli, "_membership", lambda fr, n: calls.append(n) or step(fr, n))
+    spec = write_spec(tmp_path, fixture="jordan3")
+    for name, fields in [
+        ("lam1.json", {"lam": "1", "e_image": ["1", "0", "0"]}),
+        ("lam0.json", {"lam": "0", "e_image": ["1", "1", "1"]}),
+        ("zero.json", {"matrix": [["0"] * 4] * 4}),
+        ("off.json", {"matrix": [["0", "0", "0", "0"], ["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0"] * 4]}),
+    ]:
+        calls.clear()
+        code, report = run_json(capsys, "rmf", "--spec", spec, "--n-data", write_operator(tmp_path, name, **fields))
+        assert code == 0 and len(calls) == 1
+        assert report["existence"]["exists"] == (report["filtration"] is not None)

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relfan.classifying import _positive_definite, orbit_exponentials
-from relfan.errors import NotNilpotent, SpecFormatError
+from relfan.errors import MixedAmbient, NotNilpotent, SpecFormatError
 from relfan.gaussian import (
     I,
     ONE,
@@ -22,11 +22,10 @@ from relfan.gaussian import (
     format_gi,
     gmat,
     gvec,
-    i_power,
     realify_mat,
     unrealify_mat,
 )
-from relfan.qlinalg import Subspace, exp_nilpotent, matmul
+from relfan.qlinalg import Subspace, exp_nilpotent, linear_map, matmul
 
 from conftest import fracs
 
@@ -62,12 +61,6 @@ def test_scalar_coercion():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         gi(1) / ZERO
-
-
-def test_i_power_cycle():
-    assert [i_power(n) for n in range(4)] == [ONE, I, -ONE, -I]
-    assert i_power(-1) == -I
-    assert i_power(6) == -ONE
 
 
 @given(fracs(), fracs(), fracs(), fracs())
@@ -243,3 +236,64 @@ def test_exp_imaginary_direction():
 def test_exp_rejects_non_nilpotent():
     with pytest.raises(NotNilpotent):
         orbit_exponentials(((F(1), F(0)), (F(0), F(1))), (1,))
+
+
+# --- scalars keep their Fraction parts, spaces keep their cleared rows ------
+
+def test_fraction_parts_are_kept_and_other_parts_parsed():
+    half = F(1, 2)
+    z = Gi(half, half)
+    assert z.re is half and z.im is half
+    assert Gi(3).re == F(3) and type(Gi(3).re) is F
+    assert Gi("3/4", -2) == gi(F(3, 4), -2)
+    with pytest.raises(ValueError):
+        Gi("not a number")
+    assert coerce(half).re is half
+
+
+def cleared_matches_basis(space):
+    """The seeded cleared rows of a realified space are its basis rows
+    times one positive scale, at their pivots."""
+    den, rows = space.real._cleared
+    assert den > 0 and len(rows) == space.real.dim
+    for (p, row), w in zip(rows, space.real.basis):
+        dense = [F(0)] * space.real.ambient
+        for j, x in row:
+            dense[j] = F(x, den)
+        assert tuple(dense) == w and w[p] == 1
+
+
+@given(st.data())
+def test_conjugate_flips_the_rref_rows(data):
+    n = data.draw(st.integers(1, 4))
+    a = data.draw(gaussian_rows(n))
+    space = GSpace(n, a)
+    conj = space.conjugate()
+    assert conj == GSpace(n, [[x.conjugate() for x in v] for v in a])
+    cleared_matches_basis(conj)
+    assert conj.conjugate().real.basis == space.real.basis
+
+
+@given(st.data())
+def test_apply_matches_the_fraction_map(data):
+    n = data.draw(st.integers(1, 3))
+    space = GSpace(n, data.draw(gaussian_rows(n)))
+    entry = st.builds(Gi, SMALL, SMALL)
+    op = data.draw(st.tuples(*[st.tuples(*[entry] * n)] * n))
+    moved = space.apply(op)
+    want = Subspace.span(map(linear_map(realify_mat(op)), space.real.basis), 2 * n)
+    assert moved.real == want
+    cleared_matches_basis(moved)
+
+
+def test_meet_with_the_whole_space_is_the_other_space():
+    full, line = GSpace(2, [(ONE, ZERO), (ZERO, ONE)]), GSpace(2, [(ONE, I)])
+    assert full.intersect(line).real is line.real and line.intersect(full).real is line.real
+    with pytest.raises(MixedAmbient):
+        full.intersect(GSpace(3, [(ONE, ZERO, ZERO)]))
+
+
+@pytest.mark.parametrize("op", [gmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), gmat([[1]]), gmat([[1, 0]]), gmat([[1], [0]])])
+def test_apply_refuses_an_operator_of_the_wrong_shape(op):
+    with pytest.raises(MixedAmbient):
+        GSpace(2, [(ONE, I)]).apply(op)

@@ -992,3 +992,20 @@ def test_commutation_reduces_to_kernel_membership(l1, a1, a2, l2, b1, b2):
     cross = vec((F(l1) * b1 - F(l2) * a1, F(l1) * b2 - F(l2) * a2))
     criterion = Subspace.kernel(fr.log_gamma).contains(cross)
     assert direct == criterion
+
+
+# --- the zero block's P and Q, cached on the frame ---------------------------
+
+
+@pytest.mark.parametrize("name", ORACLE_FRAMES)
+def test_zero_block_pq_is_cached_and_read_on_the_zero_pencil(name):
+    """lam = 0 is the zero inner block alone, so its P and Q are one frame
+    cache, and lam = 0 operators read it without computing them again."""
+    fr = oracle_frame(name)
+    zero = zeros(fr.rank, fr.rank)
+    assert fr._zero_block_pq == hodge._pq_spaces(fr, fr._zero_block_filtration, zero)
+    n = fr.pencil(0, tuple(F(k % 3 - 1) for k in range(fr.rank)))
+    want = (pq_spaces(fr, zero), relative_filtration_exists(fr, n))
+    with mock.patch.object(hodge, "_pq_spaces", side_effect=AssertionError("recomputed")):
+        assert (pq_spaces(fr, zero), relative_filtration_exists(fr, n)) == want
+    assert want[0] is fr._zero_block_pq
