@@ -83,15 +83,13 @@ class PeriodPoint:
         levels = sorted(self.jumps, reverse=True)
         if not levels:
             raise PreconditionViolated("a period point needs at least one level")
-        acc = []
-        out = []
+        space, out = _zero(fr.dim), []
         for p in levels:
-            for v in self.jumps[p]:
-                v = gvec(v)
-                if len(v) != fr.dim:
-                    raise MixedAmbient("spanning vector of the wrong length")
-                acc.append(v)
-            out.append((p, GSpace(fr.dim, acc)))
+            vectors = [gvec(v) for v in self.jumps[p]]
+            if any(len(v) != fr.dim for v in vectors):
+                raise MixedAmbient("spanning vector of the wrong length")
+            space = space.add(GSpace(fr.dim, vectors))
+            out.append((p, space))
         self.jumps = tuple(out)
         self._graded = self._split_graded()
         self._check_flag()

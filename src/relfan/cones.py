@@ -250,11 +250,6 @@ def sorted_unique(cones) -> tuple:
     return tuple(sorted(found.values(), key=lambda c: (c.dim, c.rays)))
 
 
-def fan_closure(cones) -> tuple:
-    """The cones together with all of their faces, deduplicated."""
-    return sorted_unique(f for c in cones for f in c.faces())
-
-
 def check_fan(cones) -> list:
     """Fan axioms on a finite window: closed under faces, and any two
     members intersect in a common face.  Returns a list of violation

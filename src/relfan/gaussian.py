@@ -144,17 +144,18 @@ def _with_i(w) -> tuple:
 
 class GSpace:
     """Subspace of Q(i)^n, held as ``real``: the i-stable subspace of
-    Q^2n spanned by the realified vectors and i times each of them.
+    Q^2n spanned by the realified vectors and i times each of them,
+    stored, like every Subspace, as its cleared integer rows.
 
     ``basis`` is the reduced row echelon basis over Q(i), read off the
-    rational one.  Let b_1, ..., b_d be the Q(i) rref basis, with pivots
-    p_1 < ... < p_d.  Realified, b_k has 1 at 2p_k and 0 at 2p_k + 1,
-    i b_k has 0 at 2p_k and 1 at 2p_k + 1, both are zero before 2p_k
-    and at every other pivot pair.  So these 2d rows are already a
-    rational rref; as that form is unique, the rational pivots come in
-    pairs (2p_k, 2p_k + 1) and the rows at even pivots are exactly the
-    realified b_k.  Equality and hashing of ``real`` are therefore
-    equality of Q(i)-subspaces.
+    rational one at the edges.  Let b_1, ..., b_d be the Q(i) rref
+    basis, with pivots p_1 < ... < p_d.  Realified, b_k has 1 at 2p_k
+    and 0 at 2p_k + 1, i b_k has 0 at 2p_k and 1 at 2p_k + 1, both are
+    zero before 2p_k and at every other pivot pair.  So these 2d rows
+    are already a rational rref; as that form is unique, the rational
+    pivots come in pairs (2p_k, 2p_k + 1) and the rows at even pivots
+    are exactly the realified b_k.  Equality and hashing of ``real``
+    are therefore equality of Q(i)-subspaces.
     """
 
     def __init__(self, ambient: int, rows=()):
@@ -184,6 +185,9 @@ class GSpace:
     def contains_space(self, other: "GSpace") -> bool:
         return self.real.contains_space(other.real)
 
+    def add(self, other: "GSpace") -> "GSpace":
+        return GSpace._of(self.real.add(other.real))
+
     def intersect(self, other: "GSpace") -> "GSpace":
         return GSpace._of(self.real.intersect(other.real))
 
@@ -209,13 +213,9 @@ class GSpace:
         back to 1: each row flips the coordinates of the other parity than
         its pivot.  No zero moves, so the flipped rref rows are the rref of
         the conjugate, with no elimination."""
-        real, (den, rows) = self.real, self.real._cleared
-        basis = tuple(
-            tuple(-x if (j - p) & 1 and x else x for j, x in enumerate(w)) for w, (p, _) in zip(real.basis, rows)
-        )
-        out = Subspace(real.ambient, basis)
-        out.__dict__["_cleared"] = den, tuple((p, [(j, -x if (j - p) & 1 else x) for j, x in r]) for p, r in rows)
-        return GSpace._of(out)
+        den, rows = self.real._cleared
+        flipped = tuple((p, tuple((j, -x if (j - p) & 1 else x) for j, x in r)) for p, r in rows)
+        return GSpace._of(Subspace(self.real.ambient, (den, flipped)))
 
     def __eq__(self, other):
         return isinstance(other, GSpace) and self.real == other.real

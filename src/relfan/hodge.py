@@ -56,7 +56,6 @@ from .qlinalg import (
     _sparse_rows,
     det,
     frac,
-    identity,
     log_unipotent,
     mat,
     mat_from_json,
@@ -133,7 +132,8 @@ class Filtration:
         """The levels at the jumps and at 0 as the inner piece of a frame,
         one zero coordinate (e's) appended; built once per filtration."""
         levels = sorted(set(self.jump_indices) | {0})
-        return {j: Subspace.span([v + (ZERO,) for v in self.at(j).basis], self.ambient + 1) for j in levels}
+        # a trailing zero coordinate changes no cleared row
+        return {j: Subspace(self.ambient + 1, self.at(j)._cleared) for j in levels}
 
 
 def weight_filtration(n_mat: Mat, center: int = 0) -> Filtration:
@@ -376,7 +376,7 @@ class Frame:
 
     @cached_property
     def inner_space(self) -> Subspace:
-        return Subspace.span([self.embed_inner(row) for row in identity(self.rank)], self.dim)
+        return Subspace(self.dim, Subspace.full(self.rank)._cleared)
 
     @cached_property
     def inner_lattice(self) -> ZLattice:

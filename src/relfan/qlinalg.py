@@ -1,8 +1,10 @@
 """Exact linear algebra over Q, plus integer lattice canonical forms.
 
 Matrices are tuples of tuples of Fraction, row major.  Endomorphisms act
-on column vectors (matvec), subspaces and lattices are stored as row
-bases.  There is no floating point anywhere in the package.
+on column vectors (matvec).  A subspace is stored as the cleared integer
+rows of its canonical rref basis, and a lattice as an integer Hermite
+basis over one denominator.  There is no floating point anywhere in the
+package.
 
 Elimination (rref, det, and everything built on them) and recombination
 (matmul, matvec, the intersection basis of two subspaces) run on
@@ -16,9 +18,12 @@ manner of Gustavson (ACM TOMS 4, 1978), and every zero entry of a
 result is the shared ZERO, as is every zero that matscale and frac
 return, so a clear reads no Fraction attribute for it.  Callers clear
 an operator once at their public edge and pass the integer rows on
-(hodge._membership).  A Subspace keeps the cleared integer rows
-of its basis from the elimination that made it, so membership,
-reduction, sums and meets build no Fraction until the answer.
+(hodge._membership).  A Subspace holds nothing but the cleared integer
+rows of its rref basis over their least common denominator (Cohen, A
+Course in Computational Algebraic Number Theory, 1993, 2.2), a form
+that is unique, so membership, reduction, sums and meets build no
+Fraction, and its Fraction basis is read off the rows only where an
+answer needs it.
 
 NilpotentPowers is the one kernel for the powers of a nilpotent
 operator: exp, log, gamma^p, the orbit exponentials and every other
@@ -344,25 +349,20 @@ def _kernel_ints(work: list, pivots: list, nc: int) -> list:
     return out
 
 
-def kernel_basis(m: Mat) -> Mat:
-    """Rows spanning the right kernel {x : m . x = 0}: one per free column
-    f of the rref, with x[f] = 1."""
-    nc = len(m[0]) if m else 0
-    work = _row_ints(m)
-    pivots = _rref_ints(work)
-    return tuple(_to_fractions(x, x[f]) for f, x in _kernel_ints(work, pivots, nc))
-
-
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of Q^n with its canonical rref row basis.
-
-    Equality of fields is equality of subspaces.  Construct through the
-    classmethods; the raw constructor trusts its input to be reduced.
+    """Linear subspace of Q^n, stored as the cleared rows of its canonical
+    rref basis b_1, ..., b_d: _cleared = (D, ((p_1, r_1), ..., (p_d, r_d)))
+    with D the least positive integer making D b_i integral, p_i the
+    pivot of b_i and r_i = D b_i as its (column, entry) pairs with entry
+    != 0, so r_i is D at p_i.  The form is unique, so equality of fields
+    is equality of subspaces.  Membership, reduction, sums and meets run
+    on these rows; the Fraction basis is read off them at the edges.
+    Construct through the classmethods.
     """
 
     ambient: int
-    basis: Mat
+    _cleared: tuple
 
     @classmethod
     def span(cls, vectors, ambient: int) -> "Subspace":
@@ -374,25 +374,25 @@ class Subspace:
 
     @classmethod
     def _of_int_rows(cls, work: list, ambient: int) -> "Subspace":
-        """The span of integer rows, which are reduced in place; the
-        cleared rows of the basis are kept from the elimination."""
-        pivots = _rref_ints(work)
-        rows = list(zip(work, pivots))
-        out = cls(ambient, tuple(_to_fractions(row, row[p]) for row, p in rows))
-        den = lcm(*(row[p] for row, p in rows))
-        out.__dict__["_cleared"] = (
-            den,
-            tuple((p, [(j, x * den // row[p]) for j, x in enumerate(row) if x]) for row, p in rows),
-        )
-        return out
+        """The span of integer rows, which are reduced in place.  Row i of
+        the elimination, made primitive with a positive pivot P_i, is b_i
+        times P_i, and P_i is the least integer clearing b_i; so D is the
+        least common multiple of the P_i."""
+        rows = []
+        for row, p in zip(work, _rref_ints(work)):
+            g = gcd(*row) if row[p] > 0 else -gcd(*row)
+            rows.append((p, [x // g for x in row] if g != 1 else row))
+        den = lcm(*(row[p] for p, row in rows))
+        cleared = tuple((p, tuple((j, x * (den // row[p])) for j, x in enumerate(row) if x)) for p, row in rows)
+        return cls(ambient, (den, cleared))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ())
+        return cls(ambient, (1, ()))
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, identity(ambient))
+        return cls(ambient, (1, tuple((i, ((i, 1),)) for i in range(ambient))))
 
     @classmethod
     def kernel(cls, m: Mat) -> "Subspace":
@@ -407,18 +407,15 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._cleared[1])
 
     def _pivots(self):
-        return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.basis)
+        return tuple(p for p, _ in self._cleared[1])
 
     @cached_property
-    def _cleared(self):
-        """(D, rows): D a common denominator of the basis, and each basis
-        row times D as (pivot, sparse integer row).  Seeded by the
-        elimination that made the basis, else computed once."""
-        ints, den = _scaled_int_rows(self.basis)
-        return den, tuple(zip(self._pivots(), _sparse_rows(ints)))
+    def basis(self) -> Mat:
+        """The rref basis as Fraction rows, for reports and tests."""
+        return tuple(_to_fractions(row, self._cleared[0]) for row in self._int_rows())
 
     def _int_rows(self) -> list:
         """Fresh dense copies of the cleared basis rows."""
@@ -471,10 +468,10 @@ class Subspace:
         return not any(any(self._residual(iv)) for iv in other._int_rows())
 
     def coords(self, v: Vec):
-        """Coefficients of v in the basis rows, or None."""
-        if not self.basis:
-            return () if is_zero_vec(vec(v)) else None
-        return solve(transpose(self.basis), vec(v))
+        """Coefficients of v in the basis rows, or None.  The basis is in
+        rref, so a member's coefficients are its entries at the pivots."""
+        v = vec(v)
+        return tuple(v[p] for p in self._pivots()) if self.contains(v) else None
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -486,7 +483,7 @@ class Subspace:
         basis does not depend on their scale."""
         if self.ambient != other.ambient:
             raise MixedAmbient("intersect: ambient mismatch")
-        if not self.basis or not other.basis:
+        if not self.dim or not other.dim:
             return Subspace.zero(self.ambient)
         if self.dim == self.ambient or other.dim == self.ambient:  # the meet with everything
             return other if self.dim == self.ambient else self
@@ -754,13 +751,14 @@ class ZLattice:
             raise MixedAmbient("lattice/subspace intersect: ambient mismatch")
         if not self.rows:
             return ZLattice(self.ambient)
-        ker = kernel_basis(space.basis) if space.basis else identity(self.ambient)
+        # integer vectors spanning the kernel of the cleared rows, which
+        # are reduced already; their scale changes no left kernel below
+        ker = [x for _, x in _kernel_ints(space._int_rows(), space._pivots(), self.ambient)]
         if not ker:
             return self
-        cols = transpose(tuple(primitive(k) for k in ker))
-        w = matmul(mat(self.rows), cols)
+        w = [[sum(a * b for a, b in zip(row, k)) for k in ker] for row in self.rows]
         rows = []
-        for c in int_left_kernel(tuple(tuple(int(x) for x in r) for r in w)):
+        for c in int_left_kernel(w):
             v = [0] * self.ambient
             for coef, row in zip(c, self.rows):
                 v = [s + coef * x for s, x in zip(v, row)]

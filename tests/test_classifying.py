@@ -9,6 +9,8 @@ generic minor machinery against the classical statement.
 
 from fractions import Fraction as F
 
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -33,7 +35,7 @@ from relfan.errors import (
     NotInG,
     PreconditionViolated,
 )
-from relfan import classifying
+from relfan import classifying, gaussian, qlinalg
 from relfan.fans import flatten, unflatten
 from relfan.fixtures import elliptic_frame, jordan3_frame
 from relfan.gaussian import I, ONE, GSpace, Gi, gmat, realify_mat
@@ -510,3 +512,31 @@ def test_levels_outside_the_jumps_share_one_zero_space():
     assert pt.graded(-1, 1) is pt.graded(-1, 3)
     assert pt.graded(0, 1) is pt.graded(0, 2)
     assert pt.at(1).dim == pt.graded(-1, 1).dim == pt.graded(0, 1).dim == 0
+
+
+# --- levels built once, on cleared rows -----------------------------------------
+
+
+def test_each_spanning_vector_is_realified_once():
+    fr = jordan3_frame()
+    e = (0, 0, 0, 1)
+    jumps = {0: [(0, 0, 1, 0), e], -1: [(0, 1, 0, 0), e], -2: [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), e]}
+    with mock.patch.object(gaussian, "realify", wraps=gaussian.realify) as realified:
+        pt = PeriodPoint(fr, jumps)
+    assert realified.call_count == sum(map(len, jumps.values()))
+    for p, vectors in jumps.items():
+        want = GSpace(fr.dim, [v for q, vs in jumps.items() if q >= p for v in vs])
+        assert pt.at(p) == want
+
+
+@pytest.mark.parametrize("tau", [gi(F(1, 2), F(3, 4)), gi(-2, 0), gi(F(-1, 3), -1)])
+def test_period_points_are_built_and_decided_with_no_fraction_basis(tau):
+    fr = elliptic_frame()  # the frame's own caches are built outside the patch
+    in_D(extend_inner_filtration(fr, {0: [(ONE, ONE)], -1: [(1, 0), (0, 1)]}))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction basis was built")
+
+    with mock.patch.object(qlinalg, "_to_fractions", refuse):
+        pt = extend_inner_filtration(fr, {0: [(tau, 1)], -1: [(1, 0), (0, 1)]})
+        assert in_D(pt) == upper_half(tau)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relfan.cones import Cone, check_fan, fan_closure, rays_from_ineqs
+from relfan.cones import Cone, check_fan, rays_from_ineqs, sorted_unique
 from relfan.errors import MixedAmbient, NotSharp
 from relfan.qlinalg import dot, vec
 
@@ -168,6 +168,11 @@ def test_facet_normals_support_the_cone():
 
 
 # --- fans ----------------------------------------------------------------------
+
+
+def fan_closure(cones) -> tuple:
+    """The cones together with all of their faces, deduplicated."""
+    return sorted_unique(f for c in cones for f in c.faces())
 
 
 def test_fan_closure_and_check():

@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import fracs, int_fracs
@@ -15,6 +15,7 @@ from relfan.errors import (
     SpecFormatError,
 )
 from relfan.fixtures import elliptic_frame, jordan3_frame
+from relfan.gaussian import GSpace, Gi
 from relfan.gallery import kunneth_h3, standard_factors
 from relfan.qlinalg import (
     ZERO,
@@ -31,7 +32,6 @@ from relfan.qlinalg import (
     inverse,
     is_nilpotent,
     is_zero_mat,
-    kernel_basis,
     log_unipotent,
     mat,
     matmul,
@@ -112,7 +112,7 @@ def test_solve_consistency(m, x):
 
 @given(square(4))
 def test_kernel_rank_nullity(m):
-    k = kernel_basis(m)
+    k = Subspace.kernel(m).basis
     assert rank(m) + len(k) == 4
     for v in k:
         assert all(c == 0 for c in matvec(m, v))
@@ -191,6 +191,9 @@ def test_subspace_reduce_is_membership_test():
     assert s.contains((2, 1, 3))
     assert not s.contains((0, 0, 1))
     assert s.coords((2, 1, 3)) == (F(2), F(1))
+    for space in (s, Subspace.zero(3)):
+        with pytest.raises(MixedAmbient):
+            space.coords((0, 0))
 
 
 # --- sparse integer kernels against dense Fraction references -----------------
@@ -253,6 +256,125 @@ def test_subspace_reduce_and_contains_match_the_dense_reference(data, n):
     assert space.contains(member)
     part = Subspace.span([member, other], n)
     assert space.contains_space(part) == (space.contains(member) and space.contains(other))
+
+
+# --- the cleared rows are the one stored form of a subspace ------------------
+
+
+def dense_rref(rows):
+    """The nonzero rows of the reduced row echelon form, by Gauss-Jordan
+    elimination in Fraction arithmetic."""
+    work, out = [list(map(F, r)) for r in rows], []
+    for c in range(len(work[0]) if work else 0):
+        p = next((i for i, r in enumerate(work) if r[c]), None)
+        if p is None:
+            continue
+        top = work.pop(p)
+        top = [x / top[c] for x in top]
+        work = [[x - r[c] * y for x, y in zip(r, top)] for r in work]
+        out = [[x - r[c] * y for x, y in zip(r, top)] for r in out] + [top]
+    return tuple(map(tuple, out))
+
+
+def kernel_basis(m, n):
+    """Rows spanning {x : m . x = 0}, one per free column f of the dense
+    rref, with x[f] = 1."""
+    r = dense_rref(m)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in r]
+    out = []
+    for f in (f for f in range(n) if f not in pivots):
+        x = [F(0)] * n
+        x[f] = F(1)
+        for row, p in zip(r, pivots):
+            x[p] = -row[f]
+        out.append(tuple(x))
+    return tuple(out)
+
+
+def assert_canonical(space):
+    """_cleared is (D, rows) with D the least positive integer clearing the
+    rref, every pivot entry D, zeros at the other pivots and no stored
+    zero, all in tuples; it is the stored form, so it is hashed."""
+    den, rows = space._cleared
+    pivots = [p for p, _ in rows]
+    assert den > 0 and pivots == sorted(set(pivots)) and len(rows) == space.dim
+    for p, row in rows:
+        assert type(row) is tuple and row[0] == (p, den) and all(x for _, x in row)
+        assert [j for j, _ in row] == sorted({j for j, _ in row}) and not set(dict(row)) & set(pivots) - {p}
+    assert lcm(*(F(x, den).denominator for _, row in rows for _, x in row)) == den
+    assert hash(space) == hash(Subspace(space.ambient, space._cleared))
+
+
+def rational_rows(n, max_size=None):
+    """Rows of length n whose entries mix denominators up to 12."""
+    return st.lists(st.lists(fracs(max_num=12, max_den=12), min_size=n, max_size=n), max_size=max_size or n + 1)
+
+
+@given(st.data(), st.integers(1, 6))
+def test_span_is_the_dense_rref_and_does_not_see_the_generators(data, n):
+    rows = data.draw(rational_rows(n))
+    space = Subspace.span(rows, n)
+    assert space.basis == dense_rref(rows)
+    assert_canonical(space)
+    if rows:
+        u = data.draw(square(len(rows), fracs(max_num=5, max_den=6)))
+        assume(det(u) != 0)
+        other = Subspace.span(matmul(u, mat(rows)), n)
+        assert other._cleared == space._cleared and hash(other) == hash(space) and other == space
+
+
+@given(st.data(), st.integers(1, 6))
+def test_every_space_made_is_canonical(data, n):
+    a = Subspace.span(data.draw(rational_rows(n)), n)
+    b = Subspace.span(data.draw(rational_rows(n)), n)
+    m = mat(data.draw(rational_rows(n, max_size=6)) or [[0] * n])
+    made = [a.add(b), a.intersect(b), Subspace.kernel(m), Subspace.image(transpose(m))]
+    for space in made + [Subspace.zero(n), Subspace.full(n)]:
+        assert_canonical(space)
+    assert made[0].basis == dense_rref(a.basis + b.basis)
+    assert made[2].basis == dense_rref(kernel_basis(m, n))
+    assert made[3].basis == dense_rref(m)
+    g = GSpace(n, [[Gi(x, y) for x, y in zip(r, reversed(r))] for r in data.draw(rational_rows(n))])
+    conj = g.conjugate()
+    assert_canonical(conj.real)
+    assert conj.real.basis == dense_rref([[-x if j & 1 else x for j, x in enumerate(w)] for w in g.real.basis])
+
+
+def intersect_subspace_reference(lat, space):
+    """The lattice meet on Fraction rows: the kernel of the basis, made
+    primitive, then the integer left kernel of the lattice rows against it."""
+    ker = kernel_basis(space.basis, space.ambient)
+    if not lat.rows or not ker:
+        return lat if lat.rows else ZLattice(lat.ambient)
+    w = matmul(mat(lat.rows), transpose(tuple(primitive(k) for k in ker)))
+    members = []
+    for c in int_left_kernel(tuple(tuple(int(x) for x in r) for r in w)):
+        v = [sum(coef * row[j] for coef, row in zip(c, lat.rows)) for j in range(lat.ambient)]
+        members.append(tuple(F(x, lat.denom) for x in v))
+    return ZLattice.from_vectors(members, lat.ambient)
+
+
+@given(st.data(), st.integers(1, 6))
+def test_intersect_subspace_matches_the_fraction_path(data, n):
+    lat = ZLattice.from_vectors(data.draw(rational_rows(n)), n)
+    space = Subspace.span(data.draw(rational_rows(n)), n)
+    assert lat.intersect_subspace(space) == intersect_subspace_reference(lat, space)
+    # a space holding part of the lattice keeps the meet nonzero
+    part = Subspace.span(lat.basis_vectors()[:1] + space.basis[:1], n)
+    assert lat.intersect_subspace(part) == intersect_subspace_reference(lat, part)
+
+
+@pytest.mark.parametrize("frame", [elliptic_frame, jordan3_frame, lambda: kunneth_h3(standard_factors())])
+def test_embedded_spaces_reuse_the_cleared_rows(frame):
+    fr = frame()
+    pad = lambda s: Subspace.span([v + (ZERO,) for v in s.basis], s.ambient + 1)
+    assert fr.inner_space == pad(Subspace.full(fr.rank)) == Subspace.span(map(fr.embed_inner, identity(fr.rank)), fr.dim)
+    for filt in (fr.pencil_weight_filtration, fr._zero_block_filtration):
+        levels = filt._embedded_levels
+        assert set(levels) == set(filt.jump_indices) | {0}
+        for j, space in levels.items():
+            assert space == pad(filt.at(j))
+            assert_canonical(space)
 
 
 def test_subspace_ambient_mismatch():
