@@ -88,7 +88,7 @@ class PeriodPoint:
             vectors = [gvec(v) for v in self.jumps[p]]
             if any(len(v) != fr.dim for v in vectors):
                 raise MixedAmbient("spanning vector of the wrong length")
-            space = space.add(GSpace(fr.dim, vectors))
+            space = space.add_vectors(vectors)
             out.append((p, space))
         self.jumps = tuple(out)
         self._graded = self._split_graded()
@@ -158,7 +158,7 @@ _LINE = GSpace(1, _UNIT)
 @lru_cache(maxsize=16)
 def _zero(ambient: int) -> GSpace:
     """The zero space of Q(i)^ambient, shared."""
-    return GSpace(ambient)
+    return GSpace._of(Subspace.zero(2 * ambient))
 
 
 def _level(spaces, p: int, ambient: int) -> GSpace:

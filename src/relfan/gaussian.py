@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import MixedAmbient, SpecFormatError
-from .qlinalg import Mat, Subspace, Vec, _int_product, _scaled_int_rows, _sparse_rows
+from .qlinalg import Mat, Subspace, Vec, _int_product, _row_ints, _scaled_int_rows, _sparse_rows
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,11 @@ class GSpace:
     def contains_space(self, other: "GSpace") -> bool:
         return self.real.contains_space(other.real)
 
-    def add(self, other: "GSpace") -> "GSpace":
-        return GSpace._of(self.real.add(other.real))
+    def add_vectors(self, vectors) -> "GSpace":
+        """This space plus the span of Q(i) vectors, in one elimination
+        over its cleared rows and the realified vectors with i times each."""
+        rows = _row_ints(w for v in vectors for w in _with_i(realify(v)))
+        return GSpace._of(Subspace._of_int_rows(self.real._int_rows() + rows, self.real.ambient))
 
     def intersect(self, other: "GSpace") -> "GSpace":
         return GSpace._of(self.real.intersect(other.real))

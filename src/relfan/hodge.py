@@ -21,9 +21,9 @@ An operator is cleared to integer rows once at the public edge
 the tilt of e are all read off those rows.  The axiom certificates
 decide on cleared integer rows of their own: N S <= T is one
 sparse product of N with S's rows and T's residuals; a graded piece
-upper / lower is read in one chart, lower.reduce(v) at the pivots of
-the complement it spans; and N^l is injective on Gr_(c+l) iff N^l
-W_(c+l) has rank graded_dim(c + l) modulo W_(c-l-1).
+upper / lower is read off one integer echelon whose prefixes are the
+induced levels, with no Subspace eliminated; and N^l is injective on
+Gr_(c+l) iff N^l Gr_(c+l) has rank graded_dim(c + l) modulo level c-l-1.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import (
     InvariantViolation,
@@ -39,6 +40,7 @@ from .errors import (
     NotInGroup,
     NotNilpotent,
     NotUnipotent,
+    PreconditionViolated,
     SpecFormatError,
 )
 from .qlinalg import (
@@ -173,17 +175,18 @@ def _operator_rows(n_mat: Mat) -> list:
     return _sparse_rows(_scaled_int_rows(transpose(n_mat))[0])
 
 
-def _push(nt: list, space: Subspace, times: int = 1) -> list:
-    """Dense integer rows spanning N^times space: the cleared basis rows
-    times nt, once per power, with no Fraction in between."""
-    rows = [row for _, row in space._cleared[1]]
+def _push(nt: list, rows: list, times: int = 1) -> list:
+    """Dense integer rows spanning N^times span(rows), for sparse integer
+    rows: the rows times nt, once per power, with no Fraction in between."""
     for _ in range(times - 1):
         rows = _sparse_rows(_int_product(rows, nt, len(nt)))
     return _int_product(rows, nt, len(nt))
 
 
 def _maps_into(nt: list, source: Subspace, target: Subspace) -> bool:
-    return not any(any(target._residual(row)) for row in _push(nt, source))
+    if target.dim == target.ambient:
+        return True
+    return not any(any(target._residual(row)) for row in _push(nt, [row for _, row in source._cleared[1]]))
 
 
 def _shifts_by_two(nt: list, filt: Filtration) -> bool:
@@ -193,70 +196,93 @@ def _shifts_by_two(nt: list, filt: Filtration) -> bool:
     return all(_maps_into(nt, filt.at(j), filt.at(j - 2)) for j in range(lo, hi + 1))
 
 
-def _lefschetz(nt: list, filt: Filtration, c: int) -> bool:
-    """N^l : Gr_(c+l) -> Gr_(c-l) is an isomorphism for every l >= 1,
-    for an N known to shift filt by -2, so that N^l W_(c+l-1) lies in
-    W_(c-l-1): the graded dimensions match, and N^l W_(c+l) has full
-    rank graded_dim(c + l) modulo W_(c-l-1) (its residuals' rank)."""
-    lo, hi = filt.jump_indices[0], filt.jump_indices[-1]
+def _reduced(echelon: list, v: list) -> list:
+    """v, consumed, reduced in order by echelon rows (pivot, pivot entry,
+    sparse row), each zero at the pivots of the rows before it, and made
+    primitive: zero at every pivot, and zero iff v lies in their span."""
+    for p, a, row in echelon:
+        f = v[p]
+        if f:
+            if a != 1:
+                v = [a * x for x in v]
+            for j, x in row:
+                v[j] -= f * x
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _induces_weight(nt: list, cand: Filtration, lower: Subspace, upper: Subspace, c: int) -> bool:
+    """Whether cand induces on upper / lower the weight filtration of
+    N-bar centered at c, for an N that preserves lower and upper and
+    shifts cand by -2 (so N-bar shifts the induced filtration already).
+
+    One integer echelon holds lower's rows (in rref, so one _residual
+    reduces by all of them), then, jump by jump, the rows of cand_j meet
+    upper, each reduced in order by the rows before it and kept if
+    nonzero.  So L_k = lower + (cand_k meet upper) is a prefix, graded
+    dimensions are differences of prefix lengths, and appending stops at
+    all of upper.  N^l : Gr_(c+l) -> Gr_(c-l) is an isomorphism iff the
+    graded dimensions match and N^l of the rows between L_(c+l-1) and
+    L_(c+l) has rank graded_dim(c + l) modulo L_(c-l-1), as N^l L_(c+l-1)
+    lies in L_(c-l-1) already."""
+    rows, ends, seen = [], [], set()  # rows past lower's; (j, len(rows)) per jump
+    for j, s in cand.jumps:
+        meet = s if upper.contains_space(s) else s.intersect(upper)
+        for key, v in zip(meet._cleared[1], meet._int_rows()):
+            if key not in seen:  # a row met at an earlier jump is in the prefix
+                seen.add(key)
+                v = _reduced(rows, lower._residual(v))
+                if any(v):
+                    row = [(i, x) for i, x in enumerate(v) if x]
+                    rows.append((*row[0], row))
+        ends.append((j, len(rows)))
+        if lower.dim + len(rows) == upper.dim:
+            break
+
+    def end(k):  # the number of rows past lower's at level k
+        return next((m for j, m in reversed(ends) if j <= k), 0)
+
+    lo, hi = next(j for j, m in ends if m), ends[-1][0]
     for l in range(1, max(hi - c, c - lo) + 1):
-        top = filt.graded_dim(c + l)
-        if top != filt.graded_dim(c - l):
+        top = end(c + l) - end(c + l - 1)
+        if top != end(c - l) - end(c - l - 1):
             return False
-        floor = filt.at(c - l - 1)
-        if top and len(_rref_ints([floor._residual(r) for r in _push(nt, filt.at(c + l), l)])) != top:
+        floor = rows[: end(c - l - 1)]
+        graded = [row for _, _, row in rows[end(c + l - 1) : end(c + l)]]
+        if top and len(_rref_ints([_reduced(floor, lower._residual(v)) for v in _push(nt, graded, l)])) != top:
             return False
     return True
 
 
-def is_weight_filtration(n_mat: Mat, filt: Filtration, center: int) -> bool:
-    """Direct axiom check, independent of the construction above: filt
-    is exhaustive, N shifts it by -2, and the rank criterion of
-    _lefschetz holds at center."""
-    if filt.ambient != len(n_mat) or not filt.is_exhaustive():
-        return False
-    nt = _operator_rows(n_mat)
-    return _shifts_by_two(nt, filt) and _lefschetz(nt, filt, center)
-
-
-def _graded_piece(nt: list, cand: Filtration, lower: Subspace, upper: Subspace):
-    """N-bar (as rows of its transpose, like nt) and the filtration cand
-    induces on upper / lower, in one chart: C = span(lower.reduce(b) for
-    b in upper's basis).  Residuals modulo lower vanish at lower's
-    pivots, so C's pivots avoid them, and v in upper has coordinates
-    lower.reduce(v) at C's pivots.  The chart kills lower, so cand.at(j)
-    meet upper needs no '+ lower'; it changes only at cand's jumps."""
-    chart = Subspace._of_int_rows([lower._residual(row) for row in upper._int_rows()], upper.ambient)
-    pivots = [p for p, _ in chart._cleared[1]]
-
-    def coords(rows):
-        return [[r[p] for p in pivots] for r in map(lower._residual, rows)]
-
-    spaces = {}
-    for j, s in cand.jumps:
-        inside = s if upper.contains_space(s) else s.intersect(upper)
-        spaces[j] = Subspace._of_int_rows(coords(inside._int_rows()), len(pivots))
-    return _sparse_rows(coords(_push(nt, chart))), Filtration.from_spaces(spaces, len(pivots))
-
-
 def is_relative_weight_filtration(n_mat: Mat, base: Filtration, cand: Filtration) -> bool:
-    """Axioms for a monodromy filtration of n_mat relative to base:
+    """Axioms for a monodromy filtration of n_mat relative to base
+    (Steenbrink-Zucker, Variation of mixed Hodge structure I, 1985):
     n preserves base and shifts cand by -2, and on every graded piece
     upper / lower of base the induced filtration is the weight
-    filtration of the induced operator, centered at the piece's index.
-    Each piece is read in the chart of _graded_piece, where only the
-    _lefschetz part is left: as N shifts cand and preserves upper and
-    lower, N-bar shifts the induced filtration already."""
+    filtration of the induced operator, centered at the piece's index,
+    as decided by _induces_weight.  A base that is not exhaustive leaves
+    part of the space in no graded piece, so it raises
+    PreconditionViolated rather than pass a check it never made."""
     amb = len(n_mat)
     if base.ambient != amb or cand.ambient != amb:
         raise MixedAmbient("relative filtration check: ambient mismatch")
+    if not base.is_exhaustive():
+        raise PreconditionViolated("relative filtration check: the base filtration is not exhaustive")
     if not cand.is_exhaustive():
         return False
     nt = _operator_rows(n_mat)
     if not all(_maps_into(nt, s, s) for _, s in base.jumps) or not _shifts_by_two(nt, cand):
         return False
     pieces = zip([Subspace.zero(amb)] + [s for _, s in base.jumps], base.jumps)
-    return all(_lefschetz(*_graded_piece(nt, cand, lower, upper), w) for lower, (w, upper) in pieces)
+    return all(_induces_weight(nt, cand, lower, upper, w) for lower, (w, upper) in pieces)
+
+
+def is_weight_filtration(n_mat: Mat, filt: Filtration, center: int) -> bool:
+    """Direct axiom check, independent of the construction above: the
+    one-piece case of is_relative_weight_filtration, whose base is
+    everything at center.  False on a filtration of another ambient."""
+    whole = Filtration(filt.ambient, ((center, Subspace.full(filt.ambient)),))
+    return filt.ambient == len(n_mat) and is_relative_weight_filtration(n_mat, whole, filt)
 
 
 # ---------------------------------------------------------------------------

@@ -464,6 +464,10 @@ class Subspace:
     def contains_space(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise MixedAmbient("contains_space: ambient mismatch")
+        if self.dim == self.ambient:
+            return True
+        if other.dim > self.dim:
+            return False
         # membership does not see scale, so other's cleared rows will do
         return not any(any(self._residual(iv)) for iv in other._int_rows())
 
@@ -840,11 +844,6 @@ class NilpotentPowers:
     def exp(self, t=1) -> Mat:
         """exp(t N)."""
         return self.series(lambda i: Fraction(t) ** i / factorial(i))
-
-
-def nilpotency_index(n_mat: Mat) -> int:
-    """Least k with n_mat**k = 0.  Raises NotNilpotent otherwise."""
-    return len(NilpotentPowers(n_mat))
 
 
 def is_nilpotent(n_mat: Mat) -> bool:

@@ -529,6 +529,21 @@ def test_each_spanning_vector_is_realified_once():
         assert pt.at(p) == want
 
 
+def test_each_level_is_one_elimination():
+    # a level is the level above's cleared rows plus its own realified
+    # rows, eliminated once; _split_graded then cuts each level once
+    fr = jordan3_frame()
+    e = (0, 0, 0, 1)
+    jumps = {0: [(0, 0, 1, 0), e], -1: [(0, 1, 0, 0)], -2: [(1, 0, 0, 0)]}
+    split = PeriodPoint._split_graded
+    with mock.patch.object(Subspace, "_of_int_rows", wraps=Subspace._of_int_rows) as eliminated, \
+         mock.patch.object(PeriodPoint, "_split_graded", autospec=True, side_effect=split) as cut:
+        pt = PeriodPoint(fr, jumps)
+    assert cut.call_count == 1
+    assert eliminated.call_count == 2 * len(jumps)
+    assert [pt.at(p).dim for p in (0, -1, -2)] == [2, 3, 4]
+
+
 @pytest.mark.parametrize("tau", [gi(F(1, 2), F(3, 4)), gi(-2, 0), gi(F(-1, 3), -1)])
 def test_period_points_are_built_and_decided_with_no_fraction_basis(tau):
     fr = elliptic_frame()  # the frame's own caches are built outside the patch

@@ -4,7 +4,7 @@ from functools import lru_cache
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import fracs
@@ -13,6 +13,7 @@ from relfan.errors import (
     NotInGroup,
     NotNilpotent,
     NotUnipotent,
+    PreconditionViolated,
     SpecFormatError,
 )
 from relfan import hodge, qlinalg
@@ -847,8 +848,9 @@ TRIPLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("lam,image", TRIPLE_CASES)
-def test_relative_certificate_matches_the_fraction_chart_on_triple(lam, image):
+def triple_cases(lam, image):
+    """The triple frame, the e image named by image, and the
+    certificate_cases of the pencil operator at level lam."""
     fr = oracle_frame("triple")
     r = fr.rank
     unit = [tuple(F(int(i == k)) for i in range(r)) for k in (0, r - 1)]
@@ -860,9 +862,15 @@ def test_relative_certificate_matches_the_fraction_chart_on_triple(lam, image):
         "image-of-first": matvec(fr.log_gamma, unit[0]),
         "image-of-last": matvec(fr.log_gamma, unit[1]),
     }[image]
-    n = fr.pencil(lam, h)
     picks = iter([1, 0, 2])
-    cases = certificate_cases(fr, n, lambda lo, hi: min(next(picks), hi), lambda: (F(1, 2),) * r)
+    n = fr.pencil(lam, h)
+    return fr, h, certificate_cases(fr, n, lambda lo, hi: min(next(picks), hi), lambda: (F(1, 2),) * r)
+
+
+@pytest.mark.parametrize("lam,image", TRIPLE_CASES)
+def test_relative_certificate_matches_the_fraction_chart_on_triple(lam, image):
+    fr, h, cases = triple_cases(lam, image)
+    n = fr.pencil(lam, h)
     for op in (n, fr.pencil(0, h)):
         verdicts = [is_relative_weight_filtration(op, fr.base_filtration, c) for c in cases]
         assert verdicts == [reference_is_relative(op, fr.base_filtration, c) for c in cases]
@@ -914,37 +922,42 @@ def test_weight_axioms_match_the_preimage_test(n, data):
 
 
 @st.composite
-def split_operators(draw):
-    """(N, base, M) on Q^4 = P(Q^2 + Q^2): N = P (N1 + N2) P^-1 with N1, N2
-    strictly upper, base P Q^2 at a and everything at b > a, and M =
-    P (W(N1) at a + W(N2) at b), a relative weight filtration of N.  P
-    is unit lower times unit upper triangular, so the spaces are in
-    general not spanned by coordinate vectors."""
-    blocks = [draw(strict_upper(2, -2, 2)) for _ in range(2)]
-    lower_p = [[draw(st.integers(-1, 1)) if j < i else int(i == j) for j in range(4)] for i in range(4)]
-    upper_p = [[draw(st.integers(-1, 1)) if j > i else int(i == j) for j in range(4)] for i in range(4)]
+def split_operators(draw, sizes=(2, 2)):
+    """(N, base, M) on Q^d = P(Q^s1 + ... + Q^sk), d the sum of the sizes:
+    N = P (N1 + ... + Nk) P^-1 with each Ni strictly upper, base
+    P(Q^s1 + ... + Q^si) at a_i, increasing in i, and M = P (W(N1) at
+    a_1 + ... + W(Nk) at a_k), a relative weight filtration of N.  P is
+    unit lower times unit upper triangular, so the spaces are in general
+    not spanned by coordinate vectors."""
+    d = sum(sizes)
+    offsets = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
+    blocks = [draw(strict_upper(size, -2, 2)) for size in sizes]
+    lower_p = [[draw(st.integers(-1, 1)) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    upper_p = [[draw(st.integers(-1, 1)) if j > i else int(i == j) for j in range(d)] for i in range(d)]
     p = matmul(mat(lower_p), mat(upper_p))
-    n = [[F(0)] * 4 for _ in range(4)]
-    for k, blk in enumerate(blocks):
-        for i in range(2):
-            for j in range(2):
-                n[2 * k + i][2 * k + j] = blk[i][j]
+    n = [[F(0)] * d for _ in range(d)]
+    for blk, o, size in zip(blocks, offsets, sizes):
+        for i in range(size):
+            for j in range(size):
+                n[o + i][o + j] = blk[i][j]
     n = matmul(matmul(p, mat(n)), inverse(p))
-    a = draw(st.integers(-3, 0))
-    b = a + draw(st.integers(1, 3))
+    centers = [draw(st.integers(-3, 0))]
+    for _ in sizes[1:]:
+        centers.append(centers[-1] + draw(st.integers(1, 3)))
     moved = transpose(p)  # rows v -> (P v)^T = v P^T
 
     def image(vectors):
-        return Subspace.span(matmul(vectors, moved), 4)
+        return Subspace.span(matmul(vectors, moved), d)
 
-    pieces = [weight_filtration(blk, center=c) for blk, c in zip(blocks, (a, b))]
+    pieces = [weight_filtration(blk, center=c) for blk, c in zip(blocks, centers)]
     spaces = {}
     for j in range(min(f.jump_indices[0] for f in pieces), max(f.jump_indices[-1] for f in pieces) + 1):
-        first = [v + (F(0), F(0)) for v in pieces[0].at(j).basis]
-        second = [(F(0), F(0)) + v for v in pieces[1].at(j).basis]
-        spaces[j] = image(tuple(first + second))
-    base = Filtration.from_spaces({a: image(tuple(identity(4)[:2])), b: Subspace.full(4)}, 4)
-    return n, base, Filtration.from_spaces(spaces, 4)
+        spaces[j] = image(tuple(
+            (F(0),) * o + v + (F(0),) * (d - o - size)
+            for f, o, size in zip(pieces, offsets, sizes) for v in f.at(j).basis
+        ))
+    base = Filtration.from_spaces({c: image(tuple(identity(d)[:o])) for c, o in zip(centers, offsets[1:])}, d)
+    return n, base, Filtration.from_spaces(spaces, d)
 
 
 @given(split_operators(), st.data())
@@ -959,6 +972,106 @@ def test_relative_certificate_with_a_nonzero_lower_piece(split, data):
     for cand in filter(Filtration.is_exhaustive, cands):
         for op in (n, zeros(4, 4)):
             assert is_relative_weight_filtration(op, base, cand) == reference_is_relative(op, base, cand)
+
+
+@given(split_operators((1, 2, 1)), st.data())
+def test_relative_certificate_on_three_split_pieces(split, data):
+    """A three-jump base whose middle piece, over a nonzero lower part,
+    carries the only nonzero block: its rank test reads the floor
+    lower + (M_(c-2) meet upper) off the echelon."""
+    n, base, genuine = split
+    assert len(base.jumps) == 3
+    shift = data.draw(st.sampled_from((-1, 1)))
+    cands = [genuine, genuine.shift(shift), dropped(genuine, data.draw(st.integers(0, len(genuine.jumps) - 1)))]
+    for cand in filter(Filtration.is_exhaustive, cands):
+        for op in (n, zeros(4, 4)):
+            assert is_relative_weight_filtration(op, base, cand) == reference_is_relative(op, base, cand)
+
+
+@st.composite
+def stable_bases(draw):
+    """(N, base) on Q^4: N = P J P^-1 with J one nilpotent Jordan block
+    of size 4 or 3 (nonzero superdiagonal scales), P unit lower times
+    unit upper triangular, and base an exhaustive N-stable filtration
+    with three or more jumps, so that several graded pieces have a
+    nonzero lower part.  Its levels are ker N^(i+1) + im N^(b_i) with
+    b_i nonincreasing, which grow with i and which N preserves."""
+    sizes = draw(st.sampled_from((4, 3)))
+    j = [[0] * 4 for _ in range(4)]
+    for i in range(sizes - 1):
+        j[i][i + 1] = draw(st.sampled_from((1, 2, -1)))
+    lower_p = [[draw(st.integers(-1, 1)) if c < r else int(r == c) for c in range(4)] for r in range(4)]
+    upper_p = [[draw(st.integers(-1, 1)) if c > r else int(r == c) for c in range(4)] for r in range(4)]
+    p = matmul(mat(lower_p), mat(upper_p))
+    n = matmul(matmul(p, mat(j)), inverse(p))
+    powers = [matpow(n, k) for k in range(5)]
+    b = sorted(draw(st.lists(st.integers(1, 4), min_size=3, max_size=3)), reverse=True)
+    levels = [Subspace.kernel(powers[i + 1]).add(Subspace.image(powers[b[i]])) for i in range(3)]
+    start = draw(st.integers(-4, 1))
+    steps = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
+    indices = [start + sum(steps[:i]) for i in range(4)]
+    base = Filtration.from_spaces(dict(zip(indices, levels + [Subspace.full(4)])), 4)
+    assume(len(base.jumps) >= 3)
+    return n, base
+
+
+@given(stable_bases(), st.data())
+def test_relative_certificate_on_stable_flags_with_three_jumps(pair, data):
+    """The base itself is a relative weight filtration whenever N shifts
+    it by -2 (N is zero on its graded pieces); its shifts, W(N) and
+    drawn chains give the other verdicts."""
+    n, base = pair
+    shift = data.draw(st.sampled_from((-2, -1, 1, 2)))
+    center = data.draw(st.integers(-1, 1))
+    cands = [base, base.shift(shift), weight_filtration(n, center=center), data.draw(chains(n))]
+    for cand in cands:
+        for op in (n, matmul(n, n), zeros(4, 4)):
+            assert is_relative_weight_filtration(op, base, cand) == reference_is_relative(op, base, cand)
+
+
+def test_stable_flags_reach_both_verdicts_on_three_pieces():
+    n = mat([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    kernels = {2 * k: Subspace.kernel(matpow(n, k)) for k in range(1, 5)}
+    base = Filtration.from_spaces(kernels, 4)
+    assert len(base.jumps) == 4
+    for cand, want in ((base, True), (base.shift(1), False), (weight_filtration(n), False)):
+        assert is_relative_weight_filtration(n, base, cand) is want
+        assert reference_is_relative(n, base, cand) is want
+
+
+@pytest.mark.parametrize("lam,image", TRIPLE_CASES)
+def test_triple_certificate_builds_no_chart_subspace(lam, image):
+    """On triple a certificate reads every graded piece off one echelon
+    of cleared rows: it eliminates no Subspace, and a certified one runs
+    exactly one _rref_ints, the rank test of the inner piece."""
+    fr, h, cases = triple_cases(lam, image)
+    certified_any = False
+    for op in (fr.pencil(lam, h), fr.pencil(0, h)):
+        for cand in cases:
+            with mock.patch.object(Subspace, "_of_int_rows", wraps=Subspace._of_int_rows) as eliminated, \
+                 mock.patch.object(hodge, "_rref_ints", wraps=hodge._rref_ints) as ranked:
+                certified = is_relative_weight_filtration(op, fr.base_filtration, cand)
+            assert eliminated.call_count == 0
+            assert ranked.call_count == 1 if certified else ranked.call_count <= 1
+            certified_any |= certified
+    assert certified_any == (relative_filtration(fr, fr.pencil(lam, h)) is not None)
+
+
+@pytest.mark.parametrize("make", [elliptic_frame, jordan3_frame], ids=["elliptic", "jordan3"])
+def test_relative_certificate_refuses_a_base_that_is_not_exhaustive(make):
+    # with no graded piece to check, a candidate whose top jump (where e
+    # enters) is one index too high would pass: the base must be exhaustive
+    fr = make()
+    n = fr.pencil(1, matvec(fr.log_gamma, (F(1),) * fr.rank))
+    genuine = relative_filtration(fr, n)
+    assert genuine is not None
+    top, space = genuine.jumps[-1]
+    moved = Filtration(fr.dim, genuine.jumps[:-1] + ((top + 1, space),))
+    assert not is_relative_weight_filtration(n, fr.base_filtration, moved)
+    truncated = Filtration(fr.dim, fr.base_filtration.jumps[:-1])
+    for base in (Filtration(fr.dim, ()), truncated):
+        with pytest.raises(PreconditionViolated):
+            is_relative_weight_filtration(n, base, moved)
 
 
 def test_oracle_cases_reach_both_verdicts():
