@@ -291,12 +291,6 @@ def hermitian_gram(pt: PeriodPoint, k: int, p: int):
     )
 
 
-def _positive_definite(m) -> bool:
-    """Sylvester's criterion on the realified form: a hermitian
-    H = A + iB is positive definite iff [[A, -B], [B, A]] is."""
-    return all(minor > 0 for minor in _leading_minors(_scaled_int_rows(realify_mat(m))[0]))
-
-
 def in_D(pt: PeriodPoint) -> bool:
     """Membership in the open domain.  Raises NotInCompactDual when the
     point fails isotropy, so False always means a positivity failure."""

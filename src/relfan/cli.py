@@ -289,11 +289,10 @@ def _gamma_checks(spec: SpecData) -> list:
     blocked = _cell_fan_blocked(fan)
     if blocked:
         return [("cell-conjugation-stable", None, {"reason": blocked})]
-    window = fan.window(spec.window)
     shifts = [zero_vec(spec.frame.rank)]
     shifts.extend(fan.inner_lattice.basis_vectors())
     gammas = [(p, s) for p in (-2, -1, 0, 1, 2) for s in shifts]
-    return [(e["name"], e["ok"], e["witness"]) for e in strong_compatibility_report(fan, window, gammas)]
+    return [(e["name"], e["ok"], e["witness"]) for e in strong_compatibility_report(fan, spec.window, gammas)]
 
 
 def _completeness_checks(spec: SpecData) -> list:

@@ -23,13 +23,16 @@ locate inverts the chart: an operator on the positive pencil goes to
 The box grid of a coset is its ChartGrid (grid.py), the one owner of
 boxes, their cuts and their lifts.  Every window cone is a GridFace
 symbol of it, where the faces table and the fan axioms of a window are
-decided; cells and windows lift only corner rays, and subdivision
-cuts in the chart and lifts only the rays of its pieces.  Double
-description in operator space is left to cones off the positive pencil
-and to the generic oracles in cones.py.  Conjugation is an identity of
-chart maps, read once per coset key off the block identity g M g^-1 =
-[[G A G^-1, G h - G A G^-1 s], [0, 0]] for g = [[G, s], [0, 1]], G =
-gamma^p = exp(p log gamma), and M = [[A, h], [0, 0]], with no inverse.
+decided; cells and windows lift only corner rays, subdivision cuts in
+the chart and lifts only the rays of its pieces, and the stability
+report reads the zero key's rays and top cells as symbols, with no
+window lifted.  Double description in operator space is left to cones
+off the positive pencil and to the generic oracles in cones.py.  A
+coset's denominator is the lcm of its key's denominators, in closed
+form.  Conjugation is an identity of chart maps, read once per coset
+key off the block identity g M g^-1 = [[G A G^-1, G h - G A G^-1 s],
+[0, 0]] for g = [[G, s], [0, 1]], G = gamma^p = exp(p log gamma), and
+M = [[A, h], [0, 0]], with no inverse.
 
 Also here: the coarser comparison fans (rays over the inner image
 lattice, rays over the torus lattice, unit cube cells, rays over the
@@ -42,9 +45,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import product
-from math import factorial, floor, gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from .cones import Cone, sorted_unique
 from .errors import (
@@ -79,7 +82,6 @@ from .qlinalg import (
     matmul,
     matpow,
     matvec,
-    order_in_quotient,
     sandwich,
     snf,
     solve,
@@ -110,7 +112,6 @@ class CellFan:
     """The relatively complete fan of a frame's distinguished pencil."""
 
     frame: Frame
-    _denominators: dict = field(default_factory=dict, init=False, repr=False)
     _grids: dict = field(default_factory=dict, init=False, repr=False)
     _gamma_powers: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -219,13 +220,18 @@ class CellFan:
 
     def denominator(self, key) -> int:
         """Order of the coset in P/Q relative to the image of the P
-        lattice; cube side lengths are its reciprocal."""
+        lattice, the least a >= 1 with a section(key) in P lattice + Q;
+        cube side lengths are its reciprocal.  It is the lcm of the key's
+        denominators.  The adapted basis is a Z-basis of the P lattice,
+        and its cube block spans the Q lattice, which is P lattice meet Q
+        (Q lies in P).  So P lattice + Q = Q + sum Z s_i over the section
+        basis s_i, a direct sum since the s_i are independent modulo Q,
+        and a section(key) = sum a key_i s_i lies in it iff every a key_i
+        is an integer."""
         key = vec(key)
-        a = self._denominators.get(key)
-        if a is None:
-            a = order_in_quotient(self.section(key), self.p_lattice, self.q_space)
-            self._denominators[key] = a
-        return a
+        if len(key) != self.key_rank:
+            raise PreconditionViolated("coset key has the wrong length")
+        return lcm(*(x.denominator for x in key))
 
     # --- the pencil chart ---
 
@@ -277,18 +283,6 @@ class CellFan:
             raise PreconditionViolated("cube index has the wrong length")
         return n
 
-    def cell_containing(self, n_mat: Mat):
-        """Index (key, n) of the cell whose relative interior, or floor
-        boundary, holds the operator; None when no cell does."""
-        ints, lam = _membership(self.frame, n_mat)
-        if not any(map(any, ints)):
-            return self.zero_key(), (0,) * self.cube_rank
-        at = self._place(lam, self.frame.e_image(n_mat))
-        if at is None:
-            return None
-        _, key, cube = at
-        return key, tuple(floor(self.denominator(key) * c) for c in cube)
-
     def is_ray_member(self, n_mat: Mat) -> bool:
         """Whether the ray through the operator is a one dimensional
         face of the fan: exactly the rays through cube corners."""
@@ -306,14 +300,6 @@ class CellFan:
         return self.grid(key).window(bound)
 
     # --- the extension automorphisms ---
-
-    def gamma_matrix(self, power: int, shift) -> Mat:
-        fr = self.frame
-        shift = self._shift(shift)
-        gp = fr.log_powers.exp(power)
-        rows = [gp[i] + (shift[i],) for i in range(fr.rank)]
-        rows.append(zero_vec(fr.rank) + (ONE,))
-        return tuple(rows)
 
     def _shift(self, shift) -> Vec:
         """The shift of e, refused unless it is in the inner lattice."""
@@ -728,72 +714,50 @@ def corrupted_window(fan: CellFan, bound: int, mode: str) -> tuple:
     raise PreconditionViolated(f"unknown corruption mode: {mode}")
 
 
-def strong_compatibility_report(fan: CellFan, window, gammas) -> list:
-    """Two sided stability evidence for a fan window.
+def strong_compatibility_report(fan: CellFan, bound: int, gammas) -> list:
+    """Two sided stability evidence for the zero key's window of the
+    given bound, in window order.
 
-    For each full cell: the window cone must be the indexed cell of its
-    own interior representative, and conjugating it by every sample
-    automorphism must land on the indexed image cell (the library
-    asserts the image equality internally).  For each ray: a positive
-    integral multiple whose exponential preserves the lattice, recorded
-    with the multiple as witness.
+    For each ray: a positive integral multiple whose exponential
+    preserves the lattice, recorded with the multiple as witness.  For
+    each top cell: conjugating it by every sample automorphism must land
+    on the indexed image cell (the library asserts the image equality
+    internally).
 
-    Cones the zero key's grid recognizes are indexed by their grid face.
-    Any other cone is located from its interior point and compared with
-    the lifted corner rays of the located box.  Conjugation depends only
-    on the coset key, so conjugate_key runs once per (key, sample), and
-    each cell reads its key's verdict.
+    A face of an injective chart is its grid symbol (Ziegler, Lectures
+    on Polytopes, ch. 2), so the report reads the rays and top cells off
+    ChartGrid.window_symbols: a ray is grid.ray(v) at a grid point v, a
+    top cell is the box at its corner, and no window cone is lifted or
+    decoded.  Conjugation depends only on the coset key, so
+    conjugate_key runs once per sample, for the zero key, and each cell
+    reads that verdict.  The chart fails to be injective only when
+    log(gamma) = 0, where the cells do not form a fan unless P = 0 and
+    the window is the origin: the report is empty.  With cube rank 0 the
+    one box is the level ray, reported as a cell.
     """
-    fr = fan.frame
-    top = 1 + fan.cube_rank
-    zero, grid = fan.zero_key(), fan.grid()
-
-    @cache
-    def first_failure(key):
-        """The first sample whose conjugation of the coset fails, or None."""
-        for power, shift in gammas:
-            try:
-                fan.conjugate_key(power, shift, key)
-            except InvariantViolation as exc:
-                return {"gamma": (power, shift), "error": str(exc)}
-        return None
-
+    grid = fan.grid()
+    if not grid.injective:
+        return []
+    points, corners = grid.window_symbols(bound)
+    zero, bad = fan.zero_key(), None
+    for power, shift in gammas:
+        try:
+            fan.conjugate_key(power, shift, zero)
+        except InvariantViolation as exc:
+            bad = {"gamma": (power, shift), "error": str(exc)}
+            break
     checks = []
-    for c in window:
-        # a cone spans at most as many dimensions as it has rays, one ray
-        # spans one: below top rays the ray count decides both branches
-        face = grid.recognize(c) if grid.injective and len(c.rays) >= top else None
-        dim = len(c.rays) if len(c.rays) < top else c.dim if face is None else face.dim
-        if dim == top:
-            if face is not None:
-                idx = (zero, face.corner)
-            else:
-                idx = fan.cell_containing(unflatten(c.interior_point(), fr.dim))
-                if idx is None or fan.cell(*idx) != c:
-                    checks.append({
-                        "name": "cell-is-indexed-cell",
-                        "ok": False,
-                        "witness": {"cone": c.rays, "index": idx},
-                    })
-                    continue
-            bad = first_failure(idx[0])
-            checks.append({
-                "name": "cell-conjugation-stable",
-                "ok": bad is None,
-                "witness": bad or {"index": idx, "samples": len(gammas)},
-            })
-        elif dim == 1:
-            try:
-                a = minimal_integral_exponent(fan, unflatten(c.rays[0], fr.dim))
-                checks.append({
-                    "name": "ray-integral-exponential",
-                    "ok": True,
-                    "witness": {"ray": c.rays[0], "multiple": a},
-                })
-            except (InvariantViolation, PreconditionViolated) as exc:
-                checks.append({
-                    "name": "ray-integral-exponential",
-                    "ok": False,
-                    "witness": {"ray": c.rays[0], "error": str(exc)},
-                })
+    for v in points if grid.rank else ():
+        ray = grid.ray(v)
+        try:
+            ok, witness = True, {"ray": ray, "multiple": minimal_integral_exponent(fan, unflatten(ray, fan.frame.dim))}
+        except InvariantViolation as exc:
+            ok, witness = False, {"ray": ray, "error": str(exc)}
+        checks.append({"name": "ray-integral-exponential", "ok": ok, "witness": witness})
+    for n in corners:
+        checks.append({
+            "name": "cell-conjugation-stable",
+            "ok": bad is None,
+            "witness": bad or {"index": (zero, n), "samples": len(gammas)},
+        })
     return checks

@@ -185,10 +185,25 @@ class ChartGrid:
         if not self.injective:
             # faces collapse under the lift, so the lifts are deduplicated
             return sorted_unique(self.cone(f) for f in faces)
+        points, keyed = self._window_order(bound, faces)
+        return tuple(Cone(self.ambient, tuple(self.ray(points[i]) for i in ids)) for _, ids, _ in keyed)
+
+    def window_symbols(self, bound: int) -> tuple:
+        """The rays and top cells of window(bound) as symbols, each run in
+        window order: the grid points, sorted by lifted ray, and the lower
+        corners of the boxes.  Needs an injective lift."""
+        boxes = [GridFace(n, (True,) * self.rank) for n in product(range(-bound, bound + 1), repeat=self.rank)]
+        points, keyed = self._window_order(bound, boxes)
+        return points, [f.corner for _, _, f in keyed]
+
+    def _window_order(self, bound: int, faces) -> tuple:
+        """The window's grid points sorted by lifted ray, and the faces as
+        sorted (dim, sorted positions of their vertices among those points,
+        face) triples.  Positions compare as the lifted rays do, so this
+        is the order (dim, rays) of the lifted faces."""
         points = sorted(product(range(-bound, bound + 2), repeat=self.rank), key=self.ray)
         order = {v: i for i, v in enumerate(points)}
-        keyed = sorted((f.dim, tuple(sorted(order[v] for v in f.vertices()))) for f in faces)
-        return tuple(Cone(self.ambient, tuple(self.ray(points[i]) for i in ids)) for _, ids in keyed)
+        return points, sorted((f.dim, tuple(sorted(order[v] for v in f.vertices())), f) for f in faces)
 
     def lift_cone(self, cone: Cone) -> Cone:
         """The lift of a chart cone.  Injective, the lift carries extreme

@@ -277,14 +277,6 @@ def is_relative_weight_filtration(n_mat: Mat, base: Filtration, cand: Filtration
     return all(_induces_weight(nt, cand, lower, upper, w) for lower, (w, upper) in pieces)
 
 
-def is_weight_filtration(n_mat: Mat, filt: Filtration, center: int) -> bool:
-    """Direct axiom check, independent of the construction above: the
-    one-piece case of is_relative_weight_filtration, whose base is
-    everything at center.  False on a filtration of another ambient."""
-    whole = Filtration(filt.ambient, ((center, Subspace.full(filt.ambient)),))
-    return filt.ambient == len(n_mat) and is_relative_weight_filtration(n_mat, whole, filt)
-
-
 # ---------------------------------------------------------------------------
 # frames
 

@@ -48,7 +48,6 @@ from .errors import (
     MixedAmbient,
     NotNilpotent,
     NotUnipotent,
-    PreconditionViolated,
     SpecFormatError,
 )
 
@@ -774,31 +773,6 @@ class ZLattice:
         return ZLattice.from_vectors(
             [matvec(op, b) for b in self.basis_vectors()], len(op)
         )
-
-
-def order_in_quotient(x: Vec, lat: ZLattice, modulo: Subspace) -> int:
-    """Least a >= 1 with a*x inside lat + modulo.
-
-    Precondition: x lies in the Q-span of lat plus modulo.
-    """
-    x = vec(x)
-    if len(x) != lat.ambient or modulo.ambient != lat.ambient:
-        raise MixedAmbient("order_in_quotient: ambient mismatch")
-    xr = modulo.reduce(x)
-    red = ZLattice.from_vectors(
-        [modulo.reduce(r) for r in lat.basis_vectors()], lat.ambient
-    )
-    if is_zero_vec(xr):
-        return 1
-    if not red.rows:
-        raise PreconditionViolated("element not in the span of lattice + subspace")
-    c = solve(transpose(red.basis_vectors()), xr)
-    if c is None:
-        raise PreconditionViolated("element not in the span of lattice + subspace")
-    a = 1
-    for y in c:
-        a = lcm(a, y.denominator)
-    return a
 
 
 # ---------------------------------------------------------------------------

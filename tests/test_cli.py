@@ -228,6 +228,17 @@ def test_gamma_suite(tmp_path, capsys):
     assert any(c["status"] == "interpreted-pass" for c in report["checks"])
 
 
+def test_gamma_suite_trivial_monodromy(tmp_path, capsys):
+    """The gamma = 1 elliptic frame of test_build_trivial_monodromy: its
+    window is the origin, which has no ray and no cell to check."""
+    payload = frame_to_json(elliptic_frame())
+    payload["gamma"] = [["1", "0"], ["0", "1"]]
+    spec = write_spec(tmp_path, frame=payload)
+    code, report = run_json(capsys, "check", "--spec", spec, "--suite", "gamma")
+    assert code == 0
+    assert report["checks"] == []
+
+
 def test_completeness_suite(tmp_path, capsys):
     spec = write_spec(tmp_path, fixture="elliptic", corpus=20, seed=5)
     code, report = run_json(capsys, "check", "--spec", spec, "--suite", "completeness")

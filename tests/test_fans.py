@@ -42,7 +42,7 @@ from relfan.fans import (
 from relfan.fixtures import elliptic_frame, jordan3_frame
 from relfan.gallery import kunneth_h3, standard_factors
 from relfan.grid import ORIGIN, ChartGrid, GridFace, box, first_fan_violation, window_face_table
-from relfan.hodge import Frame, relative_filtration
+from relfan.hodge import Frame, _membership, frame_from_json, frame_to_json, relative_filtration
 from relfan.qlinalg import (
     NilpotentPowers,
     Subspace,
@@ -61,6 +61,7 @@ from relfan.qlinalg import (
     vscale,
     zero_vec,
 )
+from test_qlinalg import order_in_quotient
 
 
 @pytest.fixture(scope="module")
@@ -94,11 +95,77 @@ def brute_min_exponent(fan, n_mat, limit=64):
     raise AssertionError("no integral multiple found in range")
 
 
+def gamma_matrix(fan, power, shift):
+    """The extension automorphism gamma^power followed by the lattice
+    shift of e, as a matrix; NotInGroup for a shift off the lattice."""
+    fr = fan.frame
+    shift = fan._shift(shift)
+    gp = fr.log_powers.exp(power)
+    return tuple(gp[i] + (shift[i],) for i in range(fr.rank)) + (zero_vec(fr.rank) + (F(1),),)
+
+
 def conjugate(fan, power, shift, n_mat):
     """The matrix reference for conjugation: g M g^-1 with g the
-    automorphism fan.gamma_matrix(power, shift)."""
-    g = fan.gamma_matrix(power, shift)
+    automorphism gamma_matrix(fan, power, shift)."""
+    g = gamma_matrix(fan, power, shift)
     return matmul(matmul(g, n_mat), inverse(g))
+
+
+def cell_containing(fan, n_mat):
+    """Index (key, n) of the cell whose relative interior, or floor
+    boundary, holds the operator; None when no cell does."""
+    ints, lam = _membership(fan.frame, n_mat)
+    if not any(map(any, ints)):
+        return fan.zero_key(), (0,) * fan.cube_rank
+    at = fan._place(lam, fan.frame.e_image(n_mat))
+    if at is None:
+        return None
+    _, key, cube = at
+    return key, tuple(floor(fan.denominator(key) * c) for c in cube)
+
+
+def reference_gamma_report(fan, window, gammas):
+    """strong_compatibility_report by walking a window of lifted cones:
+    a cone the zero key's grid recognizes is indexed by its grid face,
+    any other is located from an interior point and compared with the
+    indexed cell, and each cone's dimension picks its check."""
+    fr = fan.frame
+    top = 1 + fan.cube_rank
+    zero, grid = fan.zero_key(), fan.grid()
+
+    def first_failure(key):
+        for power, shift in gammas:
+            try:
+                fan.conjugate_key(power, shift, key)
+            except InvariantViolation as exc:
+                return {"gamma": (power, shift), "error": str(exc)}
+        return None
+
+    checks = []
+    for c in window:
+        face = grid.recognize(c) if grid.injective and len(c.rays) >= top else None
+        dim = len(c.rays) if len(c.rays) < top else c.dim if face is None else face.dim
+        if dim == top:
+            if face is not None:
+                idx = (zero, face.corner)
+            else:
+                idx = cell_containing(fan, unflatten(c.interior_point(), fr.dim))
+                if idx is None or fan.cell(*idx) != c:
+                    checks.append({"name": "cell-is-indexed-cell", "ok": False,
+                                   "witness": {"cone": c.rays, "index": idx}})
+                    continue
+            bad = first_failure(idx[0])
+            checks.append({"name": "cell-conjugation-stable", "ok": bad is None,
+                           "witness": bad or {"index": idx, "samples": len(gammas)}})
+        elif dim == 1:
+            try:
+                a = minimal_integral_exponent(fan, unflatten(c.rays[0], fr.dim))
+                checks.append({"name": "ray-integral-exponential", "ok": True,
+                               "witness": {"ray": c.rays[0], "multiple": a}})
+            except InvariantViolation as exc:
+                checks.append({"name": "ray-integral-exponential", "ok": False,
+                               "witness": {"ray": c.rays[0], "error": str(exc)}})
+    return checks
 
 
 def matrix_conjugate_key(fan, power, shift, key):
@@ -171,19 +238,19 @@ def test_elliptic_origin_cell(ell):
 
 def test_elliptic_cell_containing(ell):
     fr = ell.frame
-    assert ell.cell_containing(fr.pencil(2, (F(3), F(0)))) == ((), (1,))
-    assert ell.cell_containing(fr.pencil(1, (F(-1, 3), F(0)))) == ((), (-1,))
+    assert cell_containing(ell, fr.pencil(2, (F(3), F(0)))) == ((), (1,))
+    assert cell_containing(ell, fr.pencil(1, (F(-1, 3), F(0)))) == ((), (-1,))
     zero = tuple(tuple(F(0) for _ in range(3)) for _ in range(3))
-    assert ell.cell_containing(zero) == ((), (0,))
+    assert cell_containing(ell, zero) == ((), (0,))
     # off the nonnegative pencil, or outside the existence space
-    assert ell.cell_containing(fr.pencil(-1, (F(0), F(0)))) is None
-    assert ell.cell_containing(fr.pencil(1, (F(0), F(1)))) is None
+    assert cell_containing(ell, fr.pencil(-1, (F(0), F(0)))) is None
+    assert cell_containing(ell, fr.pencil(1, (F(0), F(1)))) is None
 
 
 def test_containing_cell_actually_contains(ell):
     fr = ell.frame
     n = fr.pencil(F(3, 2), (F(7, 4), F(0)))
-    idx = ell.cell_containing(n)
+    idx = cell_containing(ell, n)
     assert ell.cell(*idx).contains(flatten(n))
 
 
@@ -214,11 +281,11 @@ def test_jordan3_coset_order(jd3):
 
 def test_jordan3_halved_cube(jd3):
     fr = jd3.frame
-    idx = jd3.cell_containing(fr.pencil(1, (F(1, 4), F(1, 2), F(0))))
+    idx = cell_containing(jd3, fr.pencil(1, (F(1, 4), F(1, 2), F(0))))
     assert idx == ((F(1, 2),), (0,))
     cell = jd3.cell(*idx)
     # cube side is 1/2, so the next cell starts at e1/2
-    assert jd3.cell_containing(fr.pencil(1, (F(1, 2), F(1, 2), F(0)))) == ((F(1, 2),), (1,))
+    assert cell_containing(jd3, fr.pencil(1, (F(1, 2), F(1, 2), F(0)))) == ((F(1, 2),), (1,))
     assert cell.contains(flatten(fr.pencil(1, (F(1, 4), F(1, 2), F(0)))))
 
 
@@ -263,7 +330,7 @@ def test_conjugation_matches_pointwise_transport(ell, jd3):
             got = fan.conjugate_cell(power, shift, (key, n))
             rep = fan.cell(key, n).interior_point()
             moved = conjugate(fan, power, shift, unflatten(rep, fr.dim))
-            assert fan.cell_containing(moved) == got
+            assert cell_containing(fan, moved) == got
 
 
 def test_shift_action_composes(ell):
@@ -274,9 +341,9 @@ def test_shift_action_composes(ell):
 
 def test_gamma_element_validation(ell):
     with pytest.raises(NotInGroup):
-        ell.gamma_matrix(1, (F(1, 2), F(0)))
+        gamma_matrix(ell, 1, (F(1, 2), F(0)))
     with pytest.raises(NotInGroup):
-        ell.gamma_matrix(0, (1, 2, 3))
+        gamma_matrix(ell, 0, (1, 2, 3))
 
 
 @pytest.mark.parametrize("frame", [elliptic_frame, jordan3_frame, lambda: kunneth_h3(standard_factors())],
@@ -288,11 +355,11 @@ def test_gamma_matrix_is_the_gamma_power(frame):
     fr = fan.frame
     for p in range(-3, 4):
         want = matpow(fr.gamma if p >= 0 else inverse(fr.gamma), abs(p))
-        assert fr.restriction(fan.gamma_matrix(p, zero_vec(fr.rank))) == want
+        assert fr.restriction(gamma_matrix(fan, p, zero_vec(fr.rank))) == want
 
 
 def test_conjugate_matrix_shape(ell):
-    g = ell.gamma_matrix(1, (0, 1))
+    g = gamma_matrix(ell, 1, (0, 1))
     assert g == ((F(1), F(1), F(0)), (F(0), F(1), F(1)), (F(0), F(0), F(1)))
 
 
@@ -516,16 +583,11 @@ def test_drop_faces_corruption_detected(ell):
 def test_half_cell_corruption_detected(jd3):
     bad = corrupted_window(jd3, 1, "half-cell")
     assert check_fan(bad)
-    gammas = [(0, (0, 1, 0))]
-    report = strong_compatibility_report(jd3, bad, gammas)
-    failing = [c for c in report if not c["ok"]]
-    assert failing
-    assert failing[0]["name"] == "cell-is-indexed-cell"
 
 
 def test_honest_window_strong_compatibility(ell):
     gammas = [(1, (0, 0)), (-1, (0, 0)), (0, (1, 0)), (0, (0, 1)), (2, (1, -1))]
-    report = strong_compatibility_report(ell, ell.window(1), gammas)
+    report = strong_compatibility_report(ell, 1, gammas)
     assert report
     assert all(c["ok"] for c in report)
     names = {c["name"] for c in report}
@@ -590,7 +652,7 @@ def test_conjugate_cell_matches_image_of_cell(ell, jd3, name, key):
         cell = fan.cell(key, n)
         for power in (-2, -1, 0, 1, 2):
             for shift in shifts:
-                g = fan.gamma_matrix(power, shift)
+                g = gamma_matrix(fan, power, shift)
                 g_inv = inverse(g)
                 image = Cone.from_generators(
                     [flatten(matmul(matmul(g, unflatten(r, fr.dim)), g_inv)) for r in cell.rays], fan.ambient
@@ -897,34 +959,65 @@ def test_conjugate_key_matches_conjugate_cell(ell, jd3, name, key):
                 assert fan.conjugate_cell(power, shift, (key, n)) == want
 
 
-def test_gamma_report_recognizes_only_cones_with_enough_rays(jd3):
-    """A cone spans at most as many dimensions as it has rays, so only
-    cones with at least top = 1 + cube_rank rays reach recognize, and
-    the checks come out as if every cone were recognized."""
-    window, top, grid = jd3.window(2), 1 + jd3.cube_rank, jd3.grid()
-    with mock.patch.object(ChartGrid, "recognize", autospec=True, side_effect=ChartGrid.recognize) as seen:
-        report = strong_compatibility_report(jd3, window, [(1, (0, 0, 0))])
-    assert seen.call_count == sum(len(c.rays) >= top for c in window)
-    assert all(len(call.args[1].rays) >= top for call in seen.call_args_list)
-    dims = [grid.recognize(c).dim if grid.recognize(c) else c.dim for c in window]
-    kinds = {top: "cell-conjugation-stable", 1: "ray-integral-exponential"}
-    assert [check["name"] for check in report] == [kinds[d] for d in dims if d in kinds]
+# the last sample's shift is off the lattice, so conjugation fails there
+FAILING_SAMPLES = [(p, s) for p in (-1, 1) for s in ((0, 0, 0), (0, 1, 0))] + [(1, (F(1, 2), 0, 0))]
 
 
-def test_gamma_report_same_on_recognized_and_decoded_cones(jd3):
-    # the last sample's shift is off the lattice, so conjugation fails there
-    gammas = [(p, s) for p in (-1, 1) for s in ((0, 0, 0), (0, 1, 0))] + [(1, (F(1, 2), 0, 0))]
-    window = jd3.window(2)
-    report = strong_compatibility_report(jd3, window, gammas)
-    assert report == strong_compatibility_report(jd3, fresh(window), gammas)
-    assert report == strong_compatibility_report(CellFan(jordan3_frame()), window, gammas)
+def suite_samples(fan):
+    """The automorphism samples of the gamma suite."""
+    shifts = [zero_vec(fan.frame.rank), *fan.inner_lattice.basis_vectors()]
+    return [(p, s) for p in (-2, -1, 0, 1, 2) for s in shifts]
+
+
+@pytest.mark.parametrize("name,bound", [(n, b) for n in ("ell", "jd3") for b in range(4)] + [("triple", 0)])
+def test_gamma_report_matches_window_walk(ell, jd3, triple, name, bound):
+    fan = {"ell": ell, "jd3": jd3, "triple": triple}[name]
+    samples = [suite_samples(fan)]
+    if name == "jd3":
+        samples.append(FAILING_SAMPLES)
+    for gammas in samples:
+        report = strong_compatibility_report(fan, bound, gammas)
+        assert report == reference_gamma_report(fan, fan.window(bound), gammas)
+        assert len(report) == (fan.cube_rank > 0) * (2 * bound + 2) ** fan.cube_rank + (2 * bound + 1) ** fan.cube_rank
+
+
+def test_gamma_report_names_the_failing_sample(jd3):
+    report = strong_compatibility_report(jd3, 2, FAILING_SAMPLES)
     stable = [c for c in report if c["name"] == "cell-conjugation-stable"]
     assert len(stable) == 5
     for check in stable:
         assert not check["ok"]
-        assert check["witness"]["gamma"] == gammas[-1]
+        assert check["witness"]["gamma"] == FAILING_SAMPLES[-1]
         with pytest.raises(NotInGroup, match=check["witness"]["error"]):
-            jd3.conjugate_cell(*gammas[-1], (jd3.zero_key(), (0,)))
+            jd3.conjugate_cell(*FAILING_SAMPLES[-1], (jd3.zero_key(), (0,)))
+
+
+def test_gamma_report_builds_no_window_and_decodes_nothing(monkeypatch):
+    """The report reads grid symbols: a lifted window or a decoded cone
+    would mean it had gone back to walking cones."""
+    cases = [(CellFan(jordan3_frame()), 2), (CellFan(kunneth_h3(standard_factors())), 0)]
+    want = [reference_gamma_report(fan, fan.window(bound), suite_samples(fan)) for fan, bound in cases]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the gamma report built a window or decoded a cone")
+
+    monkeypatch.setattr(CellFan, "window", refused)
+    monkeypatch.setattr(ChartGrid, "window", refused)
+    monkeypatch.setattr(ChartGrid, "recognize", refused)
+    for (fan, bound), checks in zip(cases, want):
+        assert strong_compatibility_report(fan, bound, suite_samples(fan)) == checks
+        assert strong_compatibility_report(CellFan(fan.frame), bound, suite_samples(fan)) == checks
+
+
+def test_gamma_report_empty_off_an_injective_chart():
+    """gamma = 1 on the elliptic frame: log(gamma) = 0 and P = 0, so the
+    chart is not injective and the window is the origin."""
+    payload = frame_to_json(elliptic_frame())
+    payload["gamma"] = [["1", "0"], ["0", "1"]]
+    fan = CellFan(frame_from_json(payload))
+    assert not fan.grid().injective
+    assert fan.window(1) == (Cone.zero(fan.ambient),)
+    assert strong_compatibility_report(fan, 1, suite_samples(fan)) == []
 
 
 CONJUGATION_CASES = [("ell", None), ("jd3", None), ("jd3", (F(1, 2),)), ("jd3", (F(2, 3),)), ("triple", None)]
@@ -985,20 +1078,19 @@ def test_conjugate_key_faults_raise_their_checks(monkeypatch):
         fan.conjugate_key(1, (0, 0, 1), zero)
 
 
-def test_denominator_computed_once_per_key(monkeypatch):
-    fan = CellFan(jordan3_frame())
-    calls = []
-    order = fans.order_in_quotient
-
-    def counted(*args):
-        calls.append(args)
-        return order(*args)
-
-    monkeypatch.setattr(fans, "order_in_quotient", counted)
-    for _ in range(3):
-        assert fan.denominator((F(1, 2),)) == 2
-        assert fan.denominator((0,)) == 1
-    assert len(calls) == 2
+def test_denominator_is_the_order_in_the_quotient(ell, jd3, triple):
+    """The lcm of the key's denominators against the order of the
+    section in P/(P lattice + Q), reduced and solved by the oracle."""
+    for q in range(1, 13):
+        for p in range(-2 * q, 2 * q + 1):
+            key = (F(p, q),)
+            want = order_in_quotient(jd3.section(key), jd3.p_lattice, jd3.q_space)
+            assert jd3.denominator(key) == want == F(p, q).denominator
+    for fan in (ell, triple):
+        assert fan.denominator(()) == order_in_quotient(fan.section(()), fan.p_lattice, fan.q_space) == 1
+    for fan, key in ((jd3, ()), (jd3, (F(1, 2), F(1, 3))), (ell, (F(1, 2),))):
+        with pytest.raises(PreconditionViolated, match="wrong length"):
+            fan.denominator(key)
 
 
 # --- integral exponentials ----------------------------------------------
@@ -1175,7 +1267,7 @@ def test_jordan3_relations_report_data(jd3):
 def test_pencil_points_always_land_in_their_cell(lam, num, den):
     fan = CellFan(elliptic_frame())
     n = fan.frame.pencil(lam, (lam * F(num, den), F(0)))
-    idx = fan.cell_containing(n)
+    idx = cell_containing(fan, n)
     assert idx is not None
     assert fan.cell(*idx).contains(flatten(n))
 
@@ -1188,5 +1280,5 @@ def test_jordan3_cell_round_trip(key, n):
     fan = CellFan(jordan3_frame())
     cell = fan.cell((key,), (n,))
     rep = cell.interior_point()
-    back = fan.cell_containing(unflatten(rep, fan.frame.dim))
+    back = cell_containing(fan, unflatten(rep, fan.frame.dim))
     assert back == ((key,), (n,))

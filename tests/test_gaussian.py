@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relfan.classifying import _positive_definite, orbit_exponentials
+from relfan.classifying import _leading_minors, orbit_exponentials
 from relfan.errors import MixedAmbient, NotNilpotent, SpecFormatError
 from relfan.gaussian import (
     I,
@@ -25,7 +25,7 @@ from relfan.gaussian import (
     realify_mat,
     unrealify_mat,
 )
-from relfan.qlinalg import Subspace, exp_nilpotent, linear_map, matmul
+from relfan.qlinalg import Subspace, _scaled_int_rows, exp_nilpotent, linear_map, matmul
 
 from conftest import fracs
 
@@ -210,6 +210,12 @@ def test_realify_mat_hand_value():
     square = unrealify_mat(matmul(realify_mat(a), realify_mat(a)))
     assert square == gmat([[gi(-1), gi(0, 2)], [ZERO, gi(-1)]])
     assert unrealify_mat(realify_mat(a)) == a
+
+
+def _positive_definite(m) -> bool:
+    """Sylvester's criterion on the realified form: a hermitian
+    H = A + iB is positive definite iff [[A, -B], [B, A]] is."""
+    return all(minor > 0 for minor in _leading_minors(_scaled_int_rows(realify_mat(m))[0]))
 
 
 def test_positive_definite_hermitian_two_by_two():

@@ -27,7 +27,6 @@ from relfan.hodge import (
     frame_from_json,
     frame_to_json,
     is_relative_weight_filtration,
-    is_weight_filtration,
     pq_spaces,
     relative_filtration,
     relative_filtration_exists,
@@ -72,6 +71,14 @@ def strict_upper(dim, lo=-3, hi=3):
 
 
 # --- weight filtrations ------------------------------------------------------
+
+
+def is_weight_filtration(n_mat, filt, center):
+    """The direct axiom check: the one-piece case of
+    is_relative_weight_filtration, whose base is everything at center.
+    False on a filtration of another ambient."""
+    whole = Filtration(filt.ambient, ((center, Subspace.full(filt.ambient)),))
+    return filt.ambient == len(n_mat) and is_relative_weight_filtration(n_mat, whole, filt)
 
 
 def test_weight_filtration_single_jordan_blocks():

@@ -32,12 +32,12 @@ from relfan.qlinalg import (
     inverse,
     is_nilpotent,
     is_zero_mat,
+    is_zero_vec,
     log_unipotent,
     mat,
     matmul,
     matscale,
     matvec,
-    order_in_quotient,
     primitive,
     rank,
     rref,
@@ -502,6 +502,26 @@ def test_lattice_intersection_is_lower_bound(ra, rb):
 
 
 # --- quotient orders ---------------------------------------------------------
+
+
+def order_in_quotient(x, lat: ZLattice, modulo: Subspace) -> int:
+    """Least a >= 1 with a*x inside lat + modulo, by reducing modulo the
+    subspace and solving over the reduced lattice: the oracle for
+    CellFan.denominator.
+
+    Precondition: x lies in the Q-span of lat plus modulo.
+    """
+    x = vec(x)
+    if len(x) != lat.ambient or modulo.ambient != lat.ambient:
+        raise MixedAmbient("order_in_quotient: ambient mismatch")
+    xr = modulo.reduce(x)
+    red = ZLattice.from_vectors([modulo.reduce(r) for r in lat.basis_vectors()], lat.ambient)
+    if is_zero_vec(xr):
+        return 1
+    c = solve(transpose(red.basis_vectors()), xr) if red.rows else None
+    if c is None:
+        raise PreconditionViolated("element not in the span of lattice + subspace")
+    return lcm(*(y.denominator for y in c))
 
 
 def test_order_in_quotient_frozen():
