@@ -54,7 +54,7 @@ from .gallery import (
     standard_factors,
 )
 from .gaussian import Gi, format_gi
-from .grid import first_fan_violation, window_face_table
+from .grid import GridFace, first_fan_violation, window_face_table
 from .hodge import (
     Frame,
     _block_pq,
@@ -222,9 +222,9 @@ def _cell_fan_blocked(fan: CellFan):
 
 
 def _build_window(spec: SpecData):
-    """(window, grid, None), where grid is the chart grid whose faces the
-    window is built from (None for the ray fans), or ((), None, reason)
-    when a precondition of the requested fan fails."""
+    """(window, grid, None), where grid lifts the window's GridFace
+    symbols (None for the ray fans, whose windows are cones), or ((),
+    None, reason) when a precondition of the requested fan fails."""
     fan = CellFan(spec.frame)
     if spec.corrupt is not None and spec.fan != "cell-fan":
         raise SpecFormatError("corruption applies only to the cell fan window")
@@ -245,19 +245,20 @@ def _build_window(spec: SpecData):
         return (), None, str(exc)
 
 
-def _window_json(window) -> list:
-    """The window's cones as report JSON, each distinct ray formatted
-    once: the cones of a window share their ray objects, and the window
-    keeps them alive, so a ray is known by its id."""
+def _window_json(window, grid) -> list:
+    """The window's entries as report JSON cones.  A symbol's rays are
+    the lifted rays of its corners in sorted order, and each grid
+    point's ray is formatted once, keyed by the point."""
     text = {}
 
-    def ray_json(r):
-        out = text.get(id(r))
+    def point_json(v):
+        out = text.get(v)
         if out is None:
-            out = text[id(r)] = vec_to_json(r)
+            out = text[v] = vec_to_json(grid.ray(v))
         return out
 
-    return [{"rays": [ray_json(r) for r in c.rays]} for c in window]
+    return [{"rays": [point_json(v) for v in sorted(e.vertices(), key=grid.ray)]}
+            if isinstance(e, GridFace) else to_jsonable(e) for e in window]
 
 
 def cmd_build(spec: SpecData) -> dict:
@@ -269,7 +270,7 @@ def cmd_build(spec: SpecData) -> dict:
         "window": {
             "fan": spec.fan,
             "bound": spec.window,
-            "cones": _window_json(window),
+            "cones": _window_json(window, grid),
             "faces": faces,
         }
     }

@@ -21,18 +21,19 @@ locate inverts the chart: an operator on the positive pencil goes to
 (level, coset key, cube coordinates).
 
 The box grid of a coset is its ChartGrid (grid.py), the one owner of
-boxes, their cuts and their lifts.  Every window cone is a GridFace
-symbol of it, where the faces table and the fan axioms of a window are
-decided; cells and windows lift only corner rays, subdivision cuts in
-the chart and lifts only the rays of its pieces, and the stability
-report reads the zero key's rays and top cells as symbols, with no
-window lifted.  Double description in operator space is left to cones
-off the positive pencil and to the generic oracles in cones.py.  A
-coset's denominator is the lcm of its key's denominators, in closed
-form.  Conjugation is an identity of chart maps, read once per coset
-key off the block identity g M g^-1 = [[G A G^-1, G h - G A G^-1 s],
-[0, 0]] for g = [[G, s], [0, 1]], G = gamma^p = exp(p log gamma), and
-M = [[A, h], [0, 0]], with no inverse.
+boxes, their cuts and their lifts.  A window is the sequence of its
+GridFace symbols, on which the faces table and the fan axioms are
+decided and from which a report lifts only corner rays; a corrupted
+window puts a Cone only where no grid face lifts to it.  Cells lift
+only corner rays, subdivision cuts in the chart and lifts only the rays
+of its pieces, and the stability report reads the zero key's rays and
+top cells as symbols.  Double description in operator space is left
+to cones off the positive pencil and to the generic oracles in
+cones.py.  A coset's denominator is the lcm of its key's denominators,
+in closed form.  Conjugation is an identity of chart maps, read once
+per coset key off the block identity g M g^-1 = [[G A G^-1, G h -
+G A G^-1 s], [0, 0]] for g = [[G, s], [0, 1]], G = gamma^p = exp(p log
+gamma), and M = [[A, h], [0, 0]], with no inverse.
 
 Also here: the coarser comparison fans (rays over the inner image
 lattice, rays over the torus lattice, unit cube cells, rays over the
@@ -294,9 +295,8 @@ class CellFan:
 
     def window(self, bound: int, key=None) -> tuple:
         """The cells of one coset with cube offsets at most bound, closed
-        under faces: (4 bound + 3)^cube_rank + 1 cones if log(gamma) != 0.
-        The faces are enumerated as grid faces of the coset's chart and
-        only their corner rays are lifted; see ChartGrid.window."""
+        under faces: if log(gamma) != 0, the (4 bound + 3)^cube_rank + 1
+        GridFace symbols that grid(key).cone lifts; see ChartGrid.window."""
         return self.grid(key).window(bound)
 
     # --- the extension automorphisms ---
@@ -571,8 +571,8 @@ def check_square_zero_pure(frame: Frame) -> dict:
 
 def cube_window(fan: CellFan, bound: int) -> tuple:
     """Unit cube cells over the image lattice, closed under faces: the
-    window of fan.cube_grid.  Only defined under the square zero plus
-    pure type predicate."""
+    window of fan.cube_grid, as its symbols.  Only defined under the
+    square zero plus pure type predicate."""
     gate = check_square_zero_pure(fan.frame)
     if not gate["holds"]:
         raise NotSquareZeroPure("cube fan requires the square zero pure type predicate")
@@ -700,16 +700,20 @@ def random_inadmissible_operator(fan: CellFan, rng) -> Mat:
 def corrupted_window(fan: CellFan, bound: int, mode: str) -> tuple:
     """Deliberately broken windows for negative tests: 'drop-faces'
     removes the one dimensional faces, 'half-cell' replaces the origin
-    cell with a shrunken copy that no longer tiles."""
+    cell with a shrunken copy that no longer tiles.  The half cell is
+    the one Cone entry, and the lift of no grid face, as the decisions
+    of grid.py require: box(n0, 2) on the zero key (a = 1) has half
+    integer corners, or, at cube rank 0, is the level ray itself."""
     window = fan.window(bound)
     if mode == "drop-faces":
-        # a sharp cone is one dimensional exactly when it has one ray
-        return tuple(c for c in window if len(c.rays) != 1)
+        return tuple(c for c in window if c.dim != 1)
     if mode == "half-cell":
         grid = fan.grid()
         n0 = (0,) * fan.cube_rank
-        victim = grid.cone(GridFace(n0, (True,) * len(n0)))
+        victim = GridFace(n0, (True,) * len(n0))
         half = grid.lift_cone(box(n0, 2))
+        if half == grid.cone(victim):
+            return window
         return tuple(half if c == victim else c for c in window)
     raise PreconditionViolated(f"unknown corruption mode: {mode}")
 

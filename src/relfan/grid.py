@@ -6,13 +6,12 @@ an ambient space, given by its columns.  Its grid is the set of boxes
 faces.  This module is the one place that knows that grid.  box(n, a)
 writes the chart cone over a box down in closed form.  A face is a
 GridFace symbol: its integer lower corner and which coordinates are
-free.  ChartGrid enumerates a window of faces, cuts a chart cone along
-the boxes, lifts chart cones and faces to the ambient space, and
-recognizes a lifted cone again by decoding its rays to grid points.
-An injective lift carries extreme rays to extreme rays, so a lifted
-cone is its lifted rays, with span and facets left lazy; each lifted
-primitive ray is an integer combination of the chart's cleared columns
-and one gcd.
+free.  ChartGrid enumerates a window of faces as symbols, cuts a chart
+cone along the boxes, and lifts chart cones and faces to the ambient
+space.  An injective lift carries extreme rays to extreme rays, so a
+lifted cone is its lifted rays, with span and facets left lazy; each
+lifted primitive ray is an integer combination of the chart's cleared
+columns and one gcd.
 
 A segment, the cone over one or two level one points, is cut in
 closed form: it crosses the walls of the grid at times written down
@@ -22,12 +21,11 @@ description runs.  A cone over three or more points keeps the product
 path: it meets each box of its window by double description.
 
 When the chart is injective it preserves face lattices and meets, so
-a window of lifted faces can be decided on symbols, as for cube
-complexes (Ziegler, Lectures on Polytopes, ch. 2): window_face_table
-looks up the sub-faces of each symbol, and first_fan_violation tests
-only the pairs with a cone that is not a grid face.  The generic
-is_face_of and check_fan of cones.py decide those cones, remain the
-path for any other window, and are the oracle in tests.
+a window of grid faces is decided on its symbols, as for cube
+complexes (Ziegler, Lectures on Polytopes, ch. 2).  Only a Cone entry,
+which a corruption put in place of a symbol, is decided by the generic
+is_face_of and intersect of cones.py against the lifted window; they
+and check_fan are the oracle in tests.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from itertools import product
 from math import ceil, floor, gcd
 from typing import NamedTuple
 
-from .cones import Cone, check_fan, sorted_unique
+from .cones import Cone, sorted_unique
 from .errors import InvariantViolation
 from .qlinalg import (
     ONE,
@@ -47,9 +45,7 @@ from .qlinalg import (
     _row_ints,
     _scaled_int_rows,
     _sparse_rows,
-    inverse,
     linear_map,
-    matvec,
     primitive,
     rref,
     transpose,
@@ -129,24 +125,17 @@ class ChartGrid:
     columns are the chart's columns in operator space: the image of the
     level vector, then of each cube direction.  When they are independent
     the lift is injective, so it preserves face lattices and meets, and
-    a window cone is decided by its grid face: the lift only supplies the
-    rays of a report.  Lifted vertex rays are shared by every face that
-    has them, and a cone is recognized by decoding its rays back to grid
-    points."""
+    a window is its grid faces as symbols: the lift only supplies the
+    rays of a report and of a witness.  Lifted vertex rays are kept per
+    grid point and shared by every face that has them."""
 
     def __init__(self, columns, a: int, ambient: int):
         self.a, self.ambient, self.rank = a, ambient, len(columns) - 1
         self.lift = linear_map(transpose(columns))
         # the columns over one common denominator, which no ray sees
         self._columns = _sparse_rows(_scaled_int_rows(columns)[0])
-        _, pivots = rref(columns)
-        self.injective = len(pivots) == len(columns)
-        if self.injective:
-            # the chart rows at the pivots are invertible: a left inverse
-            self._pivots = pivots
-            self._left = inverse(tuple(tuple(col[p] for col in columns) for p in pivots))
+        self.injective = len(rref(columns)[1]) == len(columns)
         self._rays = {}  # grid point -> lifted primitive ray
-        self._owned = {}  # id of a lifted ray -> its grid point
 
     def _lift_point(self, v) -> Vec:
         return self.lift((Fraction(self.a),) + tuple(map(Fraction, v)))
@@ -172,21 +161,20 @@ class ChartGrid:
         r = self._rays.get(v)
         if r is None:
             r = self._rays[v] = self._lift_ray((self.a,) + tuple(v))
-            self._owned[id(r)] = v
         return r
 
     def window(self, bound: int) -> tuple:
-        """The faces of the boxes with corners in [-bound, bound]^rank,
-        lifted, in window order (dim, rays): (4 bound + 3)^rank + 1 cones
-        when the lift is injective.  The order is read off the sorted
-        vertex rays, so no span is built."""
+        """The faces of the boxes with corners in [-bound, bound]^rank in
+        the window order (dim, rays) of their lifts: when the lift is
+        injective, (4 bound + 3)^rank + 1 GridFace symbols, ORIGIN first.
+        The order is read off the sorted vertex rays, so no cone is built.
+        A lift that is not injective collapses faces, so its window is
+        the deduplicated lifted cones, with no symbols."""
         one = [(c, False) for c in range(-bound, bound + 2)] + [(c, True) for c in range(-bound, bound + 1)]
         faces = [ORIGIN] + [_grid_face(choice) for choice in product(one, repeat=self.rank)]
         if not self.injective:
-            # faces collapse under the lift, so the lifts are deduplicated
             return sorted_unique(self.cone(f) for f in faces)
-        points, keyed = self._window_order(bound, faces)
-        return tuple(Cone(self.ambient, tuple(self.ray(points[i]) for i in ids)) for _, ids, _ in keyed)
+        return tuple(f for _, _, f in self._window_order(bound, faces)[1])
 
     def window_symbols(self, bound: int) -> tuple:
         """The rays and top cells of window(bound) as symbols, each run in
@@ -279,91 +267,89 @@ class ChartGrid:
             return Cone.from_generators([self._lift_point(v) for v in face.vertices()], self.ambient)
         return Cone(self.ambient, tuple(sorted(self.ray(v) for v in face.vertices())))
 
-    def chart_point(self, r):
-        """The chart vector that lifts to r, or None when r is off the
-        chart's image.  Needs an injective lift."""
-        x = matvec(self._left, tuple(r[p] for p in self._pivots))
-        return x if self.lift(x) == tuple(r) else None
-
-    def recognize(self, cone: Cone):
-        """The grid face whose lift is the cone, or None.  Needs an
-        injective lift."""
-        points = []
-        for r in cone.rays:
-            v = self._owned.get(id(r))
-            if v is None:
-                x = self.chart_point(r)
-                if x is None or x[0] <= 0:
-                    return None
-                g = [self.a * c / x[0] for c in x[1:]]
-                if any(c.denominator != 1 for c in g):
-                    return None
-                v = tuple(int(c) for c in g)
-            points.append(v)
-        if not points:
-            return ORIGIN
-        lo = tuple(map(min, zip(*points)))
-        spread = [h - l for l, h in zip(lo, map(max, zip(*points)))]
-        # distinct points inside a unit box, one per corner, are its corners
-        if any(s > 1 for s in spread) or len(points) != 2 ** sum(spread):
-            return None
-        return GridFace(lo, tuple(s == 1 for s in spread))
-
 
 def _meets_in_a_face(x: Cone, y: Cone) -> bool:
     k = x.intersect(y)
     return k.is_face_of(x) and k.is_face_of(y)
 
 
-def window_face_table(window, grid) -> list:
-    """For each window cone, the sorted positions of the window cones that
-    are its faces.
+def _lifts(window, grid) -> list:
+    """Every window entry as a cone: a symbol lifted, a Cone as it is."""
+    return [e if isinstance(e, Cone) else grid.cone(e) for e in window]
 
-    With an injective grid, a cone that is a grid face has exactly its
-    3^free sub-faces and the origin as faces, looked up by symbol; no
-    other cone can be one of them, since a face of a lifted grid face is
-    a lifted grid face.  Any other cone, and every cone without such a
-    grid, is tested against every window cone by is_face_of."""
+
+def _face_of_points(points):
+    """The grid face whose vertices are the distinct grid points, or None."""
+    if not points:
+        return ORIGIN
+    lo = tuple(map(min, zip(*points)))
+    spread = [h - l for l, h in zip(lo, map(max, zip(*points)))]
+    # distinct points inside a unit box, one per corner, are its corners
+    if any(s > 1 for s in spread) or len(points) != 2 ** sum(spread):
+        return None
+    return GridFace(lo, tuple(s == 1 for s in spread))
+
+
+def window_face_table(window, grid) -> list:
+    """For each window entry, the sorted positions of the entries whose
+    lifts are faces of its lift.
+
+    An entry is a GridFace symbol, lifted by grid, or a Cone, which is
+    never the lift of a grid face: every producer writes a grid face as
+    its symbol.  So the faces of a symbol are its 3^free sub-faces and
+    the origin, looked up by symbol, and only a Cone entry is tested
+    against the lift of every entry by is_face_of."""
     window = list(window)
-    faces = [grid.recognize(c) if grid is not None and grid.injective else None for c in window]
     where = {}
-    for i, face in enumerate(faces):
-        if face is not None:
-            where.setdefault(face, []).append(i)
+    for i, e in enumerate(window):
+        if isinstance(e, GridFace):
+            where.setdefault(e, []).append(i)
+    lifts = None  # every entry lifted, on the first Cone entry
     table = []
-    for cone, face in zip(window, faces):
-        if face is not None:
-            table.append(sorted(j for sub in face.faces() for j in where.get(sub, ())))
+    for e in window:
+        if isinstance(e, GridFace):
+            table.append(sorted(j for sub in e.faces() for j in where.get(sub, ())))
         else:
-            table.append([j for j, other in enumerate(window) if other.is_face_of(cone)])
+            lifts = lifts or _lifts(window, grid)
+            table.append([j for j, other in enumerate(lifts) if other.is_face_of(e)])
     return table
 
 
 def first_fan_violation(window, grid):
-    """check_fan(window)[0], or None when the window is a fan.
+    """check_fan of the lifted window, its first record, or None when the
+    window is a fan.  Entries as for window_face_table.
 
-    With an injective grid: a grid face misses a face exactly when one of
-    its facet symbols is absent, and two grid faces always meet in a
-    common face, so only the pairs with a cone that is not a grid face
-    are intersected.  The witness itself (facet order, the meet) is
-    computed as check_fan does."""
+    A symbol misses a face exactly when a facet symbol is absent; the
+    witness lifts just it and those facets, in Cone.facets order.  A
+    facet of a Cone entry is present when it is a Cone entry or its
+    rays, read through a map from lifted ray to grid point over the
+    symbols' vertices, are the corners of a present symbol.  Two symbols
+    meet in a common face, so only pairs with a Cone entry are
+    intersected."""
     window = list(window)
-    if grid is None or not grid.injective:
-        bad = check_fan(window)
-        return bad[0] if bad else None
-    faces = [grid.recognize(c) for c in window]
-    present = set(faces)
-    index = None  # the rays of every window cone, built on first use
-    for c, face in zip(window, faces):
-        if face is None or any(f not in present for f in face.facets()):
-            index = index or {c.rays for c in window}
-            gone = next((f for f in c.facets() if f.rays not in index), None)
-            if gone is not None:
-                return {"kind": "missing-face", "cone": c, "face": gone}
-    loose = [i for i, face in enumerate(faces) if face is None]
+    present = {e for e in window if isinstance(e, GridFace)}
+    loose = [i for i, e in enumerate(window) if isinstance(e, Cone)]
+    cones = {window[i].rays for i in loose}
+    points = None  # lifted ray -> grid point, on the first Cone entry
+    for e in window:
+        if isinstance(e, GridFace):
+            missing = [f for f in e.facets() if f not in present]
+            if missing:
+                cone, gone = grid.cone(e), {grid.cone(f).rays for f in missing}
+                return {"kind": "missing-face", "cone": cone, "face": next(f for f in cone.facets() if f.rays in gone)}
+            continue
+        if points is None:
+            points = {grid.ray(v): v for v in {v for f in present for v in f.vertices()}}
+        for f in e.facets():
+            if f.rays in cones:
+                continue
+            at = [points.get(r) for r in f.rays]
+            if None in at or _face_of_points(at) not in present:
+                return {"kind": "missing-face", "cone": e, "face": f}
+    lifts = _lifts(window, grid) if loose else []
     pairs = sorted({(min(i, j), max(i, j)) for i in loose for j in range(len(window)) if j != i})
     for i, j in pairs:
-        left, right = window[i], window[j]
+        left, right = lifts[i], lifts[j]
         if not _meets_in_a_face(left, right):
             return {"kind": "bad-intersection", "left": left, "right": right, "meet": left.intersect(right)}
     return None

@@ -3,6 +3,8 @@ from fractions import Fraction
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from relfan.cones import Cone
+
 settings.register_profile(
     "exact",
     max_examples=60,
@@ -25,3 +27,9 @@ def fracs(max_num=9, max_den=4):
 
 def int_fracs(lo=-9, hi=9):
     return st.integers(min_value=lo, max_value=hi).map(Fraction)
+
+
+def lifted(window, grid):
+    """A window as cones: each GridFace symbol lifted by its grid, each
+    Cone entry as it is, for the operator space oracles."""
+    return tuple(e if isinstance(e, Cone) else grid.cone(e) for e in window)

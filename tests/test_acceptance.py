@@ -15,6 +15,7 @@ from itertools import combinations, product
 
 import pytest
 
+from conftest import lifted
 from relfan.cli import main
 from relfan.classifying import extend_inner_filtration, in_D, nilpotent_orbit_test
 from relfan.cones import Cone, check_fan
@@ -312,9 +313,9 @@ def test_fan_axioms_and_corruption(announce):
     with announce("5/9 fan axioms and corrupted window"):
         for frame in (elliptic_frame(), jordan3_frame()):
             fan = CellFan(frame)
-            assert check_fan(fan.window(3)) == []
+            assert check_fan(lifted(fan.window(3), fan.grid())) == []
             for mode in ("drop-faces", "half-cell"):
-                violations = check_fan(corrupted_window(fan, 2, mode))
+                violations = check_fan(lifted(corrupted_window(fan, 2, mode), fan.grid()))
                 assert violations
                 assert violations[0]["kind"] in ("missing-face", "bad-intersection")
 

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from conftest import lifted
 from relfan.cli import _build_window, load_spec, main, to_jsonable
 from relfan.cones import check_fan
 from relfan.fixtures import elliptic_frame, jordan3_frame
@@ -189,7 +190,8 @@ def test_build_faces_and_axioms_match_operator_space(tmp_path, capsys, fields):
     spec = write_spec(tmp_path, window=2, **fields)
     _, built = run_json(capsys, "build", "--spec", spec)
     _, axioms = run_json(capsys, "check", "--spec", spec, "--suite", "axioms")
-    window = _build_window(load_spec(spec))[0]
+    window, grid, _ = _build_window(load_spec(spec))
+    window = lifted(window, grid)
     assert built["window"]["faces"] == [
         sorted(j for j, other in enumerate(window) if other.is_face_of(cone)) for cone in window
     ]

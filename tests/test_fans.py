@@ -61,6 +61,7 @@ from relfan.qlinalg import (
     vscale,
     zero_vec,
 )
+from conftest import lifted
 from test_qlinalg import order_in_quotient
 
 
@@ -125,10 +126,10 @@ def cell_containing(fan, n_mat):
 
 
 def reference_gamma_report(fan, window, gammas):
-    """strong_compatibility_report by walking a window of lifted cones:
-    a cone the zero key's grid recognizes is indexed by its grid face,
-    any other is located from an interior point and compared with the
-    indexed cell, and each cone's dimension picks its check."""
+    """strong_compatibility_report by walking the zero key's window and
+    lifting each entry: a GridFace symbol is indexed by its corner, a
+    Cone entry is located from an interior point and compared with the
+    indexed cell, and each entry's dimension picks its check."""
     fr = fan.frame
     top = 1 + fan.cube_rank
     zero, grid = fan.zero_key(), fan.grid()
@@ -142,8 +143,9 @@ def reference_gamma_report(fan, window, gammas):
         return None
 
     checks = []
-    for c in window:
-        face = grid.recognize(c) if grid.injective and len(c.rays) >= top else None
+    for entry in window:
+        face = entry if isinstance(entry, GridFace) else None
+        c = entry if face is None else grid.cone(face)
         dim = len(c.rays) if len(c.rays) < top else c.dim if face is None else face.dim
         if dim == top:
             if face is not None:
@@ -562,27 +564,27 @@ def test_corpus_inadmissible_operators(ell, jd3):
 # --- windows and deliberate corruption ----------------------------------
 
 def test_elliptic_window_is_a_fan(ell):
-    w = ell.window(1)
+    w = lifted(ell.window(1), ell.grid())
     assert len(w) == 8  # three cells, four rays, origin
     assert check_fan(w) == []
 
 
 def test_jordan3_window_is_a_fan(jd3):
-    w = jd3.window(1)
+    w = lifted(jd3.window(1), jd3.grid())
     assert len(w) == 8
     assert check_fan(w) == []
 
 
 def test_drop_faces_corruption_detected(ell):
     bad = corrupted_window(ell, 1, "drop-faces")
-    violations = check_fan(bad)
+    violations = check_fan(lifted(bad, ell.grid()))
     assert violations
     assert all(v["kind"] == "missing-face" for v in violations)
 
 
 def test_half_cell_corruption_detected(jd3):
     bad = corrupted_window(jd3, 1, "half-cell")
-    assert check_fan(bad)
+    assert check_fan(lifted(bad, jd3.grid()))
 
 
 def test_honest_window_strong_compatibility(ell):
@@ -621,7 +623,7 @@ def _fan(ell, jd3, name):
 def test_window_matches_operator_space_closure(ell, jd3, name, key, bound):
     fan = _fan(ell, jd3, name)
     key = fan.zero_key() if key is None else key
-    window = fan.window(bound, key)
+    window = lifted(fan.window(bound, key), fan.grid(key))
     cells = [fan.cell(key, n) for n in product(range(-bound, bound + 1), repeat=fan.cube_rank)]
     assert window == operator_space_closure(cells)
     assert len(window) == (4 * bound + 3) ** fan.cube_rank + 1
@@ -637,7 +639,7 @@ def test_elliptic_cube_window_matches_operator_space_closure(ell, bound):
         Cone.from_generators([flatten(fr.pencil(1, vscale(n + bit, d))) for bit in (0, 1)], ell.ambient)
         for n in range(-bound, bound + 1)
     ]
-    assert cube_window(ell, bound) == operator_space_closure(cells)
+    assert lifted(cube_window(ell, bound), ell.cube_grid) == operator_space_closure(cells)
 
 
 @pytest.mark.parametrize("name,key", CHART_CASES)
@@ -730,15 +732,10 @@ def oracle_violation(window):
     return bad[0] if bad else None
 
 
-def fresh(window):
-    """The same cones as new objects, so recognition decodes every ray
-    instead of reading the rays the grid lifted itself."""
-    return tuple(Cone(c.ambient, tuple(tuple(r) for r in c.rays)) for c in window)
-
-
 def assert_decided_like_oracle(window, grid):
-    assert window_face_table(window, grid) == oracle_faces(window)
-    assert first_fan_violation(window, grid) == oracle_violation(window)
+    cones = lifted(window, grid)
+    assert window_face_table(window, grid) == oracle_faces(cones)
+    assert first_fan_violation(window, grid) == oracle_violation(cones)
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2])
@@ -749,9 +746,6 @@ def test_window_decisions_match_operator_space(ell, jd3, name, key, bound):
     grid = fan.grid(key)
     assert fan.denominator(fan.zero_key() if key is None else key) == grid.a
     assert_decided_like_oracle(window, grid)
-    # recognition does not depend on the grid having lifted the rays
-    assert window_face_table(fresh(window), grid) == window_face_table(window, grid)
-    assert first_fan_violation(fresh(window), grid) is None
 
 
 @pytest.mark.parametrize("bound", [1, 2])
@@ -769,17 +763,21 @@ def test_corrupted_window_decisions_match_operator_space(ell, jd3, name, mode, b
     assert_decided_like_oracle(window, fan.grid())
 
 
-def test_honest_window_decisions_stay_in_the_chart(jd3, monkeypatch):
-    """On an honest window neither decision tests a pair in operator space."""
-    window, grid = jd3.window(2), jd3.grid()
+def test_honest_window_decisions_stay_in_the_chart(jd3, triple, monkeypatch):
+    """On an honest window neither decision lifts a cone or tests a pair
+    in operator space."""
+    cases = [(jd3.window(2), jd3.grid()), (triple.window(0), triple.grid())]
 
-    def forbidden(self, other):
-        raise AssertionError("a pair was tested in operator space")
+    def forbidden(*args):
+        raise AssertionError("a cone was lifted or tested in operator space")
 
     monkeypatch.setattr(Cone, "is_face_of", forbidden)
     monkeypatch.setattr(Cone, "intersect", forbidden)
-    assert len(window_face_table(window, grid)) == len(window)
-    assert first_fan_violation(window, grid) is None
+    monkeypatch.setattr(Cone, "facets", forbidden)
+    monkeypatch.setattr(ChartGrid, "cone", forbidden)
+    for window, grid in cases:
+        assert len(window_face_table(window, grid)) == len(window)
+        assert first_fan_violation(window, grid) is None
 
 
 def identity_grid(rank, a):
@@ -787,7 +785,7 @@ def identity_grid(rank, a):
     return ChartGrid(identity(rank + 1), a, rank + 1)
 
 
-GRIDS = ["ell", "jd3", "jd3-half", "plane", "plane-third"]
+GRIDS = ["ell", "jd3", "jd3-half", "plane", "plane-third", "space"]
 
 
 def _grid(name):
@@ -795,25 +793,29 @@ def _grid(name):
         return identity_grid(2, 1)
     if name == "plane-third":
         return identity_grid(2, 3)
+    if name == "space":
+        return identity_grid(3, 2)
     fan = CellFan(elliptic_frame() if name == "ell" else jordan3_frame())
     return fan.grid((F(1, 2),) if name == "jd3-half" else None)
 
 
 @st.composite
 def corrupted_windows(draw):
-    """A grid window with one face dropped, or one top cell replaced by a
-    shrunken, shifted or stretched box, or, in the plane, by the cone
-    over all but one of its corners, which is no grid face."""
+    """A window of grid symbols with one symbol dropped, or one top cell
+    replaced by a Cone: a shrunken, shifted or stretched box, or, from
+    rank two, the cone over all but one of its corners.  None of these
+    is a grid face.  The rank three window keeps to bound 0, where the
+    pairwise oracles stay small."""
     grid = _grid(draw(st.sampled_from(GRIDS)))
-    window = list(grid.window(draw(st.integers(min_value=0, max_value=1))))
+    window = list(grid.window(draw(st.integers(min_value=0, max_value=1 if grid.rank < 3 else 0))))
     kinds = ["drop", "shrink", "shift", "stretch"] + (["corner"] if grid.rank > 1 else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "drop":
         del window[draw(st.integers(min_value=0, max_value=len(window) - 1))]
         return window, grid
-    tops = [i for i, c in enumerate(window) if grid.recognize(c).dim == grid.rank + 1]
+    tops = [i for i, f in enumerate(window) if f.dim == grid.rank + 1]
     i = draw(st.sampled_from(tops))
-    n = grid.recognize(window[i]).corner
+    n = window[i].corner
     lo = [F(c) for c in n]
     hi = [F(c + 1) for c in n]
     j = draw(st.integers(min_value=0, max_value=grid.rank - 1))
@@ -845,11 +847,11 @@ def test_stretched_cell_is_a_bad_intersection():
     the pair test can see it."""
     grid = identity_grid(1, 1)
     window = list(grid.window(1))
-    i = window.index(grid.cone(GridFace((0,), (True,))))
+    i = window.index(GridFace((0,), (True,)))
     window[i] = Cone.from_generators([(1, 0), (1, 2)], 2)
     violation = first_fan_violation(window, grid)
     assert violation["kind"] == "bad-intersection"
-    assert violation == oracle_violation(window)
+    assert violation == oracle_violation(lifted(window, grid))
 
 
 def test_segment_across_two_edges_meets_a_vertex_badly():
@@ -859,15 +861,14 @@ def test_segment_across_two_edges_meets_a_vertex_badly():
     window = list(grid.window(1)) + [Cone.from_generators([(1, 0, 1), (1, 2, 1)], 3)]
     violation = first_fan_violation(window, grid)
     assert violation["kind"] == "bad-intersection"
-    assert violation == oracle_violation(window)
+    assert violation == oracle_violation(lifted(window, grid))
 
 
 def test_cone_over_three_corners_is_no_grid_face():
     grid = identity_grid(2, 1)
     window = list(grid.window(0))
-    i = window.index(grid.cone(GridFace((0, 0), (True, True))))
+    i = window.index(GridFace((0, 0), (True, True)))
     window[i] = Cone.from_generators([(1, 0, 0), (1, 1, 0), (1, 0, 1)], 3)
-    assert grid.recognize(window[i]) is None
     assert first_fan_violation(window, grid)["kind"] == "missing-face"
     assert_decided_like_oracle(window, grid)
 
@@ -906,8 +907,6 @@ def test_grid_face_geometry_matches_generic(rank, a, data):
     generic = Cone.from_generators([(F(a),) + tuple(map(F, v)) for v in face.vertices()], rank + 1)
     assert lifted == generic
     assert lifted.dim == face.dim
-    assert grid.recognize(lifted) == face
-    assert grid.recognize(generic) == face
 
     def rays(faces):
         return sorted(grid.cone(f).rays for f in faces)
@@ -941,7 +940,7 @@ def test_window_sizes_and_origin(ell, jd3):
         for bound in (0, 1, 3):
             window = fan.window(bound)
             assert len(window) == (4 * bound + 3) ** fan.cube_rank + 1
-            assert fan.grid().recognize(window[0]) is ORIGIN
+            assert window[0] is ORIGIN
 
 
 @pytest.mark.parametrize("name,key", CHART_CASES)
@@ -993,8 +992,8 @@ def test_gamma_report_names_the_failing_sample(jd3):
 
 
 def test_gamma_report_builds_no_window_and_decodes_nothing(monkeypatch):
-    """The report reads grid symbols: a lifted window or a decoded cone
-    would mean it had gone back to walking cones."""
+    """The report reads the rays and top cells as grid symbols: a built
+    window would mean it had gone back to walking the whole window."""
     cases = [(CellFan(jordan3_frame()), 2), (CellFan(kunneth_h3(standard_factors())), 0)]
     want = [reference_gamma_report(fan, fan.window(bound), suite_samples(fan)) for fan, bound in cases]
 
@@ -1003,7 +1002,6 @@ def test_gamma_report_builds_no_window_and_decodes_nothing(monkeypatch):
 
     monkeypatch.setattr(CellFan, "window", refused)
     monkeypatch.setattr(ChartGrid, "window", refused)
-    monkeypatch.setattr(ChartGrid, "recognize", refused)
     for (fan, bound), checks in zip(cases, want):
         assert strong_compatibility_report(fan, bound, suite_samples(fan)) == checks
         assert strong_compatibility_report(CellFan(fan.frame), bound, suite_samples(fan)) == checks
@@ -1123,7 +1121,7 @@ def test_minimal_exponent_matches_basis_vector_form(ell, jd3, triple, name, boun
     """Integrality read in lattice coordinates against exp(a N) b tested
     for each lattice basis vector b, on every ray of a window."""
     fan = {"ell": ell, "jd3": jd3, "triple": triple}.get(name) or jordan3_on_2z()
-    rays = [c.rays[0] for c in fan.window(bound) if len(c.rays) == 1]
+    rays = [c.rays[0] for c in lifted(fan.window(bound), fan.grid()) if len(c.rays) == 1]
     assert rays
     for r in rays:
         m = unflatten(r, fan.frame.dim)
@@ -1187,7 +1185,7 @@ def test_cube_window_gated(jd3):
 
 
 def test_elliptic_cube_window_matches_cells(ell):
-    cubes = [c for c in cube_window(ell, 1) if c.dim == 2]
+    cubes = [c for c in lifted(cube_window(ell, 1), ell.cube_grid) if c.dim == 2]
     cells = [ell.cell((), (n,)) for n in (-1, 0, 1)]
     assert sorted(cubes, key=lambda c: c.rays) == sorted(cells, key=lambda c: c.rays)
 

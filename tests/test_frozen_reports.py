@@ -38,13 +38,20 @@ FROZEN = [
      "0fb77ab6fa7007e08e8089b3eb34b5e08b9362090faf0d99977944908b48a2e6"),
     ("jordan3", {"corrupt": "half-cell"}, CHECK["axioms"],
      "7f92dc75256fa9d35f96898db18bed5cd5317e8c7144743a1e06bd05821fc11f"),
+    # the rank-6 chart of the rank twenty frame, 730 window faces
+    ("triple", {"window": 0}, ["build"],
+     "b5803f5c10a08024f4eccc34e269c1f994cdd4febe3712f0d0d7ebc4c0d6f645"),
+    ("triple", {"window": 0, "corrupt": "drop-faces"}, CHECK["axioms"],
+     "8e108a1d92b01042f1ee3d360fed530982fe78e72ac0aa282180360614661b99"),
+    ("triple", {"window": 0, "corrupt": "half-cell"}, CHECK["axioms"],
+     "d42f2af509b69ac0b65e6edbfb19b7287a6c2882888855b5657a7b10cec182bd"),
 ]
 
 
 @pytest.mark.parametrize(
     "fixture,fields,argv,digest",
     FROZEN,
-    ids=[f"{f}-{'-'.join(x.values()) or 'plain'}-{a[-1]}" for f, x, a, _ in FROZEN],
+    ids=[f"{f}-{'-'.join(map(str, x.values())) or 'plain'}-{a[-1]}" for f, x, a, _ in FROZEN],
 )
 def test_report_bytes_frozen(tmp_path, capsys, fixture, fields, argv, digest):
     # the spec bytes enter the report through spec_hash, so they are
