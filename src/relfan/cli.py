@@ -38,7 +38,6 @@ from .fans import (
     neron_lattice,
     random_admissible_cone,
     random_inadmissible_operator,
-    ray_window,
     relations_report,
     strong_compatibility_report,
     subdivide_against,
@@ -68,7 +67,6 @@ from .hodge import (
 from .qlinalg import (
     format_scalar,
     frac,
-    is_zero_mat,
     mat_from_json,
     vec_from_json,
     vec_to_json,
@@ -212,43 +210,33 @@ def report_exit(report: dict) -> int:
 # commands
 
 
-def _cell_fan_blocked(fan: CellFan):
-    """Why the cell fan is undefined, or None: with log(gamma) = 0 the
-    pencil level is invisible, and once P is nonzero the cells collapse
-    into cones that do not form a fan."""
-    if is_zero_mat(fan.frame.log_gamma) and fan.p_space.dim:
-        return "log(gamma) is zero and P is not, so the cells do not form a fan"
-    return None
-
-
 def _build_window(spec: SpecData):
-    """(window, grid, None), where grid lifts the window's GridFace
-    symbols (None for the ray fans, whose windows are cones), or ((),
-    None, reason) when a precondition of the requested fan fails."""
+    """(window, grid): the requested fan's window as GridFace symbols of
+    grid, the cells of the zero key, the cube cells or the grid points of
+    a ray fan, with any chart cone a corruption put in; or the reason, a
+    string, when a precondition of the fan fails."""
     fan = CellFan(spec.frame)
     if spec.corrupt is not None and spec.fan != "cell-fan":
         raise SpecFormatError("corruption applies only to the cell fan window")
     if spec.fan == "cell-fan":
-        blocked = _cell_fan_blocked(fan)
-        if blocked:
-            return (), None, blocked
+        if fan.blocked:
+            return fan.blocked
         if spec.corrupt is not None:
-            return corrupted_window(fan, spec.window, spec.corrupt), fan.grid(), None
-        return fan.window(spec.window), fan.grid(), None
-    if spec.fan == "image-rays":
-        return ray_window(fan, image_lattice(fan), spec.window), None, None
-    if spec.fan == "neron-rays":
-        return ray_window(fan, neron_lattice(fan), spec.window), None, None
-    try:
-        return cube_window(fan, spec.window), fan.cube_grid, None
-    except (NotSquareZeroPure, MissingHodgeData) as exc:
-        return (), None, str(exc)
+            return corrupted_window(fan, spec.window, spec.corrupt), fan.grid()
+        return fan.window(spec.window), fan.grid()
+    if spec.fan == "cube-cells":
+        try:
+            return cube_window(fan, spec.window), fan.cube_grid
+        except (NotSquareZeroPure, MissingHodgeData) as exc:
+            return str(exc)
+    grid = fan.lattice_grid(image_lattice(fan) if spec.fan == "image-rays" else neron_lattice(fan))
+    return grid.vertex_window(spec.window), grid
 
 
 def _window_json(window, grid) -> list:
     """The window's entries as report JSON cones.  A symbol's rays are
-    the lifted rays of its corners in sorted order, and each grid
-    point's ray is formatted once, keyed by the point."""
+    the lifted rays of its corners in sorted order, each grid point's
+    ray formatted once, keyed by the point; a chart cone is lifted."""
     text = {}
 
     def point_json(v):
@@ -258,38 +246,34 @@ def _window_json(window, grid) -> list:
         return out
 
     return [{"rays": [point_json(v) for v in sorted(e.vertices(), key=grid.ray)]}
-            if isinstance(e, GridFace) else to_jsonable(e) for e in window]
+            if isinstance(e, GridFace) else to_jsonable(grid.lift_cone(e)) for e in window]
 
 
 def cmd_build(spec: SpecData) -> dict:
-    window, grid, blocked = _build_window(spec)
-    outcome = {"reason": blocked} if blocked else {"cones": len(window)}
-    checks = [("window-built", None if blocked else len(window) > 0, {"fan": spec.fan, **outcome})]
-    faces = window_face_table(window, grid)
-    extra = {
-        "window": {
-            "fan": spec.fan,
-            "bound": spec.window,
-            "cones": _window_json(window, grid),
-            "faces": faces,
-        }
-    }
+    built = _build_window(spec)
+    if isinstance(built, str):
+        ok, outcome, cones, faces = None, {"reason": built}, [], []
+    else:
+        window, grid = built
+        ok, outcome = len(window) > 0, {"cones": len(window)}
+        cones, faces = _window_json(window, grid), window_face_table(window, grid)
+    checks = [("window-built", ok, {"fan": spec.fan, **outcome})]
+    extra = {"window": {"fan": spec.fan, "bound": spec.window, "cones": cones, "faces": faces}}
     return make_report("build", spec.digest, spec.seed, checks, extra)
 
 
 def _axioms_checks(spec: SpecData) -> list:
-    window, grid, blocked = _build_window(spec)
-    if blocked:
-        return [("fan-axioms", None, {"reason": blocked})]
-    violation = first_fan_violation(window, grid)
-    return [("fan-axioms", violation is None, violation or {"cones": len(window)})]
+    built = _build_window(spec)
+    if isinstance(built, str):
+        return [("fan-axioms", None, {"reason": built})]
+    violation = first_fan_violation(*built)
+    return [("fan-axioms", violation is None, violation or {"cones": len(built[0])})]
 
 
 def _gamma_checks(spec: SpecData) -> list:
     fan = CellFan(spec.frame)
-    blocked = _cell_fan_blocked(fan)
-    if blocked:
-        return [("cell-conjugation-stable", None, {"reason": blocked})]
+    if fan.blocked:
+        return [("cell-conjugation-stable", None, {"reason": fan.blocked})]
     shifts = [zero_vec(spec.frame.rank)]
     shifts.extend(fan.inner_lattice.basis_vectors())
     gammas = [(p, s) for p in (-2, -1, 0, 1, 2) for s in shifts]
@@ -306,9 +290,8 @@ def _completeness_checks(spec: SpecData) -> list:
         operators, blocked = None, str(exc)
 
     def covers():
-        undefined = _cell_fan_blocked(fan)
-        if undefined:
-            return "subdivision-covers", None, {"reason": undefined}
+        if fan.blocked:
+            return "subdivision-covers", None, {"reason": fan.blocked}
         for i, gens in enumerate(cones):
             if subdivide_against(fan, gens) is None:
                 return "subdivision-covers", False, {"index": i, "generators": gens}

@@ -242,14 +242,6 @@ class Cone:
 # fans as finite windows
 
 
-def sorted_unique(cones) -> tuple:
-    """The distinct cones in window order: by dimension, then rays."""
-    found = {}
-    for c in cones:
-        found.setdefault(c.rays, c)
-    return tuple(sorted(found.values(), key=lambda c: (c.dim, c.rays)))
-
-
 def check_fan(cones) -> list:
     """Fan axioms on a finite window: closed under faces, and any two
     members intersect in a common face.  Returns a list of violation

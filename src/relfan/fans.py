@@ -12,28 +12,31 @@ form a fan on which the relative filtration is constant cell by cell,
 and the whole picture is stable under the extension automorphisms.
 
 Pencil cones are computed in the pencil chart and only lifted.  The
-chart of a coset, grid(key).lift, sends (level t, cube coordinates c)
-to the flattened pencil(t, t b + sum c_j d_j) for the coset's base
-point b of P and the cube directions d_1, ..., d_k, a linear map into
-operator space, injective when log(gamma) is nonzero.  A cell is the
-cone over the box [n, n + 1] / a at level one, a = denominator(key).
-locate inverts the chart: an operator on the positive pencil goes to
-(level, coset key, cube coordinates).
+chart of a coset, grid(key), sends (level t, cube coordinates c) to the
+flattened pencil(t, t b + sum c_j d_j) for the coset's base point b of
+P and the cube directions d_1, ..., d_k, a linear map into operator
+space, injective when log(gamma) is nonzero.  A cell is the cone over
+the box [n, n + 1] / a at level one, a = denominator(key).  locate
+inverts the chart: an operator on the positive pencil goes to (level,
+coset key, cube coordinates).  The chart of a lattice L,
+lattice_grid(L), sends (t, c) to pencil(t, sum c_j b_j) over a basis b
+of L: its level one grid points are the rays of the ray fan over L,
+and its unit boxes, for the image lattice, the cube cells.
 
-The box grid of a coset is its ChartGrid (grid.py), the one owner of
-boxes, their cuts and their lifts.  A window is the sequence of its
-GridFace symbols, on which the faces table and the fan axioms are
-decided and from which a report lifts only corner rays; a corrupted
-window puts a Cone only where no grid face lifts to it.  Cells lift
-only corner rays, subdivision cuts in the chart and lifts only the rays
-of its pieces, and the stability report reads the zero key's rays and
-top cells as symbols.  Double description in operator space is left
-to cones off the positive pencil and to the generic oracles in
-cones.py.  A coset's denominator is the lcm of its key's denominators,
-in closed form.  Conjugation is an identity of chart maps, read once
-per coset key off the block identity g M g^-1 = [[G A G^-1, G h -
-G A G^-1 s], [0, 0]] for g = [[G, s], [0, 1]], G = gamma^p = exp(p log
-gamma), and M = [[A, h], [0, 0]], with no inverse.
+Every window is the GridFace symbols of one ChartGrid (grid.py), the
+one owner of boxes, their cuts and their lifts, and is decided there; a
+report lifts only corner rays, and a corruption puts in a chart cone
+that is no grid face.  Cells lift only corner rays, subdivision cuts in
+the chart and lifts only the rays of its pieces, and the stability
+report reads the zero key's rays and top cells as symbols.  With
+log(gamma) = 0 the cell fan is blocked unless P = 0, and then every
+chart is collapsed, with the origin as its window.  Double description
+in operator space is left to cones off the positive pencil and to the
+generic oracles in cones.py.  A coset's denominator is the lcm of its
+key's denominators, in closed form.  Conjugation is an identity of
+chart maps, read once per coset key off the block identity g M g^-1 =
+[[G A G^-1, G h - G A G^-1 s], [0, 0]] for g = [[G, s], [0, 1]], G =
+gamma^p = exp(p log gamma), and M = [[A, h], [0, 0]], with no inverse.
 
 Also here: the coarser comparison fans (rays over the inner image
 lattice, rays over the torus lattice, unit cube cells, rays over the
@@ -50,7 +53,7 @@ from functools import cached_property
 from itertools import product
 from math import factorial, gcd, lcm, prod
 
-from .cones import Cone, sorted_unique
+from .cones import Cone
 from .errors import (
     NotSquareZeroPure,
     InvariantViolation,
@@ -210,6 +213,15 @@ class CellFan:
         m = self.cube_rank
         return tuple(c[:m]), tuple(c[m:])
 
+    @property
+    def blocked(self):
+        """Why the cell fan is undefined, or None: with log(gamma) = 0 the
+        pencil level is invisible, and once P is nonzero the cells collapse
+        into cones that do not form a fan."""
+        if is_zero_mat(self.frame.log_gamma) and self.p_space.dim:
+            return "log(gamma) is zero and P is not, so the cells do not form a fan"
+        return None
+
     def zero_key(self) -> tuple:
         return (ZERO,) * self.key_rank
 
@@ -248,13 +260,19 @@ class CellFan:
             self._grids[key] = ChartGrid(columns, self.denominator(key), self.ambient)
         return self._grids[key]
 
+    def lattice_grid(self, lattice: ZLattice) -> ChartGrid:
+        """Unit boxes over a lattice of the inner piece, in the chart with
+        base point zero: (level t, coordinates c) -> flattened pencil(t,
+        sum c_j b_j) over the lattice basis b.  Its grid point v at level
+        one is the ray of pencil(1, sum v_j b_j)."""
+        columns = [flatten(self.frame.pencil(1, zero_vec(self.frame.rank)))]
+        columns += [flatten(self.frame.pencil(0, d)) for d in lattice.basis_vectors()]
+        return ChartGrid(columns, 1, self.ambient)
+
     @cached_property
     def cube_grid(self) -> ChartGrid:
-        """Unit boxes over the image lattice in the chart with base point
-        zero: the grid of the cube fan."""
-        columns = [flatten(self.frame.pencil(1, zero_vec(self.frame.rank)))]
-        columns += [flatten(self.frame.pencil(0, d)) for d in image_lattice(self).basis_vectors()]
-        return ChartGrid(columns, 1, self.ambient)
+        """The grid of the cube fan: unit boxes over the image lattice."""
+        return self.lattice_grid(image_lattice(self))
 
     def locate(self, n_mat: Mat):
         """Chart coordinates (level, coset key, cube coordinates) of an
@@ -296,7 +314,8 @@ class CellFan:
     def window(self, bound: int, key=None) -> tuple:
         """The cells of one coset with cube offsets at most bound, closed
         under faces: if log(gamma) != 0, the (4 bound + 3)^cube_rank + 1
-        GridFace symbols that grid(key).cone lifts; see ChartGrid.window."""
+        GridFace symbols that grid(key).cone lifts, else the origin; see
+        ChartGrid.window."""
         return self.grid(key).window(bound)
 
     # --- the extension automorphisms ---
@@ -531,20 +550,6 @@ def neron_lattice(fan: CellFan) -> ZLattice:
     return pulled.intersect_subspace(Subspace.image(fr.log_gamma))
 
 
-def ray_window(fan: CellFan, lattice: ZLattice, bound: int) -> tuple:
-    """Fan window of rays at pencil level one over lattice translates
-    with coordinates bounded by the window size, plus the origin."""
-    fr = fan.frame
-    cones = [Cone.zero(fan.ambient)]
-    basis = lattice.basis_vectors()
-    for coords in product(range(-bound, bound + 1), repeat=lattice.rank):
-        op = fr.pencil(1, combine(coords, basis, fr.rank))
-        if is_zero_mat(op):
-            continue
-        cones.append(Cone.from_generators([flatten(op)], fan.ambient))
-    return sorted_unique(cones)
-
-
 def check_square_zero_pure(frame: Frame) -> dict:
     """The gate for the cube fan: the inner block squares to zero and
     the declared weight zero graded types are all (0, 0).
@@ -635,8 +640,11 @@ def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> li
         ql = fan.q_lattice
         missing = [b for b in image_lattice(fan).basis_vectors() if not ql.contains(b)]
         add("image-rays-are-torus-rays", not missing, {"vector": missing[0]} if missing else None)
-        witness = _cube_cells_align(fan, cube_bound)
-        add("cube-cells-align-with-cell-fan", "pieces" in witness, witness)
+        if fan.blocked:
+            add("cube-cells-align-with-cell-fan", None, {"reason": fan.blocked})
+        else:
+            witness = _cube_cells_align(fan, cube_bound)
+            add("cube-cells-align-with-cell-fan", "pieces" in witness, witness)
     else:
         unevaluated("existence-space-equals-torus-space", "space comparison")
         unevaluated("image-rays-are-torus-rays", "ray fan comparison")
@@ -698,21 +706,20 @@ def random_inadmissible_operator(fan: CellFan, rng) -> Mat:
 
 
 def corrupted_window(fan: CellFan, bound: int, mode: str) -> tuple:
-    """Deliberately broken windows for negative tests: 'drop-faces'
-    removes the one dimensional faces, 'half-cell' replaces the origin
-    cell with a shrunken copy that no longer tiles.  The half cell is
-    the one Cone entry, and the lift of no grid face, as the decisions
-    of grid.py require: box(n0, 2) on the zero key (a = 1) has half
-    integer corners, or, at cube rank 0, is the level ray itself."""
+    """Deliberately broken windows of the zero key's grid for negative
+    tests: 'drop-faces' removes the one dimensional faces, 'half-cell'
+    replaces the origin cell with a shrunken copy that no longer tiles.
+    The half cell is the one Cone entry, a chart cone and no grid face,
+    as the decisions of grid.py require: box(n0, 2) on the zero key (a =
+    1) has half integer corners, or, at cube rank 0, is the level ray
+    itself, and then the window is left whole."""
     window = fan.window(bound)
     if mode == "drop-faces":
         return tuple(c for c in window if c.dim != 1)
     if mode == "half-cell":
-        grid = fan.grid()
         n0 = (0,) * fan.cube_rank
-        victim = GridFace(n0, (True,) * len(n0))
-        half = grid.lift_cone(box(n0, 2))
-        if half == grid.cone(victim):
+        victim, half = GridFace(n0, (True,) * len(n0)), box(n0, 2)
+        if half == box(n0, fan.grid().a):
             return window
         return tuple(half if c == victim else c for c in window)
     raise PreconditionViolated(f"unknown corruption mode: {mode}")
@@ -734,14 +741,12 @@ def strong_compatibility_report(fan: CellFan, bound: int, gammas) -> list:
     top cell is the box at its corner, and no window cone is lifted or
     decoded.  Conjugation depends only on the coset key, so
     conjugate_key runs once per sample, for the zero key, and each cell
-    reads that verdict.  The chart fails to be injective only when
-    log(gamma) = 0, where the cells do not form a fan unless P = 0 and
-    the window is the origin: the report is empty.  With cube rank 0 the
-    one box is the level ray, reported as a cell.
+    reads that verdict.  When log(gamma) = 0 the cells do not form a fan
+    unless P = 0, and then the chart is collapsed and the window is the
+    origin, with no ray and no cell: the report is empty.  With cube
+    rank 0 the one box is the level ray, reported as a cell.
     """
     grid = fan.grid()
-    if not grid.injective:
-        return []
     points, corners = grid.window_symbols(bound)
     zero, bad = fan.zero_key(), None
     for power, shift in gammas:

@@ -1,17 +1,16 @@
-"""The box grid of a chart: its boxes, faces, cuts and lifts.
+"""The box grid of a chart: its boxes, faces, cuts, windows and lifts.
 
 A chart is a linear map from Q^(1 + k), (level t, coordinates c), into
-an ambient space, given by its columns.  Its grid is the set of boxes
-[n, n + 1] / a at level one for integral n, and the cones over their
-faces.  This module is the one place that knows that grid.  box(n, a)
-writes the chart cone over a box down in closed form.  A face is a
-GridFace symbol: its integer lower corner and which coordinates are
-free.  ChartGrid enumerates a window of faces as symbols, cuts a chart
-cone along the boxes, and lifts chart cones and faces to the ambient
-space.  An injective lift carries extreme rays to extreme rays, so a
-lifted cone is its lifted rays, with span and facets left lazy; each
-lifted primitive ray is an integer combination of the chart's cleared
-columns and one gcd.
+an ambient space, given by its independent columns.  Its grid is the
+set of boxes [n, n + 1] / a at level one for integral n, and the cones
+over their faces.  This module is the one place that knows that grid.
+box(n, a) writes the chart cone over a box down in closed form.  A face
+is a GridFace symbol: its integer lower corner and which coordinates
+are free.  ChartGrid enumerates a window as symbols, the faces of a
+cell fan or the grid points of a ray fan, cuts chart cones along the
+boxes, and lifts them: the injective lift carries extreme rays to
+extreme rays, and each lifted primitive ray is an integer combination
+of the cleared columns and one gcd.
 
 A segment, the cone over one or two level one points, is cut in
 closed form: it crosses the walls of the grid at times written down
@@ -20,12 +19,13 @@ crossings lies in one box, so no box is built and no double
 description runs.  A cone over three or more points keeps the product
 path: it meets each box of its window by double description.
 
-When the chart is injective it preserves face lattices and meets, so
-a window of grid faces is decided on its symbols, as for cube
-complexes (Ziegler, Lectures on Polytopes, ch. 2).  Only a Cone entry,
-which a corruption put in place of a symbol, is decided by the generic
-is_face_of and intersect of cones.py against the lifted window; they
-and check_fan are the oracle in tests.
+A window is decided in its chart, which the lift embeds with its face
+lattices and meets, as for cube complexes (Ziegler, Lectures on
+Polytopes, ch. 2): a symbol's faces are its sub-symbols, two symbols
+meet in a common face, and a chart Cone entry, which a corruption puts
+in, meets the others by the Cone operations of cones.py in 1 + k
+dimensions.  Only a witness is lifted; the lifted window and check_fan
+are the oracle in tests.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from itertools import product
 from math import ceil, floor, gcd
 from typing import NamedTuple
 
-from .cones import Cone, sorted_unique
-from .errors import InvariantViolation
+from .cones import Cone
+from .errors import InvariantViolation, PreconditionViolated
 from .qlinalg import (
     ONE,
     ZERO,
@@ -45,10 +45,10 @@ from .qlinalg import (
     _row_ints,
     _scaled_int_rows,
     _sparse_rows,
-    linear_map,
+    dot,
     primitive,
     rref,
-    transpose,
+    vscale,
 )
 
 class GridFace(NamedTuple):
@@ -119,26 +119,21 @@ def box(n, a: int) -> Cone:
 
 
 class ChartGrid:
-    """The grid of boxes [n, n + 1] / a in one chart, and its faces
-    lifted to operator space.
-
-    columns are the chart's columns in operator space: the image of the
-    level vector, then of each cube direction.  When they are independent
-    the lift is injective, so it preserves face lattices and meets, and
-    a window is its grid faces as symbols: the lift only supplies the
-    rays of a report and of a witness.  Lifted vertex rays are kept per
-    grid point and shared by every face that has them."""
+    """The grid of boxes [n, n + 1] / a in one chart, and its lifts to
+    operator space.  columns are the images of the level vector and of
+    each cube direction.  Lifted vertex rays are kept per grid point and
+    shared by every face that has them.  Dependent columns are refused,
+    save the chart that log(gamma) = 0 makes: rank 0 with a zero level
+    column, collapsed, which lifts every face to the origin."""
 
     def __init__(self, columns, a: int, ambient: int):
         self.a, self.ambient, self.rank = a, ambient, len(columns) - 1
-        self.lift = linear_map(transpose(columns))
         # the columns over one common denominator, which no ray sees
         self._columns = _sparse_rows(_scaled_int_rows(columns)[0])
-        self.injective = len(rref(columns)[1]) == len(columns)
+        self.collapsed = self._columns == [[]]
+        if not self.collapsed and len(rref(columns)[1]) < len(columns):
+            raise PreconditionViolated("the chart's columns are dependent")
         self._rays = {}  # grid point -> lifted primitive ray
-
-    def _lift_point(self, v) -> Vec:
-        return self.lift((Fraction(self.a),) + tuple(map(Fraction, v)))
 
     def _lift_ray(self, coords) -> Vec:
         """primitive(lift(x)) for integer chart coordinates on the ray of
@@ -164,42 +159,48 @@ class ChartGrid:
         return r
 
     def window(self, bound: int) -> tuple:
-        """The faces of the boxes with corners in [-bound, bound]^rank in
-        the window order (dim, rays) of their lifts: when the lift is
-        injective, (4 bound + 3)^rank + 1 GridFace symbols, ORIGIN first.
-        The order is read off the sorted vertex rays, so no cone is built.
-        A lift that is not injective collapses faces, so its window is
-        the deduplicated lifted cones, with no symbols."""
+        """The faces of the boxes with corners in [-bound, bound]^rank, the
+        window of a cell fan, as (4 bound + 3)^rank + 1 GridFace symbols,
+        ORIGIN first, in the window order (dim, rays) of their lifts.  The
+        order is read off the sorted vertex rays, so no cone is built."""
         one = [(c, False) for c in range(-bound, bound + 2)] + [(c, True) for c in range(-bound, bound + 1)]
         faces = [ORIGIN] + [_grid_face(choice) for choice in product(one, repeat=self.rank)]
-        if not self.injective:
-            return sorted_unique(self.cone(f) for f in faces)
-        return tuple(f for _, _, f in self._window_order(bound, faces)[1])
+        return tuple(self._window_order(range(-bound, bound + 2), faces)[1])
+
+    def vertex_window(self, bound: int) -> tuple:
+        """ORIGIN and the grid points in [-bound, bound]^rank as vertex
+        symbols, in window order: the window of the ray fan whose rays are
+        the grid points at level one."""
+        points = product(range(-bound, bound + 1), repeat=self.rank)
+        faces = [ORIGIN] + [GridFace(v, (False,) * self.rank) for v in points]
+        return tuple(self._window_order(range(-bound, bound + 1), faces)[1])
 
     def window_symbols(self, bound: int) -> tuple:
         """The rays and top cells of window(bound) as symbols, each run in
         window order: the grid points, sorted by lifted ray, and the lower
-        corners of the boxes.  Needs an injective lift."""
+        corners of the boxes."""
         boxes = [GridFace(n, (True,) * self.rank) for n in product(range(-bound, bound + 1), repeat=self.rank)]
-        points, keyed = self._window_order(bound, boxes)
-        return points, [f.corner for _, _, f in keyed]
+        points, boxes = self._window_order(range(-bound, bound + 2), boxes)
+        return points, [f.corner for f in boxes]
 
-    def _window_order(self, bound: int, faces) -> tuple:
-        """The window's grid points sorted by lifted ray, and the faces as
-        sorted (dim, sorted positions of their vertices among those points,
-        face) triples.  Positions compare as the lifted rays do, so this
-        is the order (dim, rays) of the lifted faces."""
-        points = sorted(product(range(-bound, bound + 2), repeat=self.rank), key=self.ray)
+    def _window_order(self, coords: range, faces) -> tuple:
+        """The grid points with every coordinate in coords, sorted by
+        lifted ray, and the faces sorted by dim, then by the sorted
+        positions of their vertices among those points, which compare as
+        the lifted rays do: the order (dim, rays) of the lifted faces.  A
+        collapsed chart lifts every face to the origin, so it keeps ORIGIN
+        alone, and no grid point."""
+        if self.collapsed:
+            return [], [f for f in faces if f == ORIGIN]
+        points = sorted(product(coords, repeat=self.rank), key=self.ray)
         order = {v: i for i, v in enumerate(points)}
-        return points, sorted((f.dim, tuple(sorted(order[v] for v in f.vertices())), f) for f in faces)
+        return points, sorted(faces, key=lambda f: (f.dim, sorted(order[v] for v in f.vertices())))
 
     def lift_cone(self, cone: Cone) -> Cone:
-        """The lift of a chart cone.  Injective, the lift carries extreme
-        rays to extreme rays (Ziegler, Lectures on Polytopes, ch. 2), so
-        the lifted primitive rays are the canonical form and span and
-        facets stay lazy; otherwise it is built generically."""
-        if not self.injective:
-            return Cone.from_generators([self.lift(r) for r in cone.rays], self.ambient)
+        """The lift of a chart cone.  It carries extreme rays to extreme
+        rays (Ziegler, Lectures on Polytopes, ch. 2), so the lifted
+        primitive rays are the canonical form and span and facets stay
+        lazy."""
         return Cone(self.ambient, tuple(sorted(map(self._lift_ray, _row_ints(cone.rays)))))
 
     def cut(self, points) -> list:
@@ -261,11 +262,50 @@ class ChartGrid:
         return sorted(pieces, key=lambda piece: piece[0])
 
     def cone(self, face: GridFace) -> Cone:
-        """The lifted face.  Injective, its rays are the lifted corners and
-        span and facets stay lazy; otherwise it is built generically."""
-        if not self.injective:
-            return Cone.from_generators([self._lift_point(v) for v in face.vertices()], self.ambient)
+        """The lifted face: its rays are the lifted corners, and span and
+        facets stay lazy."""
         return Cone(self.ambient, tuple(sorted(self.ray(v) for v in face.vertices())))
+
+    def chart_cone(self, face: GridFace) -> Cone:
+        """The face's cone in the chart, over the level one points of its
+        corners."""
+        return Cone(self.rank + 1, tuple(sorted(primitive((self.a,) + v) for v in face.vertices())))
+
+    def symbol(self, cone: Cone):
+        """The grid face whose chart cone is cone, or None: each ray (t, c)
+        must name a grid point a c / t, and distinct points inside a unit
+        box, one per corner, are the corners of a face."""
+        points = [[self.a * x / t for x in c] for t, *c in cone.rays if t > 0]
+        if len(points) < len(cone.rays) or any(x.denominator != 1 for v in points for x in v):
+            return None
+        if not points:
+            return ORIGIN
+        lo = tuple(int(min(xs)) for xs in zip(*points))
+        spread = [max(xs) - low for low, xs in zip(lo, zip(*points))]
+        if any(d > 1 for d in spread) or len(points) != 2 ** sum(d == 1 for d in spread):
+            return None
+        return GridFace(lo, tuple(d == 1 for d in spread))
+
+    def first_lifted_facet(self, cone: Cone, facets) -> Cone:
+        """Of some facets of a chart cone, the first in the Cone.facets
+        order of the lifted cone.  That order sorts the canonical lifted
+        facet normals, which are zero off the pivots P of the lifted span,
+        so it sorts their entries on P.  There a normal is the primitive
+        functional that vanishes on the facet's lifted rays and is positive
+        on the cone: it is read off the rays' entries on P, and only the
+        pivots need the lifted span."""
+        if len(facets) == 1:
+            return facets[0]
+        lifted = dict(zip(cone.rays, map(self._lift_ray, _row_ints(cone.rays))))
+        pivots = Subspace.span(lifted.values(), self.ambient)._pivots()
+        on_p = {r: tuple(x[p] for p in pivots) for r, x in lifted.items()}
+        total = tuple(map(sum, zip(*on_p.values())))
+
+        def normal(facet):
+            (h,) = Subspace.kernel([on_p[r] for r in facet.rays]).basis
+            return primitive(h if dot(h, total) > 0 else vscale(-ONE, h))
+
+        return min(facets, key=normal)
 
 
 def _meets_in_a_face(x: Cone, y: Cone) -> bool:
@@ -273,45 +313,28 @@ def _meets_in_a_face(x: Cone, y: Cone) -> bool:
     return k.is_face_of(x) and k.is_face_of(y)
 
 
-def _lifts(window, grid) -> list:
-    """Every window entry as a cone: a symbol lifted, a Cone as it is."""
-    return [e if isinstance(e, Cone) else grid.cone(e) for e in window]
-
-
-def _face_of_points(points):
-    """The grid face whose vertices are the distinct grid points, or None."""
-    if not points:
-        return ORIGIN
-    lo = tuple(map(min, zip(*points)))
-    spread = [h - l for l, h in zip(lo, map(max, zip(*points)))]
-    # distinct points inside a unit box, one per corner, are its corners
-    if any(s > 1 for s in spread) or len(points) != 2 ** sum(spread):
-        return None
-    return GridFace(lo, tuple(s == 1 for s in spread))
-
-
 def window_face_table(window, grid) -> list:
     """For each window entry, the sorted positions of the entries whose
     lifts are faces of its lift.
 
-    An entry is a GridFace symbol, lifted by grid, or a Cone, which is
-    never the lift of a grid face: every producer writes a grid face as
-    its symbol.  So the faces of a symbol are its 3^free sub-faces and
-    the origin, looked up by symbol, and only a Cone entry is tested
-    against the lift of every entry by is_face_of."""
-    window = list(window)
-    where = {}
+    An entry is a GridFace symbol or a chart Cone, which is never the
+    chart cone of a grid face: every producer writes a grid face as its
+    symbol.  So the faces of a symbol are its 3^free sub-faces and the
+    origin, looked up by symbol.  The faces of a Cone entry are its faces
+    in the chart, each looked up among the Cone entries by its rays and
+    among the symbols by grid.symbol."""
+    where, cones = {}, {}
     for i, e in enumerate(window):
-        if isinstance(e, GridFace):
+        if isinstance(e, Cone):
+            cones.setdefault(e.rays, []).append(i)
+        else:
             where.setdefault(e, []).append(i)
-    lifts = None  # every entry lifted, on the first Cone entry
     table = []
     for e in window:
         if isinstance(e, GridFace):
             table.append(sorted(j for sub in e.faces() for j in where.get(sub, ())))
         else:
-            lifts = lifts or _lifts(window, grid)
-            table.append([j for j, other in enumerate(lifts) if other.is_face_of(e)])
+            table.append(sorted(j for f in e.faces() for j in cones.get(f.rays, []) + where.get(grid.symbol(f), [])))
     return table
 
 
@@ -319,37 +342,33 @@ def first_fan_violation(window, grid):
     """check_fan of the lifted window, its first record, or None when the
     window is a fan.  Entries as for window_face_table.
 
-    A symbol misses a face exactly when a facet symbol is absent; the
-    witness lifts just it and those facets, in Cone.facets order.  A
-    facet of a Cone entry is present when it is a Cone entry or its
-    rays, read through a map from lifted ray to grid point over the
-    symbols' vertices, are the corners of a present symbol.  Two symbols
-    meet in a common face, so only pairs with a Cone entry are
-    intersected."""
+    A symbol misses a face exactly when a facet symbol is absent.  A chart
+    facet of a Cone entry is present when it is a Cone entry or the chart
+    cone of a present symbol.  Two symbols meet in a common face, so only
+    pairs with a Cone entry are intersected, in the chart.  The witness
+    alone is lifted: a missing face as the first missing facet in the
+    lifted Cone.facets order, a bad pair as left, right and meet."""
     window = list(window)
     present = {e for e in window if isinstance(e, GridFace)}
     loose = [i for i, e in enumerate(window) if isinstance(e, Cone)]
     cones = {window[i].rays for i in loose}
-    points = None  # lifted ray -> grid point, on the first Cone entry
+
+    def chart(e):
+        return e if isinstance(e, Cone) else grid.chart_cone(e)
+
     for e in window:
         if isinstance(e, GridFace):
-            missing = [f for f in e.facets() if f not in present]
-            if missing:
-                cone, gone = grid.cone(e), {grid.cone(f).rays for f in missing}
-                return {"kind": "missing-face", "cone": cone, "face": next(f for f in cone.facets() if f.rays in gone)}
-            continue
-        if points is None:
-            points = {grid.ray(v): v for v in {v for f in present for v in f.vertices()}}
-        for f in e.facets():
-            if f.rays in cones:
-                continue
-            at = [points.get(r) for r in f.rays]
-            if None in at or _face_of_points(at) not in present:
-                return {"kind": "missing-face", "cone": e, "face": f}
-    lifts = _lifts(window, grid) if loose else []
+            missing = [grid.chart_cone(f) for f in e.facets() if f not in present]
+        else:
+            missing = [f for f in e.facets() if f.rays not in cones and grid.symbol(f) not in present]
+        if missing:
+            face = grid.first_lifted_facet(chart(e), missing)
+            return {"kind": "missing-face", "cone": grid.lift_cone(chart(e)), "face": grid.lift_cone(face)}
     pairs = sorted({(min(i, j), max(i, j)) for i in loose for j in range(len(window)) if j != i})
     for i, j in pairs:
-        left, right = lifts[i], lifts[j]
+        left, right = chart(window[i]), chart(window[j])
         if not _meets_in_a_face(left, right):
-            return {"kind": "bad-intersection", "left": left, "right": right, "meet": left.intersect(right)}
+            lift = grid.lift_cone
+            return {"kind": "bad-intersection", "left": lift(left), "right": lift(right),
+                    "meet": lift(left.intersect(right))}
     return None

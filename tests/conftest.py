@@ -30,6 +30,6 @@ def int_fracs(lo=-9, hi=9):
 
 
 def lifted(window, grid):
-    """A window as cones: each GridFace symbol lifted by its grid, each
-    Cone entry as it is, for the operator space oracles."""
-    return tuple(e if isinstance(e, Cone) else grid.cone(e) for e in window)
+    """A window as cones in operator space, for its oracles: each GridFace
+    symbol and each chart Cone entry lifted by its grid."""
+    return tuple(grid.lift_cone(e) if isinstance(e, Cone) else grid.cone(e) for e in window)

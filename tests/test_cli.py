@@ -190,7 +190,7 @@ def test_build_faces_and_axioms_match_operator_space(tmp_path, capsys, fields):
     spec = write_spec(tmp_path, window=2, **fields)
     _, built = run_json(capsys, "build", "--spec", spec)
     _, axioms = run_json(capsys, "check", "--spec", spec, "--suite", "axioms")
-    window, grid, _ = _build_window(load_spec(spec))
+    window, grid = _build_window(load_spec(spec))
     window = lifted(window, grid)
     assert built["window"]["faces"] == [
         sorted(j for j, other in enumerate(window) if other.is_face_of(cone)) for cone in window
@@ -312,6 +312,21 @@ def test_completeness_trivial_monodromy_below_weight_minus_one(tmp_path, capsys)
     code, report = run_json(capsys, "check", "--spec", spec, "--suite", "completeness")
     assert code == 1
     assert "log(gamma) is zero" in _blocked(report, "subdivision-covers")
+
+
+def test_relations_cube_cells_blocked_with_the_cell_fan(tmp_path, capsys):
+    """jordan3 with gamma = 1 and square zero, pure graded types passes
+    the cube fan's predicate, but its cell fan is blocked, as in build,
+    axioms, gamma and completeness: so the cube cells cannot be compared
+    with it."""
+    payload = _jordan3_trivial_monodromy()
+    payload["graded_types"] = [[-2, 0, -2, 1], [-2, -1, -1, 1], [-2, -2, 0, 1]]
+    spec = write_spec(tmp_path, frame=payload, window=1)
+    code, report = run_json(capsys, "check", "--spec", spec, "--suite", "relations")
+    assert code == 1
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert statuses["square-zero-pure-type"] == "interpreted-pass"
+    assert "log(gamma) is zero" in _blocked(report, "cube-cells-align-with-cell-fan")
 
 
 @pytest.mark.parametrize("frame", ["jordan3", "no-graded-types"])

@@ -1,4 +1,5 @@
-"""ChartGrid.lift_cone against double description on the lifted rays."""
+"""ChartGrid.lift_cone against double description on the lifted rays,
+and the refusal of a chart whose columns are dependent."""
 
 from fractions import Fraction
 from unittest import mock
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 from relfan import cones
 from relfan.cones import Cone
-from relfan.errors import NotSharp
+from relfan.errors import PreconditionViolated
 from relfan.fans import CellFan
-from relfan.grid import ChartGrid, box
+from relfan.grid import ORIGIN, ChartGrid
 from relfan.hodge import Frame
-from relfan.qlinalg import ZERO, identity, linear_map, mat, primitive, transpose
+from relfan.qlinalg import ZERO, identity, linear_map, mat, primitive, rank, transpose
 
 
 def sharp_cones(n):
@@ -30,8 +31,9 @@ def int_columns(n, ambient):
     ).map(mat)
 
 
-def oracle(grid: ChartGrid, cone: Cone) -> Cone:
-    return Cone.from_generators([grid.lift(r) for r in cone.rays], grid.ambient)
+def oracle(columns, cone: Cone) -> Cone:
+    lift = linear_map(transpose(columns))
+    return Cone.from_generators([lift(r) for r in cone.rays], len(columns[0]))
 
 
 def assert_same(got: Cone, want: Cone):
@@ -48,18 +50,18 @@ def injective_cases(draw):
     # coordinates and the shuffle keep its image off the coordinate axes
     rows = list(identity(n)) + list(zip(*draw(int_columns(n, draw(st.integers(0, 2))))))
     columns = tuple(zip(*draw(st.permutations(rows))))
-    return cone, ChartGrid(columns, draw(st.integers(1, 3)), len(rows))
+    return cone, columns
 
 
 @given(injective_cases())
 def test_injective_image_matches_double_description(case):
-    cone, grid = case
-    assert grid.injective
+    cone, columns = case
+    grid = ChartGrid(columns, 1, len(columns[0]))
     with mock.patch.object(cones, "rays_from_ineqs", wraps=cones.rays_from_ineqs) as dd:
         got = grid.lift_cone(cone)
     assert not dd.called
     assert "span" not in got.__dict__ and "facet_normals" not in got.__dict__
-    assert_same(got, oracle(grid, cone))
+    assert_same(got, oracle(columns, cone))
 
 
 @st.composite
@@ -92,19 +94,21 @@ def test_integer_lift_matches_fraction_lift(chart, data):
     lambda n: st.tuples(sharp_cones(n), st.integers(1, 4).flatmap(lambda k: int_columns(n, k)))
 ))
 def test_any_image_matches_double_description(case):
+    """Independent columns lift like double description; dependent ones
+    are refused, since their lift is not injective."""
     cone, columns = case
-    grid = ChartGrid(columns, 1, len(columns[0]))
-    try:
-        want = oracle(grid, cone)
-    except NotSharp:
-        with pytest.raises(NotSharp):
-            grid.lift_cone(cone)
+    if rank(columns) < len(columns):
+        with pytest.raises(PreconditionViolated):
+            ChartGrid(columns, 1, len(columns[0]))
         return
-    assert_same(grid.lift_cone(cone), want)
+    assert_same(ChartGrid(columns, 1, len(columns[0])).lift_cone(cone), oracle(columns, cone))
 
 
-def test_collapsing_map_falls_back():
-    # log(gamma) = 0 and a zero section: the level column vanishes
+def test_collapsing_map_is_refused():
+    """log(gamma) = 0 and a zero section: the level column vanishes.  With
+    cube directions the columns are dependent and the chart is refused;
+    alone, the zero level column is the collapsed rank 0 chart, whose
+    window is the origin."""
     frame = Frame(
         rank=2,
         weight=-2,
@@ -112,9 +116,11 @@ def test_collapsing_map_falls_back():
         gamma=identity(2),
         hodge={(0, -2): 1, (-2, 0): 1},
     )
-    grid = CellFan(frame).grid()
-    assert not grid.injective
-    for n in [(0,) * grid.rank, (1,) * grid.rank, (-2,) * grid.rank]:
-        cell = box(n, grid.a)
-        assert_same(grid.lift_cone(cell), oracle(grid, cell))
-    assert grid.lift_cone(Cone.zero(grid.rank + 1)) == Cone.zero(grid.ambient)
+    fan = CellFan(frame)
+    assert fan.cube_rank and fan.blocked
+    with pytest.raises(PreconditionViolated):
+        fan.grid()
+    grid = ChartGrid([(ZERO,) * fan.ambient], 1, fan.ambient)
+    assert grid.collapsed
+    assert grid.window(2) == grid.vertex_window(2) == (ORIGIN,)
+    assert grid.window_symbols(2) == ([], [])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relfan.cones import Cone, check_fan, rays_from_ineqs, sorted_unique
+from relfan.cones import Cone, check_fan, rays_from_ineqs
 from relfan.errors import MixedAmbient, NotSharp
 from relfan.qlinalg import dot, vec
 
@@ -171,8 +171,10 @@ def test_facet_normals_support_the_cone():
 
 
 def fan_closure(cones) -> tuple:
-    """The cones together with all of their faces, deduplicated."""
-    return sorted_unique(f for c in cones for f in c.faces())
+    """The cones together with all of their faces, deduplicated, in window
+    order: by dimension, then rays."""
+    found = {f.rays: f for c in cones for f in c.faces()}
+    return tuple(sorted(found.values(), key=lambda c: (c.dim, c.rays)))
 
 
 def test_fan_closure_and_check():

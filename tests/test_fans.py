@@ -33,7 +33,6 @@ from relfan.fans import (
     pencil_commutes,
     random_admissible_cone,
     random_inadmissible_operator,
-    ray_window,
     relations_report,
     strong_compatibility_report,
     subdivide_against,
@@ -763,10 +762,15 @@ def test_corrupted_window_decisions_match_operator_space(ell, jd3, name, mode, b
     assert_decided_like_oracle(window, fan.grid())
 
 
+def ray_grids(fan):
+    return [fan.lattice_grid(lattice(fan)) for lattice in (image_lattice, neron_lattice)]
+
+
 def test_honest_window_decisions_stay_in_the_chart(jd3, triple, monkeypatch):
-    """On an honest window neither decision lifts a cone or tests a pair
-    in operator space."""
+    """On an honest window, cells or the grid points of a ray fan, neither
+    decision lifts a cone or tests a pair in operator space."""
     cases = [(jd3.window(2), jd3.grid()), (triple.window(0), triple.grid())]
+    cases += [(grid.vertex_window(bound), grid) for fan, bound in ((jd3, 2), (triple, 0)) for grid in ray_grids(fan)]
 
     def forbidden(*args):
         raise AssertionError("a cone was lifted or tested in operator space")
@@ -775,9 +779,69 @@ def test_honest_window_decisions_stay_in_the_chart(jd3, triple, monkeypatch):
     monkeypatch.setattr(Cone, "intersect", forbidden)
     monkeypatch.setattr(Cone, "facets", forbidden)
     monkeypatch.setattr(ChartGrid, "cone", forbidden)
+    monkeypatch.setattr(ChartGrid, "chart_cone", forbidden)
+    monkeypatch.setattr(ChartGrid, "lift_cone", forbidden)
     for window, grid in cases:
         assert len(window_face_table(window, grid)) == len(window)
         assert first_fan_violation(window, grid) is None
+
+
+def test_half_cell_window_lifts_only_its_witness(triple, monkeypatch):
+    """The half cell is a chart cone, decided in the rank 6 chart: no
+    cone of operator space is tested, and the lifts are the witness's
+    cone and face alone."""
+    window, grid = corrupted_window(triple, 0, "half-cell"), triple.grid()
+    lift_cone, lifts = ChartGrid.lift_cone, []
+
+    def recorded(self, cone):
+        lifts.append(lift_cone(self, cone))
+        return lifts[-1]
+
+    def in_the_chart(method):
+        def run(self, *args):
+            assert self.ambient == grid.rank + 1, "a cone was tested in operator space"
+            return method(self, *args)
+        return run
+
+    monkeypatch.setattr(ChartGrid, "lift_cone", recorded)
+    for name in ("facets", "faces", "is_face_of", "intersect"):
+        monkeypatch.setattr(Cone, name, in_the_chart(getattr(Cone, name)))
+    violation = first_fan_violation(window, grid)
+    assert violation["kind"] == "missing-face"
+    assert lifts == [violation["cone"], violation["face"]]
+    assert violation["cone"] == lift_cone(grid, box((0,) * grid.rank, 2))
+    lifts.clear()
+    assert len(window_face_table(window, grid)) == len(window)
+    assert lifts == []
+
+
+def ray_window_oracle(fan, lattice, bound):
+    """The ray fan over a lattice built in operator space: the origin and
+    the ray of pencil(1, v) for each v = sum c_j b_j with |c_j| <= bound,
+    in window order."""
+    fr, basis = fan.frame, lattice.basis_vectors()
+    cones = {(): Cone.zero(fan.ambient)}
+    for coords in product(range(-bound, bound + 1), repeat=lattice.rank):
+        op = fr.pencil(1, fans.combine(coords, basis, fr.rank))
+        if not is_zero_mat(op):
+            ray = Cone.from_generators([flatten(op)], fan.ambient)
+            cones[ray.rays] = ray
+    return tuple(sorted(cones.values(), key=lambda c: (c.dim, c.rays)))
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+@pytest.mark.parametrize("lattice", [image_lattice, neron_lattice])
+@pytest.mark.parametrize("name", ["ell", "jd3"])
+def test_vertex_window_is_the_ray_fan(ell, jd3, name, lattice, bound):
+    """A ray fan window is the vertex symbols of the lattice's chart: its
+    lifts are the operator space ray fan, and both decisions agree with
+    the operator space oracles."""
+    fan = _fan(ell, jd3, name)
+    grid = fan.lattice_grid(lattice(fan))
+    window = grid.vertex_window(bound)
+    assert window[0] == ORIGIN and all(f.dim == 1 for f in window[1:])
+    assert lifted(window, grid) == ray_window_oracle(fan, lattice(fan), bound)
+    assert_decided_like_oracle(window, grid)
 
 
 def identity_grid(rank, a):
@@ -830,8 +894,7 @@ def corrupted_windows(draw):
                for bits in product((0, 1), repeat=grid.rank)]
     if kind == "corner":
         del corners[draw(st.integers(min_value=0, max_value=len(corners) - 1))]
-    chart = Cone.from_generators([(F(grid.a),) + tuple(corner) for corner in corners], grid.rank + 1)
-    window[i] = grid.lift_cone(chart)
+    window[i] = Cone.from_generators([(F(grid.a),) + tuple(corner) for corner in corners], grid.rank + 1)
     return window, grid
 
 
@@ -1009,12 +1072,13 @@ def test_gamma_report_builds_no_window_and_decodes_nothing(monkeypatch):
 
 def test_gamma_report_empty_off_an_injective_chart():
     """gamma = 1 on the elliptic frame: log(gamma) = 0 and P = 0, so the
-    chart is not injective and the window is the origin."""
+    chart is the collapsed rank 0 chart, which is not injective, and the
+    window is the origin."""
     payload = frame_to_json(elliptic_frame())
     payload["gamma"] = [["1", "0"], ["0", "1"]]
     fan = CellFan(frame_from_json(payload))
-    assert not fan.grid().injective
-    assert fan.window(1) == (Cone.zero(fan.ambient),)
+    assert fan.grid().collapsed
+    assert fan.window(1) == (ORIGIN,)
     assert strong_compatibility_report(fan, 1, suite_samples(fan)) == []
 
 
@@ -1222,7 +1286,8 @@ def test_neron_lattice_is_the_image_moved_integrally():
 
 
 def test_ray_window_contents(ell):
-    w = ray_window(ell, image_lattice(ell), 2)
+    grid = ell.lattice_grid(image_lattice(ell))
+    w = lifted(grid.vertex_window(2), grid)
     assert len(w) == 6  # origin cone plus rays over the five translates
     dims = sorted(c.dim for c in w)
     assert dims[0] == 0 and set(dims[1:]) == {1}

@@ -45,6 +45,18 @@ FROZEN = [
      "8e108a1d92b01042f1ee3d360fed530982fe78e72ac0aa282180360614661b99"),
     ("triple", {"window": 0, "corrupt": "half-cell"}, CHECK["axioms"],
      "d42f2af509b69ac0b65e6edbfb19b7287a6c2882888855b5657a7b10cec182bd"),
+    # the ray fans, as operator space cones before they were vertex symbols
+    ("jordan3", {"fan": "image-rays"}, ["build"],
+     "bed3adb13e8d987848f52ed2cb3e73c3ad3c2de21cfb2a7952dacfdca41224f5"),
+    ("jordan3", {"fan": "image-rays"}, CHECK["axioms"],
+     "e69fe0afdbd8a4961356da689b15f76060be3b9d80c863f40315458e4f00e388"),
+    ("jordan3", {"fan": "neron-rays"}, ["build"],
+     "6e11f696a03fc7c583d4dff89d559b70cfa721b4535fa51a959293131b78fc1a"),
+    ("jordan3", {"fan": "neron-rays"}, CHECK["axioms"],
+     "13a727d72f455ff1eac0c22e2f6f027128eef00cfd3a7c2dcdae5687358a9861"),
+    # 730 rays of the rank-6 image lattice chart
+    ("triple", {"window": 1, "fan": "image-rays"}, ["build"],
+     "94bb9bf312fc814d6ddf005e629f75fbaecdb515df25f04e937c141ddac7f3a0"),
 ]
 
 
