@@ -32,22 +32,13 @@ from .qlinalg import (
     matmul,
     primitive,
     rank,
+    rref,
     transpose,
     vadd,
     vec,
     vscale,
     zero_vec,
 )
-
-
-def _greedy_independent(rows, dim):
-    chosen = []
-    for r in rows:
-        if len(chosen) == dim:
-            break
-        if rank(mat(chosen + [r])) > len(chosen):
-            chosen.append(r)
-    return chosen
 
 
 def rays_from_ineqs(rows, dim: int) -> tuple:
@@ -60,7 +51,9 @@ def rays_from_ineqs(rows, dim: int) -> tuple:
     if dim == 0:
         return ()
     cleaned = [p for p in dict.fromkeys(primitive(vec(r)) for r in rows) if not is_zero_vec(p)]
-    start = _greedy_independent(cleaned, dim)
+    # the pivot columns of the transpose are the rows independent of
+    # the rows before them
+    start = [cleaned[j] for j in rref(transpose(cleaned))[1]]
     if len(start) < dim:
         raise NotSharp("inequality system does not cut out a pointed cone")
     inv = inverse(mat(start))

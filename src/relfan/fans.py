@@ -77,6 +77,7 @@ from .qlinalg import (
     Subspace,
     Vec,
     ZLattice,
+    hermite_transform,
     identity,
     inverse,
     is_nilpotent,
@@ -87,7 +88,6 @@ from .qlinalg import (
     matpow,
     matvec,
     sandwich,
-    snf,
     solve,
     transpose,
     vadd,
@@ -158,28 +158,30 @@ class CellFan:
 
     @cached_property
     def _adapted(self):
-        """Basis of the P lattice whose first block is a basis of the Q
-        lattice; coordinates over it split a member of P into cube
-        coordinates and a canonical coset key."""
+        """Basis of the P lattice whose first block is the Q lattice's own
+        Hermite basis, so cube_basis == q_lattice.basis_vectors();
+        coordinates over it split a member of P into cube coordinates and
+        a canonical coset key.  With C the Q basis in P basis coordinates,
+        the Hermite transform U . C^T = H has H = [I; 0] exactly when Q
+        is saturated in P, and then C^T is the first block of columns of
+        U^-1, so the rows of U^-T complete C to a unimodular matrix."""
         full = self.p_lattice.basis_vectors()
         sub = self.q_lattice.basis_vectors()
         if not sub:
             return tuple(full), ()
-        coords = [self.p_lattice.coords(v) for v in sub]
-        d, u, v_tr = snf(coords)
         m = len(sub)
-        if any(d[i][i] != 1 for i in range(m)):
+        h, u = hermite_transform(transpose([self.p_lattice.coords(v) for v in sub]))
+        if h[:m] != identity(m):
             raise InvariantViolation("torus lattice is not saturated in the existence lattice")
-        v_inv = inverse(mat(v_tr))
-        adapted = matmul(v_inv, mat(full))
+        adapted = matmul(inverse(transpose(mat(u))), mat(full))
         return tuple(adapted[m:]), tuple(adapted[:m])
 
     @cached_property
     def _lattice_coords(self):
         """The changes of an operator's matrix to coordinates over the frame
         lattice basis and back."""
-        to_coords = inverse(transpose(self.frame.lattice.basis_vectors()))
-        from_coords = inverse(to_coords)
+        from_coords = transpose(self.frame.lattice.basis_vectors())
+        to_coords = inverse(from_coords)
         return sandwich(to_coords, from_coords), sandwich(from_coords, to_coords)
 
     @property
@@ -651,15 +653,17 @@ def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> li
         unevaluated("cube-cells-align-with-cell-fan", "cube fan")
 
     ner = neron_lattice(fan)
-    stray = []
     basis = ner.basis_vectors()
-    if basis:
-        for coords in product(range(-bound, bound + 1), repeat=len(basis)):
+    if fan.blocked:
+        add("neron-rays-in-cell-fan", None, {"reason": fan.blocked})
+    else:
+        stray = []
+        for coords in product(range(-bound, bound + 1), repeat=len(basis)) if basis else ():
             v = combine(coords, basis, fr.rank)
             op = fr.pencil(1, v)
             if not is_zero_mat(op) and not fan.is_ray_member(op):
                 stray.append(v)
-    add("neron-rays-in-cell-fan", not stray, {"vector": stray[0]} if stray else None)
+        add("neron-rays-in-cell-fan", not stray, {"vector": stray[0]} if stray else None)
 
     if holds:
         ql = fan.q_lattice

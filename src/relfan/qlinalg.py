@@ -29,12 +29,13 @@ NilpotentPowers is the one kernel for the powers of a nilpotent
 operator: exp, log, gamma^p, the orbit exponentials and every other
 series in it are read off its integer powers, with one Fraction pass.
 
-The integer side (Hermite and Smith forms, saturation, kernels over Z)
-is hand rolled: we need the transformation matrices, and more
-importantly a deterministic canonical basis for every lattice, because
-lattice equality and quotient coordinates are answers here rather than
-intermediate steps.  Sizes stay small (ambient rank <= 21), so dense
-elimination is fast enough.
+The integer side is hand rolled around one Hermite transform: the
+Hermite form of [m | I] gives the canonical basis of every lattice,
+kernels over Z and unimodular completions of saturated sublattices.
+A deterministic canonical basis matters because lattice equality and
+quotient coordinates are answers here rather than intermediate steps.
+Sizes stay small (ambient rank <= 21), so dense elimination is fast
+enough.
 """
 
 from __future__ import annotations
@@ -547,99 +548,27 @@ def hnf(rows) -> tuple:
     return tuple(tuple(row) for row in m[:r] if any(row))
 
 
-def int_left_kernel(m) -> tuple:
-    """HNF basis of {x in Z^k : x . m = 0} for integral m with k rows."""
+def hermite_transform(m) -> tuple:
+    """(H, U) for integral m with k rows: the Hermite form of [m | I_k]
+    split after m's columns (Cohen, A Course in Computational Algebraic
+    Number Theory, 1993, 2.4).  U is unimodular with U . m = H, and H is
+    hnf(m) padded with zero rows to k rows: a row of the augmented form
+    never vanishes, and those with a pivot among m's columns come first,
+    in Hermite form."""
     k = len(m)
     if k == 0:
-        return ()
+        return (), ()
     nc = len(m[0])
-    aug = [list(map(int, m[i])) + [int(i == j) for j in range(k)] for i in range(k)]
-    h = hnf(aug)
-    out = [row[nc:] for row in h if not any(row[:nc])]
-    # rows of an identity-augmented HNF never vanish entirely, so every
-    # kernel vector survives; re-normalize for a canonical answer
-    return hnf(out)
+    h = hnf([list(map(int, m[i])) + [int(i == j) for j in range(k)] for i in range(k)])
+    return tuple(row[:nc] for row in h), tuple(row[nc:] for row in h)
 
 
-def snf(a):
-    """Smith normal form.  Returns (d, u, v) with u . a . v = d,
-    u and v unimodular, diagonal entries nonnegative and each dividing
-    the next."""
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    m = [[int(x) for x in row] for row in a]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def rowop(i, j, q):
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def rowswap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def colop(i, j, q):
-        for row in m:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def colswap(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(nr, nc):
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        rowswap(t, pivot[0])
-        colswap(t, pivot[1])
-        while True:
-            clean = True
-            for i in range(t + 1, nr):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    rowop(i, t, q)
-                    if m[i][t]:
-                        rowswap(i, t)
-                        clean = False
-            for j in range(t + 1, nc):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    colop(j, t, q)
-                    if m[t][j]:
-                        colswap(j, t)
-                        clean = False
-            if not clean:
-                continue
-            bad = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if m[i][j] % m[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            rowop(t, bad, -1)
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    as_mat = lambda rows: tuple(tuple(row) for row in rows)
-    return as_mat(m), as_mat(u), as_mat(v)
+def int_left_kernel(m) -> tuple:
+    """HNF basis of {x in Z^k : x . m = 0} for integral m with k rows:
+    the rows of U beside the zero rows of H, re-normalized for a
+    canonical answer."""
+    h, u = hermite_transform(m)
+    return hnf([x for row, x in zip(h, u) if not any(row)])
 
 
 @dataclass(frozen=True)
@@ -739,14 +668,8 @@ class ZLattice:
         d = lcm(self.denom, other.denom)
         a = [tuple(x * (d // self.denom) for x in r) for r in self.rows]
         b = [tuple(x * (d // other.denom) for x in r) for r in other.rows]
-        stacked = a + [tuple(-x for x in r) for r in b]
-        rows = []
-        for y in int_left_kernel(stacked):
-            w = [0] * self.ambient
-            for coef, row in zip(y[: len(a)], a):
-                w = [s + coef * x for s, x in zip(w, row)]
-            rows.append(tuple(w))
-        return ZLattice._reduce(self.ambient, rows, d)
+        coeffs = _sparse_rows([y[: len(a)] for y in int_left_kernel(a + [tuple(-x for x in r) for r in b])])
+        return ZLattice._reduce(self.ambient, _int_product(coeffs, _sparse_rows(a), self.ambient), d)
 
     def intersect_subspace(self, space: Subspace) -> "ZLattice":
         """Members of this lattice lying in a Q-subspace."""
@@ -759,14 +682,9 @@ class ZLattice:
         ker = [x for _, x in _kernel_ints(space._int_rows(), space._pivots(), self.ambient)]
         if not ker:
             return self
-        w = [[sum(a * b for a, b in zip(row, k)) for k in ker] for row in self.rows]
-        rows = []
-        for c in int_left_kernel(w):
-            v = [0] * self.ambient
-            for coef, row in zip(c, self.rows):
-                v = [s + coef * x for s, x in zip(v, row)]
-            rows.append(tuple(v))
-        return ZLattice._reduce(self.ambient, rows, self.denom)
+        own = _sparse_rows(self.rows)
+        coeffs = _sparse_rows(int_left_kernel(_int_product(own, _sparse_rows(zip(*ker)), len(ker))))
+        return ZLattice._reduce(self.ambient, _int_product(coeffs, own, self.ambient), self.denom)
 
     def apply(self, op: Mat) -> "ZLattice":
         """Image lattice under a linear map (columns convention)."""

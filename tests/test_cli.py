@@ -318,7 +318,8 @@ def test_relations_cube_cells_blocked_with_the_cell_fan(tmp_path, capsys):
     """jordan3 with gamma = 1 and square zero, pure graded types passes
     the cube fan's predicate, but its cell fan is blocked, as in build,
     axioms, gamma and completeness: so the cube cells cannot be compared
-    with it."""
+    with it, nor can the Neron rays be checked against it.  The torus
+    and Neron lattices both exist, so their comparison is decided."""
     payload = _jordan3_trivial_monodromy()
     payload["graded_types"] = [[-2, 0, -2, 1], [-2, -1, -1, 1], [-2, -2, 0, 1]]
     spec = write_spec(tmp_path, frame=payload, window=1)
@@ -327,6 +328,8 @@ def test_relations_cube_cells_blocked_with_the_cell_fan(tmp_path, capsys):
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses["square-zero-pure-type"] == "interpreted-pass"
     assert "log(gamma) is zero" in _blocked(report, "cube-cells-align-with-cell-fan")
+    assert "log(gamma) is zero" in _blocked(report, "neron-rays-in-cell-fan")
+    assert statuses["torus-lattice-equals-neron-lattice"] == "fail"
 
 
 @pytest.mark.parametrize("frame", ["jordan3", "no-graded-types"])

@@ -272,6 +272,24 @@ def test_jordan3_splitting(jd3):
     assert jd3.section_basis == ((F(0), F(1), F(0)),)
 
 
+@pytest.mark.parametrize("name", ["ell", "jd3", "triple", "wide"])
+def test_adapted_basis_completes_the_torus_hermite_basis(request, name):
+    """The cube block is the torus lattice's own Hermite basis, and with
+    the section block it is a basis of the existence lattice."""
+    fan = CellFan(wide_frame()) if name == "wide" else request.getfixturevalue(name)
+    assert fan.cube_basis == fan.q_lattice.basis_vectors()
+    rows = fan.cube_basis + fan.section_basis
+    assert len(rows) == fan.p_lattice.rank
+    assert ZLattice.from_vectors(rows, fan.frame.rank) == fan.p_lattice
+
+
+def test_unsaturated_torus_lattice_is_an_invariant_violation(jd3, monkeypatch):
+    doubled = ZLattice.from_vectors([vscale(2, v) for v in jd3.q_lattice.basis_vectors()], jd3.frame.rank)
+    monkeypatch.setattr(CellFan, "q_lattice", doubled)
+    with pytest.raises(InvariantViolation, match="torus lattice is not saturated in the existence lattice"):
+        CellFan(jd3.frame).cube_basis
+
+
 def test_jordan3_coset_order(jd3):
     # order of e2/2 against the integral existence lattice
     assert jd3.denominator((F(1, 2),)) == 2
@@ -1192,6 +1210,12 @@ def test_minimal_exponent_matches_basis_vector_form(ell, jd3, triple, name, boun
         assert minimal_integral_exponent(fan, m) == basis_vector_min_exponent(fan, m)
 
 
+def wide_frame():
+    """gamma = exp(2 M) for M = [[0, 1], [0, 0]]."""
+    return Frame(rank=2, weight=-1, gram=((0, -1), (1, 0)), gamma=((1, 2), (0, 1)),
+                 hodge={(0, -1): 1, (-1, 0): 1})
+
+
 def test_minimal_exponent_faults_raise_their_checks(ell, monkeypatch):
     m = ell.frame.pencil(1, (F(1, 2), F(0)))
     assert minimal_integral_exponent(ell, m) == 2
@@ -1202,8 +1226,7 @@ def test_minimal_exponent_faults_raise_their_checks(ell, monkeypatch):
             minimal_integral_exponent(ell, m)
     # gamma = exp(2 M) for M = (1/2) log(gamma) = [[0, 1], [0, 0]], so
     # exp(M) is integral though it is no integral power of gamma
-    wide = CellFan(Frame(rank=2, weight=-1, gram=((0, -1), (1, 0)), gamma=((1, 2), (0, 1)),
-                         hodge={(0, -1): 1, (-1, 0): 1}))
+    wide = CellFan(wide_frame())
     half = wide.frame.pencil(F(1, 2), (F(0), F(0)))
     assert minimal_integral_exponent(wide, half) == 2
     # a wrong exponent: the denominator of the pencil level dropped

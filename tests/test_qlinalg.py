@@ -26,6 +26,7 @@ from relfan.qlinalg import (
     exp_nilpotent,
     format_scalar,
     frac,
+    hermite_transform,
     hnf,
     identity,
     int_left_kernel,
@@ -41,7 +42,6 @@ from relfan.qlinalg import (
     primitive,
     rank,
     rref,
-    snf,
     solve,
     transpose,
     vec,
@@ -422,24 +422,39 @@ def test_int_left_kernel_known():
 
 
 
-def test_snf_frozen_diag_2_3():
-    d, u, v = snf([[2, 0], [0, 3]])
-    assert (d[0][0], d[1][1]) == (1, 6)
-    assert matmul(matmul(mat(u), mat([[2, 0], [0, 3]])), mat(v)) == mat(d)
-
-
 @given(
     st.lists(
-        st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=2, max_size=4
+        st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=1, max_size=4
     )
 )
-def test_snf_properties(rows):
-    d, u, v = snf(rows)
-    assert matmul(matmul(mat(u), mat(rows)), mat(v)) == mat(d)
-    assert abs(det(mat(u))) == 1 and abs(det(mat(v))) == 1
-    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    for a, b in zip(diag, diag[1:]):
-        assert a >= 0 and (a == 0 and b == 0 or b % max(a, 1) == 0 if a else b == 0)
+def test_hermite_transform_properties(rows):
+    h, u = hermite_transform(rows)
+    assert all(type(x) is int for row in u for x in row) and abs(det(mat(u))) == 1
+    assert matmul(mat(u), mat(rows)) == mat(h)
+    top = hnf(rows)
+    assert h[: len(top)] == top and not any(map(any, h[len(top):]))
+
+
+@st.composite
+def saturated(draw):
+    """The first m rows of a unimodular n x n matrix, a product of
+    elementary row operations and a row permutation."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, n))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, q in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3)), max_size=8)):
+        if i != j:
+            u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+    return [tuple(row) for row in draw(st.permutations(u))[:m]]
+
+
+@given(saturated())
+def test_hermite_transform_completes_a_saturated_basis(c):
+    """U . C^T = [I; 0], so the first block of U^-T is C itself."""
+    m = len(c)
+    h, u = hermite_transform(transpose(mat(c)))
+    assert h[:m] == identity(m) and not any(map(any, h[m:]))
+    assert inverse(transpose(mat(u)))[:m] == mat(c)
 
 
 # --- lattices ----------------------------------------------------------------
