@@ -45,6 +45,8 @@ FROZEN = [
      "8e108a1d92b01042f1ee3d360fed530982fe78e72ac0aa282180360614661b99"),
     ("triple", {"window": 0, "corrupt": "half-cell"}, CHECK["axioms"],
      "d42f2af509b69ac0b65e6edbfb19b7287a6c2882888855b5657a7b10cec182bd"),
+    ("triple", {"window": 0, "corrupt": "half-cell"}, ["build"],
+     "612a682afb1ec4f6fcecc23c8f50301be8cd22418bbcb2a660d174237f8f767f"),
     # the ray fans, as operator space cones before they were vertex symbols
     ("jordan3", {"fan": "image-rays"}, ["build"],
      "bed3adb13e8d987848f52ed2cb3e73c3ad3c2de21cfb2a7952dacfdca41224f5"),
