@@ -53,7 +53,7 @@ from .gallery import (
     standard_factors,
 )
 from .gaussian import Gi, format_gi
-from .grid import GridFace, first_fan_violation, window_face_table
+from .grid import first_fan_violation, window_face_table
 from .hodge import (
     Frame,
     _block_pq,
@@ -212,9 +212,9 @@ def report_exit(report: dict) -> int:
 
 def _build_window(spec: SpecData):
     """(window, grid): the requested fan's window as GridFace symbols of
-    grid, the cells of the zero key, the cube cells or the grid points of
-    a ray fan, with any chart cone a corruption put in; or the reason, a
-    string, when a precondition of the fan fails."""
+    grid, the cells of the zero key, as a corruption left them, the cube
+    cells or the grid points of a ray fan; or the reason, a string, when
+    a precondition of the fan fails."""
     fan = CellFan(spec.frame)
     if spec.corrupt is not None and spec.fan != "cell-fan":
         raise SpecFormatError("corruption applies only to the cell fan window")
@@ -235,18 +235,18 @@ def _build_window(spec: SpecData):
 
 def _window_json(window, grid) -> list:
     """The window's entries as report JSON cones.  A symbol's rays are
-    the lifted rays of its corners in sorted order, each grid point's
-    ray formatted once, keyed by the point; a chart cone is lifted."""
+    the lifted rays of its corners in sorted order, each point's ray
+    formatted once, keyed by the point and its scale."""
     text = {}
 
-    def point_json(v):
-        out = text.get(v)
+    def point_json(v, scale):
+        out = text.get((v, scale))
         if out is None:
-            out = text[v] = vec_to_json(grid.ray(v))
+            out = text[v, scale] = vec_to_json(grid.ray(v, scale))
         return out
 
-    return [{"rays": [point_json(v) for v in sorted(e.vertices(), key=grid.ray)]}
-            if isinstance(e, GridFace) else to_jsonable(grid.lift_cone(e)) for e in window]
+    return [{"rays": [point_json(v, e.scale) for v in sorted(e.vertices(), key=lambda v: grid.ray(v, e.scale))]}
+            for e in window]
 
 
 def cmd_build(spec: SpecData) -> dict:
@@ -256,7 +256,7 @@ def cmd_build(spec: SpecData) -> dict:
     else:
         window, grid = built
         ok, outcome = len(window) > 0, {"cones": len(window)}
-        cones, faces = _window_json(window, grid), window_face_table(window, grid)
+        cones, faces = _window_json(window, grid), window_face_table(window)
     checks = [("window-built", ok, {"fan": spec.fan, **outcome})]
     extra = {"window": {"fan": spec.fan, "bound": spec.window, "cones": cones, "faces": faces}}
     return make_report("build", spec.digest, spec.seed, checks, extra)

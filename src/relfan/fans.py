@@ -16,7 +16,7 @@ chart of a coset, grid(key), sends (level t, cube coordinates c) to the
 flattened pencil(t, t b + sum c_j d_j) for the coset's base point b of
 P and the cube directions d_1, ..., d_k, a linear map into operator
 space, injective when log(gamma) is nonzero.  A cell is the cone over
-the box [n, n + 1] / a at level one, a = denominator(key).  locate
+the box [n, n + 1] / a at level one, a = denominator(key).  _place
 inverts the chart: an operator on the positive pencil goes to (level,
 coset key, cube coordinates).  The chart of a lattice L,
 lattice_grid(L), sends (t, c) to pencil(t, sum c_j b_j) over a basis b
@@ -25,18 +25,19 @@ and its unit boxes, for the image lattice, the cube cells.
 
 Every window is the GridFace symbols of one ChartGrid (grid.py), the
 one owner of boxes, their cuts and their lifts, and is decided there; a
-report lifts only corner rays, and a corruption puts in a chart cone
-that is no grid face.  Cells lift only corner rays, subdivision cuts in
-the chart and lifts only the rays of its pieces, and the stability
-report reads the zero key's rays and top cells as symbols.  With
-log(gamma) = 0 the cell fan is blocked unless P = 0, and then every
-chart is collapsed, with the origin as its window.  Double description
-in operator space is left to cones off the positive pencil and to the
-generic oracles in cones.py.  A coset's denominator is the lcm of its
-key's denominators, in closed form.  Conjugation is an identity of
-chart maps, read once per coset key off the block identity g M g^-1 =
-[[G A G^-1, G h - G A G^-1 s], [0, 0]] for g = [[G, s], [0, 1]], G =
-gamma^p = exp(p log gamma), and M = [[A, h], [0, 0]], with no inverse.
+report lifts only corner rays, and the half cell corruption puts in a
+symbol of the grid refined by 2.  Cells lift only corner rays,
+subdivision cuts in the chart and lifts only the rays of its pieces,
+and the stability report reads the zero key's rays and top cells as
+symbols.  With log(gamma) = 0 the cell fan is blocked unless P = 0, and
+then every chart is collapsed, with the origin as its window.  Double
+description in operator space is left to cones off the positive pencil
+and to the generic oracles in cones.py.  A coset's denominator is the
+lcm of its key's denominators, in closed form.  Conjugation is an
+identity of chart maps, read once per coset key off the block identity
+g M g^-1 = [[G A G^-1, G h - G A G^-1 s], [0, 0]] for g = [[G, s], [0,
+1]], G = gamma^p = exp(p log gamma), and M = [[A, h], [0, 0]], with no
+inverse.
 
 Also here: the coarser comparison fans (rays over the inner image
 lattice, rays over the torus lattice, unit cube cells, rays over the
@@ -276,15 +277,10 @@ class CellFan:
         """The grid of the cube fan: unit boxes over the image lattice."""
         return self.lattice_grid(image_lattice(self))
 
-    def locate(self, n_mat: Mat):
-        """Chart coordinates (level, coset key, cube coordinates) of an
-        operator on the positive pencil, or None when the operator is
-        off it or its normalized image of e leaves P."""
-        return self._place(self.frame.restriction_multiple(n_mat), self.frame.e_image(n_mat))
-
     def _place(self, lam, h: Vec):
-        """locate for an operator at pencil level lam (None off the pencil)
-        whose image of e is h."""
+        """Chart coordinates (level, coset key, cube coordinates) of an
+        operator at pencil level lam (None off the pencil) whose image of e
+        is h, or None when the level is not positive or h / lam leaves P."""
         if lam is None or lam <= 0:
             return None
         split = self._split(vscale(ONE / lam, h))
@@ -374,25 +370,14 @@ class CellFan:
 # admissibility and subdivision
 
 
-def pencil_commutes(fan: CellFan, a: Mat, b: Mat):
-    """Commutation via the kernel criterion: two pencil operators
-    commute exactly when lam_a * h_b - lam_b * h_a is killed by the
-    inner block.  None when either operator is off the pencil."""
-    la = fan.frame.restriction_multiple(a)
-    lb = fan.frame.restriction_multiple(b)
-    if la is None or lb is None:
-        return None
-    w = vsub(vscale(la, fan.frame.e_image(b)), vscale(lb, fan.frame.e_image(a)))
-    return fan.kernel_space.contains(w)
-
-
 def _pencil_commute(fan: CellFan, pencil) -> bool:
     """Whether pencil operators, given as (level, image of e) pairs,
-    commute pairwise, in O(n) kernel tests.  For nonzero levels the
-    kernel criterion of pencil_commutes reads h_b / lam_b - h_a / lam_a
-    in ker N, an equivalence, so each is compared with the first.  A
-    level zero operator commutes with one at a nonzero level iff its h
-    is in ker N, and with one at level zero always."""
+    commute pairwise, in O(n) kernel tests.  Two pencil operators commute
+    exactly when lam_a h_b - lam_b h_a is killed by the inner block.  For
+    nonzero levels that reads h_b / lam_b - h_a / lam_a in ker N, an
+    equivalence, so each is compared with the first.  A level zero
+    operator commutes with one at a nonzero level iff its h is in ker N,
+    and with one at level zero always."""
     moving = [vscale(ONE / lam, h) for lam, h in pencil if lam]
     if not moving:
         return True
@@ -411,8 +396,8 @@ def check_admissible(fan: CellFan, mats):
 
 def _admissible(fan: CellFan, mats):
     """check_admissible's answer, the pencil level of each generator (None
-    off the pencil) and, when every level is positive, the locate of each
-    generator, which decides its membership in P; else None."""
+    off the pencil) and, when every level is positive, the chart place of
+    each generator, which decides its membership in P; else None."""
     fr = fan.frame
     lams = []
     for m in mats:
@@ -713,18 +698,19 @@ def corrupted_window(fan: CellFan, bound: int, mode: str) -> tuple:
     """Deliberately broken windows of the zero key's grid for negative
     tests: 'drop-faces' removes the one dimensional faces, 'half-cell'
     replaces the origin cell with a shrunken copy that no longer tiles.
-    The half cell is the one Cone entry, a chart cone and no grid face,
-    as the decisions of grid.py require: box(n0, 2) on the zero key (a =
-    1) has half integer corners, or, at cube rank 0, is the level ray
-    itself, and then the window is left whole."""
+    The half cell is the box [0, 1/2]^k at level one, the cell at the
+    origin of the zero key's grid (a = 1) refined by 2: the symbol of
+    corner 0 at scale 2.  Its vertex at 0 is the window's, and its other
+    faces are missing.  At cube rank 0 the one cell is the level ray,
+    which no refinement shrinks, and the window is left whole."""
     window = fan.window(bound)
     if mode == "drop-faces":
         return tuple(c for c in window if c.dim != 1)
     if mode == "half-cell":
-        n0 = (0,) * fan.cube_rank
-        victim, half = GridFace(n0, (True,) * len(n0)), box(n0, 2)
-        if half == box(n0, fan.grid().a):
+        if fan.cube_rank == 0:
             return window
+        victim = GridFace((0,) * fan.cube_rank, (True,) * fan.cube_rank)
+        half = victim._replace(scale=2)
         return tuple(half if c == victim else c for c in window)
     raise PreconditionViolated(f"unknown corruption mode: {mode}")
 

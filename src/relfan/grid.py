@@ -5,12 +5,14 @@ an ambient space, given by its independent columns.  Its grid is the
 set of boxes [n, n + 1] / a at level one for integral n, and the cones
 over their faces.  This module is the one place that knows that grid.
 box(n, a) writes the chart cone over a box down in closed form.  A face
-is a GridFace symbol: its integer lower corner and which coordinates
-are free.  ChartGrid enumerates a window as symbols, the faces of a
-cell fan or the grid points of a ray fan, cuts chart cones along the
-boxes, and lifts them: the injective lift carries extreme rays to
-extreme rays, and each lifted primitive ray is an integer combination
-of the cleared columns and one gcd.
+is a GridFace symbol: its integer lower corner, which coordinates are
+free, and a refinement scale s, which makes it a face of the finer grid
+[n, n + 1] / (a s) of the same chart.  A vertex is kept at its coarsest
+scale, so each cone has one symbol.  ChartGrid enumerates a window as
+symbols, the faces of a cell fan or the grid points of a ray fan, cuts
+chart cones along the boxes, and lifts them: the injective lift carries
+extreme rays to extreme rays, and each lifted primitive ray is an
+integer combination of the cleared columns and one gcd.
 
 A segment, the cone over one or two level one points, is cut in
 closed form: it crosses the walls of the grid at times written down
@@ -21,18 +23,19 @@ path: it meets each box of its window by double description.
 
 A window is decided in its chart, which the lift embeds with its face
 lattices and meets, as for cube complexes (Ziegler, Lectures on
-Polytopes, ch. 2): a symbol's faces are its sub-symbols, two symbols
-meet in a common face, and a chart Cone entry, which a corruption puts
-in, meets the others by the Cone operations of cones.py in 1 + k
-dimensions.  Only a witness is lifted; the lifted window and check_fan
-are the oracle in tests.
+Polytopes, ch. 2): a symbol's faces are its sub-symbols, two symbols of
+one scale meet in a common face, and two of different scales, such as
+the scale 2 half cell that a corruption puts in, meet in the box that
+interval arithmetic writes down, coordinate by coordinate.  No double
+description runs.  Only a witness is lifted; the lifted window and
+check_fan are the oracle in tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from typing import NamedTuple
 
 from .cones import Cone
@@ -52,19 +55,21 @@ from .qlinalg import (
 )
 
 class GridFace(NamedTuple):
-    """A face of the grid of boxes [n, n + 1] / a at chart level one: its
-    integer lower corner and which coordinates are free.  ORIGIN, a face
-    of every box, has no corner."""
+    """A face of the grid of boxes [n, n + 1] / (a scale) at chart level
+    one: its integer lower corner, which coordinates are free, and the
+    refinement scale.  Build a vertex with _symbol, which keeps it at its
+    coarsest scale.  ORIGIN, a face of every box, has no corner."""
 
     corner: tuple
     free: tuple
+    scale: int = 1
 
     @property
     def dim(self) -> int:
         return 0 if self.corner is None else 1 + sum(self.free)
 
     def vertices(self) -> list:
-        """The grid points at the corners of the face."""
+        """The points of the scale's grid at the corners of the face."""
         if self.corner is None:
             return []
         steps = [(0, 1) if f else (0,) for f in self.free]
@@ -79,23 +84,47 @@ class GridFace(NamedTuple):
             ((c, False), (c + 1, False), (c, True)) if f else ((c, False),)
             for c, f in zip(self.corner, self.free)
         ]
-        return [ORIGIN] + [_grid_face(choice) for choice in product(*options)]
+        return [ORIGIN] + [_grid_face(choice, self.scale) for choice in product(*options)]
 
     def facets(self) -> list:
         """Each free coordinate pinned low or high; a vertex has ORIGIN."""
         if self.corner is None or not any(self.free):
             return [] if self.corner is None else [ORIGIN]
         pins = [(j, self.free[:j] + (False,) + self.free[j + 1:]) for j, f in enumerate(self.free) if f]
-        return [GridFace(self.corner[:j] + (self.corner[j] + up,) + self.corner[j + 1:], free)
+        # a scale 1 vertex is already at its coarsest scale
+        make = GridFace if self.scale == 1 else _symbol
+        return [make(self.corner[:j] + (self.corner[j] + up,) + self.corner[j + 1:], free, self.scale)
                 for j, free in pins for up in (0, 1)]
 
 
 ORIGIN = GridFace(None, ())
 
 
-def _grid_face(choice) -> GridFace:
+def _symbol(corner, free, scale: int) -> GridFace:
+    """The one symbol of a face: a vertex v of the scale's grid is the
+    vertex v / g at scale / g, for g the gcd of scale and v."""
+    if scale > 1 and not any(free):
+        g = gcd(scale, *corner)
+        corner, scale = tuple(c // g for c in corner), scale // g
+    return GridFace(corner, free, scale)
+
+
+def _grid_face(choice, scale=1) -> GridFace:
     """The face from one (corner coordinate, free) pair per coordinate."""
-    return GridFace(tuple(c for c, _ in choice), tuple(f for _, f in choice))
+    return _symbol(tuple(c for c, _ in choice), tuple(f for _, f in choice), scale)
+
+
+def _box(face, level: int) -> list:
+    """The face at level one as one closed interval per coordinate, in
+    units of 1 / (a level) for a multiple level of its scale."""
+    k = level // face.scale
+    return [(c * k, (c + f) * k) for c, f in zip(face.corner, face.free)]
+
+
+def _is_face_of_box(meet, box_) -> bool:
+    """Whether a box inside box_ is a face of it: on each coordinate its
+    interval is the whole interval of box_ or one endpoint of it."""
+    return all(m == b or (m[0] == m[1] and m[0] in b) for m, b in zip(meet, box_))
 
 
 def box(n, a: int) -> Cone:
@@ -151,8 +180,11 @@ class ChartGrid:
                 out[i] = Fraction(x // g)
         return tuple(out)
 
-    def ray(self, v) -> Vec:
-        """The lifted primitive ray through grid point v."""
+    def ray(self, v, scale: int = 1) -> Vec:
+        """The lifted primitive ray through the point v of the grid refined
+        by scale.  The rays of the grid itself are kept."""
+        if scale != 1:
+            return self._lift_ray((self.a * scale,) + v)
         r = self._rays.get(v)
         if r is None:
             r = self._rays[v] = self._lift_ray((self.a,) + tuple(v))
@@ -264,111 +296,79 @@ class ChartGrid:
     def cone(self, face: GridFace) -> Cone:
         """The lifted face: its rays are the lifted corners, and span and
         facets stay lazy."""
-        return Cone(self.ambient, tuple(sorted(self.ray(v) for v in face.vertices())))
+        return Cone(self.ambient, tuple(sorted(self.ray(v, face.scale) for v in face.vertices())))
 
     def chart_cone(self, face: GridFace) -> Cone:
         """The face's cone in the chart, over the level one points of its
         corners."""
-        return Cone(self.rank + 1, tuple(sorted(primitive((self.a,) + v) for v in face.vertices())))
+        level = self.a * face.scale
+        return Cone(self.rank + 1, tuple(sorted(primitive((level,) + v) for v in face.vertices())))
 
-    def symbol(self, cone: Cone):
-        """The grid face whose chart cone is cone, or None: each ray (t, c)
-        must name a grid point a c / t, and distinct points inside a unit
-        box, one per corner, are the corners of a face."""
-        points = [[self.a * x / t for x in c] for t, *c in cone.rays if t > 0]
-        if len(points) < len(cone.rays) or any(x.denominator != 1 for v in points for x in v):
-            return None
-        if not points:
-            return ORIGIN
-        lo = tuple(int(min(xs)) for xs in zip(*points))
-        spread = [max(xs) - low for low, xs in zip(lo, zip(*points))]
-        if any(d > 1 for d in spread) or len(points) != 2 ** sum(d == 1 for d in spread):
-            return None
-        return GridFace(lo, tuple(d == 1 for d in spread))
-
-    def first_lifted_facet(self, cone: Cone, facets) -> Cone:
-        """Of some facets of a chart cone, the first in the Cone.facets
-        order of the lifted cone.  That order sorts the canonical lifted
-        facet normals, which are zero off the pivots P of the lifted span,
-        so it sorts their entries on P.  There a normal is the primitive
+    def first_lifted_facet(self, face: GridFace, facets) -> GridFace:
+        """Of some facets of a face, the first in the Cone.facets order of
+        the lifted face.  That order sorts the canonical lifted facet
+        normals, which are zero off the pivots P of the lifted span, so it
+        sorts their entries on P.  There a normal is the primitive
         functional that vanishes on the facet's lifted rays and is positive
         on the cone: it is read off the rays' entries on P, and only the
         pivots need the lifted span."""
         if len(facets) == 1:
             return facets[0]
-        lifted = dict(zip(cone.rays, map(self._lift_ray, _row_ints(cone.rays))))
+        rays = self.chart_cone(face).rays
+        lifted = dict(zip(rays, map(self._lift_ray, _row_ints(rays))))
         pivots = Subspace.span(lifted.values(), self.ambient)._pivots()
         on_p = {r: tuple(x[p] for p in pivots) for r, x in lifted.items()}
         total = tuple(map(sum, zip(*on_p.values())))
 
         def normal(facet):
-            (h,) = Subspace.kernel([on_p[r] for r in facet.rays]).basis
+            (h,) = Subspace.kernel([on_p[r] for r in self.chart_cone(facet).rays]).basis
             return primitive(h if dot(h, total) > 0 else vscale(-ONE, h))
 
         return min(facets, key=normal)
 
 
-def _meets_in_a_face(x: Cone, y: Cone) -> bool:
-    k = x.intersect(y)
-    return k.is_face_of(x) and k.is_face_of(y)
-
-
-def window_face_table(window, grid) -> list:
+def window_face_table(window) -> list:
     """For each window entry, the sorted positions of the entries whose
-    lifts are faces of its lift.
-
-    An entry is a GridFace symbol or a chart Cone, which is never the
-    chart cone of a grid face: every producer writes a grid face as its
-    symbol.  So the faces of a symbol are its 3^free sub-faces and the
-    origin, looked up by symbol.  The faces of a Cone entry are its faces
-    in the chart, each looked up among the Cone entries by its rays and
-    among the symbols by grid.symbol."""
-    where, cones = {}, {}
+    lifts are faces of its lift.  Each cone has one symbol, so the faces
+    of an entry are its 3^free sub-faces and the origin, looked up by
+    symbol."""
+    where = {}
     for i, e in enumerate(window):
-        if isinstance(e, Cone):
-            cones.setdefault(e.rays, []).append(i)
-        else:
-            where.setdefault(e, []).append(i)
-    table = []
-    for e in window:
-        if isinstance(e, GridFace):
-            table.append(sorted(j for sub in e.faces() for j in where.get(sub, ())))
-        else:
-            table.append(sorted(j for f in e.faces() for j in cones.get(f.rays, []) + where.get(grid.symbol(f), [])))
-    return table
+        where.setdefault(e, []).append(i)
+    return [sorted(j for sub in e.faces() for j in where.get(sub, ())) for e in window]
 
 
 def first_fan_violation(window, grid):
     """check_fan of the lifted window, its first record, or None when the
-    window is a fan.  Entries as for window_face_table.
+    window is a fan.
 
-    A symbol misses a face exactly when a facet symbol is absent.  A chart
-    facet of a Cone entry is present when it is a Cone entry or the chart
-    cone of a present symbol.  Two symbols meet in a common face, so only
-    pairs with a Cone entry are intersected, in the chart.  The witness
-    alone is lifted: a missing face as the first missing facet in the
-    lifted Cone.facets order, a bad pair as left, right and meet."""
+    A symbol misses a face exactly when a facet symbol is absent.  Two
+    symbols of one scale are faces of one grid and meet in a common face,
+    so only pairs of different scales are tested, on the grid refined by
+    the lcm of their scales: their meet is the intersection of their
+    boxes, coordinate by coordinate, and the origin when that is empty.
+    The witness alone is lifted: a missing face as the first missing
+    facet in the lifted Cone.facets order, a bad pair as left, right and
+    meet."""
     window = list(window)
-    present = {e for e in window if isinstance(e, GridFace)}
-    loose = [i for i, e in enumerate(window) if isinstance(e, Cone)]
-    cones = {window[i].rays for i in loose}
-
-    def chart(e):
-        return e if isinstance(e, Cone) else grid.chart_cone(e)
-
+    present = set(window)
     for e in window:
-        if isinstance(e, GridFace):
-            missing = [grid.chart_cone(f) for f in e.facets() if f not in present]
-        else:
-            missing = [f for f in e.facets() if f.rays not in cones and grid.symbol(f) not in present]
+        missing = [f for f in e.facets() if f not in present]
         if missing:
-            face = grid.first_lifted_facet(chart(e), missing)
-            return {"kind": "missing-face", "cone": grid.lift_cone(chart(e)), "face": grid.lift_cone(face)}
-    pairs = sorted({(min(i, j), max(i, j)) for i in loose for j in range(len(window)) if j != i})
-    for i, j in pairs:
-        left, right = chart(window[i]), chart(window[j])
-        if not _meets_in_a_face(left, right):
-            lift = grid.lift_cone
-            return {"kind": "bad-intersection", "left": lift(left), "right": lift(right),
-                    "meet": lift(left.intersect(right))}
+            face = grid.first_lifted_facet(e, missing)
+            return {"kind": "missing-face", "cone": grid.cone(e), "face": grid.cone(face)}
+    scales = [e.scale for e in window]
+    common = max(set(scales), key=scales.count, default=1)
+    loose = [i for i, s in enumerate(scales) if s != common]
+    pairs = sorted({(min(i, j), max(i, j)) for i in loose for j in range(len(window)) if scales[j] != scales[i]})
+    for x, y in ((window[i], window[j]) for i, j in pairs):
+        if ORIGIN in (x, y):
+            continue
+        level = lcm(x.scale, y.scale)
+        bx, by = _box(x, level), _box(y, level)
+        meet = [(max(l1, l2), min(h1, h2)) for (l1, h1), (l2, h2) in zip(bx, by)]
+        if all(lo <= hi for lo, hi in meet) and not (_is_face_of_box(meet, bx) and _is_face_of_box(meet, by)):
+            corners = product(*[{lo, hi} for lo, hi in meet])
+            meet_cone = Cone(grid.ambient, tuple(sorted(grid.ray(p, level) for p in corners)))
+            return {"kind": "bad-intersection", "left": grid.cone(x), "right": grid.cone(y), "meet": meet_cone}
     return None

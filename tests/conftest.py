@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from relfan.cones import Cone
+from relfan.qlinalg import vscale, vsub
 
 settings.register_profile(
     "exact",
@@ -30,6 +30,18 @@ def int_fracs(lo=-9, hi=9):
 
 
 def lifted(window, grid):
-    """A window as cones in operator space, for its oracles: each GridFace
-    symbol and each chart Cone entry lifted by its grid."""
-    return tuple(grid.lift_cone(e) if isinstance(e, Cone) else grid.cone(e) for e in window)
+    """A window of GridFace symbols as cones in operator space, for its
+    oracles."""
+    return tuple(grid.cone(e) for e in window)
+
+
+def pencil_commutes(fan, a, b):
+    """Commutation via the kernel criterion: two pencil operators
+    commute exactly when lam_a * h_b - lam_b * h_a is killed by the
+    inner block.  None when either operator is off the pencil."""
+    la = fan.frame.restriction_multiple(a)
+    lb = fan.frame.restriction_multiple(b)
+    if la is None or lb is None:
+        return None
+    w = vsub(vscale(la, fan.frame.e_image(b)), vscale(lb, fan.frame.e_image(a)))
+    return fan.kernel_space.contains(w)

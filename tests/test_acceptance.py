@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import lifted
+from conftest import lifted, pencil_commutes
 from relfan.cli import main
 from relfan.classifying import extend_inner_filtration, in_D, nilpotent_orbit_test
 from relfan.cones import Cone, check_fan
@@ -24,7 +24,6 @@ from relfan.fans import (
     check_square_zero_pure,
     corrupted_window,
     flatten,
-    pencil_commutes,
     random_admissible_cone,
     random_inadmissible_operator,
     relations_report,

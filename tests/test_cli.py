@@ -7,12 +7,14 @@ JSON, the exit code, or both.
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 from conftest import lifted
+from relfan import cones
 from relfan.cli import _build_window, load_spec, main, to_jsonable
-from relfan.cones import check_fan
+from relfan.cones import Cone, check_fan
 from relfan.fixtures import elliptic_frame, jordan3_frame
 from relfan.hodge import frame_to_json
 
@@ -197,6 +199,27 @@ def test_build_faces_and_axioms_match_operator_space(tmp_path, capsys, fields):
     ]
     bad = check_fan(window)
     assert axioms["checks"][0]["witness"] == to_jsonable(bad[0] if bad else {"cones": len(window)})
+
+
+@pytest.mark.parametrize("corrupt", [None, "drop-faces", "half-cell"])
+@pytest.mark.parametrize("fixture", ["elliptic", "jordan3", "triple"])
+def test_window_suites_run_no_double_description(tmp_path, capsys, fixture, corrupt):
+    """build and axioms decide every window at bound 0, honest or corrupted,
+    on its grid symbols: double description never runs, and no cone is
+    walked for its faces or intersected."""
+    fields = {"fixture": fixture, "window": 0} | ({"corrupt": corrupt} if corrupt else {})
+    spec = write_spec(tmp_path, **fields)
+    with mock.patch.object(cones, "rays_from_ineqs", wraps=cones.rays_from_ineqs) as dd, \
+            mock.patch.object(Cone, "faces", autospec=True, side_effect=Cone.faces) as faces, \
+            mock.patch.object(Cone, "intersect", autospec=True, side_effect=Cone.intersect) as meet:
+        assert run(capsys, "build", "--spec", spec)[0] == 0
+        assert run(capsys, "check", "--spec", spec, "--suite", "axioms")[0] == (0 if corrupt is None else 1)
+        assert (dd.call_count, faces.call_count, meet.call_count) == (0, 0, 0)
+        # the wrappers do count: a cone built by double description
+        square = Cone.from_generators([(1, 0), (1, 1)], 2)
+        square.intersect(square.facets()[0])
+        square.faces()
+        assert dd.call_count and faces.call_count and meet.call_count
 
 
 def test_axioms_pass(tmp_path, capsys):

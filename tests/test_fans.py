@@ -19,7 +19,7 @@ from relfan.errors import (
     NotSharp,
     PreconditionViolated,
 )
-from relfan import fans
+from relfan import cones as cones_module, fans
 from relfan.fans import (
     CellFan,
     check_admissible,
@@ -30,7 +30,6 @@ from relfan.fans import (
     image_lattice,
     minimal_integral_exponent,
     neron_lattice,
-    pencil_commutes,
     random_admissible_cone,
     random_inadmissible_operator,
     relations_report,
@@ -60,7 +59,7 @@ from relfan.qlinalg import (
     vscale,
     zero_vec,
 )
-from conftest import lifted
+from conftest import lifted, pencil_commutes
 from test_qlinalg import order_in_quotient
 
 
@@ -126,9 +125,8 @@ def cell_containing(fan, n_mat):
 
 def reference_gamma_report(fan, window, gammas):
     """strong_compatibility_report by walking the zero key's window and
-    lifting each entry: a GridFace symbol is indexed by its corner, a
-    Cone entry is located from an interior point and compared with the
-    indexed cell, and each entry's dimension picks its check."""
+    lifting each entry: a top cell is indexed by its corner, and each
+    entry's dimension picks its check."""
     fr = fan.frame
     top = 1 + fan.cube_rank
     zero, grid = fan.zero_key(), fan.grid()
@@ -142,23 +140,14 @@ def reference_gamma_report(fan, window, gammas):
         return None
 
     checks = []
-    for entry in window:
-        face = entry if isinstance(entry, GridFace) else None
-        c = entry if face is None else grid.cone(face)
-        dim = len(c.rays) if len(c.rays) < top else c.dim if face is None else face.dim
-        if dim == top:
-            if face is not None:
-                idx = (zero, face.corner)
-            else:
-                idx = cell_containing(fan, unflatten(c.interior_point(), fr.dim))
-                if idx is None or fan.cell(*idx) != c:
-                    checks.append({"name": "cell-is-indexed-cell", "ok": False,
-                                   "witness": {"cone": c.rays, "index": idx}})
-                    continue
+    for face in window:
+        c = grid.cone(face)
+        if face.dim == top:
+            idx = (zero, face.corner)
             bad = first_failure(idx[0])
             checks.append({"name": "cell-conjugation-stable", "ok": bad is None,
                            "witness": bad or {"index": idx, "samples": len(gammas)}})
-        elif dim == 1:
+        elif face.dim == 1:
             try:
                 a = minimal_integral_exponent(fan, unflatten(c.rays[0], fr.dim))
                 checks.append({"name": "ray-integral-exponential", "ok": True,
@@ -167,6 +156,13 @@ def reference_gamma_report(fan, window, gammas):
                 checks.append({"name": "ray-integral-exponential", "ok": False,
                                "witness": {"ray": c.rays[0], "error": str(exc)}})
     return checks
+
+
+def locate(fan, n_mat):
+    """Chart coordinates (level, coset key, cube coordinates) of an
+    operator on the positive pencil, or None when the operator is off it
+    or its normalized image of e leaves P."""
+    return fan._place(fan.frame.restriction_multiple(n_mat), fan.frame.e_image(n_mat))
 
 
 def matrix_conjugate_key(fan, power, shift, key):
@@ -179,7 +175,7 @@ def matrix_conjugate_key(fan, power, shift, key):
     assert fr.restriction(base) == fr.log_gamma
     for d in fan.cube_basis:
         assert conjugate(fan, power, shift, fr.pencil(0, d)) == fr.pencil(0, d)
-    _, new_key, cube = fan.locate(base)
+    _, new_key, cube = locate(fan, base)
     return new_key, tuple(fan.denominator(key) * c for c in cube)
 
 
@@ -751,7 +747,7 @@ def oracle_violation(window):
 
 def assert_decided_like_oracle(window, grid):
     cones = lifted(window, grid)
-    assert window_face_table(window, grid) == oracle_faces(cones)
+    assert window_face_table(window) == oracle_faces(cones)
     assert first_fan_violation(window, grid) == oracle_violation(cones)
 
 
@@ -800,37 +796,36 @@ def test_honest_window_decisions_stay_in_the_chart(jd3, triple, monkeypatch):
     monkeypatch.setattr(ChartGrid, "chart_cone", forbidden)
     monkeypatch.setattr(ChartGrid, "lift_cone", forbidden)
     for window, grid in cases:
-        assert len(window_face_table(window, grid)) == len(window)
+        assert len(window_face_table(window)) == len(window)
         assert first_fan_violation(window, grid) is None
 
 
 def test_half_cell_window_lifts_only_its_witness(triple, monkeypatch):
-    """The half cell is a chart cone, decided in the rank 6 chart: no
-    cone of operator space is tested, and the lifts are the witness's
-    cone and face alone."""
+    """The half cell is a scale 2 symbol of the rank 6 chart: no double
+    description runs, no cone is intersected or walked for its faces,
+    and the lifts are the witness's cone and face alone."""
     window, grid = corrupted_window(triple, 0, "half-cell"), triple.grid()
-    lift_cone, lifts = ChartGrid.lift_cone, []
+    cone, lifts = ChartGrid.cone, []
 
-    def recorded(self, cone):
-        lifts.append(lift_cone(self, cone))
+    def recorded(self, face):
+        lifts.append(cone(self, face))
         return lifts[-1]
 
-    def in_the_chart(method):
-        def run(self, *args):
-            assert self.ambient == grid.rank + 1, "a cone was tested in operator space"
-            return method(self, *args)
-        return run
+    def forbidden(*args):
+        raise AssertionError("double description or a cone walk ran")
 
-    monkeypatch.setattr(ChartGrid, "lift_cone", recorded)
-    for name in ("facets", "faces", "is_face_of", "intersect"):
-        monkeypatch.setattr(Cone, name, in_the_chart(getattr(Cone, name)))
+    monkeypatch.setattr(ChartGrid, "cone", recorded)
+    monkeypatch.setattr(cones_module, "rays_from_ineqs", forbidden)
+    for name in ("facets", "faces", "intersect"):
+        monkeypatch.setattr(Cone, name, forbidden)
     violation = first_fan_violation(window, grid)
     assert violation["kind"] == "missing-face"
     assert lifts == [violation["cone"], violation["face"]]
-    assert violation["cone"] == lift_cone(grid, box((0,) * grid.rank, 2))
     lifts.clear()
-    assert len(window_face_table(window, grid)) == len(window)
+    assert len(window_face_table(window)) == len(window)
     assert lifts == []
+    monkeypatch.undo()
+    assert violation["cone"] == grid.lift_cone(box((0,) * grid.rank, 2))
 
 
 def ray_window_oracle(fan, lattice, bound):
@@ -884,35 +879,24 @@ def _grid(name):
 @st.composite
 def corrupted_windows(draw):
     """A window of grid symbols with one symbol dropped, or one top cell
-    replaced by a Cone: a shrunken, shifted or stretched box, or, from
-    rank two, the cone over all but one of its corners.  None of these
-    is a grid face.  The rank three window keeps to bound 0, where the
+    replaced by a box of the grid refined by 2 or 3, at any refined
+    corner inside the cell, and then perhaps with every face of that box
+    added, so that the window is closed under faces and only the pair
+    test can see it.  The rank three window keeps to bound 0, where the
     pairwise oracles stay small."""
     grid = _grid(draw(st.sampled_from(GRIDS)))
     window = list(grid.window(draw(st.integers(min_value=0, max_value=1 if grid.rank < 3 else 0))))
-    kinds = ["drop", "shrink", "shift", "stretch"] + (["corner"] if grid.rank > 1 else [])
-    kind = draw(st.sampled_from(kinds))
-    if kind == "drop":
+    if draw(st.booleans()):
         del window[draw(st.integers(min_value=0, max_value=len(window) - 1))]
         return window, grid
     tops = [i for i, f in enumerate(window) if f.dim == grid.rank + 1]
     i = draw(st.sampled_from(tops))
-    n = window[i].corner
-    lo = [F(c) for c in n]
-    hi = [F(c + 1) for c in n]
-    j = draw(st.integers(min_value=0, max_value=grid.rank - 1))
-    if kind == "shrink":
-        hi[j] -= F(1, 2)
-    elif kind == "shift":
-        lo[j] += F(1, 2)
-        hi[j] += F(1, 2)
-    else:
-        hi[j] += 1
-    corners = [[lo[m] if bit == 0 else hi[m] for m, bit in enumerate(bits)]
-               for bits in product((0, 1), repeat=grid.rank)]
-    if kind == "corner":
-        del corners[draw(st.integers(min_value=0, max_value=len(corners) - 1))]
-    window[i] = Cone.from_generators([(F(grid.a),) + tuple(corner) for corner in corners], grid.rank + 1)
+    scale = draw(st.sampled_from((2, 3)))
+    step = tuple(draw(st.integers(min_value=0, max_value=scale - 1)) for _ in range(grid.rank))
+    fine = GridFace(tuple(scale * c + t for c, t in zip(window[i].corner, step)), window[i].free, scale)
+    window[i] = fine
+    if draw(st.booleans()):
+        window += [f for f in fine.faces() if f not in window]
     return window, grid
 
 
@@ -923,35 +907,35 @@ def test_corrupted_window_decisions_match_operator_space_random(case):
     assert_decided_like_oracle(window, grid)
 
 
+def refined_window(grid, scale, bound):
+    """Every face of the boxes of the grid refined by scale with corners
+    in [-bound, bound)^rank, closed under faces, without repeats."""
+    boxes = product(range(-bound, bound), repeat=grid.rank)
+    return list(dict.fromkeys(f for n in boxes for f in GridFace(n, (True,) * grid.rank, scale).faces()))
+
+
 def test_stretched_cell_is_a_bad_intersection():
-    """A box over two cells has all of its faces in the window, so only
-    the pair test can see it."""
+    """A unit cell over two cells of the window's grid refined by 2: its
+    vertices are the refined window's, so the window is closed under
+    faces and only the pair test can see it."""
     grid = identity_grid(1, 1)
-    window = list(grid.window(1))
-    i = window.index(GridFace((0,), (True,)))
-    window[i] = Cone.from_generators([(1, 0), (1, 2)], 2)
+    window = refined_window(grid, 2, 2) + [GridFace((0,), (True,))]
+    assert set(window[-1].faces()) <= set(window)
     violation = first_fan_violation(window, grid)
     assert violation["kind"] == "bad-intersection"
     assert violation == oracle_violation(lifted(window, grid))
 
 
 def test_segment_across_two_edges_meets_a_vertex_badly():
-    """Both of its rays are grid vertices of the window, so only the pair
-    test can see it."""
+    """A unit edge of the plane over two edges of the window's grid
+    refined by 2: both of its vertices are refined grid vertices, so only
+    the pair test can see it."""
     grid = identity_grid(2, 1)
-    window = list(grid.window(1)) + [Cone.from_generators([(1, 0, 1), (1, 2, 1)], 3)]
+    window = refined_window(grid, 2, 2) + [GridFace((0, 0), (True, False))]
+    assert set(window[-1].faces()) <= set(window)
     violation = first_fan_violation(window, grid)
     assert violation["kind"] == "bad-intersection"
     assert violation == oracle_violation(lifted(window, grid))
-
-
-def test_cone_over_three_corners_is_no_grid_face():
-    grid = identity_grid(2, 1)
-    window = list(grid.window(0))
-    i = window.index(GridFace((0, 0), (True, True)))
-    window[i] = Cone.from_generators([(1, 0, 0), (1, 1, 0), (1, 0, 1)], 3)
-    assert first_fan_violation(window, grid)["kind"] == "missing-face"
-    assert_decided_like_oracle(window, grid)
 
 
 @settings(max_examples=200)
@@ -982,11 +966,12 @@ def test_cut_keeps_a_cone_whole_exactly_when_its_host_box_holds_it(rank, a, data
 def test_grid_face_geometry_matches_generic(rank, a, data):
     corner = tuple(data.draw(st.integers(min_value=-2, max_value=2)) for _ in range(rank))
     free = tuple(data.draw(st.booleans()) for _ in range(rank))
-    face = GridFace(corner, free)
+    scale = data.draw(st.integers(min_value=1, max_value=3))
+    face = GridFace(corner, free, scale)
     grid = identity_grid(rank, a)
     lifted = grid.cone(face)  # the lift is the identity
-    generic = Cone.from_generators([(F(a),) + tuple(map(F, v)) for v in face.vertices()], rank + 1)
-    assert lifted == generic
+    generic = Cone.from_generators([(F(a * scale),) + tuple(map(F, v)) for v in face.vertices()], rank + 1)
+    assert lifted == generic == grid.chart_cone(face)
     assert lifted.dim == face.dim
 
     def rays(faces):
@@ -994,8 +979,11 @@ def test_grid_face_geometry_matches_generic(rank, a, data):
 
     assert sorted(f.rays for f in generic.faces()) == rays(face.faces())
     assert sorted(f.rays for f in generic.facets()) == rays(face.facets())
+    # one symbol per cone: a vertex is kept at its coarsest scale
+    assert len(set(face.faces())) == len(face.faces())
+    assert all(f.dim != 1 or gcd(f.scale, *f.corner) == 1 for f in face.faces())
     if all(free):
-        closed = box(corner, a)
+        closed = box(corner, a * scale)
         assert closed == generic
         assert closed.span == generic.span
         assert closed.facet_normals == generic.facet_normals
@@ -1010,7 +998,8 @@ def test_grid_face_facets_written_down(rank, data):
     3^free faces."""
     corner = tuple(data.draw(st.integers(min_value=-2, max_value=2)) for _ in range(rank))
     free = tuple(data.draw(st.booleans()) for _ in range(rank))
-    for face in (GridFace(corner, free), ORIGIN):
+    scale = data.draw(st.integers(min_value=1, max_value=3))
+    for face in (GridFace(corner, free, scale), ORIGIN):
         want = [f for f in face.faces() if f.dim == face.dim - 1]
         got = face.facets()
         assert len(got) == len(want) and set(got) == set(want)
