@@ -22,7 +22,6 @@ each level's rows by the realified operator, cleared once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -270,25 +269,6 @@ def _hermitian_form(pt: PeriodPoint, k: int, p: int):
     if any(s[a][b] != s[b][a] for a in range(len(s)) for b in range(a)):
         raise InvariantViolation("induced form is not hermitian")
     return piece.real._cleared[0] ** 2 * scale, s
-
-
-def hermitian_gram(pt: PeriodPoint, k: int, p: int):
-    """Gram matrix of the hermitian form on the (p, k - p) intersection,
-    or None when that intersection has the wrong dimension.
-
-    Computed in the reduced basis of the intersection, so individual
-    entries rescale with the pivots; the signature does not.  Entry
-    (a, b) is read off S = X K X^T as S[2a][2b] + i S[2a][2b + 1] over
-    the scales.
-    """
-    form = _hermitian_form(pt, k, p)
-    if form is None:
-        return None
-    scale, s = form
-    return tuple(
-        tuple(Gi(Fraction(s[a][b], scale), Fraction(s[a][b + 1], scale)) for b in range(0, len(s), 2))
-        for a in range(0, len(s), 2)
-    )
 
 
 def in_D(pt: PeriodPoint) -> bool:

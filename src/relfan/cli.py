@@ -311,8 +311,9 @@ def _completeness_checks(spec: SpecData) -> list:
 
 def _relations_checks(spec: SpecData) -> list:
     fan = CellFan(spec.frame)
-    # the aligned cube window grows as (2b+1)^cube_rank; keep the wide
-    # grids down to the origin cell so large frames stay tractable
+    # the cube cells are decided from one change of basis at any bound;
+    # the clamp stays because the reported pieces count, (2b+1)^k |det C|
+    # in schema 1, is taken at the clamped bound
     cube_bound = spec.window if fan.cube_rank <= 3 else 0
     report = relations_report(fan, bound=spec.window, cube_bound=cube_bound)
     return [(e["name"], e["ok"], e["witness"]) for e in report]

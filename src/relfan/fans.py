@@ -16,28 +16,28 @@ chart of a coset, grid(key), sends (level t, cube coordinates c) to the
 flattened pencil(t, t b + sum c_j d_j) for the coset's base point b of
 P and the cube directions d_1, ..., d_k, a linear map into operator
 space, injective when log(gamma) is nonzero.  A cell is the cone over
-the box [n, n + 1] / a at level one, a = denominator(key).  _place
-inverts the chart: an operator on the positive pencil goes to (level,
-coset key, cube coordinates).  The chart of a lattice L,
-lattice_grid(L), sends (t, c) to pencil(t, sum c_j b_j) over a basis b
-of L: its level one grid points are the rays of the ray fan over L,
+the box [n, n + 1] / a at level one, a = denominator(key), the lcm of
+the key's denominators.  _place inverts the chart, reading a member of
+P off its entries at P's pivots: an operator on the positive pencil
+goes to (level, coset key, cube coordinates).  The chart of a lattice
+L, lattice_grid(L), sends (t, c) to pencil(t, sum c_j b_j) over a basis
+b of L: its level one grid points are the rays of the ray fan over L,
 and its unit boxes, for the image lattice, the cube cells.
 
 Every window is the GridFace symbols of one ChartGrid (grid.py), the
-one owner of boxes, their cuts and their lifts, and is decided there; a
-report lifts only corner rays, and the half cell corruption puts in a
-symbol of the grid refined by 2.  Cells lift only corner rays,
-subdivision cuts in the chart and lifts only the rays of its pieces,
-and the stability report reads the zero key's rays and top cells as
-symbols.  With log(gamma) = 0 the cell fan is blocked unless P = 0, and
-then every chart is collapsed, with the origin as its window.  Double
-description in operator space is left to cones off the positive pencil
-and to the generic oracles in cones.py.  A coset's denominator is the
-lcm of its key's denominators, in closed form.  Conjugation is an
-identity of chart maps, read once per coset key off the block identity
-g M g^-1 = [[G A G^-1, G h - G A G^-1 s], [0, 0]] for g = [[G, s], [0,
-1]], G = gamma^p = exp(p log gamma), and M = [[A, h], [0, 0]], with no
-inverse.
+one owner of boxes, their cuts and their lifts, and is decided there;
+only corner rays and witnesses are lifted.  With log(gamma) = 0 the
+cell fan is blocked unless P = 0, and then every chart is collapsed,
+with the origin as its window.  The relations are read in the zero
+key's chart: the cube cells align by their change of basis, and a Neron
+ray is placed there.  Double description runs only in operator space
+for cones off the positive pencil (_admissible) and in ChartGrid.cut
+over three or more points (subdivision of a cone of three or more
+generators, the witness of a misaligned cube), and a CLI run on a
+fixture reaches none of them.  Conjugation is an identity of chart
+maps, read once per coset key off g M g^-1 = [[G A G^-1, G h - G A G^-1
+s], [0, 0]] for g = [[G, s], [0, 1]], G = exp(p log gamma) and M = [[A,
+h], [0, 0]], with no inverse.
 
 Also here: the coarser comparison fans (rays over the inner image
 lattice, rays over the torus lattice, unit cube cells, rays over the
@@ -84,12 +84,12 @@ from .qlinalg import (
     is_nilpotent,
     is_zero_mat,
     is_zero_vec,
+    linear_map,
     mat,
     matmul,
     matpow,
     matvec,
     sandwich,
-    solve,
     transpose,
     vadd,
     vec,
@@ -202,19 +202,21 @@ class CellFan:
         return len(self.section_basis)
 
     @cached_property
-    def _coord_matrix(self):
+    def _pivot_coords(self):
+        """P's pivots, and the map from a member's entries there to its
+        coordinates over the adapted basis, cube block first: P's basis is
+        in rref, so that map is the inverse of the adapted basis there."""
+        pivots = self.p_space._pivots()
         rows = self.cube_basis + self.section_basis
-        return transpose(rows) if rows else ()
+        return pivots, linear_map(inverse([[r[p] for r in rows] for p in pivots]))
 
     def _split(self, v: Vec):
         """Cube coordinates and coset key of a member of P."""
         if not self.p_space.contains(v):
             return None
-        if not self._coord_matrix:
-            return (), ()
-        c = solve(self._coord_matrix, v)
-        m = self.cube_rank
-        return tuple(c[:m]), tuple(c[m:])
+        pivots, coords = self._pivot_coords
+        c = coords(tuple(v[p] for p in pivots))
+        return tuple(c[:self.cube_rank]), tuple(c[self.cube_rank:])
 
     @property
     def blocked(self):
@@ -284,10 +286,7 @@ class CellFan:
         if lam is None or lam <= 0:
             return None
         split = self._split(vscale(ONE / lam, h))
-        if split is None:
-            return None
-        cube, key = split
-        return lam, key, cube
+        return None if split is None else (lam, split[1], split[0])
 
     # --- cells ---
 
@@ -299,15 +298,6 @@ class CellFan:
         if len(n) != self.cube_rank:
             raise PreconditionViolated("cube index has the wrong length")
         return n
-
-    def is_ray_member(self, n_mat: Mat) -> bool:
-        """Whether the ray through the operator is a one dimensional
-        face of the fan: exactly the rays through cube corners."""
-        at = self._place(_membership(self.frame, n_mat)[1], self.frame.e_image(n_mat))
-        if at is None:
-            return False
-        _, key, cube = at
-        return all((self.denominator(key) * c).denominator == 1 for c in cube)
 
     def window(self, bound: int, key=None) -> tuple:
         """The cells of one coset with cube offsets at most bound, closed
@@ -486,7 +476,11 @@ def minimal_integral_exponent(fan: CellFan, n_mat: Mat) -> int:
     restricts to an integral power of gamma.  In lattice coordinates,
     column j of exp(a N) holds the coordinates of the image of basis
     vector j, so exp(a N) preserves the lattice iff its entries are
-    integers."""
+    integers.  The closed form below makes each term a^i N^i / i!
+    integral, more than needed when terms cancel.  The valid a form a
+    subgroup dZ (an integral exp(a N) is unipotent, so exp(-a N) is
+    integral too, and exp(a N) exp(b N) = exp((a + b) N)), so dividing
+    primes out of the closed form's value while it stays valid gives d."""
     fr = fan.frame
     lam = _membership(fr, n_mat)[1]
     if lam is None or lam < 0:
@@ -501,6 +495,10 @@ def minimal_integral_exponent(fan: CellFan, n_mat: Mat) -> int:
         for p, v in _prime_factors(den).items():
             need[p] = max(need.get(p, 0), -(-v // i))
     a = lcm(prod(p**v for p, v in need.items()), lam.denominator)
+    for p in _prime_factors(a):
+        while a % p == 0 and (a // p * lam).denominator == 1 and all(
+                x.denominator == 1 for row in powers.exp(a // p) for x in row):
+            a //= p
     ex = powers.exp(a)
     if any(x.denominator != 1 for row in ex for x in row):
         raise InvariantViolation("computed exponent is not integral on the lattice")
@@ -573,30 +571,52 @@ def cube_window(fan: CellFan, bound: int) -> tuple:
 
 def _cube_cells_align(fan: CellFan, bound: int):
     """Witness that a unit cube cell is not a union of whole cells, or
-    the total piece count.  The cube chart maps into the cell chart of
-    the zero key by its change of basis (both have the level column
-    pencil(1, 0)), so each cube box is cut in the cell chart and every
-    piece is compared with its host box there."""
+    the total piece count, decided by _misaligned_cube from the change
+    of basis C of the cube chart into the zero key's cell chart: the
+    image lattice basis in cube coordinates (both charts have the level
+    column pencil(1, 0))."""
     moved = [fan._split(d) for d in image_lattice(fan).basis_vectors()]
     if any(m is None or any(m[1]) for m in moved):
         raise InvariantViolation("image lattice leaves the torus space of the cell chart")
     change = [cube for cube, _ in moved]
-    cells, cubes, total = fan.grid(), fan.cube_grid, 0
-    for n in product(range(-bound, bound + 1), repeat=cubes.rank):
-        corners = GridFace(n, (True,) * len(n)).vertices()
-        points = [(ONE,) + combine(v, change, fan.cube_rank) for v in corners]
-        pieces = cells.cut(points)
-        total += len(pieces)
-        bad = next((m for m, piece in pieces if piece != box(m, cells.a)), None)
-        if bad is not None:
-            return {"cell": cubes.cone(GridFace(n, (True,) * len(n))).rays, "index": (fan.zero_key(), bad)}
-    return {"pieces": total}
+    first = _misaligned_cube(change, fan.grid(), bound)
+    if first is None:
+        return {"pieces": (2 * bound + 1) ** len(change) * prod(abs(int(x)) for row in change for x in row if x)}
+    n, bad = first
+    return {"cell": fan.cube_grid.cone(GridFace(n, (True,) * len(n))).rays, "index": (fan.zero_key(), bad)}
+
+
+def _misaligned_cube(change, cells: ChartGrid, bound: int):
+    """None when every cube box of [-bound, bound]^r is a union of whole
+    cells, |det C| each; else the first cube n in product order and the
+    corner of its first piece that is not a whole cell.  C, the r x k
+    change, has full row rank, k = cells.rank, cells.a = 1, and box n
+    goes to P = C^T [n, n + 1]^r at level one.  The cut's pieces are P's
+    full meets with unit boxes and cover P: all are whole boxes iff P is
+    a union of boxes (Ziegler, Lectures on Polytopes, ch. 2).
+
+    That holds iff C is square, monomial and integral.  If so, P is the
+    product of the intervals c_i [n_i, n_i + 1] on distinct axes, with
+    integral ends: prod |c_i| = |det C| boxes.  Conversely, such a P is
+    full dimensional, so r = k; each facet lies in the boxes' walls,
+    finitely many axis parallel hyperplanes, hence in one, so the facet
+    normals, the columns of C^-1, are axis parallel and C is monomial;
+    and a vertex of P is a vertex of a box, so each |c_i| is an integer.
+    This does not depend on n: when C fails, only the first cube is cut,
+    for the witness."""
+    k = cells.rank
+    axes = sorted(j for row in change for j, x in enumerate(row) if x)
+    if len(change) == k and axes == list(range(k)) and all(x.denominator == 1 for row in change for x in row):
+        return None
+    n = (-bound,) * len(change)
+    corners = GridFace(n, (True,) * len(n)).vertices()
+    pieces = cells.cut([(ONE,) + combine(v, change, k) for v in corners])
+    return n, next(m for m, piece in pieces if piece != box(m, cells.a))
 
 
 def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> list:
     """Containments and coincidences between the comparison fans and the
     cell fan, reported as data rather than enforced."""
-    fr = fan.frame
     cube_bound = bound if cube_bound is None else cube_bound
     checks = []
 
@@ -606,7 +626,7 @@ def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> li
     _, _, agree = fan.spaces
     add("pq-definitions-agree", bool(agree), None)
     try:
-        gate = check_square_zero_pure(fr)
+        gate = check_square_zero_pure(fan.frame)
         holds, why = gate["holds"], "predicate fails"
         add("square-zero-pure-type", holds, gate)
     except MissingHodgeData as exc:
@@ -620,10 +640,8 @@ def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> li
 
     if holds:
         same = fan.p_space == fan.q_space
-        add("existence-space-equals-torus-space", same, None if same else {
-            "existence_dim": fan.p_space.dim,
-            "torus_dim": fan.q_space.dim,
-        })
+        add("existence-space-equals-torus-space", same,
+            None if same else {"existence_dim": fan.p_space.dim, "torus_dim": fan.q_space.dim})
         ql = fan.q_lattice
         missing = [b for b in image_lattice(fan).basis_vectors() if not ql.contains(b)]
         add("image-rays-are-torus-rays", not missing, {"vector": missing[0]} if missing else None)
@@ -642,16 +660,18 @@ def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> li
     if fan.blocked:
         add("neron-rays-in-cell-fan", None, {"reason": fan.blocked})
     else:
-        stray = []
-        for coords in product(range(-bound, bound + 1), repeat=len(basis)) if basis else ():
-            v = combine(coords, basis, fr.rank)
-            op = fr.pencil(1, v)
-            if not is_zero_mat(op) and not fan.is_ray_member(op):
-                stray.append(v)
-        add("neron-rays-in-cell-fan", not stray, {"vector": stray[0]} if stray else None)
+        # log(gamma) = 0 blocks the fan or, P being 0, makes the Neron
+        # lattice in its image 0: so pencil(1, v) is at level one, where
+        # _split(v) places it
+        def stray(v):
+            split = fan._split(v)
+            return split is None or any((fan.denominator(split[1]) * c).denominator != 1 for c in split[0])
+
+        vectors = map(linear_map(transpose(basis)), product(range(-bound, bound + 1), repeat=len(basis))) if basis else ()
+        bad = next((v for v in vectors if stray(v)), None)
+        add("neron-rays-in-cell-fan", bad is None, None if bad is None else {"vector": bad})
 
     if holds:
-        ql = fan.q_lattice
         add("torus-lattice-equals-neron-lattice", ql == ner,
             None if ql == ner else {"torus": ql.basis_vectors(), "neron": basis})
     else:
@@ -684,9 +704,7 @@ def random_inadmissible_operator(fan: CellFan, rng) -> Mat:
     """Pencil level one operator whose e image leaves the existence
     space.  Requires the existence space to be proper."""
     fr = fan.frame
-    outside = [
-        row for row in identity(fr.rank) if not fan.p_space.contains(row)
-    ]
+    outside = [row for row in identity(fr.rank) if not fan.p_space.contains(row)]
     if not outside:
         raise PreconditionViolated("existence space is everything; no inadmissible pencil operator")
     v = vec(rng.choice(outside))

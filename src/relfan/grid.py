@@ -239,8 +239,9 @@ class ChartGrid:
         """(box corner, chart piece) pairs, sorted by corner: the chart cone
         over the level one points cut along the boxes of the grid, full
         pieces only.  One or two points span a segment at level one, cut
-        in closed form (_cut_segment); three or more meet each box of
-        their bounding window by double description."""
+        in closed form (_cut_segment); three or more, from subdivision of
+        a cone of three or more generators or a misaligned cube's witness,
+        meet each box of their window by double description."""
         if len(points) <= 2:
             return self._cut_segment(points[0], points[-1])
         a, rank = self.a, self.rank

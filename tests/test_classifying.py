@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from relfan.classifying import (
     PeriodPoint,
     extend_inner_filtration,
-    hermitian_gram,
     hodge_numbers,
     in_D,
     in_compact_dual,
@@ -48,6 +47,21 @@ from dense_series import gexp_nilpotent
 
 def gi(a, b=0):
     return Gi(F(a), F(b))
+
+
+def hermitian_gram(pt, k, p):
+    """Gram matrix of the hermitian form on the (p, k - p) intersection,
+    or None when that intersection has the wrong dimension: entry (a, b)
+    is S[2a][2b] + i S[2a][2b + 1] over the scale, for (scale, S) the
+    realified form that in_D reads."""
+    form = classifying._hermitian_form(pt, k, p)
+    if form is None:
+        return None
+    scale, s = form
+    return tuple(
+        tuple(Gi(F(s[a][b], scale), F(s[a][b + 1], scale)) for b in range(0, len(s), 2))
+        for a in range(0, len(s), 2)
+    )
 
 
 def elliptic_point(tau):

@@ -4,9 +4,11 @@ Every test drives main() with real files and asserts on the report
 JSON, the exit code, or both.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -220,6 +222,38 @@ def test_window_suites_run_no_double_description(tmp_path, capsys, fixture, corr
         square.intersect(square.facets()[0])
         square.faces()
         assert dd.call_count and faces.call_count and meet.call_count
+
+
+def load_run_suites():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_suites.py"
+    spec = importlib.util.spec_from_file_location("run_suites", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("fixture", ["elliptic", "jordan3", "triple"])
+def test_no_cli_suite_runs_double_description(tmp_path, capsys, monkeypatch, fixture):
+    """Every CLI suite at window 0 decides in its charts: scripts/run_suites.py
+    (build, the five check suites and rmf on its two pencil operators),
+    then build and axioms of every other fan and of both corruptions,
+    with double description refused.  The check suites other than axioms
+    read neither the fan nor the corruption."""
+    calls = []
+
+    def refused(*args):
+        calls.append(args)
+        raise AssertionError("double description ran")
+
+    monkeypatch.setattr(cones, "rays_from_ineqs", refused)
+    assert load_run_suites().main(["--fixture", fixture, "--window", "0"]) in (0, 1)
+    variants = [{"fan": fan} for fan in ("image-rays", "neron-rays", "cube-cells")]
+    variants += [{"corrupt": mode} for mode in ("drop-faces", "half-cell")]
+    for fields in variants:
+        spec = write_spec(tmp_path, fixture=fixture, window=0, **fields)
+        assert run(capsys, "build", "--spec", spec)[0] in (0, 1)
+        assert run(capsys, "check", "--spec", spec, "--suite", "axioms")[0] in (0, 1)
+    assert calls == []
 
 
 def test_axioms_pass(tmp_path, capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from relfan.cones import Cone, check_fan
 from relfan.errors import (
@@ -59,7 +59,7 @@ from relfan.qlinalg import (
     vscale,
     zero_vec,
 )
-from conftest import lifted, pencil_commutes
+from conftest import fracs, lifted, pencil_commutes
 from test_qlinalg import order_in_quotient
 
 
@@ -202,6 +202,68 @@ def basis_vector_min_exponent(fan, n_mat):
     return a
 
 
+def is_ray_member(fan, n_mat):
+    """Whether the ray through the operator is a one dimensional face of
+    the fan: exactly the rays through cube corners.  The operator's
+    pencil level is read back off the operator."""
+    at = fan._place(_membership(fan.frame, n_mat)[1], fan.frame.e_image(n_mat))
+    if at is None:
+        return False
+    _, key, cube = at
+    return all((fan.denominator(key) * c).denominator == 1 for c in cube)
+
+
+def neron_walk(fan, lattice, bound):
+    """The first v = sum c_j b_j over the lattice basis, |c_j| <= bound in
+    product order, whose pencil(1, v) is not a ray of the fan, built as an
+    operator and tested with is_ray_member; None when there is none."""
+    fr, basis = fan.frame, lattice.basis_vectors()
+    for coords in product(range(-bound, bound + 1), repeat=len(basis)) if basis else ():
+        v = fans.combine(coords, basis, fr.rank)
+        op = fr.pencil(1, v)
+        if not is_zero_mat(op) and not is_ray_member(fan, op):
+            return v
+    return None
+
+
+def solve_split(fan, v):
+    """_split by one elimination against the adapted basis per call."""
+    if not fan.p_space.contains(v):
+        return None
+    rows = fan.cube_basis + fan.section_basis
+    if not rows:
+        return (), ()
+    c = solve(transpose(rows), v)
+    return tuple(c[:fan.cube_rank]), tuple(c[fan.cube_rank:])
+
+
+def cube_walk(change, cells, bound):
+    """Every cube box n of [-bound, bound]^r cut in the cell chart through
+    the change of basis and each piece compared with its host box: the
+    first (n, corner of a piece that is not a whole box) in product order,
+    or the total piece count."""
+    total = 0
+    for n in product(range(-bound, bound + 1), repeat=len(change)):
+        corners = GridFace(n, (True,) * len(n)).vertices()
+        pieces = cells.cut([(F(1),) + fans.combine(v, change, cells.rank) for v in corners])
+        total += len(pieces)
+        bad = next((m for m, piece in pieces if piece != box(m, cells.a)), None)
+        if bad is not None:
+            return n, bad
+    return total
+
+
+def cube_cells_walk(fan, bound):
+    """_cube_cells_align by the walk: the change of basis by solve_split,
+    every cube box cut, and the first bad piece's cube lifted."""
+    change = [solve_split(fan, d)[0] for d in fans.image_lattice(fan).basis_vectors()]
+    got = cube_walk(change, fan.grid(), bound)
+    if isinstance(got, int):
+        return {"pieces": got}
+    n, bad = got
+    return {"cell": fan.cube_grid.cone(GridFace(n, (True,) * len(n))).rays, "index": (fan.zero_key(), bad)}
+
+
 def sample_points(cone, rng, count=40):
     """Random conic combinations of the rays."""
     out = []
@@ -253,10 +315,10 @@ def test_containing_cell_actually_contains(ell):
 
 def test_elliptic_ray_membership(ell):
     fr = ell.frame
-    assert ell.is_ray_member(fr.pencil(1, (F(1), F(0))))
-    assert ell.is_ray_member(fr.pencil(3, (F(-6), F(0))))
-    assert not ell.is_ray_member(fr.pencil(1, (F(1, 2), F(0))))
-    assert not ell.is_ray_member(fr.pencil(0, (F(0), F(0))))
+    assert is_ray_member(ell, fr.pencil(1, (F(1), F(0))))
+    assert is_ray_member(ell, fr.pencil(3, (F(-6), F(0))))
+    assert not is_ray_member(ell, fr.pencil(1, (F(1, 2), F(0))))
+    assert not is_ray_member(ell, fr.pencil(0, (F(0), F(0))))
 
 
 # --- cells at fractional cosets on the rank 3 frame ---------------------
@@ -1234,6 +1296,22 @@ def test_minimal_exponent_frozen_values(ell):
     assert minimal_integral_exponent(ell, ell.frame.pencil(1, (F(1, 2), F(0)))) == 2
 
 
+def test_minimal_exponent_where_the_series_terms_cancel(jd3):
+    """The e column of exp(N) for pencil(1, (1/3, 0, 1)) is (1, 1, 1):
+    the terms N / 1! and N^2 / 2! are not integral, their sum is."""
+    for h, want in (((F(1, 3), 0, 1), 1), ((F(1, 3), 0, F(1, 4)), 4)):
+        m = jd3.frame.pencil(1, h)
+        assert minimal_integral_exponent(jd3, m) == brute_min_exponent(jd3, m) == want
+
+
+@given(data=st.data())
+def test_minimal_exponent_is_the_least_valid_multiple(ell, jd3, jd3_2z, data):
+    fan = data.draw(st.sampled_from((ell, jd3, jd3_2z)))
+    lam = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=3))
+    m = fan.frame.pencil(lam, tuple(data.draw(fracs(4, 4)) for _ in range(fan.frame.rank)))
+    assert minimal_integral_exponent(fan, m) == brute_min_exponent(fan, m, limit=400)
+
+
 # --- comparison fans ----------------------------------------------------
 
 def test_elliptic_gate_holds(ell):
@@ -1330,6 +1408,122 @@ def test_jordan3_relations_report_data(jd3):
     assert report["cube-cells-align-with-cell-fan"]["ok"] is None
     assert report["neron-rays-in-cell-fan"]["ok"]
     assert report["torus-lattice-equals-neron-lattice"]["ok"] is None
+
+
+def rank2_frame(g):
+    """The elliptic frame with gamma = [[1, g], [0, 1]]."""
+    return Frame(rank=2, weight=-1, gram=((0, -1), (1, 0)), gamma=((1, g), (0, 1)),
+                 hodge={(0, -1): 1, (-1, 0): 1}, graded_types={0: {(0, 0): 1}, -2: {(-1, -1): 1}})
+
+
+@pytest.mark.parametrize("name,bounds", [("ell", (0, 1, 2)), ("g2", (0, 1, 2)), ("g3", (0, 1, 2)), ("triple", (0,))])
+def test_cube_cells_decided_as_the_walk_cuts(request, name, bounds):
+    """The decision from the change of basis against every cube box cut
+    in the cell chart, on frames whose cubes align, |det C| cells each."""
+    fan = CellFan(rank2_frame(int(name[1]))) if name in ("g2", "g3") else request.getfixturevalue(name)
+    for bound in bounds:
+        assert fans._cube_cells_align(fan, bound) == cube_cells_walk(fan, bound)
+
+
+@pytest.mark.parametrize("g,pieces", [(2, 6), (3, 9)])
+def test_rank2_cube_cells_hold_g_cells(g, pieces):
+    report = {c["name"]: c for c in relations_report(CellFan(rank2_frame(g)), 1)}
+    assert report["cube-cells-align-with-cell-fan"] == {
+        "name": "cube-cells-align-with-cell-fan", "ok": True, "witness": {"pieces": pieces}}
+
+
+def test_misaligned_image_lattice_witness_matches_the_walk(monkeypatch):
+    """An image lattice at half its size: C = (1/2) is monomial but not
+    integral, so no cube aligns and the first cube is the witness."""
+    half = ZLattice.from_vectors([(F(1, 2), F(0))], 2)
+    monkeypatch.setattr(fans, "image_lattice", lambda fan: half)
+    for bound in (0, 1, 2):
+        fan = CellFan(elliptic_frame())
+        got = fans._cube_cells_align(fan, bound)
+        assert got == cube_cells_walk(fan, bound)
+        assert got["index"] == ((), (floor(F(-bound, 2)),))
+
+
+def chart_of_rank(k):
+    """The grid of unit boxes in the chart Q^(1 + k) itself."""
+    return ChartGrid([tuple(F(int(i == j)) for i in range(k + 1)) for j in range(k + 1)], 1, k + 1)
+
+
+@st.composite
+def cube_changes(draw):
+    """(kind, k, C): C monomial and integral; monomial with one side 1/2
+    or 3/2; square of full rank and not monomial; or of full row rank with
+    one row fewer than its k columns."""
+    kind = draw(st.sampled_from(("aligned", "half", "mixed", "short")))
+    k = draw(st.integers(min_value={"aligned": 0, "half": 1, "mixed": 2, "short": 1}[kind], max_value=3))
+    if kind in ("aligned", "half"):
+        axes = draw(st.permutations(range(k)))
+        sides = [F(draw(st.sampled_from((-2, -1, 1, 2)))) for _ in range(k)]
+        if kind == "half":
+            sides[draw(st.integers(0, k - 1))] = F(draw(st.sampled_from((-3, -1, 1, 3))), 2)
+        return kind, k, [tuple(sides[i] if j == axes[i] else F(0) for j in range(k)) for i in range(k)]
+    rows = k if kind == "mixed" else k - 1
+    change = [tuple(F(draw(st.integers(-1, 1))) for _ in range(k)) for _ in range(rows)]
+    assume(not rows or len(Subspace.span(change, k)._pivots()) == rows)
+    assume(kind == "short" or any(sum(1 for x in row if x) > 1 for row in change))
+    return kind, k, change
+
+
+@given(data=st.data())
+def test_cube_alignment_decision_matches_the_walk(data):
+    """Every cube aligns iff C is square, monomial and integral, with
+    (2 bound + 1)^k |det C| pieces; otherwise the first cube fails."""
+    kind, k, change = data.draw(cube_changes())
+    bound = data.draw(st.integers(0, 1))
+    cells = chart_of_rank(k)
+    got, walked = fans._misaligned_cube(change, cells, bound), cube_walk(change, cells, bound)
+    if kind == "aligned":
+        assert got is None
+        assert walked == (2 * bound + 1) ** k * prod(abs(x) for row in change for x in row if x)
+    else:
+        assert got == walked
+
+
+@pytest.fixture(scope="module")
+def jd3_2z():
+    return jordan3_on_2z()
+
+
+@pytest.fixture(scope="module")
+def wide():
+    return CellFan(wide_frame())
+
+
+@given(data=st.data())
+def test_split_reads_the_pivots_as_solve_does(ell, jd3, jd3_2z, wide, triple, data):
+    """Coordinates over the adapted basis read off P's pivots against one
+    elimination per vector; a vector off P has none."""
+    fan = data.draw(st.sampled_from((ell, jd3, jd3_2z, wide, triple)))
+    basis = fan.p_space.basis
+    v = fans.combine([data.draw(fracs(6, 4)) for _ in basis], basis, fan.frame.rank)
+    off = [row for row in identity(fan.frame.rank) if not fan.p_space.contains(row)]
+    if off and data.draw(st.booleans()):
+        v = vadd(v, vscale(data.draw(st.sampled_from((F(-1), F(1, 2), F(3)))), data.draw(st.sampled_from(off))))
+    assert fan._split(v) == solve_split(fan, v)
+
+
+@pytest.mark.parametrize("name,bound", [("ell", 2), ("jd3", 2), ("jd3_2z", 2), ("wide", 2), ("g2", 2), ("triple", 1)])
+@pytest.mark.parametrize("halved", [False, True])
+def test_neron_rays_read_without_operators(request, monkeypatch, name, bound, halved):
+    """neron-rays-in-cell-fan places each pencil(1, v) in its chart at
+    level one; the walk builds each operator and reads its level back.
+    A Neron lattice at half its size puts stray vectors in."""
+    fan = CellFan(rank2_frame(2)) if name == "g2" else request.getfixturevalue(name)
+    lattice = neron_lattice(fan)
+    if halved:
+        lattice = ZLattice.from_vectors([vscale(F(1, 2), b) for b in lattice.basis_vectors()], fan.frame.rank)
+        monkeypatch.setattr(fans, "neron_lattice", lambda fan: lattice)
+    stray = neron_walk(fan, lattice, bound)
+    # jordan3 over 2Z + Z + Z + Z has stray Neron vectors of its own
+    assert (stray is not None) == (halved or name == "jd3_2z")
+    report = {c["name"]: c for c in relations_report(fan, bound, cube_bound=0)}
+    assert report["neron-rays-in-cell-fan"]["ok"] == (stray is None)
+    assert report["neron-rays-in-cell-fan"]["witness"] == (None if stray is None else {"vector": stray})
 
 
 # --- random pencil properties -------------------------------------------
