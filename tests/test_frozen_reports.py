@@ -15,7 +15,7 @@ import pytest
 from relfan.cli import main
 
 BASE = {"window": 2, "corpus": 40, "seed": 7}
-CHECK = {suite: ["check", "--suite", suite] for suite in ("axioms", "gamma", "completeness", "relations")}
+CHECK = {suite: ["check", "--suite", suite] for suite in ("axioms", "gamma", "completeness", "relations", "gallery")}
 
 FROZEN = [
     ("elliptic", {}, ["build"], "ea95f234b0acc38a0ad3396e002366b368a47e7550f36826f8af460b67cde2d1"),
@@ -41,6 +41,15 @@ FROZEN = [
     # the rank-6 chart of the rank twenty frame, 730 window faces
     ("triple", {"window": 0}, ["build"],
      "b5803f5c10a08024f4eccc34e269c1f994cdd4febe3712f0d0d7ebc4c0d6f645"),
+    ("triple", {"window": 0}, CHECK["gamma"],
+     "083c2911ed8599cbbe96c8b45c86ece82ccf3956e93776aaeef08adacfcf2565"),
+    ("triple", {"window": 0}, CHECK["completeness"],
+     "835d693792c90b1602eb5fb430039d1d4b587c5c581a1c6689f0061756815219"),
+    ("triple", {"window": 0}, CHECK["relations"],
+     "f778871e28c12b32b2ec14c325db9869bb26e363d2ab4b9b631edf00357217b4"),
+    # the gallery suite ignores the frame; the spec enters through spec_hash
+    ("triple", {"window": 0}, CHECK["gallery"],
+     "3e37dcc93f824ac4d507abcda8d7948c3ab53b748ae593fb717049481e9c3089"),
     ("triple", {"window": 0, "corrupt": "drop-faces"}, CHECK["axioms"],
      "8e108a1d92b01042f1ee3d360fed530982fe78e72ac0aa282180360614661b99"),
     ("triple", {"window": 0, "corrupt": "half-cell"}, CHECK["axioms"],
@@ -75,6 +84,12 @@ def test_report_bytes_frozen(tmp_path, capsys, fixture, fields, argv, digest):
     main([argv[0], "--spec", str(spec), *argv[1:]])
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_gallery_bundle_bytes_frozen(capsys):
+    assert main(["gallery", "triple"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "0c50e7bfd289d6492ff59fc0db27b8a0372a6d5bba8a16dfa2298c00bffa5f0f"
 
 
 TRIPLE_IMAGE = ["0", "0", "1", "0", "0", "0", "1", "0", "1", "0", "1", "0", "1", "0", "0", "0", "1", "0", "0", "0"]
