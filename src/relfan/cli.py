@@ -3,9 +3,12 @@ suites, emit machine readable reports.
 
 Reports are deterministic for a fixed spec and seed: check order is
 fixed, output keys are sorted, and every random draw goes through a
-single generator seeded before any check runs.  Exit codes: 0 all
-checks pass, 1 a check failed or was blocked by a precondition, 2 bad
-input, 3 a mathematical invariant broke.
+single generator seeded before any check runs.  A report is built from
+exact values and formatted in one pass by to_jsonable, the one
+formatter, which writes each vector object once; frame_to_json writes
+the gallery's frame in the spec format.  Exit codes: 0 all checks
+pass, 1 a check failed or was blocked by a precondition, 2 bad input,
+3 a mathematical invariant broke.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .fans import (
 from .fixtures import elliptic_frame, jordan3_frame
 from .gallery import (
     ChartPoint,
-    chart_point_json,
     fiber_certificate,
     hausdorff_witness,
     kunneth_h3,
@@ -157,22 +159,37 @@ def load_spec(path: str) -> SpecData:
 
 
 def to_jsonable(x):
-    """Exact data as JSON safe values; scalars become p/q strings."""
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    if isinstance(x, Fraction):
-        return format_scalar(x)
-    if isinstance(x, Gi):
-        return format_gi(x)
-    if isinstance(x, Cone):
-        return {"rays": [vec_to_json(r) for r in x.rays]}
-    if isinstance(x, ChartPoint):
-        return chart_point_json(x)
-    if isinstance(x, dict):
-        return {str(k): to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [to_jsonable(v) for v in x]
-    return str(x)
+    """Exact data as JSON safe values, in one pass: scalars become p/q
+    strings, and a tuple or list of Fractions is one vector, written by
+    vec_to_json.  Each vector object is formatted once per pass and its
+    text shared wherever it recurs; the memo keeps every key object
+    alive, so no id is reused within the pass."""
+    memo = {}
+
+    def vector(v):
+        hit = memo.get(id(v))
+        if hit is None:
+            hit = memo[id(v)] = (v, vec_to_json(v))
+        return hit[1]
+
+    def walk(x):
+        if x is None or isinstance(x, (bool, int, str)):
+            return x
+        if isinstance(x, Fraction):
+            return format_scalar(x)
+        if isinstance(x, (list, tuple)):
+            return vector(x) if set(map(type, x)) == {Fraction} else [walk(v) for v in x]
+        if isinstance(x, dict):
+            return {str(k): walk(v) for k, v in x.items()}
+        if isinstance(x, Gi):
+            return format_gi(x)
+        if isinstance(x, Cone):
+            return {"rays": [vector(r) for r in x.rays]}
+        if isinstance(x, ChartPoint):
+            return walk({"t": x.t, "a1": x.a1, "a2": x.a2, "tau": x.tau})
+        return str(x)
+
+    return walk(x)
 
 
 def _status(name: str, ok) -> str:
@@ -192,13 +209,13 @@ def make_report(suite: str, spec_hash, seed, checks, extra=None) -> dict:
         "suite": suite,
         "seed": seed,
         "checks": [
-            {"name": name, "status": _status(name, ok), "witness": to_jsonable(witness)}
+            {"name": name, "status": _status(name, ok), "witness": witness}
             for name, ok, witness in checks
         ],
     }
     if extra:
         report.update(extra)
-    return report
+    return to_jsonable(report)
 
 
 def report_exit(report: dict) -> int:
@@ -233,22 +250,6 @@ def _build_window(spec: SpecData):
     return grid.vertex_window(spec.window), grid
 
 
-def _window_json(window, grid) -> list:
-    """The window's entries as report JSON cones.  A symbol's rays are
-    the lifted rays of its corners in sorted order, each point's ray
-    formatted once, keyed by the point and its scale."""
-    text = {}
-
-    def point_json(v, scale):
-        out = text.get((v, scale))
-        if out is None:
-            out = text[v, scale] = vec_to_json(grid.ray(v, scale))
-        return out
-
-    return [{"rays": [point_json(v, e.scale) for v in sorted(e.vertices(), key=lambda v: grid.ray(v, e.scale))]}
-            for e in window]
-
-
 def cmd_build(spec: SpecData) -> dict:
     built = _build_window(spec)
     if isinstance(built, str):
@@ -256,7 +257,7 @@ def cmd_build(spec: SpecData) -> dict:
     else:
         window, grid = built
         ok, outcome = len(window) > 0, {"cones": len(window)}
-        cones, faces = _window_json(window, grid), window_face_table(window)
+        cones, faces = [grid.cone(e) for e in window], window_face_table(window)
     checks = [("window-built", ok, {"fan": spec.fan, **outcome})]
     extra = {"window": {"fan": spec.fan, "bound": spec.window, "cones": cones, "faces": faces}}
     return make_report("build", spec.digest, spec.seed, checks, extra)
@@ -360,11 +361,9 @@ def _gallery_payload():
     ]
     extra = {
         "degeneration": frame_to_json(frame),
-        "purity": to_jsonable(gate),
-        "separation": to_jsonable(separation),
-        "slit": to_jsonable(
-            [{"point": p, "member": got, "expected": want} for p, got, want in slit]
-        ),
+        "purity": gate,
+        "separation": separation,
+        "slit": [{"point": p, "member": got, "expected": want} for p, got, want in slit],
         "fiber": certificate,
     }
     return checks, extra
@@ -422,11 +421,7 @@ def cmd_rmf(spec: SpecData, operator_path: str) -> dict:
     exists = _relative_filtration_exists(frame, n_mat, ints, lam)
     filt = _relative_filtration(frame, n_mat, ints, lam)
     allowed, _, _ = _block_pq(frame, frame.restriction(n_mat), lam)
-    witness = {
-        "e_image": vec_to_json(frame.e_image(n_mat)),
-        "allowed_space": [vec_to_json(b) for b in allowed.basis],
-        "member": exists,
-    }
+    witness = {"e_image": frame.e_image(n_mat), "allowed_space": allowed.basis, "member": exists}
     checks = [("existence-criterion-agrees", (filt is not None) == exists, witness)]
     if filt is not None:
         checks.append(
@@ -436,7 +431,7 @@ def cmd_rmf(spec: SpecData, operator_path: str) -> dict:
         "existence": {"exists": exists, "witness": witness},
         "filtration": None
         if filt is None
-        else {str(j): [vec_to_json(v) for v in filt.at(j).basis] for j in filt.jump_indices},
+        else {j: filt.at(j).basis for j in filt.jump_indices},
     }
     return make_report("rmf", spec.digest, spec.seed, checks, extra)
 

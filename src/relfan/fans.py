@@ -665,7 +665,10 @@ def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> li
         # _split(v) places it
         def stray(v):
             split = fan._split(v)
-            return split is None or any((fan.denominator(split[1]) * c).denominator != 1 for c in split[0])
+            if split is None:
+                return True
+            a = fan.denominator(split[1])
+            return any((a * c).denominator != 1 for c in split[0])
 
         vectors = map(linear_map(transpose(basis)), product(range(-bound, bound + 1), repeat=len(basis))) if basis else ()
         bad = next((v for v in vectors if stray(v)), None)

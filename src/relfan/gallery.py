@@ -22,7 +22,7 @@ from .errors import (
     PreconditionViolated,
     SpecFormatError,
 )
-from .gaussian import Gi, coerce, format_gi
+from .gaussian import Gi, coerce
 from .hodge import Frame
 from .qlinalg import exp_nilpotent, log_unipotent, mat, matmul, transpose, zeros
 
@@ -276,15 +276,6 @@ class ChartPoint:
         return ChartPoint(self.t, self.a1, self.a2, None)
 
 
-def chart_point_json(p: ChartPoint) -> dict:
-    return {
-        "t": [[format_gi(base), power] for base, power in p.t],
-        "a1": format_gi(p.a1),
-        "a2": format_gi(p.a2),
-        "tau": None if p.tau is None else [str(p.tau[0]), p.tau[1]],
-    }
-
-
 def equivalence_witness(p: ChartPoint, q: ChartPoint) -> dict:
     """Decide the chart identification and produce the witness.
 
@@ -330,7 +321,8 @@ def hausdorff_witness(c, t, heights=range(1, 11)) -> dict:
     are not.
 
     The first sequence fixes vector coordinates (c, 1) and the second
-    (0, 0), both over the moduli c + n*i for n in heights.
+    (0, 0), both over the moduli c + n*i for n in heights.  The
+    certificate holds exact values: c and the limits as chart points.
     """
     c = Fraction(c)
     steps = []
@@ -343,13 +335,9 @@ def hausdorff_witness(c, t, heights=range(1, 11)) -> dict:
     second_limit = ChartPoint(t, Gi(), Gi(), None)
     limit = equivalence_witness(first_limit, second_limit)
     return {
-        "parameter": str(c),
+        "parameter": c,
         "steps": steps,
-        "limits": {
-            "first": chart_point_json(first_limit),
-            "second": chart_point_json(second_limit),
-            "witness": limit,
-        },
+        "limits": {"first": first_limit, "second": second_limit, "witness": limit},
         "certified": all(s["equivalent"] for s in steps) and not limit["equivalent"],
     }
 

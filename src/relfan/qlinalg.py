@@ -763,7 +763,9 @@ def log_unipotent(u_mat: Mat) -> Mat:
 
 
 def vec_to_json(v: Vec) -> list:
-    return [format_scalar(x) for x in v]
+    """Each entry as format_scalar writes it; the shared ZERO is the one
+    shared "0", read with no Fraction attribute."""
+    return ["0" if x is ZERO else format_scalar(x) for x in v]
 
 
 def mat_to_json(m: Mat) -> list:

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -576,3 +577,25 @@ def test_rmf_runs_one_membership_step(tmp_path, capsys, monkeypatch):
         code, report = run_json(capsys, "rmf", "--spec", spec, "--n-data", write_operator(tmp_path, name, **fields))
         assert code == 0 and len(calls) == 1
         assert report["existence"]["exists"] == (report["filtration"] is not None)
+
+
+def test_report_formats_each_vector_once(tmp_path, capsys, monkeypatch):
+    """A report is formatted in one pass that writes each vector object
+    once: build on triple at window 0 formats one ray per grid point,
+    (2w + 2)^6 = 64 of them for the 730 cones that share them, and gamma
+    formats each witness ray once."""
+    from relfan import cli
+
+    seen = []
+    fmt = cli.vec_to_json
+    monkeypatch.setattr(cli, "vec_to_json", lambda v: seen.append(v) or fmt(v))
+    spec = write_spec(tmp_path, fixture="triple", window=0)
+    code, report = run_json(capsys, "build", "--spec", spec)
+    assert code == 0 and len(report["window"]["cones"]) == 730
+    assert len(seen) == 64 and len(set(seen)) == 64
+    seen.clear()
+    code, report = run_json(capsys, "check", "--spec", spec, "--suite", "gamma")
+    rays = [c["witness"]["ray"] for c in report["checks"] if c["name"] == "ray-integral-exponential"]
+    texts = Counter(json.dumps(fmt(v)) for v in seen)
+    assert code == 0 and len(rays) == 64
+    assert all(texts[json.dumps(r)] == 1 for r in rays)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from relfan.cli import to_jsonable
 from relfan.errors import (
     NotUnipotent,
     PreconditionViolated,
@@ -23,7 +24,6 @@ from relfan.gallery import (
     H_BASIS,
     ChartPoint,
     CurveFactor,
-    chart_point_json,
     declared_graded_types,
     equivalence_witness,
     equivalent,
@@ -193,7 +193,7 @@ def test_chart_point_validation():
 
 def test_chart_point_json_frozen():
     p = ChartPoint(T0, gi(F(1, 3)), gi(1), (F(1, 3), 2))
-    assert chart_point_json(p) == {
+    assert to_jsonable(p) == {
         "t": [["1+0*i", 0], ["1+0*i", 0], ["1+0*i", 0], ["1+0*i", 0]],
         "a1": "1/3+0*i",
         "a2": "1+0*i",
@@ -306,7 +306,10 @@ def test_hausdorff_witness_certificate():
     assert all(s["equivalent"] for s in report["steps"])
     assert all(s["b"] == gi(-1) for s in report["steps"])
     assert not report["limits"]["witness"]["equivalent"]
-    assert report["parameter"] == "1/3"
+    assert report["limits"]["first"] == ChartPoint(T0, gi(F(1, 3)), gi(1), None)
+    assert report["limits"]["second"] == ChartPoint(T0, gi(0), gi(0), None)
+    assert report["parameter"] == F(1, 3)
+    assert to_jsonable(report)["parameter"] == "1/3"
 
 
 def test_hausdorff_witness_zero_parameter():
