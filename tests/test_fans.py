@@ -1249,11 +1249,36 @@ def jordan3_on_2z():
                          hodge={(p, q): m for p, q, m in base.hodge}))
 
 
-@pytest.mark.parametrize("name,bound", [("ell", 2), ("jd3", 2), ("jd3-2z", 2), ("triple", 0)])
-def test_minimal_exponent_matches_basis_vector_form(ell, jd3, triple, name, bound):
-    """Integrality read in lattice coordinates against exp(a N) b tested
+# frame lattices with no vector of e-coordinate one beside e in their
+# basis, so L = inner lattice + Z x0 with x0 != e
+ELLIPTIC_MIXED = [[1, 0, 0], [0, 1, 0], [F(1, 3), F(2, 3), F(1, 3)], [0, 0, 1]]
+JORDAN3_MIXED = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [F(1, 2), 0, F(1, 2), F(1, 2)], [0, 0, 0, 1]]
+
+
+def over_lattice(frame, vectors):
+    """The frame over the lattice the vectors span, as a spec's lattice
+    field sets it."""
+    data = frame_to_json(frame)
+    data["lattice"] = vectors
+    return CellFan(frame_from_json(data))
+
+
+@pytest.fixture(scope="module")
+def ell_mixed():
+    return over_lattice(elliptic_frame(), ELLIPTIC_MIXED)
+
+
+@pytest.fixture(scope="module")
+def jd3_mixed():
+    return over_lattice(jordan3_frame(), JORDAN3_MIXED)
+
+
+@pytest.mark.parametrize("name,bound", [("ell", 2), ("jd3", 2), ("jd3-2z", 2), ("triple", 0), ("ell-mixed", 2),
+                                        ("jd3-mixed", 2)])
+def test_minimal_exponent_matches_basis_vector_form(request, name, bound):
+    """The exponent read off one lattice vector against exp(a N) b tested
     for each lattice basis vector b, on every ray of a window."""
-    fan = {"ell": ell, "jd3": jd3, "triple": triple}.get(name) or jordan3_on_2z()
+    fan = request.getfixturevalue(name.replace("-", "_"))
     rays = [c.rays[0] for c in lifted(fan.window(bound), fan.grid()) if len(c.rays) == 1]
     assert rays
     for r in rays:
@@ -1304,9 +1329,25 @@ def test_minimal_exponent_where_the_series_terms_cancel(jd3):
         assert minimal_integral_exponent(jd3, m) == brute_min_exponent(jd3, m) == want
 
 
+def test_minimal_exponent_on_jordan3_windows_against_brute_force(jd3, jd3_mixed):
+    """Every ray of the windows 0-3 at the keys 0, 1/2 and 2/3, where the
+    exponents alternate 2, 1 at keys 0 and 2/3 and read 1 at key 1/2."""
+    seen = set()
+    for fan in (jd3, jd3_mixed):
+        for key in ((F(0),), (F(1, 2),), (F(2, 3),)):
+            grid = fan.grid(key)
+            for bound in range(4):
+                for v in grid.window_symbols(bound)[0]:
+                    m = unflatten(grid.ray(v), fan.frame.dim)
+                    a = minimal_integral_exponent(fan, m)
+                    assert a == brute_min_exponent(fan, m)
+                    seen.add(a)
+    assert seen == {1, 2}
+
+
 @given(data=st.data())
-def test_minimal_exponent_is_the_least_valid_multiple(ell, jd3, jd3_2z, data):
-    fan = data.draw(st.sampled_from((ell, jd3, jd3_2z)))
+def test_minimal_exponent_is_the_least_valid_multiple(ell, jd3, jd3_2z, ell_mixed, jd3_mixed, data):
+    fan = data.draw(st.sampled_from((ell, jd3, jd3_2z, ell_mixed, jd3_mixed)))
     lam = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=3))
     m = fan.frame.pencil(lam, tuple(data.draw(fracs(4, 4)) for _ in range(fan.frame.rank)))
     assert minimal_integral_exponent(fan, m) == brute_min_exponent(fan, m, limit=400)

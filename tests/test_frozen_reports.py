@@ -17,6 +17,12 @@ from relfan.cli import main
 BASE = {"window": 2, "corpus": 40, "seed": 7}
 CHECK = {suite: ["check", "--suite", suite] for suite in ("axioms", "gamma", "completeness", "relations", "gallery")}
 
+# frame lattices with no vector of e-coordinate one beside e in their
+# basis: L = inner lattice + Z x0 with x0 != e
+ELLIPTIC_MIXED = [["1", "0", "0"], ["0", "1", "0"], ["1/3", "2/3", "1/3"], ["0", "0", "1"]]
+JORDAN3_MIXED = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["1/2", "0", "1/2", "1/2"],
+                 ["0", "0", "0", "1"]]
+
 FROZEN = [
     ("elliptic", {}, ["build"], "ea95f234b0acc38a0ad3396e002366b368a47e7550f36826f8af460b67cde2d1"),
     ("elliptic", {}, CHECK["axioms"], "cc09ffc73f27bce97f01da3fc5aa8a8d696ecf24b52cfb8deddc3c3cc0c7b559"),
@@ -68,13 +74,22 @@ FROZEN = [
     # 730 rays of the rank-6 image lattice chart
     ("triple", {"window": 1, "fan": "image-rays"}, ["build"],
      "94bb9bf312fc814d6ddf005e629f75fbaecdb515df25f04e937c141ddac7f3a0"),
+    # ray exponents 3 and 1 on elliptic, 2 on jordan3
+    ("elliptic", {"lattice": ELLIPTIC_MIXED}, CHECK["gamma"],
+     "12459681b336b88425efa5fcc4a76d01fab61fa98797087aee1a04319011f286"),
+    ("jordan3", {"lattice": JORDAN3_MIXED}, CHECK["gamma"],
+     "5c0ceb201a7e7181bf25f49b77bedf086ddb6134b8ad09e1d8f3bae8769f37d6"),
 ]
+
+
+def _label(fields):
+    return "-".join("mixed-lattice" if k == "lattice" else str(v) for k, v in fields.items()) or "plain"
 
 
 @pytest.mark.parametrize(
     "fixture,fields,argv,digest",
     FROZEN,
-    ids=[f"{f}-{'-'.join(map(str, x.values())) or 'plain'}-{a[-1]}" for f, x, a, _ in FROZEN],
+    ids=[f"{f}-{_label(x)}-{a[-1]}" for f, x, a, _ in FROZEN],
 )
 def test_report_bytes_frozen(tmp_path, capsys, fixture, fields, argv, digest):
     # the spec bytes enter the report through spec_hash, so they are
