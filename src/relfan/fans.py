@@ -39,11 +39,12 @@ maps, read once per coset key off g M g^-1 = [[G A G^-1, G h - G A G^-1
 s], [0, 0]] for g = [[G, s], [0, 1]], G = exp(p log gamma) and M = [[A,
 h], [0, 0]], with no inverse.
 
-Also here: the coarser comparison fans (rays over the inner image
-lattice, rays over the torus lattice, unit cube cells, rays over the
-connected Neron lattice), the square zero plus pure type predicate
-gating the cube fan, and deterministic corpora of admissible cones for
-completeness sweeps.
+Also here: the integral exponent of a ray, read off one vector of the
+frame lattice with no exponential formed, the coarser comparison fans
+(rays over the inner image lattice, rays over the torus lattice, unit
+cube cells, rays over the connected Neron lattice), the square zero plus
+pure type predicate gating the cube fan, and deterministic corpora of
+admissible cones for completeness sweeps.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import factorial, gcd, lcm, prod
+from math import factorial, lcm, prod
 
 from .cones import Cone
 from .errors import (
@@ -74,7 +75,7 @@ from .qlinalg import (
     ONE,
     ZERO,
     Mat,
-    NilpotentPowers,
+    _scaled_int_rows,
     Subspace,
     Vec,
     ZLattice,
@@ -89,7 +90,6 @@ from .qlinalg import (
     matmul,
     matpow,
     matvec,
-    sandwich,
     transpose,
     vadd,
     vec,
@@ -178,12 +178,14 @@ class CellFan:
         return tuple(adapted[m:]), tuple(adapted[:m])
 
     @cached_property
-    def _lattice_coords(self):
-        """The changes of an operator's matrix to coordinates over the frame
-        lattice basis and back."""
-        from_coords = transpose(self.frame.lattice.basis_vectors())
-        to_coords = inverse(from_coords)
-        return sandwich(to_coords, from_coords), sandwich(from_coords, to_coords)
+    def _e_lift(self):
+        """x0 in the frame lattice whose e-coordinate generates those of
+        the lattice (the Hermite transform's first row takes the gcd of the
+        basis' e-entries), and coordinates over the inner lattice's basis."""
+        lattice = self.frame.lattice
+        _, u = hermite_transform([[row[-1]] for row in lattice.rows])
+        x0 = combine(u[0], lattice.basis_vectors(), self.frame.dim)
+        return x0, linear_map(inverse(transpose(self.inner_lattice.basis_vectors())))
 
     @property
     def section_basis(self) -> tuple:
@@ -326,21 +328,24 @@ class CellFan:
         new_key, steps = self.conjugate_key(power, shift, key)
         return new_key, tuple(ni + s for ni, s in zip(n, steps))
 
+    def _gamma_power(self, power: int):
+        """(G, whether G N = N G and G d = d on the cube basis), G = exp(power N), per power."""
+        if power not in self._gamma_powers:
+            g, n = self.frame.log_powers.exp(power), self.frame.log_gamma
+            fixes = matmul(g, n) == matmul(n, g) and all(matvec(g, d) == d for d in self.cube_basis)
+            self._gamma_powers[power] = g, fixes
+        return self._gamma_powers[power]
+
     def conjugate_key(self, power: int, shift, key):
         """The coset-level step of conjugate_cell, independent of the cube
         index: (new key, integer steps).  By g M g^-1 = [[G A G^-1, G h -
         G A G^-1 s], [0, 0]], the chart's base pencil(1, b) goes to
         pencil(1, G b - N s) when G N = N G, and then box n of key to box
         n + steps of the new key iff also G d = d for every cube direction
-        d.  G and both tests depend only on the power: _gamma_powers keeps
-        them per power."""
+        d.  G and both tests depend only on the power (_gamma_power)."""
         key = vec(key)
         shift = self._shift(shift)
-        if power not in self._gamma_powers:
-            g, n = self.frame.log_powers.exp(power), self.frame.log_gamma
-            fixes = matmul(g, n) == matmul(n, g) and all(matvec(g, d) == d for d in self.cube_basis)
-            self._gamma_powers[power] = g, fixes
-        g, fixes = self._gamma_powers[power]
+        g, fixes = self._gamma_power(power)
         split = self._split(vsub(matvec(g, self.section(key)), matvec(self.frame.log_gamma, shift)))
         if split is None:
             raise InvariantViolation("conjugated section left the existence space")
@@ -472,40 +477,47 @@ def _prime_factors(n: int) -> dict:
 
 
 def minimal_integral_exponent(fan: CellFan, n_mat: Mat) -> int:
-    """Least a >= 1 such that exp(a * N) preserves the frame lattice and
-    restricts to an integral power of gamma.  In lattice coordinates,
-    column j of exp(a N) holds the coordinates of the image of basis
-    vector j, so exp(a N) preserves the lattice iff its entries are
-    integers.  The closed form below makes each term a^i N^i / i!
-    integral, more than needed when terms cancel.  The valid a form a
-    subgroup dZ (an integral exp(a N) is unipotent, so exp(-a N) is
-    integral too, and exp(a N) exp(b N) = exp((a + b) N)), so dividing
-    primes out of the closed form's value while it stays valid gives d."""
+    """Least a >= 1 such that exp(a N) preserves the frame lattice L and
+    restricts to an integral power of gamma.  The e-coordinates of L form
+    a group (1/q)Z holding 1; for x0 in L of e-coordinate 1/q (_e_lift),
+    L = Lambda + Z x0, Lambda the inner lattice, as v - q t x0 is in L and
+    in the inner piece for v in L of e-coordinate t.  If a lam is an
+    integer, lam the pencil level, exp(a N) is gamma^(a lam) on the inner
+    piece, which maps Lambda into Lambda (Frame checks that gamma does),
+    and exp(a N) - 1 maps into the inner piece, as N does.  So exp(a N)
+    preserves L iff exp(a N) x0 - x0 = sum of a^j c_j / j! over 1 <= j <=
+    k is in Lambda, c_j = N^j x0 and k the number of nonzero c_j.  Over
+    Lambda's basis, with D the lcm of the c_j's denominators, a0 = lcm(D
+    k!, den lam) is valid, as a0^j / j! is a multiple of D.  The valid a
+    form a subgroup of Z (an integral exp(a N) is unipotent, so exp(-a N)
+    is integral too, and exp(a N) exp(b N) = exp((a + b) N)), so dividing
+    primes out of a0 while it stays valid gives the least."""
     fr = fan.frame
     lam = _membership(fr, n_mat)[1]
     if lam is None or lam < 0:
         raise PreconditionViolated("operator is not on the nonnegative pencil")
-    into, back = fan._lattice_coords
-    powers = NilpotentPowers(into(mat(n_mat)))
-    need = {}
-    for i in range(1, len(powers)):
-        # N^i / i! = P_i / scale has the denominator scale / gcd(scale, P_i)
-        scale = powers.den**i * factorial(i)
-        den = scale // gcd(scale, *(x for row in powers.ints[i] for x in row))
-        for p, v in _prime_factors(den).items():
-            need[p] = max(need.get(p, 0), -(-v // i))
-    a = lcm(prod(p**v for p, v in need.items()), lam.denominator)
+    x0, coords = fan._e_lift
+    step, terms, v = linear_map(mat(n_mat)), [], x0
+    while not is_zero_vec(v := step(v)):
+        terms.append(coords(v[:fr.rank]))
+    ints, den = _scaled_int_rows(terms)
+    k = len(ints)
+
+    def integral(a):
+        # c_j = ints[j - 1] / D over Lambda: is sum a^j (k! / j!) ints[j - 1] in k! D Z?
+        weights = [a**j * factorial(k) // factorial(j) for j in range(1, k + 1)]
+        return all(sum(w * x for w, x in zip(weights, col)) % (factorial(k) * den) == 0 for col in zip(*ints))
+
+    a = lcm(den * factorial(k), lam.denominator)
     for p in _prime_factors(a):
-        while a % p == 0 and (a // p * lam).denominator == 1 and all(
-                x.denominator == 1 for row in powers.exp(a // p) for x in row):
+        while a % p == 0 and (a // p * lam).denominator == 1 and integral(a // p):
             a //= p
-    ex = powers.exp(a)
-    if any(x.denominator != 1 for row in ex for x in row):
+    if not integral(a):
         raise InvariantViolation("computed exponent is not integral on the lattice")
     power = a * lam
     if power.denominator != 1:
         raise InvariantViolation("computed exponent does not clear the pencil level")
-    if fr.restriction(back(ex)) != matpow(fr.gamma, int(power)):
+    if fan._gamma_power(int(power))[0] != matpow(fr.gamma, int(power)):
         raise InvariantViolation("exponential does not restrict to a gamma power")
     return a
 

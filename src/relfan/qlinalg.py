@@ -173,19 +173,6 @@ def linear_map(a: Mat):
     return apply
 
 
-def sandwich(p: Mat, q: Mat):
-    """m -> p . m . q for square matrices, with p and q cleared once for
-    all calls."""
-    (sp, dp), (sq, dq) = ((_sparse_rows(i), d) for i, d in map(_scaled_int_rows, (p, q)))
-
-    def apply(m: Mat) -> Mat:
-        im, dm = _scaled_int_rows(m)
-        out = _int_product(_sparse_rows(_int_product(sp, _sparse_rows(im), len(im))), sq, len(im))
-        return tuple(_to_fractions(row, dp * dm * dq) for row in out)
-
-    return apply
-
-
 def matvec(a: Mat, v: Vec) -> Vec:
     return linear_map(a)(v)
 

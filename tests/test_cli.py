@@ -599,3 +599,24 @@ def test_report_formats_each_vector_once(tmp_path, capsys, monkeypatch):
     texts = Counter(json.dumps(fmt(v)) for v in seen)
     assert code == 0 and len(rays) == 64
     assert all(texts[json.dumps(r)] == 1 for r in rays)
+
+
+def test_gamma_builds_no_nilpotent_powers_per_ray(tmp_path, capsys, monkeypatch):
+    """The ray exponents read powers of the ray operator off one lattice
+    vector: gamma on jordan3 builds as many NilpotentPowers at window 3
+    as at window 1, though it reports more rays."""
+    from relfan import qlinalg
+
+    calls = []
+    init = qlinalg.NilpotentPowers.__init__
+    monkeypatch.setattr(qlinalg.NilpotentPowers, "__init__", lambda self, n: calls.append(n) or init(self, n))
+    counts, rays = [], []
+    for window in (1, 3):
+        calls.clear()
+        spec = write_spec(tmp_path, f"w{window}.json", fixture="jordan3", window=window)
+        code, report = run_json(capsys, "check", "--spec", spec, "--suite", "gamma")
+        assert code == 0
+        counts.append(len(calls))
+        rays.append(sum(c["name"] == "ray-integral-exponential" for c in report["checks"]))
+    assert rays[0] < rays[1]
+    assert counts[0] == counts[1]

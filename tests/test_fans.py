@@ -1292,24 +1292,25 @@ def wide_frame():
                  hodge={(0, -1): 1, (-1, 0): 1})
 
 
-def test_minimal_exponent_faults_raise_their_checks(ell, monkeypatch):
-    m = ell.frame.pencil(1, (F(1, 2), F(0)))
-    assert minimal_integral_exponent(ell, m) == 2
-    # a wrong exponent: the factors of the series' denominators dropped
-    with monkeypatch.context() as p:
-        p.setattr(fans, "_prime_factors", lambda n: {})
-        with pytest.raises(InvariantViolation, match="computed exponent is not integral on the lattice"):
-            minimal_integral_exponent(ell, m)
+def test_minimal_exponent_faults_raise_their_checks(ell, jd3, monkeypatch):
+    # exp(a N) e - e = (2 a^3 / 3, a^2, a): k = 3 terms and D = 1
+    cubic = jd3.frame.pencil(1, (F(0), F(0), F(1)))
+    assert minimal_integral_exponent(jd3, cubic) == 3
     # gamma = exp(2 M) for M = (1/2) log(gamma) = [[0, 1], [0, 0]], so
     # exp(M) is integral though it is no integral power of gamma
     wide = CellFan(wide_frame())
     half = wide.frame.pencil(F(1, 2), (F(0), F(0)))
     assert minimal_integral_exponent(wide, half) == 2
-    # a wrong exponent: the denominator of the pencil level dropped
+    # a wrong start, 1 for lcm(D k!, den lam): D k! = 6 and den lam = 2
+    # dropped
     with monkeypatch.context() as p:
-        p.setattr(fans, "lcm", lambda a, b: a)
+        p.setattr(fans, "lcm", lambda *xs: 1)
+        with pytest.raises(InvariantViolation, match="computed exponent is not integral on the lattice"):
+            minimal_integral_exponent(jd3, cubic)
         with pytest.raises(InvariantViolation, match="computed exponent does not clear the pencil level"):
             minimal_integral_exponent(wide, half)
+    m = ell.frame.pencil(1, (F(1, 2), F(0)))
+    assert minimal_integral_exponent(ell, m) == 2
     with monkeypatch.context() as p:
         p.setattr(fans, "matpow", lambda a, k: matpow(a, k + 1))
         with pytest.raises(InvariantViolation, match="exponential does not restrict to a gamma power"):
