@@ -504,7 +504,7 @@ def minimal_integral_exponent(fan: CellFan, n_mat: Mat) -> int:
     k = len(ints)
 
     def integral(a):
-        # c_j = ints[j - 1] / D over Lambda: is sum a^j (k! / j!) ints[j - 1] in k! D Z?
+        # c_j = ints[j - 1] / den: is sum a^j (k! / j!) ints[j - 1] in k! den Z?
         weights = [a**j * factorial(k) // factorial(j) for j in range(1, k + 1)]
         return all(sum(w * x for w, x in zip(weights, col)) % (factorial(k) * den) == 0 for col in zip(*ints))
 

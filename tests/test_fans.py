@@ -1226,7 +1226,7 @@ def test_denominator_is_the_order_in_the_quotient(ell, jd3, triple):
 
 # --- integral exponentials ----------------------------------------------
 
-def test_minimal_exponent_against_brute_force(ell, jd3):
+def test_minimal_exponent_against_brute_force(ell, jd3, jd3_mixed):
     cases = [
         (ell, ell.frame.pencil(1, (F(0), F(0)))),
         (ell, ell.frame.pencil(1, (F(1), F(0)))),
@@ -1236,6 +1236,13 @@ def test_minimal_exponent_against_brute_force(ell, jd3):
         (jd3, jd3.frame.pencil(1, (F(0), F(1, 2), F(0)))),
         (jd3, jd3.frame.pencil(F(1, 2), (F(1), F(0), F(0)))),
     ]
+    # every ray of jordan3's windows 0-3 at keys 0, 1/2 and 2/3, over Z^4
+    # and over the mixed lattice
+    for fan in (jd3, jd3_mixed):
+        for key in ((F(0),), (F(1, 2),), (F(2, 3),)):
+            grid = fan.grid(key)
+            rays = {grid.ray(v) for bound in range(4) for v in grid.window_symbols(bound)[0]}
+            cases += [(fan, unflatten(r, fan.frame.dim)) for r in sorted(rays)]
     for fan, m in cases:
         assert minimal_integral_exponent(fan, m) == brute_min_exponent(fan, m)
 
@@ -1328,22 +1335,6 @@ def test_minimal_exponent_where_the_series_terms_cancel(jd3):
     for h, want in (((F(1, 3), 0, 1), 1), ((F(1, 3), 0, F(1, 4)), 4)):
         m = jd3.frame.pencil(1, h)
         assert minimal_integral_exponent(jd3, m) == brute_min_exponent(jd3, m) == want
-
-
-def test_minimal_exponent_on_jordan3_windows_against_brute_force(jd3, jd3_mixed):
-    """Every ray of the windows 0-3 at the keys 0, 1/2 and 2/3, where the
-    exponents alternate 2, 1 at keys 0 and 2/3 and read 1 at key 1/2."""
-    seen = set()
-    for fan in (jd3, jd3_mixed):
-        for key in ((F(0),), (F(1, 2),), (F(2, 3),)):
-            grid = fan.grid(key)
-            for bound in range(4):
-                for v in grid.window_symbols(bound)[0]:
-                    m = unflatten(grid.ray(v), fan.frame.dim)
-                    a = minimal_integral_exponent(fan, m)
-                    assert a == brute_min_exponent(fan, m)
-                    seen.add(a)
-    assert seen == {1, 2}
 
 
 @given(data=st.data())
