@@ -329,7 +329,7 @@ class CellFan:
         return new_key, tuple(ni + s for ni, s in zip(n, steps))
 
     def _gamma_power(self, power: int):
-        """(G, whether G N = N G and G d = d on the cube basis), G = exp(power N), per power."""
+        """(exp(power N), whether it commutes with N and fixes the cube basis), N = log gamma."""
         if power not in self._gamma_powers:
             g, n = self.frame.log_powers.exp(power), self.frame.log_gamma
             fixes = matmul(g, n) == matmul(n, g) and all(matvec(g, d) == d for d in self.cube_basis)
