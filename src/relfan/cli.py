@@ -417,9 +417,9 @@ def _load_operator(path: str, frame: Frame):
 def cmd_rmf(spec: SpecData, operator_path: str) -> dict:
     frame = spec.frame
     n_mat = _load_operator(operator_path, frame)
-    ints, lam = _membership(frame, n_mat)  # check_in_g, once for all three
-    exists = _relative_filtration_exists(frame, n_mat, ints, lam)
-    filt = _relative_filtration(frame, n_mat, ints, lam)
+    rows, lam, _ = _membership(frame, n_mat)  # check_in_g, once for all three
+    exists = _relative_filtration_exists(frame, n_mat, rows, lam)
+    filt = _relative_filtration(frame, n_mat, rows, lam)
     allowed, _, _ = _block_pq(frame, frame.restriction(n_mat), lam)
     witness = {"e_image": frame.e_image(n_mat), "allowed_space": allowed.basis, "member": exists}
     checks = [("existence-criterion-agrees", (filt is not None) == exists, witness)]

@@ -76,6 +76,7 @@ from .qlinalg import (
     ZERO,
     Mat,
     _scaled_int_rows,
+    _to_fractions,
     Subspace,
     Vec,
     ZLattice,
@@ -493,13 +494,15 @@ def minimal_integral_exponent(fan: CellFan, n_mat: Mat) -> int:
     is integral too, and exp(a N) exp(b N) = exp((a + b) N)), so dividing
     primes out of a0 while it stays valid gives the least."""
     fr = fan.frame
-    lam = _membership(fr, n_mat)[1]
+    rows, lam, scale = _membership(fr, n_mat)
     if lam is None or lam < 0:
         raise PreconditionViolated("operator is not on the nonnegative pencil")
     x0, coords = fan._e_lift
-    step, terms, v = linear_map(mat(n_mat)), [], x0
-    while not is_zero_vec(v := step(v)):
-        terms.append(coords(v[:fr.rank]))
+    (v,), dx = _scaled_int_rows([x0])  # N^j x0 is v / (scale^j dx) after j steps
+    terms = []
+    while any(v := [sum(x * v[j] for j, x in row) for row in rows]):
+        dx *= scale
+        terms.append(coords(_to_fractions(v[:fr.rank], dx)))
     ints, den = _scaled_int_rows(terms)
     k = len(ints)
 

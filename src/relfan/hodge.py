@@ -16,14 +16,15 @@ Conventions that everything downstream relies on:
   * the relative filtration of an operator N is either a Filtration or
     None, never an exception, because nonexistence is an answer.
 
-An operator is cleared to integer rows once at the public edge
-(_membership): membership, its pencil level, P membership of n(e) and
-the tilt of e are all read off those rows.  The axiom certificates
-decide on cleared integer rows of their own: N S <= T is one
-sparse product of N with S's rows and T's residuals; a graded piece
-upper / lower is read off one integer echelon whose prefixes are the
-induced levels, with no Subspace eliminated; and N^l is injective on
-Gr_(c+l) iff N^l Gr_(c+l) has rank graded_dim(c + l) modulo level c-l-1.
+An operator is cleared once, in one pass, to sparse integer rows over
+one scale at the public edge (_membership): membership, its pencil
+level, P membership of n(e), the tilt of e and the ray exponent are read
+off those rows.  The axiom certificates decide on the same clear:
+N S <= T is one sparse product of N with S's rows and T's residuals; a
+graded piece upper / lower is read off one integer echelon whose
+prefixes are the induced levels, with no Subspace eliminated; and N^l
+is injective on Gr_(c+l) iff N^l Gr_(c+l) has rank graded_dim(c + l)
+modulo level c-l-1.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .qlinalg import (
     _int_product,
     _kernel_ints,
     _rref_ints,
-    _scaled_int_rows,
+    _sparse_clear,
     _sparse_rows,
     det,
     frac,
@@ -169,10 +170,14 @@ def _weight_filtration(powers: NilpotentPowers, center: int) -> Filtration:
     return Filtration.from_spaces(spaces, amb).shift(-center)
 
 
-def _operator_rows(n_mat: Mat) -> list:
-    """N as the sparse cleared integer rows of N^T: a row r times them
-    is (N r)^T up to a scale that no span, membership or rank sees."""
-    return _sparse_rows(_scaled_int_rows(transpose(n_mat))[0])
+def _operator_rows(rows: list) -> list:
+    """N^T from the sparse cleared rows of N: a row r times them is
+    (N r)^T up to a scale that no span, membership or rank sees."""
+    nt = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            nt[j].append((i, x))
+    return nt
 
 
 def _push(nt: list, rows: list, times: int = 1) -> list:
@@ -262,18 +267,19 @@ def is_relative_weight_filtration(n_mat: Mat, base: Filtration, cand: Filtration
     filtration of the induced operator, centered at the piece's index,
     as decided by _induces_weight.  A base that is not exhaustive leaves
     part of the space in no graded piece, so it raises
-    PreconditionViolated rather than pass a check it never made."""
-    amb = len(n_mat)
-    if base.ambient != amb or cand.ambient != amb:
+    PreconditionViolated rather than pass a check it never made.  The
+    operator is cleared as _membership clears it, with the same errors."""
+    rows, _ = _sparse_clear(n_mat, base.ambient)
+    if cand.ambient != base.ambient:
         raise MixedAmbient("relative filtration check: ambient mismatch")
     if not base.is_exhaustive():
         raise PreconditionViolated("relative filtration check: the base filtration is not exhaustive")
     if not cand.is_exhaustive():
         return False
-    nt = _operator_rows(n_mat)
+    nt = _operator_rows(rows)
     if not all(_maps_into(nt, s, s) for _, s in base.jumps) or not _shifts_by_two(nt, cand):
         return False
-    pieces = zip([Subspace.zero(amb)] + [s for _, s in base.jumps], base.jumps)
+    pieces = zip([Subspace.zero(base.ambient)] + [s for _, s in base.jumps], base.jumps)
     return all(_induces_weight(nt, cand, lower, upper, w) for lower, (w, upper) in pieces)
 
 
@@ -443,34 +449,30 @@ class Frame:
     @cached_property
     def _sparse_gram(self) -> list:
         """The gram's cleared integer rows, sparse, for the isometry test."""
-        return _sparse_rows(_scaled_int_rows(self.gram)[0])
+        return _sparse_clear(self.gram, self.rank)[0]
 
     @cached_property
     def _log_gamma_ints(self) -> tuple:
-        """log(gamma) = L / s cleared: s, and the (i, j, L[i][j]) triples
-        with L[i][j] != 0."""
-        ints, den = _scaled_int_rows(self.log_gamma)
-        return den, tuple((i, j, x) for i, row in enumerate(ints) for j, x in enumerate(row) if x)
+        """log(gamma) = L / s cleared: s, L's support in row order, L there."""
+        rows, den = _sparse_clear(self.log_gamma, self.rank)
+        return den, [(i, j) for i, row in enumerate(rows) for j, _ in row], [x for row in rows for _, x in row]
 
-    def _level(self, ints: list, den: int):
-        """lam with the inner block A / den of cleared rows equal to lam * L
-        / s, else None: A[i][j] L[i0][j0] = A[i0][j0] L[i][j] on the support
-        of L, and A has as many nonzero entries as lam L."""
-        r = self.rank
-        nonzero = r * r - sum(row[:r].count(0) for row in ints[:r])
-        scale, support = self._log_gamma_ints
-        if not support:
-            return None if nonzero else ZERO
-        i0, j0, x0 = support[0]
-        a0 = ints[i0][j0]
-        if nonzero != (len(support) if a0 else 0) or any(ints[i][j] * x0 != a0 * x for i, j, x in support):
+    def _level(self, rows: list, den: int):
+        """lam with the inner block A / den of sparse cleared rows equal to
+        lam * L / s, else None: A and L share a support and are proportional."""
+        block = [((i, j), a) for i, row in enumerate(rows[: self.rank]) for j, a in row if j < self.rank]
+        if not block:
+            return ZERO
+        scale, support, values = self._log_gamma_ints
+        (_, a0), x0 = block[0], values[0] if values else 0
+        if [at for at, _ in block] != support or any(a * x0 != a0 * x for (_, a), x in zip(block, values)):
             return None
         return Fraction(a0 * scale, den * x0)
 
     def block_multiple(self, block: Mat):
         """lam with block, or the inner block of an operator, equal to
         lam * log(gamma), else None."""
-        return self._level(*_scaled_int_rows(block))
+        return self._level(*_sparse_clear(block, self.rank if len(block) == self.rank else self.dim))
 
     restriction_multiple = block_multiple
 
@@ -498,23 +500,25 @@ class Frame:
 
 
 def _membership(frame: Frame, n_mat: Mat) -> tuple:
-    """check_in_g on the operator cleared once; returns its integer rows
-    (over one common scale) and its pencil level.  With g the gram
-    (g^T = s g) and a the inner block, a^T g + g a = s M^T + M for the
-    one product M = g a, so a is an infinitesimal isometry iff
-    M = -s M^T, which the common scale of the entries does not change."""
-    n_mat = mat(n_mat)
-    if len(n_mat) != frame.dim or (n_mat and len(n_mat[0]) != frame.dim):
-        raise MixedAmbient("operator has the wrong ambient size")
-    ints, den = _scaled_int_rows(n_mat)
+    """check_in_g on the operator's one-pass clear; returns its sparse
+    integer rows, its pencil level and their scale.  With g the gram
+    (g^T = s g) and a the inner block, a^T g + g a = s M^T + M for
+    M = g a, so a is an infinitesimal isometry iff M = -s M^T, which the
+    scale does not change; M is formed and compared on its nonzeros."""
+    rows, den = _sparse_clear(n_mat, frame.dim)
     r = frame.rank
-    if any(ints[r]):
+    if rows[r]:
         raise NotInG("operator does not kill the weight zero quotient")
-    m = _int_product(frame._sparse_gram, _sparse_rows(row[:r] for row in ints[:r]), r)
+    m = {}
+    for i, grow in enumerate(frame._sparse_gram):
+        for k, x in grow:
+            for j, y in rows[k]:
+                if j < r:
+                    m[i, j] = m.get((i, j), 0) + x * y
     sign = 1 if frame.weight % 2 else -1  # -s
-    if m != [[sign * x for x in col] for col in zip(*m)]:
+    if any(m.get((j, i), 0) != sign * x for (i, j), x in m.items()):
         raise NotInG("inner block is not an infinitesimal isometry")
-    return ints, frame._level(ints, den)
+    return rows, frame._level(rows, den), den
 
 
 def check_in_g(frame: Frame, n_mat: Mat) -> None:
@@ -536,7 +540,7 @@ def _inner_weight_filtration(frame: Frame, block: Mat, lam) -> Filtration:
     if lam is not None:
         return frame.pencil_weight_filtration if lam else frame._zero_block_filtration
     try:
-        return weight_filtration(block, center=frame.weight)
+        return weight_filtration(mat(block), center=frame.weight)
     except NotNilpotent as exc:
         raise NotNilpotent("inner block is not nilpotent") from exc
 
@@ -559,6 +563,7 @@ def _block_pq(frame: Frame, block: Mat, lam):
     """pq_spaces of an inner block at pencil level lam (None off the pencil)."""
     if lam is not None:
         return frame._pencil_pq if lam else frame._zero_block_pq
+    block = mat(block)
     return _pq_spaces(frame, _inner_weight_filtration(frame, block, lam), block)
 
 
@@ -595,15 +600,19 @@ def relative_filtration(frame: Frame, n_mat: Mat):
     block's columns c_k has the rref of the reduced system, and its
     kernel vector at the last column is the tilted e = (-a, 1) up to scale.
     """
-    return _relative_filtration(frame, n_mat, *_membership(frame, n_mat))
+    return _relative_filtration(frame, n_mat, *_membership(frame, n_mat)[:2])
 
 
-def _relative_filtration(frame: Frame, n_mat: Mat, ints: list, lam):
-    """relative_filtration on the operator's membership step (ints, lam)."""
+def _relative_filtration(frame: Frame, n_mat: Mat, rows: list, lam):
+    """relative_filtration on the membership step; a zero column reduces to 0."""
     r = frame.rank
     wf = _inner_weight_filtration(frame, frame.restriction(n_mat), lam)
     w2 = wf.at(-2)
-    work = [list(row) for row in zip(*map(w2._residual, zip(*ints[:r])))]
+    cols = [[0] * r for _ in range(r + 1)]
+    for i, row in enumerate(rows[:r]):
+        for j, x in row:
+            cols[j][i] = x
+    work = [list(row) for row in zip(*(w2._residual(c) if any(c) else c for c in cols))]
     pivots = _rref_ints(work)
     if r in pivots:
         return None
@@ -617,13 +626,13 @@ def _relative_filtration(frame: Frame, n_mat: Mat, ints: list, lam):
 
 def relative_filtration_exists(frame: Frame, n_mat: Mat) -> bool:
     """Whether n(e) lies in P, read off the operator's cleared e-column."""
-    return _relative_filtration_exists(frame, n_mat, *_membership(frame, n_mat))
+    return _relative_filtration_exists(frame, n_mat, *_membership(frame, n_mat)[:2])
 
 
-def _relative_filtration_exists(frame: Frame, n_mat: Mat, ints: list, lam) -> bool:
-    """relative_filtration_exists on the operator's membership step."""
+def _relative_filtration_exists(frame: Frame, n_mat: Mat, rows: list, lam) -> bool:
+    """relative_filtration_exists on the membership step; e's column is last."""
     p, _, _ = _block_pq(frame, frame.restriction(n_mat), lam)
-    return not any(p._residual([row[frame.rank] for row in ints[:frame.rank]]))
+    return not any(p._residual([row[-1][1] if row and row[-1][0] == frame.rank else 0 for row in rows[: frame.rank]]))
 
 
 # ---------------------------------------------------------------------------

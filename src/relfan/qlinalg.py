@@ -17,13 +17,14 @@ steps combine rows over the nonzero entries only, in the row-by-row
 manner of Gustavson (ACM TOMS 4, 1978), and every zero entry of a
 result is the shared ZERO, as is every zero that matscale and frac
 return, so a clear reads no Fraction attribute for it.  Callers clear
-an operator once at their public edge and pass the integer rows on
-(hodge._membership).  A Subspace holds nothing but the cleared integer
-rows of its rref basis over their least common denominator (Cohen, A
-Course in Computational Algebraic Number Theory, 1993, 2.2), a form
-that is unique, so membership, reduction, sums and meets build no
-Fraction, and its Fraction basis is read off the rows only where an
-answer needs it.
+an operator once at their public edge, in one pass that skips the
+shared ZERO by identity, into sparse integer rows over one scale
+(_sparse_clear), and pass those rows on (hodge._membership).  A Subspace
+holds nothing but the cleared integer rows of its rref basis over their
+least common denominator (Cohen, A Course in Computational Algebraic
+Number Theory, 1993, 2.2), a form that is unique, so membership,
+reduction, sums and meets build no Fraction, and its Fraction basis is
+read off the rows only where an answer needs it.
 
 NilpotentPowers is the one kernel for the powers of a nilpotent
 operator: exp, log, gamma^p, the orbit exponentials and every other
@@ -134,6 +135,23 @@ def _row_ints(rows) -> list:
 def _sparse_rows(ints) -> list:
     """Each integer row as its (column, entry) pairs with entry != 0."""
     return [[(j, x) for j, x in enumerate(row) if x] for row in ints]
+
+
+def _sparse_clear(rows, width: int) -> tuple:
+    """A width x width matrix as sparse integer rows over one positive
+    scale, in one pass: the shared ZERO is skipped by identity, any other
+    entry is coerced as mat coerces it, and zeros are dropped.  Raises
+    mat's errors in mat's order, then MixedAmbient for the wrong size."""
+    out, lengths = [], set()
+    for row in rows:
+        lengths.add(len(row := tuple(row)))
+        out.append([(j, y) for j, x in enumerate(row) if x is not ZERO and (y := frac(x))])
+    if len(lengths) > 1:
+        raise SpecFormatError("ragged matrix")
+    if len(out) != width or lengths - {width}:
+        raise MixedAmbient("operator has the wrong ambient size")
+    den = lcm(*(x.denominator for row in out for _, x in row))
+    return [[(j, x.numerator * (den // x.denominator)) for j, x in row] for row in out], den
 
 
 def _int_product(sparse_a, sparse_b, width: int) -> list:

@@ -113,8 +113,8 @@ def conjugate(fan, power, shift, n_mat):
 def cell_containing(fan, n_mat):
     """Index (key, n) of the cell whose relative interior, or floor
     boundary, holds the operator; None when no cell does."""
-    ints, lam = _membership(fan.frame, n_mat)
-    if not any(map(any, ints)):
+    rows, lam, _ = _membership(fan.frame, n_mat)
+    if not any(rows):
         return fan.zero_key(), (0,) * fan.cube_rank
     at = fan._place(lam, fan.frame.e_image(n_mat))
     if at is None:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import fracs
 from relfan.errors import (
+    MixedAmbient,
     NotInG,
     NotInGroup,
     NotNilpotent,
@@ -644,7 +645,7 @@ def test_membership_step_and_construction_match_the_fraction_paths(name, data):
             with pytest.raises(NotInG, match=want):
                 call(fr, n)
         return
-    ints, lam = hodge._membership(fr, n)
+    lam = hodge._membership(fr, n)[1]
     assert same_multiple(lam, want) and same_multiple(fr.restriction_multiple(n), want)
     try:
         expected = (exists_reference(fr, n), relative_filtration_reference(fr, n))
@@ -658,12 +659,14 @@ def test_membership_step_and_construction_match_the_fraction_paths(name, data):
 
 
 def test_the_operator_rows_are_the_operator_over_one_scale():
+    """The membership step's rows are the operator's nonzero entries, in
+    column order, as integers over the least common denominator."""
     fr = jordan3_frame()
     n = fr.pencil(F(1, 2), (F(1, 3), 0, F(-5, 4)))
-    ints, lam = hodge._membership(fr, n)
-    scale = F(ints[0][1]) / n[0][1]
-    assert lam == F(1, 2) and scale.denominator == 1
-    assert all(F(x) == y * scale for row, nrow in zip(ints, n) for x, y in zip(row, nrow))
+    rows, lam, den = hodge._membership(fr, n)
+    assert lam == F(1, 2) and den == 12
+    assert all(type(x) is int for row in rows for _, x in row)
+    assert [[(j, F(x, den)) for j, x in row] for row in rows] == [[(j, x) for j, x in enumerate(row) if x] for row in n]
 
 
 @pytest.mark.parametrize("name", ORACLE_FRAMES)
@@ -676,8 +679,8 @@ def test_every_zero_of_a_pencil_operator_is_the_shared_zero(name):
 
 
 def full_clears(mocks, n, fr):
-    """How many of the recorded _scaled_int_rows calls cleared n, and how
-    many cleared its inner block."""
+    """How many of the recorded clears took n, and how many its inner
+    block."""
     seen = [tuple(map(tuple, call.args[0])) for m in mocks for call in m.call_args_list]
     return seen.count(n), seen.count(fr.restriction(n))
 
@@ -685,28 +688,108 @@ def full_clears(mocks, n, fr):
 @pytest.mark.parametrize("name", ORACLE_FRAMES)
 def test_each_public_call_clears_its_operator_once(name):
     """check_in_g, relative_filtration_exists and relative_filtration each
-    clear the operator once and never its inner block on the pencil, and
-    the construction runs no Fraction solve and no reduce."""
+    clear the operator once, in one sparse pass, and never its inner
+    block on the pencil; no dense clear takes the operator, and the
+    construction runs no Fraction solve and no reduce."""
     fr = oracle_frame(name)
     h = tuple(F(k % 3 - 1, 1 + k % 2) for k in range(fr.rank))
     ops = [(fr.pencil(lam, h), True) for lam in (0, 1, F(-1, 2), 3)]
     if name == "jordan3":
         ops.append((fr.assemble(LOWER_SHIFT, h), False))
-    clear = qlinalg._scaled_int_rows
+    one_pass, dense = qlinalg._sparse_clear, qlinalg._scaled_int_rows
     for n, on_pencil in ops:
         for call in (check_in_g, relative_filtration_exists, relative_filtration):
             call(fr, n)  # frame caches are built outside the count
-            with mock.patch.object(hodge, "_scaled_int_rows", wraps=clear) as here, \
-                 mock.patch.object(qlinalg, "_scaled_int_rows", wraps=clear) as there, \
+            with mock.patch.object(hodge, "_sparse_clear", wraps=one_pass) as sparse, \
+                 mock.patch.object(qlinalg, "_scaled_int_rows", wraps=dense) as dense_clear, \
                  mock.patch.object(qlinalg, "solve", wraps=qlinalg.solve) as solved, \
                  mock.patch.object(qlinalg, "rref", wraps=qlinalg.rref) as reduced_rows, \
                  mock.patch.object(Subspace, "reduce", autospec=True, side_effect=Subspace.reduce) as reduced:
                 call(fr, n)
-            whole, block = full_clears((here, there), n, fr)
-            assert whole == 1, (call.__name__, whole)
+            whole, block = full_clears((sparse, dense_clear), n, fr)
+            assert whole == sparse.call_count == 1, (call.__name__, whole)
             assert block == 0 or not on_pencil
             if call is relative_filtration:
                 assert solved.call_count == reduced_rows.call_count == reduced.call_count == 0
+
+
+def unshared(rng, n):
+    """n as nested lists with each zero drawn as Fraction(0), 0 or "0",
+    and each nonzero as an int where it is integral, else as "p/q"."""
+    def entry(x):
+        if not x:
+            return rng.choice([F(0), 0, "0"])
+        return rng.choice([int(x), str(x)]) if x.denominator == 1 else str(x)
+    return [[entry(x) for x in row] for row in n]
+
+
+def verdicts(fr, n):
+    """The pencil level, check_in_g, relative_filtration_exists,
+    relative_filtration and the certificate of the filtration and of its
+    shift by 2, each as its value or its error."""
+    def outcome(call):
+        try:
+            return call()
+        except (NotInG, NotNilpotent) as exc:
+            return type(exc), str(exc)
+    filt = outcome(lambda: relative_filtration(fr, n))
+    certify = [filt, filt.shift(2)] if isinstance(filt, Filtration) else []
+    return [outcome(lambda: hodge._membership(fr, n)[1]), outcome(lambda: check_in_g(fr, n)),
+            outcome(lambda: relative_filtration_exists(fr, n)), filt,
+            [is_relative_weight_filtration(n, fr.base_filtration, c) for c in certify]]
+
+
+@given(st.sampled_from(ORACLE_FRAMES), st.data())
+def test_unshared_zeros_and_plain_scalars_read_as_the_shared_zero_operator(name, data):
+    """An operator whose zeros are not the shared ZERO, and whose entries
+    are ints and strings, has the level, membership, existence,
+    filtration and certificates of the same operator in Fractions with
+    every zero shared."""
+    fr = oracle_frame(name)
+    n = tuple(tuple(x or ZERO for x in row) for row in data.draw(rmf_operators(fr)))
+    raw = unshared(data.draw(st.randoms(use_true_random=False)), n)
+    assert not any(x is ZERO for row in raw for x in row)
+    assert verdicts(fr, raw) == verdicts(fr, n)
+
+
+@pytest.mark.parametrize("name", ORACLE_FRAMES)
+def test_ragged_and_wrong_size_operators_keep_their_errors(name):
+    """check_in_g, relative_filtration_exists, relative_filtration and the
+    certificate raise mat's errors in mat's order (a bad scalar before a
+    ragged row), then MixedAmbient for the wrong size, as does the level
+    of a block that is neither the inner block nor the operator."""
+    fr = oracle_frame(name)
+    n = fr.pencil(1, (0,) * fr.rank)
+    ragged = [list(row) for row in n]
+    ragged[0].pop()
+    bad = [row[:] for row in ragged]
+    bad[-1][0] = 0.5
+    small = [row[:-1] for row in n[:-1]]
+    calls = [check_in_g, relative_filtration_exists, relative_filtration,
+             lambda fr, op: is_relative_weight_filtration(op, fr.base_filtration, fr.base_filtration)]
+    for call in calls:
+        with pytest.raises(SpecFormatError, match="ragged matrix"):
+            call(fr, ragged)
+        with pytest.raises(SpecFormatError, match="not an exact scalar"):
+            call(fr, bad)
+        with pytest.raises(MixedAmbient):
+            call(fr, small)
+    with pytest.raises(MixedAmbient):
+        fr.block_multiple(((0,),))
+
+
+def test_the_certificate_clears_its_operator_as_membership_does():
+    """is_relative_weight_filtration coerces string entries as check_in_g
+    does and refuses a ragged operator with mat's error, on jordan3."""
+    fr = jordan3_frame()
+    n = fr.pencil(1, (1, 0, 0))
+    filt = relative_filtration(fr, n)
+    strings = [[str(x) for x in row] for row in n]
+    check_in_g(fr, strings)
+    assert is_relative_weight_filtration(strings, fr.base_filtration, filt)
+    assert not is_relative_weight_filtration(strings, fr.base_filtration, filt.shift(2))
+    with pytest.raises(SpecFormatError, match="ragged matrix"):
+        is_relative_weight_filtration([row[:3] for row in n[:3]] + [n[3]], fr.base_filtration, filt)
 
 
 def test_exhaustive_tilt_search_confirms_absence():
