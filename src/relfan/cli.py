@@ -58,7 +58,7 @@ from .gaussian import Gi, format_gi
 from .grid import first_fan_violation, window_face_table
 from .hodge import (
     Frame,
-    _block_pq,
+    _block_analysis,
     _membership,
     _relative_filtration,
     _relative_filtration_exists,
@@ -409,8 +409,8 @@ def _load_operator(path: str, frame: Frame):
         raise SpecFormatError("e_image length must match the inner rank")
     try:
         lam = frac(data.get("lam", 1))
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise SpecFormatError("operator field 'lam' must be a rational scalar")
+    except SpecFormatError as exc:
+        raise SpecFormatError("operator field 'lam' must be a rational scalar") from exc
     return frame.pencil(lam, image)
 
 
@@ -418,9 +418,9 @@ def cmd_rmf(spec: SpecData, operator_path: str) -> dict:
     frame = spec.frame
     n_mat = _load_operator(operator_path, frame)
     rows, lam, _ = _membership(frame, n_mat)  # check_in_g, once for all three
-    exists = _relative_filtration_exists(frame, n_mat, rows, lam)
-    filt = _relative_filtration(frame, n_mat, rows, lam)
-    allowed, _, _ = _block_pq(frame, frame.restriction(n_mat), lam)
+    wf, allowed, _ = _block_analysis(frame, frame.restriction(n_mat), lam)
+    exists = _relative_filtration_exists(frame, allowed, rows)
+    filt = _relative_filtration(frame, wf, rows)
     witness = {"e_image": frame.e_image(n_mat), "allowed_space": allowed.basis, "member": exists}
     checks = [("existence-criterion-agrees", (filt is not None) == exists, witness)]
     if filt is not None:

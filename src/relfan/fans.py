@@ -127,28 +127,21 @@ class CellFan:
     def ambient(self) -> int:
         return self.frame.dim ** 2
 
-    @cached_property
+    @property
     def inner_lattice(self) -> ZLattice:
-        """The frame lattice sliced to the inner piece, in inner coords."""
-        fr = self.frame
-        rows = [v[: fr.rank] for v in fr.inner_lattice.basis_vectors()]
-        return ZLattice.from_vectors(rows, fr.rank)
+        return self.frame.inner_lattice
 
-    @cached_property
-    def spaces(self):
-        return pq_spaces(self.frame, self.frame.log_gamma)
-
-    @cached_property
+    @property
     def kernel_space(self) -> Subspace:
-        return Subspace.kernel(self.frame.log_gamma)
+        return self.frame.log_powers.kernels[1]
 
     @property
     def p_space(self) -> Subspace:
-        return self.spaces[0]
+        return self.frame.pencil_analysis[1]
 
     @property
     def q_space(self) -> Subspace:
-        return self.spaces[1]
+        return self.frame.pencil_analysis[2]
 
     @cached_property
     def p_lattice(self) -> ZLattice:
@@ -531,11 +524,7 @@ def minimal_integral_exponent(fan: CellFan, n_mat: Mat) -> int:
 
 def image_lattice(fan: CellFan) -> ZLattice:
     """Image of the inner lattice under the distinguished inner block."""
-    fr = fan.frame
-    return ZLattice.from_vectors(
-        [matvec(fr.log_gamma, b) for b in fan.inner_lattice.basis_vectors()],
-        fr.rank,
-    )
+    return fan.inner_lattice.apply(fan.frame.log_gamma)
 
 
 def neron_lattice(fan: CellFan) -> ZLattice:
@@ -547,7 +536,7 @@ def neron_lattice(fan: CellFan) -> ZLattice:
     fr = fan.frame
     u = fr.log_powers.series(lambda i: Fraction(1, factorial(i + 1)))
     pulled = fan.inner_lattice.apply(inverse(u))
-    return pulled.intersect_subspace(Subspace.image(fr.log_gamma))
+    return pulled.intersect_subspace(fr.log_powers.images[1])
 
 
 def check_square_zero_pure(frame: Frame) -> dict:
@@ -638,7 +627,7 @@ def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> li
     def add(name, ok, witness):
         checks.append({"name": name, "ok": ok, "witness": witness})
 
-    _, _, agree = fan.spaces
+    _, _, agree = pq_spaces(fan.frame, fan.frame.log_gamma)
     add("pq-definitions-agree", bool(agree), None)
     try:
         gate = check_square_zero_pure(fan.frame)
@@ -738,7 +727,9 @@ def corrupted_window(fan: CellFan, bound: int, mode: str) -> tuple:
     origin of the zero key's grid (a = 1) refined by 2: the symbol of
     corner 0 at scale 2.  Its vertex at 0 is the window's, and its other
     faces are missing.  At cube rank 0 the one cell is the level ray,
-    which no refinement shrinks, and the window is left whole."""
+    which no refinement shrinks, and the window is left whole.  The order
+    is the honest window's, with the victim replaced (or the dropped
+    faces gone), so no refined symbol is ever sorted."""
     window = fan.window(bound)
     if mode == "drop-faces":
         return tuple(c for c in window if c.dim != 1)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import MixedAmbient, SpecFormatError
-from .qlinalg import Mat, Subspace, Vec, _int_product, _row_ints, _scaled_int_rows, _sparse_rows
+from .qlinalg import ZERO as QZERO, Mat, Subspace, Vec, _int_product, _row_ints, _scaled_int_rows, _sparse_rows
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,12 @@ def unrealify(w) -> tuple:
 
 
 def realify_mat(m) -> Mat:
-    """The rational matrix of v -> m . v in realified coordinates."""
+    """The rational matrix of v -> m . v in realified coordinates, every
+    zero entry the rational layer's shared ZERO."""
     out = []
     for row in gmat(m):
-        out.append(tuple(x for z in row for x in (z.re, -z.im)))
-        out.append(tuple(x for z in row for x in (z.im, z.re)))
+        out.append(tuple(x or QZERO for z in row for x in (z.re, -z.im)))
+        out.append(tuple(x or QZERO for z in row for x in (z.im, z.re)))
     return tuple(out)
 
 

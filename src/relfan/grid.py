@@ -50,7 +50,7 @@ from .qlinalg import (
     _sparse_rows,
     dot,
     primitive,
-    rref,
+    rank,
     vscale,
 )
 
@@ -160,7 +160,7 @@ class ChartGrid:
         # the columns over one common denominator, which no ray sees
         self._columns = _sparse_rows(_scaled_int_rows(columns)[0])
         self.collapsed = self._columns == [[]]
-        if not self.collapsed and len(rref(columns)[1]) < len(columns):
+        if not self.collapsed and rank(columns) < len(columns):
             raise PreconditionViolated("the chart's columns are dependent")
         self._rays = {}  # grid point -> lifted primitive ray
 
@@ -219,9 +219,10 @@ class ChartGrid:
         """The grid points with every coordinate in coords, sorted by
         lifted ray, and the faces sorted by dim, then by the sorted
         positions of their vertices among those points, which compare as
-        the lifted rays do: the order (dim, rays) of the lifted faces.  A
-        collapsed chart lifts every face to the origin, so it keeps ORIGIN
-        alone, and no grid point."""
+        the lifted rays do: the order (dim, rays) of the lifted faces.  It
+        reads vertices as scale 1 grid points, which is valid because
+        every window it sorts is scale 1.  A collapsed chart lifts every
+        face to the origin, so it keeps ORIGIN alone, and no grid point."""
         if self.collapsed:
             return [], [f for f in faces if f == ORIGIN]
         points = sorted(product(coords, repeat=self.rank), key=self.ray)

@@ -16,6 +16,12 @@ Conventions that everything downstream relies on:
   * the relative filtration of an operator N is either a Filtration or
     None, never an exception, because nonexistence is an answer.
 
+An inner nilpotent block is analysed once (_analysis): its weight
+filtration W, P = im N + W_-2 and Q = ker N meet W_-2 are read off one
+set of kernels and images of its powers, which NilpotentPowers holds.
+The frame keeps the analysis of log(gamma), which serves every nonzero
+pencil level, and that of the zero block, pencil level 0.
+
 An operator is cleared once, in one pass, to sparse integer rows over
 one scale at the public edge (_membership): membership, its pencil
 level, P membership of n(e), the tilt of e and the ray exponent are read
@@ -152,9 +158,7 @@ def weight_filtration(n_mat: Mat, center: int = 0) -> Filtration:
 def _weight_filtration(powers: NilpotentPowers, center: int) -> Filtration:
     """weight_filtration of the operator whose powers are given."""
     d, amb = len(powers), powers.size
-    # kernels and images do not see the scale of the integer powers
-    kers = [Subspace.kernel(p) for p in powers.ints] + [Subspace.full(amb)]
-    ims = [Subspace.image(p) for p in powers.ints]
+    kers, ims = powers.kernels, powers.images
 
     def level(k):
         out = Subspace.zero(amb)
@@ -363,9 +367,8 @@ class Frame:
             raise NotInGroup("frame: gamma does not preserve the pairing")
         self.log_gamma = log_unipotent(self.gamma)  # raises NotUnipotent when it is not
         inner = self.inner_lattice
-        for b in inner.basis_vectors():
-            if not inner.contains(matvec(self.gamma, b[:r]) + (ZERO,)):
-                raise NotInGroup("frame: gamma does not preserve the inner lattice")
+        if not all(inner.contains(matvec(self.gamma, b)) for b in inner.basis_vectors()):
+            raise NotInGroup("frame: gamma does not preserve the inner lattice")
         self.hodge = _as_type_counts(self.hodge, "hodge numbers")
         if sum(m for _, _, m in self.hodge) != r:
             raise SpecFormatError("frame: hodge multiplicities must sum to the rank")
@@ -404,7 +407,11 @@ class Frame:
 
     @cached_property
     def inner_lattice(self) -> ZLattice:
-        return self.lattice.intersect_subspace(self.inner_space)
+        """The lattice sliced to the inner piece, in inner coordinates.  e's
+        coordinate is zero on the meet, so dropping it keeps the Hermite
+        basis canonical."""
+        meet = self.lattice.intersect_subspace(self.inner_space)
+        return ZLattice(self.rank, tuple(row[: self.rank] for row in meet.rows), meet.denom)
 
     @cached_property
     def log_powers(self) -> NilpotentPowers:
@@ -412,10 +419,20 @@ class Frame:
         return NilpotentPowers(self.log_gamma)
 
     @cached_property
+    def pencil_analysis(self) -> tuple:
+        """_analysis of log(gamma).  lam N has the kernel, image and weight
+        filtration of N for every lam != 0, so this serves the pencil."""
+        return _analysis(self.log_powers, self.weight)
+
+    @cached_property
+    def zero_analysis(self) -> tuple:
+        """_analysis of the zero inner block, the one at pencil level 0."""
+        return _analysis(NilpotentPowers(zeros(self.rank, self.rank)), self.weight)
+
+    @property
     def pencil_weight_filtration(self) -> Filtration:
-        """W(log gamma) centered at the frame weight.  W(lam N) = W(N) for
-        every lam != 0, so this one copy serves the whole pencil."""
-        return _weight_filtration(self.log_powers, self.weight)
+        """W(log gamma) centered at the frame weight."""
+        return self.pencil_analysis[0]
 
     @cached_property
     def base_filtration(self) -> Filtration:
@@ -477,26 +494,9 @@ class Frame:
     restriction_multiple = block_multiple
 
     @cached_property
-    def _pencil_pq(self) -> tuple:
-        """pq_spaces of log(gamma), which serves every lam * log(gamma) with
-        lam != 0: such a multiple has the same image, kernel and weight
-        filtration."""
-        return _pq_spaces(self, self.pencil_weight_filtration, self.log_gamma)
-
-    @cached_property
     def _period_forms(self) -> dict:
         """Memo of the classifying layer's realified forms, by weight and twist."""
         return {}
-
-    @cached_property
-    def _zero_block_filtration(self) -> Filtration:
-        """W of the zero inner block centered at the frame weight: one jump."""
-        return Filtration(self.rank, ((self.weight, Subspace.full(self.rank)),))
-
-    @cached_property
-    def _zero_block_pq(self) -> tuple:
-        """pq_spaces of the zero inner block, the one at pencil level 0."""
-        return _pq_spaces(self, self._zero_block_filtration, zeros(self.rank, self.rank))
 
 
 def _membership(frame: Frame, n_mat: Mat) -> tuple:
@@ -532,58 +532,42 @@ def check_in_g(frame: Frame, n_mat: Mat) -> None:
 # the relative construction
 
 
-def _inner_weight_filtration(frame: Frame, block: Mat, lam) -> Filtration:
-    """Weight filtration of a nilpotent inner block at pencil level lam
-    (None off the pencil) centered at the frame weight: the frame's
-    cached copy for lam != 0 and for the zero block (lam = 0), and
-    computed directly for every other block."""
+def _analysis(powers: NilpotentPowers, weight: int) -> tuple:
+    """(W, P, Q) of an inner nilpotent block with the given powers: W its
+    weight filtration centered at the frame weight, P = im N + W_-2 and
+    Q = ker N meet W_-2 (Steenbrink-Zucker, Variation of mixed Hodge
+    structure I, 1985), all read off the powers' one set of kernels and
+    images.  Raises InvariantViolation when the two published
+    descriptions of P and Q disagree."""
+    wf = _weight_filtration(powers, weight)
+    w2, ker, img = wf.at(-2), powers.kernels[1], powers.images[1]
+    p, q = img.add(w2), ker.intersect(w2)
+    # at weight -1 the theory also states P and Q with the level term
+    # dropped resp. replaced by the image; below it ker N lies in W_-2
+    agree = (p == img and q == ker.intersect(img)) if weight == -1 else q == ker
+    if not agree:
+        raise InvariantViolation("the two descriptions of P, Q disagree")
+    return wf, p, q
+
+
+def _block_analysis(frame: Frame, block: Mat, lam) -> tuple:
+    """_analysis of an inner block at pencil level lam (None off the
+    pencil): the frame's copy on the pencil, computed for any other block."""
     if lam is not None:
-        return frame.pencil_weight_filtration if lam else frame._zero_block_filtration
+        return frame.pencil_analysis if lam else frame.zero_analysis
     try:
-        return weight_filtration(mat(block), center=frame.weight)
+        return _analysis(NilpotentPowers(mat(block)), frame.weight)
     except NotNilpotent as exc:
         raise NotNilpotent("inner block is not nilpotent") from exc
 
 
 def pq_spaces(frame: Frame, inner_op: Mat):
     """The existence space P and the torus direction space Q of an inner
-    nilpotent block, and whether the two published descriptions of them
-    agree (they must; the flag is carried into reports as evidence, not
-    as a branch).
-
-    P = image + level(-2) of the weight filtration centered at the frame
-    weight; Q = kernel meet level(-2).  A nonzero multiple of log(gamma)
-    reads the frame's cached copy, since lam * N and N have the same
-    image, kernel and weight filtration.
-    """
-    return _block_pq(frame, inner_op, frame.block_multiple(inner_op))
-
-
-def _block_pq(frame: Frame, block: Mat, lam):
-    """pq_spaces of an inner block at pencil level lam (None off the pencil)."""
-    if lam is not None:
-        return frame._pencil_pq if lam else frame._zero_block_pq
-    block = mat(block)
-    return _pq_spaces(frame, _inner_weight_filtration(frame, block, lam), block)
-
-
-def _pq_spaces(frame: Frame, wf: Filtration, inner_op: Mat):
-    """pq_spaces of inner_op, whose weight filtration is wf."""
-    w2 = wf.at(-2)
-    img = Subspace.image(inner_op)
-    ker = Subspace.kernel(inner_op)
-    p = img.add(w2)
-    q = ker.intersect(w2)
-    if frame.weight == -1:
-        # the weight -1 chapter of the theory states P and Q with the
-        # level term dropped resp. replaced by the image; both must match
-        agree = (p == img) and (q == ker.intersect(img))
-    else:
-        # below weight -1 the kernel sits entirely inside level(-2)
-        agree = q == ker
-    if not agree:
-        raise InvariantViolation("the two descriptions of P, Q disagree")
-    return p, q, agree
+    nilpotent block, read off its _analysis, and whether the two published
+    descriptions of them agree: they must, so the flag is True or the
+    analysis raises, and it is carried into reports as evidence."""
+    _, p, q = _block_analysis(frame, inner_op, frame.block_multiple(inner_op))
+    return p, q, True
 
 
 def relative_filtration(frame: Frame, n_mat: Mat):
@@ -600,13 +584,14 @@ def relative_filtration(frame: Frame, n_mat: Mat):
     block's columns c_k has the rref of the reduced system, and its
     kernel vector at the last column is the tilted e = (-a, 1) up to scale.
     """
-    return _relative_filtration(frame, n_mat, *_membership(frame, n_mat)[:2])
+    rows, lam, _ = _membership(frame, n_mat)
+    return _relative_filtration(frame, _block_analysis(frame, frame.restriction(n_mat), lam)[0], rows)
 
 
-def _relative_filtration(frame: Frame, n_mat: Mat, rows: list, lam):
-    """relative_filtration on the membership step; a zero column reduces to 0."""
+def _relative_filtration(frame: Frame, wf: Filtration, rows: list):
+    """relative_filtration of the cleared rows whose inner block has
+    weight filtration wf; a zero column reduces to 0."""
     r = frame.rank
-    wf = _inner_weight_filtration(frame, frame.restriction(n_mat), lam)
     w2 = wf.at(-2)
     cols = [[0] * r for _ in range(r + 1)]
     for i, row in enumerate(rows[:r]):
@@ -626,12 +611,12 @@ def _relative_filtration(frame: Frame, n_mat: Mat, rows: list, lam):
 
 def relative_filtration_exists(frame: Frame, n_mat: Mat) -> bool:
     """Whether n(e) lies in P, read off the operator's cleared e-column."""
-    return _relative_filtration_exists(frame, n_mat, *_membership(frame, n_mat)[:2])
+    rows, lam, _ = _membership(frame, n_mat)
+    return _relative_filtration_exists(frame, _block_analysis(frame, frame.restriction(n_mat), lam)[1], rows)
 
 
-def _relative_filtration_exists(frame: Frame, n_mat: Mat, rows: list, lam) -> bool:
-    """relative_filtration_exists on the membership step; e's column is last."""
-    p, _, _ = _block_pq(frame, frame.restriction(n_mat), lam)
+def _relative_filtration_exists(frame: Frame, p: Subspace, rows: list) -> bool:
+    """Whether the cleared rows' e-column, the last, lies in P."""
     return not any(p._residual([row[-1][1] if row and row[-1][0] == frame.rank else 0 for row in rows[: frame.rank]]))
 
 

@@ -28,7 +28,9 @@ read off the rows only where an answer needs it.
 
 NilpotentPowers is the one kernel for the powers of a nilpotent
 operator: exp, log, gamma^p, the orbit exponentials and every other
-series in it are read off its integer powers, with one Fraction pass.
+series in it are read off its integer powers, with one Fraction pass,
+and the kernels and images of the powers, from which hodge reads a
+block's weight filtration, P and Q, are eliminated once, on demand.
 
 The integer side is hand rolled around one Hermite transform: the
 Hermite form of [m | I] gives the canonical basis of every lattice,
@@ -283,7 +285,7 @@ def rref(m: Mat):
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_rref_ints(_row_ints(m)))
 
 
 def solve(a: Mat, b: Vec):
@@ -723,6 +725,16 @@ class NilpotentPowers:
 
     def __len__(self) -> int:
         return len(self.ints)
+
+    @cached_property
+    def kernels(self) -> list:
+        """ker N^i for i <= len(self): everything at the length."""
+        return [Subspace.kernel(p) for p in self.ints] + [Subspace.full(self.size)]
+
+    @cached_property
+    def images(self) -> list:
+        """im N^i for i <= len(self): zero at the length."""
+        return [Subspace.image(p) for p in self.ints] + [Subspace.zero(self.size)]
 
     def series(self, coeff) -> Mat:
         """sum of coeff(i) N^i over i < len(self), on the integer powers

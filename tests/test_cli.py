@@ -20,6 +20,7 @@ from relfan.cli import _build_window, load_spec, main, to_jsonable
 from relfan.cones import Cone, check_fan
 from relfan.fixtures import elliptic_frame, jordan3_frame
 from relfan.hodge import frame_to_json
+from test_frozen_reports import JORDAN3_OFF_PENCIL
 
 
 def write_spec(tmp_path, name="spec.json", **fields):
@@ -498,6 +499,40 @@ def test_rmf_wrong_size_matrix_exits_2(tmp_path, capsys, matrix):
     code, _, err = run(capsys, "rmf", "--spec", spec, "--n-data", op)
     assert code == 2
     assert "3 x 3" in err
+
+
+@pytest.mark.parametrize("lam", ["1/0", True, 1.5])
+def test_rmf_bad_lam_exits_2_naming_the_field(tmp_path, capsys, lam):
+    spec = write_spec(tmp_path, fixture="elliptic")
+    op = write_operator(tmp_path, "n.json", e_image=["1", "0"], lam=lam)
+    code, _, err = run(capsys, "rmf", "--spec", spec, "--n-data", op)
+    assert code == 2
+    assert "operator field 'lam' must be a rational scalar" in err
+
+
+def test_rmf_off_the_pencil_analyses_its_block_once(tmp_path, capsys, monkeypatch):
+    """Existence, the allowed space and the construction read one
+    analysis of the inner block: one weight filtration, one
+    NilpotentPowers besides the frame's log(gamma), and one kernel and one
+    image per power of the block (its nilpotency index is 3)."""
+    from relfan import hodge, qlinalg
+    from relfan.qlinalg import Subspace
+
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    monkeypatch.setattr(hodge, "_weight_filtration", counted("weight", hodge._weight_filtration))
+    monkeypatch.setattr(qlinalg.NilpotentPowers, "__init__", counted("powers", qlinalg.NilpotentPowers.__init__))
+    for name in ("kernel", "image"):
+        fn = getattr(Subspace, name).__func__
+        monkeypatch.setattr(Subspace, name, classmethod(counted(name, fn)))
+    spec = write_spec(tmp_path, fixture="jordan3")
+    op = write_operator(tmp_path, "off.json", matrix=JORDAN3_OFF_PENCIL)
+    code, report = run_json(capsys, "rmf", "--spec", spec, "--n-data", op)
+    assert code == 0 and report["existence"]["exists"] is True
+    assert calls == {"weight": 1, "powers": 2, "kernel": 3, "image": 3}
 
 
 # --- gallery entry ---

@@ -416,7 +416,7 @@ def test_pencil_cache_matches_the_direct_computation(name, monkeypatch):
         return out
 
     cached = results()
-    assert "pencil_weight_filtration" in vars(fr)
+    assert "pencil_analysis" in vars(fr)
     with monkeypatch.context() as m:
         m.setattr(Frame, "_level", lambda self, ints, den: None)
         assert results() == cached
@@ -435,13 +435,13 @@ def test_off_pencil_blocks_take_the_direct_path_zero_blocks_none(monkeypatch):
     pq_spaces(fr, off_pencil)
     pq_spaces(fr, zeros(3, 3))
     relative_filtration(fr, fr.pencil(0, (0, 1, 0)))
-    # the zero block's filtration is written down, not computed
-    assert [p.ints for p in calls] == [NilpotentPowers(off_pencil).ints]
-    assert "pencil_weight_filtration" not in vars(fr)
+    # the zero block's filtration is computed once, on the general path, and cached
+    assert [p.ints for p in calls] == [NilpotentPowers(off_pencil).ints, NilpotentPowers(zeros(3, 3)).ints]
+    assert "zero_analysis" in vars(fr) and "pencil_analysis" not in vars(fr)
     pq_spaces(fr, matscale(2, n))
     relative_filtration(fr, fr.pencil(-3, (0, 1, 0)))
     # the cache, built once, on the frame's own powers of log(gamma)
-    assert len(calls) == 2 and calls[1] is fr.log_powers
+    assert len(calls) == 3 and calls[2] is fr.log_powers
     # a non-nilpotent block off the pencil is refused, not served from the cache
     ell = elliptic_frame()
     with pytest.raises(NotNilpotent):
@@ -453,7 +453,8 @@ def test_zero_block_filtration_is_one_jump_at_the_weight(name):
     fr = oracle_frame(name)
     block = zeros(fr.rank, fr.rank)
     direct = weight_filtration(block, center=fr.weight)
-    assert hodge._inner_weight_filtration(fr, block, fr.block_multiple(block)) == direct
+    analysis = hodge._block_analysis(fr, block, fr.block_multiple(block))
+    assert analysis is fr.zero_analysis and analysis[0] == direct
     assert direct.jump_indices == (fr.weight,)
 
 
@@ -469,7 +470,8 @@ def test_relative_axioms_read_no_pencil_cache(monkeypatch):
     def forbidden(self):
         raise AssertionError("the certificate read a pencil cache")
 
-    monkeypatch.setattr(Frame, "_pencil_pq", property(forbidden))
+    monkeypatch.setattr(Frame, "pencil_analysis", property(forbidden))
+    monkeypatch.setattr(Frame, "zero_analysis", property(forbidden))
     monkeypatch.setattr(Frame, "pencil_weight_filtration", property(forbidden))
     with pytest.raises(AssertionError):
         pq_spaces(fr, matscale(2, fr.log_gamma))
@@ -1206,9 +1208,67 @@ def test_zero_block_pq_is_cached_and_read_on_the_zero_pencil(name):
     cache, and lam = 0 operators read it without computing them again."""
     fr = oracle_frame(name)
     zero = zeros(fr.rank, fr.rank)
-    assert fr._zero_block_pq == hodge._pq_spaces(fr, fr._zero_block_filtration, zero)
+    assert fr.zero_analysis == hodge._analysis(NilpotentPowers(zero), fr.weight)
     n = fr.pencil(0, tuple(F(k % 3 - 1) for k in range(fr.rank)))
     want = (pq_spaces(fr, zero), relative_filtration_exists(fr, n))
-    with mock.patch.object(hodge, "_pq_spaces", side_effect=AssertionError("recomputed")):
+    with mock.patch.object(hodge, "_analysis", side_effect=AssertionError("recomputed")):
         assert (pq_spaces(fr, zero), relative_filtration_exists(fr, n)) == want
-    assert want[0] is fr._zero_block_pq
+    assert want[0][:2] == fr.zero_analysis[1:] and want[0][0] is fr.zero_analysis[1]
+
+
+# --- one analysis per block, against the dense Fraction formula --------------
+
+
+def analysis_reference(fr, block):
+    """(W, P, Q) of an inner block on its Fraction powers, each kernel and
+    image eliminated afresh: W by the closed formula centered at the frame
+    weight, then P = im N + W_(-2) and Q = ker N meet W_(-2), which must
+    match the other published description."""
+    r = fr.rank
+    d = next(i for i in range(1, r + 1) if is_zero_mat(matpow(block, i)))
+    kers = [Subspace.kernel(matpow(block, i)) for i in range(d + 1)]
+    ims = [Subspace.image(matpow(block, j)) for j in range(d)]
+    spaces = {d: Subspace.full(r)}
+    for k in range(-d, d):
+        level = Subspace.zero(r)
+        for j in range(max(0, -k), d):
+            if k + j + 1 > 0:
+                level = level.add(kers[min(k + j + 1, d)].intersect(ims[j]))
+        spaces[k] = level
+    wf = Filtration.from_spaces(spaces, r).shift(-fr.weight)
+    w2, img, ker = wf.at(-2), Subspace.image(block), Subspace.kernel(block)
+    p, q = img.add(w2), ker.intersect(w2)
+    assert (p == img and q == ker.intersect(img)) if fr.weight == -1 else q == ker
+    return wf, p, q
+
+
+@st.composite
+def nilpotent_blocks(draw, fr):
+    """lam log(gamma) on the pencil, or moved off it by conjugation with
+    the Cayley transform (1 - X)^-1 (1 + X) of a drawn block X, an
+    isometry when X lies in G (inner_blocks may move it out), and on
+    jordan3 a multiple of LOWER_SHIFT."""
+    lam = draw(st.sampled_from([0, 1, -1, F(1, 2), 3]))
+    block = matscale(lam, fr.log_gamma)
+    kind = draw(st.sampled_from(["pencil", "conjugate", "shift"]))
+    if kind == "shift" and fr.rank == 3 and fr.weight == -2:
+        return matscale(draw(fracs().filter(bool)), LOWER_SHIFT)
+    if kind == "conjugate":
+        x = draw(inner_blocks(fr))
+        one = identity(fr.rank)
+        left = inverse(tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(one, x)))
+        assume(left is not None)
+        g = matmul(left, tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(one, x)))
+        back = inverse(g)
+        assume(back is not None)
+        block = matmul(matmul(g, block), back)
+    return block
+
+
+@given(st.sampled_from(ORACLE_FRAMES), st.data())
+def test_block_analysis_matches_the_dense_formula(name, data):
+    fr = oracle_frame(name)
+    block = data.draw(nilpotent_blocks(fr))
+    want = analysis_reference(fr, block)
+    assert hodge._block_analysis(fr, block, fr.block_multiple(block)) == want
+    assert pq_spaces(fr, block) == (*want[1:], True)

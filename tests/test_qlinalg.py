@@ -37,6 +37,7 @@ from relfan.qlinalg import (
     log_unipotent,
     mat,
     matmul,
+    matpow,
     matscale,
     matvec,
     primitive,
@@ -242,6 +243,12 @@ def test_rref_zeros_are_shared(data, n):
     assert all(x is ZERO for row in r for x in row if x == 0)
 
 
+@given(st.data(), st.integers(1, 5))
+def test_rank_counts_the_rref_pivots(data, n):
+    m = matrices(data, data.draw(st.integers(0, 4)), n)
+    assert rank(m) == len(dense_rref(m)) == len(rref(m)[1])
+
+
 @given(st.data(), st.integers(1, 6))
 def test_subspace_reduce_and_contains_match_the_dense_reference(data, n):
     space = Subspace.span(data.draw(st.lists(st.lists(fracs(), min_size=n, max_size=n), max_size=n)), n)
@@ -368,7 +375,7 @@ def test_embedded_spaces_reuse_the_cleared_rows(frame):
     fr = frame()
     pad = lambda s: Subspace.span([v + (ZERO,) for v in s.basis], s.ambient + 1)
     assert fr.inner_space == pad(Subspace.full(fr.rank)) == Subspace.span(map(fr.embed_inner, identity(fr.rank)), fr.dim)
-    for filt in (fr.pencil_weight_filtration, fr._zero_block_filtration):
+    for filt in (fr.pencil_weight_filtration, fr.zero_analysis[0]):
         levels = filt._embedded_levels
         assert set(levels) == set(filt.jump_indices) | {0}
         for j, space in levels.items():
@@ -630,6 +637,24 @@ def check_kernel(n, coeffs):
 @given(strict_upper(), st.lists(fracs(), min_size=1, max_size=6))
 def test_nilpotent_powers_match_dense_reference(n, coeffs):
     check_kernel(n, coeffs)
+
+
+@given(strict_upper(), st.data())
+def test_power_kernels_and_images_match_the_matrix_powers(n, data):
+    """kernels[i] and images[i] are Subspace.kernel and Subspace.image of
+    matpow(m, i) for every i up to the length, where they are everything
+    and zero, for m = L n L^-1 with L unit lower triangular, so m fills
+    both triangles; each list is eliminated once."""
+    k = len(n)
+    low = data.draw(st.lists(int_fracs(-2, 2), min_size=k * k, max_size=k * k))
+    l = mat([[1 if i == j else low[i * k + j] if j < i else 0 for j in range(k)] for i in range(k)])
+    m = matmul(matmul(l, n), inverse(l))
+    powers = NilpotentPowers(m)
+    assert len(powers.kernels) == len(powers.images) == len(powers) + 1
+    for i in range(len(powers) + 1):
+        assert powers.kernels[i] == Subspace.kernel(matpow(m, i))
+        assert powers.images[i] == Subspace.image(matpow(m, i))
+    assert powers.kernels is powers.kernels and powers.images is powers.images
 
 
 @given(strict_upper())
