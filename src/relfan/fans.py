@@ -620,7 +620,11 @@ def _misaligned_cube(change, cells: ChartGrid, bound: int):
 
 def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> list:
     """Containments and coincidences between the comparison fans and the
-    cell fan, reported as data rather than enforced."""
+    cell fan, reported as data rather than enforced.  The first check,
+    pq-definitions-agree, echoes an invariant rather than deciding one:
+    it passes whenever a report is written, since hodge._analysis raises
+    InvariantViolation (exit 3) if the two descriptions of P and Q
+    disagree."""
     cube_bound = bound if cube_bound is None else cube_bound
     checks = []
 

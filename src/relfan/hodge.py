@@ -25,7 +25,12 @@ pencil level, and that of the zero block, pencil level 0.
 An operator is cleared once, in one pass, to sparse integer rows over
 one scale at the public edge (_membership): membership, its pencil
 level, P membership of n(e), the tilt of e and the ray exponent are read
-off those rows.  The axiom certificates decide on the same clear:
+off those rows.  The frame keeps the last operator that passed in a
+one-slot memo, so check_in_g, existence and the construction on one
+operator clear it once between them.  Only an operator that cannot
+change is kept, a tuple of tuples, and the rows are tuples; like the
+frame's other caches, the slot assumes one thread per frame.  The axiom
+certificate clears its operator itself, and decides on that clear:
 N S <= T is one sparse product of N with S's rows and T's residuals; a
 graded piece upper / lower is read off one integer echelon whose
 prefixes are the induced levels, with no Subspace eliminated; and N^l
@@ -174,7 +179,7 @@ def _weight_filtration(powers: NilpotentPowers, center: int) -> Filtration:
     return Filtration.from_spaces(spaces, amb).shift(-center)
 
 
-def _operator_rows(rows: list) -> list:
+def _operator_rows(rows: tuple) -> list:
     """N^T from the sparse cleared rows of N: a row r times them is
     (N r)^T up to a scale that no span, membership or rank sees."""
     nt = [[] for _ in rows]
@@ -395,12 +400,6 @@ class Frame:
     def e_vector(self) -> Vec:
         return zero_vec(self.rank) + (ONE,)
 
-    def embed_inner(self, v: Vec) -> Vec:
-        v = vec(v)
-        if len(v) != self.rank:
-            raise MixedAmbient("embed_inner: wrong length")
-        return v + (ZERO,)
-
     @cached_property
     def inner_space(self) -> Subspace:
         return Subspace(self.dim, Subspace.full(self.rank)._cleared)
@@ -474,7 +473,7 @@ class Frame:
         rows, den = _sparse_clear(self.log_gamma, self.rank)
         return den, [(i, j) for i, row in enumerate(rows) for j, _ in row], [x for row in rows for _, x in row]
 
-    def _level(self, rows: list, den: int):
+    def _level(self, rows: tuple, den: int):
         """lam with the inner block A / den of sparse cleared rows equal to
         lam * L / s, else None: A and L share a support and are proportional."""
         block = [((i, j), a) for i, row in enumerate(rows[: self.rank]) for j, a in row if j < self.rank]
@@ -498,13 +497,31 @@ class Frame:
         """Memo of the classifying layer's realified forms, by weight and twist."""
         return {}
 
+    @cached_property
+    def _last_member(self) -> tuple:
+        """One-slot memo of _membership: the last operator that passed it
+        and its result, replaced on the next pass.  A fresh object, which
+        no caller holds, stands in before the first."""
+        return object(), None
+
 
 def _membership(frame: Frame, n_mat: Mat) -> tuple:
     """check_in_g on the operator's one-pass clear; returns its sparse
     integer rows, its pencil level and their scale.  With g the gram
     (g^T = s g) and a the inner block, a^T g + g a = s M^T + M for
     M = g a, so a is an infinitesimal isometry iff M = -s M^T, which the
-    scale does not change; M is formed and compared on its nonzeros."""
+    scale does not change; M is formed and compared on its nonzeros.
+
+    The frame keeps the last operator that passed, when it is a tuple of
+    tuples and so cannot change, and a later call on that same object
+    returns its result with no clear: the public rmf calls on one
+    operator then clear it once between them.  The rows are tuples, so no
+    consumer can change the shared result.  An operator that fails is
+    never kept, nor one in lists; like the frame's other caches, the slot
+    assumes one thread per frame."""
+    last, out = frame._last_member
+    if last is n_mat:
+        return out
     rows, den = _sparse_clear(n_mat, frame.dim)
     r = frame.rank
     if rows[r]:
@@ -518,7 +535,10 @@ def _membership(frame: Frame, n_mat: Mat) -> tuple:
     sign = 1 if frame.weight % 2 else -1  # -s
     if any(m.get((j, i), 0) != sign * x for (i, j), x in m.items()):
         raise NotInG("inner block is not an infinitesimal isometry")
-    return rows, frame._level(rows, den), den
+    out = rows, frame._level(rows, den), den
+    if type(n_mat) is tuple and all(type(row) is tuple for row in n_mat):
+        frame._last_member = n_mat, out
+    return out
 
 
 def check_in_g(frame: Frame, n_mat: Mat) -> None:
@@ -564,8 +584,10 @@ def _block_analysis(frame: Frame, block: Mat, lam) -> tuple:
 def pq_spaces(frame: Frame, inner_op: Mat):
     """The existence space P and the torus direction space Q of an inner
     nilpotent block, read off its _analysis, and whether the two published
-    descriptions of them agree: they must, so the flag is True or the
-    analysis raises, and it is carried into reports as evidence."""
+    descriptions of them agree.  The flag echoes an invariant: it is True
+    whenever this returns, because _analysis raises InvariantViolation
+    when the descriptions disagree, so a report that carries it
+    (pq-definitions-agree) passes or is not written, and the run exits 3."""
     _, p, q = _block_analysis(frame, inner_op, frame.block_multiple(inner_op))
     return p, q, True
 
@@ -588,7 +610,7 @@ def relative_filtration(frame: Frame, n_mat: Mat):
     return _relative_filtration(frame, _block_analysis(frame, frame.restriction(n_mat), lam)[0], rows)
 
 
-def _relative_filtration(frame: Frame, wf: Filtration, rows: list):
+def _relative_filtration(frame: Frame, wf: Filtration, rows: tuple):
     """relative_filtration of the cleared rows whose inner block has
     weight filtration wf; a zero column reduces to 0."""
     r = frame.rank
@@ -615,7 +637,7 @@ def relative_filtration_exists(frame: Frame, n_mat: Mat) -> bool:
     return _relative_filtration_exists(frame, _block_analysis(frame, frame.restriction(n_mat), lam)[1], rows)
 
 
-def _relative_filtration_exists(frame: Frame, p: Subspace, rows: list) -> bool:
+def _relative_filtration_exists(frame: Frame, p: Subspace, rows: tuple) -> bool:
     """Whether the cleared rows' e-column, the last, lies in P."""
     return not any(p._residual([row[-1][1] if row and row[-1][0] == frame.rank else 0 for row in rows[: frame.rank]]))
 

@@ -18,13 +18,15 @@ manner of Gustavson (ACM TOMS 4, 1978), and every zero entry of a
 result is the shared ZERO, as is every zero that matscale and frac
 return, so a clear reads no Fraction attribute for it.  Callers clear
 an operator once at their public edge, in one pass that skips the
-shared ZERO by identity, into sparse integer rows over one scale
-(_sparse_clear), and pass those rows on (hodge._membership).  A Subspace
-holds nothing but the cleared integer rows of its rref basis over their
-least common denominator (Cohen, A Course in Computational Algebraic
-Number Theory, 1993, 2.2), a form that is unique, so membership,
-reduction, sums and meets build no Fraction, and its Fraction basis is
-read off the rows only where an answer needs it.
+shared ZERO by identity, into sparse integer tuple rows over one scale
+(_sparse_clear), and pass those rows on (hodge._membership, whose frame
+keeps them in a one-slot memo for the next call on the same tuple of
+tuples, assuming one thread per frame).  A Subspace holds nothing but
+the cleared integer rows of its rref basis over their least common
+denominator (Cohen, A Course in Computational Algebraic Number Theory,
+1993, 2.2), a form that is unique, so membership, reduction, sums and
+meets build no Fraction, and its Fraction basis is read off the rows
+only where an answer needs it.
 
 NilpotentPowers is the one kernel for the powers of a nilpotent
 operator: exp, log, gamma^p, the orbit exponentials and every other
@@ -141,19 +143,21 @@ def _sparse_rows(ints) -> list:
 
 def _sparse_clear(rows, width: int) -> tuple:
     """A width x width matrix as sparse integer rows over one positive
-    scale, in one pass: the shared ZERO is skipped by identity, any other
-    entry is coerced as mat coerces it, and zeros are dropped.  Raises
-    mat's errors in mat's order, then MixedAmbient for the wrong size."""
+    scale, in one pass: the shared ZERO is skipped by identity, a Fraction
+    is read as it is, any other entry is coerced as mat coerces it, and
+    zeros are dropped from the integer rows.  The rows are tuples, so a
+    cached clear can be handed to every caller.  Raises mat's errors in
+    mat's order, then MixedAmbient for the wrong size."""
     out, lengths = [], set()
     for row in rows:
         lengths.add(len(row := tuple(row)))
-        out.append([(j, y) for j, x in enumerate(row) if x is not ZERO and (y := frac(x))])
+        out.append([(j, x if type(x) is Fraction else frac(x)) for j, x in enumerate(row) if x is not ZERO])
     if len(lengths) > 1:
         raise SpecFormatError("ragged matrix")
     if len(out) != width or lengths - {width}:
         raise MixedAmbient("operator has the wrong ambient size")
     den = lcm(*(x.denominator for row in out for _, x in row))
-    return [[(j, x.numerator * (den // x.denominator)) for j, x in row] for row in out], den
+    return tuple([tuple([(j, y) for j, x in row if (y := x.numerator * (den // x.denominator))]) for row in out]), den
 
 
 def _int_product(sparse_a, sparse_b, width: int) -> list:
@@ -286,22 +290,6 @@ def rref(m: Mat):
 
 def rank(m: Mat) -> int:
     return len(_rref_ints(_row_ints(m)))
-
-
-def solve(a: Mat, b: Vec):
-    """One solution x of a . x = b (column convention), or None."""
-    n = len(a)
-    m = len(a[0]) if n else 0
-    if len(b) != n:
-        raise MixedAmbient("solve: shape mismatch")
-    aug = tuple(tuple(a[i]) + (b[i],) for i in range(n))
-    r, piv = rref(aug)
-    if m in piv:
-        return None
-    x = [ZERO] * m
-    for i, c in enumerate(piv):
-        x[c] = r[i][m]
-    return tuple(x)
 
 
 def inverse(a: Mat):
@@ -453,17 +441,6 @@ class Subspace:
             raise MixedAmbient("reduce: vector length != ambient")
         return _scaled_int_rows([v])
 
-    def reduce(self, v: Vec) -> Vec:
-        """Residual of v after eliminating this subspace's pivot coordinates.
-
-        The residual is zero iff v is a member, and reduce is linear, so
-        it doubles as a canonical projection along the subspace.  It is
-        computed on the cleared integer rows of v and of the basis, and
-        only the nonzero basis entries are visited.
-        """
-        (iv,), dv = self._cleared_vector(v)
-        return _to_fractions(self._residual(iv), self._cleared[0] * dv)
-
     def contains(self, v: Vec) -> bool:
         (iv,), _ = self._cleared_vector(v)
         return not any(self._residual(iv))
@@ -477,12 +454,6 @@ class Subspace:
             return False
         # membership does not see scale, so other's cleared rows will do
         return not any(any(self._residual(iv)) for iv in other._int_rows())
-
-    def coords(self, v: Vec):
-        """Coefficients of v in the basis rows, or None.  The basis is in
-        rref, so a member's coefficients are its entries at the pivots."""
-        v = vec(v)
-        return tuple(v[p] for p in self._pivots()) if self.contains(v) else None
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -658,25 +629,6 @@ class ZLattice:
 
     def contains(self, v: Vec) -> bool:
         return self.coords(v) is not None
-
-    def add(self, other: "ZLattice") -> "ZLattice":
-        if self.ambient != other.ambient:
-            raise MixedAmbient("lattice add: ambient mismatch")
-        d = lcm(self.denom, other.denom)
-        rows = [tuple(x * (d // self.denom) for x in r) for r in self.rows]
-        rows += [tuple(x * (d // other.denom) for x in r) for r in other.rows]
-        return ZLattice._reduce(self.ambient, rows, d)
-
-    def intersect(self, other: "ZLattice") -> "ZLattice":
-        if self.ambient != other.ambient:
-            raise MixedAmbient("lattice intersect: ambient mismatch")
-        if not self.rows or not other.rows:
-            return ZLattice(self.ambient)
-        d = lcm(self.denom, other.denom)
-        a = [tuple(x * (d // self.denom) for x in r) for r in self.rows]
-        b = [tuple(x * (d // other.denom) for x in r) for r in other.rows]
-        coeffs = _sparse_rows([y[: len(a)] for y in int_left_kernel(a + [tuple(-x for x in r) for r in b])])
-        return ZLattice._reduce(self.ambient, _int_product(coeffs, _sparse_rows(a), self.ambient), d)
 
     def intersect_subspace(self, space: Subspace) -> "ZLattice":
         """Members of this lattice lying in a Q-subspace."""

@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import lifted, pencil_commutes
+from conftest import embed_inner, lifted, pencil_commutes
 from relfan.cli import main
 from relfan.classifying import extend_inner_filtration, in_D, nilpotent_orbit_test
 from relfan.cones import Cone, check_fan
@@ -109,7 +109,7 @@ def candidate_filtrations(frame, levels=tuple(range(-3, 2))):
     pool = list(identity(dim)[: frame.rank]) + [frame.e_vector]
     for a in product(range(-1, 2), repeat=frame.rank):
         if any(a):
-            pool.append(vsub(frame.e_vector, frame.embed_inner(tuple(F(x) for x in a))))
+            pool.append(vsub(frame.e_vector, embed_inner(frame, tuple(F(x) for x in a))))
     spans = {}
     for v in pool:
         s = Subspace.span([v], dim)

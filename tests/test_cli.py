@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 
 from conftest import lifted
-from relfan import cones
+from relfan import cones, hodge
 from relfan.cli import _build_window, load_spec, main, to_jsonable
 from relfan.cones import Cone, check_fan
 from relfan.fixtures import elliptic_frame, jordan3_frame
@@ -356,6 +356,19 @@ def test_relations_without_graded_types(tmp_path, capsys):
     assert statuses["pq-definitions-agree"] == "pass"
     assert statuses["neron-rays-in-cell-fan"] == "pass"
     assert "fail" not in statuses.values()
+
+
+@pytest.mark.parametrize("fixture", ["elliptic", "jordan3"])
+def test_relations_exits_3_when_the_pq_descriptions_disagree(tmp_path, capsys, monkeypatch, fixture):
+    """pq-definitions-agree echoes an invariant: with W(log gamma) shifted
+    so that the two descriptions of P and Q disagree, no report is
+    written and the run exits 3, naming the invariant."""
+    real = hodge._weight_filtration
+    monkeypatch.setattr(hodge, "_weight_filtration", lambda powers, center: real(powers, center).shift(-10))
+    spec = write_spec(tmp_path, fixture=fixture, window=1)
+    code, out, err = run(capsys, "check", "--spec", spec, "--suite", "relations")
+    assert code == 3 and not out
+    assert "invariant violation: the two descriptions of P, Q disagree" in err
 
 
 def test_completeness_with_existence_space_everything(tmp_path, capsys):

@@ -53,13 +53,12 @@ from relfan.qlinalg import (
     matpow,
     matscale,
     matvec,
-    solve,
     transpose,
     vadd,
     vscale,
     zero_vec,
 )
-from conftest import fracs, lifted, pencil_commutes
+from conftest import fracs, lifted, pencil_commutes, solve
 from test_qlinalg import order_in_quotient
 
 

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import fracs
+from conftest import embed_inner, fracs, reduce, solve
 from relfan.errors import (
     MixedAmbient,
     NotInG,
@@ -18,6 +19,7 @@ from relfan.errors import (
     SpecFormatError,
 )
 from relfan import hodge, qlinalg
+from relfan.fans import CellFan, minimal_integral_exponent
 from relfan.fixtures import elliptic_frame, jordan3_frame
 from relfan.gallery import kunneth_h3, standard_factors
 from relfan.hodge import (
@@ -45,7 +47,6 @@ from relfan.qlinalg import (
     matscale,
     matvec,
     rref,
-    solve,
     transpose,
     vadd,
     vec,
@@ -491,8 +492,8 @@ def exists_oracle(fr, n):
     a_blk = fr.restriction(n)
     level = weight_filtration(a_blk, center=fr.weight).at(-2)
     h = fr.e_image(n)
-    dirs = [level.reduce(matvec(a_blk, u)) for u in identity(fr.rank)]
-    return Subspace.span(dirs, fr.rank).contains(level.reduce(h))
+    dirs = [reduce(level, matvec(a_blk, u)) for u in identity(fr.rank)]
+    return Subspace.span(dirs, fr.rank).contains(reduce(level, h))
 
 
 def test_relative_filtration_elliptic_frozen():
@@ -587,13 +588,13 @@ def relative_filtration_reference(fr, n):
     a = fr.restriction(n)
     wf = weight_filtration(a, center=fr.weight)
     w2 = wf.at(-2)
-    x = solve(transpose(tuple(map(w2.reduce, transpose(a)))), w2.reduce(fr.e_image(n)))
+    x = solve(transpose(tuple(reduce(w2, c) for c in transpose(a))), reduce(w2, fr.e_image(n)))
     if x is None:
         return None
-    line = Subspace.span([vadd(fr.embed_inner(vscale(-1, x)), fr.e_vector)], fr.dim)
+    line = Subspace.span([vadd(embed_inner(fr, vscale(-1, x)), fr.e_vector)], fr.dim)
     spaces = {}
     for j in sorted(set(wf.jump_indices) | {0}):
-        level = Subspace.span([fr.embed_inner(v) for v in wf.at(j).basis], fr.dim)
+        level = Subspace.span([embed_inner(fr, v) for v in wf.at(j).basis], fr.dim)
         spaces[j] = level.add(line) if j >= 0 else level
     return Filtration.from_spaces(spaces, fr.dim)
 
@@ -689,30 +690,115 @@ def full_clears(mocks, n, fr):
 
 @pytest.mark.parametrize("name", ORACLE_FRAMES)
 def test_each_public_call_clears_its_operator_once(name):
-    """check_in_g, relative_filtration_exists and relative_filtration each
-    clear the operator once, in one sparse pass, and never its inner
-    block on the pencil; no dense clear takes the operator, and the
-    construction runs no Fraction solve and no reduce."""
+    """check_in_g, relative_filtration_exists and relative_filtration on
+    one tuple operator clear it once between them, on the first call, in
+    one sparse pass, and never its inner block on the pencil; a copy in
+    nested lists is cleared once per call.  No dense clear takes the
+    operator, and the construction runs no rref."""
     fr = oracle_frame(name)
     h = tuple(F(k % 3 - 1, 1 + k % 2) for k in range(fr.rank))
     ops = [(fr.pencil(lam, h), True) for lam in (0, 1, F(-1, 2), 3)]
     if name == "jordan3":
         ops.append((fr.assemble(LOWER_SHIFT, h), False))
+    calls = (check_in_g, relative_filtration_exists, relative_filtration)
     one_pass, dense = qlinalg._sparse_clear, qlinalg._scaled_int_rows
     for n, on_pencil in ops:
-        for call in (check_in_g, relative_filtration_exists, relative_filtration):
-            call(fr, n)  # frame caches are built outside the count
-            with mock.patch.object(hodge, "_sparse_clear", wraps=one_pass) as sparse, \
-                 mock.patch.object(qlinalg, "_scaled_int_rows", wraps=dense) as dense_clear, \
-                 mock.patch.object(qlinalg, "solve", wraps=qlinalg.solve) as solved, \
-                 mock.patch.object(qlinalg, "rref", wraps=qlinalg.rref) as reduced_rows, \
-                 mock.patch.object(Subspace, "reduce", autospec=True, side_effect=Subspace.reduce) as reduced:
-                call(fr, n)
-            whole, block = full_clears((sparse, dense_clear), n, fr)
-            assert whole == sparse.call_count == 1, (call.__name__, whole)
-            assert block == 0 or not on_pencil
-            if call is relative_filtration:
-                assert solved.call_count == reduced_rows.call_count == reduced.call_count == 0
+        for call in calls:
+            call(fr, tuple(list(n)))  # frame caches are built outside the count, on an equal copy
+        for m, wanted in ((n, (1, 0, 0)), ([list(row) for row in n], (1, 1, 1))):
+            for call, want in zip(calls, wanted):
+                with mock.patch.object(hodge, "_sparse_clear", wraps=one_pass) as sparse, \
+                     mock.patch.object(qlinalg, "_scaled_int_rows", wraps=dense) as dense_clear, \
+                     mock.patch.object(qlinalg, "rref", wraps=qlinalg.rref) as reduced_rows:
+                    call(fr, m)
+                whole, block = full_clears((sparse, dense_clear), n, fr)
+                assert whole == sparse.call_count == want, (call.__name__, type(m), whole)
+                assert block == 0 or not on_pencil
+                if call is relative_filtration:
+                    assert reduced_rows.call_count == 0
+        assert fr._last_member[0] is n  # a list is never kept
+
+
+@lru_cache(maxsize=None)
+def unused_frame(name):
+    """A frame with oracle_frame(name)'s data and its pencil, gram and
+    log(gamma) caches built, on which no membership step has run."""
+    fr = frame_from_json(frame_to_json(oracle_frame(name)))
+    fr.pencil_analysis, fr.zero_analysis, fr._sparse_gram, fr._log_gamma_ints
+    return fr
+
+
+def fresh_frame(name):
+    """A copy of unused_frame(name): fresh for the membership slot, with
+    the deterministic caches shared so a call costs what a warm one does."""
+    assert "_last_member" not in vars(unused_frame(name))
+    return copy.copy(unused_frame(name))
+
+
+def outcomes(frame, n):
+    """The membership step's result, check_in_g, relative_filtration_exists
+    and relative_filtration, each as its value or its error, each call on
+    the frame that frame() returns."""
+    def outcome(call):
+        try:
+            return call(frame(), n)
+        except (NotInG, NotNilpotent, MixedAmbient, SpecFormatError) as exc:
+            return type(exc), str(exc)
+    return [outcome(call) for call in (hodge._membership, check_in_g, relative_filtration_exists, relative_filtration)]
+
+
+def assign(rows, n):
+    """Overwrite the nested-list operator rows with n's entries, in place."""
+    for row, new in zip(rows, n):
+        row[:] = new
+
+
+@given(st.sampled_from(ORACLE_FRAMES), st.data())
+def test_the_membership_slot_is_invisible(name, data):
+    """One frame, over a drawn interleaving of calls on the same tuple
+    operator, an equal but distinct copy, a nested-list operator that is
+    overwritten in place between calls, a tuple holding those same list
+    rows and an operator outside the algebra, gives every value and error
+    that a fresh frame per call gives."""
+    fr = oracle_frame(name)
+    a, b = data.draw(rmf_operators(fr)), data.draw(rmf_operators(fr))
+    r = fr.rank
+    outside = mat([list(row) for row in a[:r]] + [[1] * (r + 1)])
+    rows = [list(row) for row in a]
+    held = tuple(rows)
+    steps = st.sampled_from(["same", "copy", "list", "held", "overwrite", "outside"])
+    # each mutable form is called, overwritten and called again, then come the drawn steps
+    fixed = ["list", "overwrite", "list", "held", "overwrite", "held"]
+    for step in fixed + data.draw(st.lists(steps, max_size=8)):
+        if step == "overwrite":
+            assign(rows, b if rows == [list(row) for row in a] else a)
+        n = {"same": a, "copy": mat(a), "held": held, "outside": outside}.get(step, rows)
+        assert outcomes(lambda: fr, n) == outcomes(lambda: fresh_frame(name), n), step
+    with pytest.raises(NotInG):
+        check_in_g(fr, outside)
+
+
+@lru_cache(maxsize=None)
+def oracle_fan(name):
+    return CellFan(oracle_frame(name))
+
+
+@given(st.sampled_from(ORACLE_FRAMES), st.sampled_from([0, 1, F(1, 2), 3]), st.data())
+def test_the_slot_keeps_the_rows_of_a_fresh_clear(name, lam, data):
+    """After the rmf calls, the certificate and the ray exponent on one
+    pencil operator, the frame's slot holds that operator and its rows
+    equal a fresh one-pass clear of it: no consumer changed them."""
+    fan = oracle_fan(name)
+    fr = fan.frame
+    n = fr.pencil(lam, data.draw(st.lists(fracs(), min_size=fr.rank, max_size=fr.rank)))
+    check_in_g(fr, n)
+    relative_filtration_exists(fr, n)
+    filt = relative_filtration(fr, n)
+    if filt is not None:
+        is_relative_weight_filtration(n, fr.base_filtration, filt)
+    minimal_integral_exponent(fan, n)
+    last, (rows, _, den) = fr._last_member
+    assert last is n and (rows, den) == qlinalg._sparse_clear(n, fr.dim)
 
 
 def unshared(rng, n):
@@ -809,7 +895,7 @@ def test_exhaustive_tilt_search_confirms_absence():
             spaces = {}
             for j in sorted(set(inner.jump_indices) | {0}):
                 s = Subspace.span(
-                    [fr.embed_inner(v) for v in inner.at(j).basis], 3
+                    [embed_inner(fr, v) for v in inner.at(j).basis], 3
                 )
                 if j >= 0:
                     s = s.add(Subspace.span([tilt], 3))
@@ -842,7 +928,7 @@ def reference_induced(op, lower, upper):
 
 def reference_preimage(op, space):
     """{v : op v in space}, as the kernel of the reduce projector times op."""
-    proj = transpose(tuple(space.reduce(row) for row in identity(space.ambient)))
+    proj = transpose(tuple(reduce(space, row) for row in identity(space.ambient)))
     return Subspace.kernel(matmul(proj, op))
 
 
@@ -893,7 +979,7 @@ def tilted(fr, n, a):
     line = Subspace.span([tuple(-x for x in a) + (F(1),)], fr.dim)
     spaces = {}
     for j in sorted(set(inner.jump_indices) | {0}):
-        s = Subspace.span([fr.embed_inner(v) for v in inner.at(j).basis], fr.dim)
+        s = Subspace.span([embed_inner(fr, v) for v in inner.at(j).basis], fr.dim)
         spaces[j] = s.add(line) if j >= 0 else s
     return Filtration.from_spaces(spaces, fr.dim)
 
