@@ -16,13 +16,14 @@ isotropic iff X K Y^T = 0.  On a (p, q) piece S = X K X^T is symmetric
 iff the form is hermitian, and positivity is Sylvester's criterion on
 S, whose leading minors are the pivots of one fraction-free (Bareiss)
 pass; clearing scales each by a positive square.  A move multiplies
-each level's rows by the realified operator, cleared once.
+each level's rows by integer columns of the realified operator (exp(iyN)
+read off the integer series of iN) and eliminates each moved level once,
+e pair first, for the quotient bit and the inner cut; levels form when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     GriffithsViolated,
@@ -36,19 +37,19 @@ from .fans import unflatten
 from .gaussian import (
     GSpace,
     Gi,
-    gmat,
     gvec,
-    realify_mat,
     transport,
     unrealify_mat,
 )
 from .hodge import Frame, check_in_g
 from .qlinalg import (
+    ZERO,
     NilpotentPowers,
     Subspace,
     _int_product,
     _rref_ints,
     _scaled_int_rows,
+    _sparse_rows,
     identity,
     mat,
 )
@@ -56,13 +57,9 @@ from .qlinalg import (
 
 def hodge_numbers(frame: Frame) -> dict:
     """Hodge multiplicities of the graded pieces, keyed by weight."""
-    inner = {}
-    for p, q, m in frame.hodge:
-        inner[(p, q)] = m
-    return {0: {(0, 0): 1}, frame.weight: inner}
+    return {0: {(0, 0): 1}, frame.weight: {(p, q): m for p, q, m in frame.hodge}}
 
 
-@dataclass(eq=False)
 class PeriodPoint:
     """A filtration of the complexified ambient space of a frame.
 
@@ -72,26 +69,26 @@ class PeriodPoint:
     the graded dimensions must match the hodge multiplicities.
     """
 
-    frame: Frame
-    jumps: dict
-
-    _graded: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        fr = self.frame
-        levels = sorted(self.jumps, reverse=True)
+    def __init__(self, frame: Frame, jumps: dict):
+        levels = sorted(jumps, reverse=True)
         if not levels:
             raise PreconditionViolated("a period point needs at least one level")
-        space, out = _zero(fr.dim), []
+        space, out = _zero(frame.dim), []
         for p in levels:
-            vectors = [gvec(v) for v in self.jumps[p]]
-            if any(len(v) != fr.dim for v in vectors):
+            vectors = [gvec(v) for v in jumps[p]]
+            if any(len(v) != frame.dim for v in vectors):
                 raise MixedAmbient("spanning vector of the wrong length")
             space = space.add_vectors(vectors)
             out.append((p, space))
-        self.jumps = tuple(out)
-        self._graded = self._split_graded()
+        self.frame, self.jumps = frame, tuple(out)
+        self._graded, _ = self._split_graded([(p, s.real._int_rows()) for p, s in out])
         self._check_flag()
+
+    @cached_property
+    def jumps(self) -> tuple:
+        """(level, space) pairs, high to low; a moved point forms them on first use."""
+        n = 2 * self.frame.dim
+        return tuple((p, GSpace._of(Subspace._of_int_rows([w[2:] + w[:2] for w in ws], n))) for p, ws in self._spanning)
 
     # --- filtration access ---
 
@@ -104,30 +101,38 @@ class PeriodPoint:
         return _level(self.jumps, p, self.frame.dim)
 
     def apply(self, op) -> "PeriodPoint":
-        """Transport along an invertible operator, revalidating the flag.
-        The moved spaces, still nested, are the new levels as they stand."""
-        columns = transport(op)
+        """Transport along an invertible operator, cleared once into columns."""
+        return self._moved(transport(op))
+
+    def _moved(self, columns) -> "PeriodPoint":
+        """The point moved by an operator given by ``transport``: each level's
+        rows times the columns, cut in one elimination, then the flag check."""
+        n = 2 * self.frame.dim
+        if len(columns) != n:
+            raise MixedAmbient("operator of the wrong size")
         out = PeriodPoint.__new__(PeriodPoint)
-        out.frame, out.jumps = self.frame, tuple((p, s._moved(columns)) for p, s in self.jumps)
-        out._graded = out._split_graded()
+        out.frame = self.frame
+        out._graded, out._spanning = out._split_graded([(p, _int_product(s._rows, columns, n)) for p, s in self.jumps])
         out._check_flag()
         return out
 
     # --- graded pieces ---
 
-    def _split_graded(self) -> dict:
-        """weight -> (gram, levels): each level cut by the e coordinate."""
+    def _split_graded(self, levels) -> tuple:
+        """(weight -> (gram, levels), each level's rows reduced e pair first):
+        each level, given by integer rows spanning it, cut by e in one elimination."""
         fr, n = self.frame, 2 * self.frame.rank
-        inner, quot = [], []
-        for p, space in self.jumps:
+        inner, quot, spanning = [], [], []
+        for p, rows in levels:
             # with the e pair first, the rref pivots there iff the level
             # reaches the quotient line, and its other rows span the cut
-            rows = [w[n:] + w[:n] for w in space.real._int_rows()]
+            rows = [w[n:] + w[:n] for w in rows]
             pivots = _rref_ints(rows)
             cut = [w[2:] for w, c in zip(rows, pivots) if c > 1]
             inner.append((p, GSpace._of(Subspace._of_int_rows(cut, n))))
             quot.append((p, _LINE if 0 in pivots else _zero(1)))
-        return {0: (_UNIT, tuple(quot)), fr.weight: (fr.gram, tuple(inner))}
+            spanning.append((p, rows))
+        return {0: (_UNIT, tuple(quot)), fr.weight: (fr.gram, tuple(inner))}, spanning
 
     def graded(self, k: int, p: int) -> GSpace:
         """The level p piece of the filtration induced on gr(k)."""
@@ -145,9 +150,7 @@ class PeriodPoint:
                 got = _level(table, p, len(gram)).dim
                 if got != want:
                     raise PreconditionViolated(
-                        f"graded dimension at level {p} in weight {k} is "
-                        f"{got}, the type data needs {want}"
-                    )
+                        f"graded dimension at level {p} in weight {k} is {got}, the type data needs {want}")
 
 
 _UNIT = identity(1)
@@ -277,9 +280,7 @@ def in_D(pt: PeriodPoint) -> bool:
     if not in_compact_dual(pt):
         raise NotInCompactDual("point pairs nontrivially above the weight")
     for k, types in hodge_numbers(pt.frame).items():
-        for (p, q), m in types.items():
-            if m == 0:
-                continue
+        for p, _ in types:  # every multiplicity is positive
             form = _hermitian_form(pt, k, p)
             if form is None or not all(minor > 0 for minor in _leading_minors(form[1])):
                 return False
@@ -288,10 +289,11 @@ def in_D(pt: PeriodPoint) -> bool:
 
 def small_griffiths(pt: PeriodPoint, n_mat) -> bool:
     """Infinitesimal transversality: the operator moves each level into
-    the next one down."""
+    the next one down, each moved row tested with no elimination."""
     check_in_g(pt.frame, n_mat)
-    columns = transport(mat(n_mat))
-    return all(pt.at(p - 1).contains_space(space._moved(columns)) for p, space in pt.jumps)
+    columns, n = transport(mat(n_mat)), 2 * pt.frame.dim
+    moved = ((pt.at(p - 1).real, w) for p, space in pt.jumps for w in _int_product(space._rows, columns, n))
+    return not any(any(target._residual(w)) for target, w in moved)
 
 
 def nilpotent_orbit_test(pt: PeriodPoint, cone, y_samples=(1, 4, 16, 64, 256)) -> bool:
@@ -313,14 +315,27 @@ def nilpotent_orbit_test(pt: PeriodPoint, cone, y_samples=(1, 4, 16, 64, 256)) -
         return in_D(pt)
     total = tuple(tuple(sum(col) for col in zip(*rows)) for rows in zip(*gens))
     try:
-        moves = orbit_exponentials(total, y_samples)
+        moves = _orbit_moves(total, y_samples)
     except NotNilpotent as exc:
         raise GriffithsViolated("cone directions do not sum to a nilpotent operator") from exc
-    return all(in_D(pt.apply(u)) for u in moves)
+    return all(in_D(pt._moved(columns)) for columns in moves)
+
+
+def _orbit_moves(n_mat, y_samples):
+    """exp(i y N) per height y as ``transport`` gives it, up to a positive
+    scale: its realified integer series, transposed, formed on demand."""
+    powers = _orbit_powers(n_mat)
+    return (_sparse_rows(zip(*powers.exp_ints(y)[0])) for y in y_samples)
+
+
+def _orbit_powers(n_mat) -> NilpotentPowers:
+    """The powers of iN realified, in which an entry x is ((0, -x), (x, 0))."""
+    blocks = [[((ZERO, -x or ZERO), (x, ZERO)) for x in row] for row in mat(n_mat)]
+    return NilpotentPowers(tuple(tuple(z for b in row for z in b[k]) for row in blocks for k in (0, 1)))
 
 
 def orbit_exponentials(n_mat, y_samples) -> list:
-    """exp(i y N) for each height y, on the powers of the realified iN,
-    formed once, read back to Q(i)."""
-    powers = NilpotentPowers(realify_mat(gmat([[Gi(0, x) for x in row] for row in n_mat])))
+    """exp(i y N) over Q(i) for each height y, read off the integer
+    series of the realified iN."""
+    powers = _orbit_powers(n_mat)
     return [unrealify_mat(powers.exp(y)) for y in y_samples]

@@ -230,25 +230,3 @@ class Cone:
         local = rays_from_ineqs(rows, common.dim)
         return Cone.from_generators(matmul(local, basis), self.ambient)
 
-
-# ---------------------------------------------------------------------------
-# fans as finite windows
-
-
-def check_fan(cones) -> list:
-    """Fan axioms on a finite window: closed under faces, and any two
-    members intersect in a common face.  Returns a list of violation
-    records, empty when the window is a fan."""
-    cones = list(cones)
-    index = {c.rays for c in cones}
-    bad = []
-    for c in cones:
-        for f in c.facets():
-            if f.rays not in index:
-                bad.append({"kind": "missing-face", "cone": c, "face": f})
-    for i, a in enumerate(cones):
-        for b in cones[i + 1:]:
-            k = a.intersect(b)
-            if not (k.is_face_of(a) and k.is_face_of(b)):
-                bad.append({"kind": "bad-intersection", "left": a, "right": b, "meet": k})
-    return bad

@@ -271,10 +271,6 @@ class ChartPoint:
             return None
         return Gi(self.tau[0], Fraction(self.tau[1]))
 
-    def limit(self) -> "ChartPoint":
-        """The same coordinates over the degenerate modulus."""
-        return ChartPoint(self.t, self.a1, self.a2, None)
-
 
 def equivalence_witness(p: ChartPoint, q: ChartPoint) -> dict:
     """Decide the chart identification and produce the witness.
@@ -309,10 +305,6 @@ def equivalence_witness(p: ChartPoint, q: ChartPoint) -> dict:
 
 def _verdict(ok: bool, b, reason: str) -> dict:
     return {"equivalent": ok, "b": b, "reason": reason}
-
-
-def equivalent(p: ChartPoint, q: ChartPoint) -> bool:
-    return equivalence_witness(p, q)["equivalent"]
 
 
 def hausdorff_witness(c, t, heights=range(1, 11)) -> dict:

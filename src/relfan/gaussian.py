@@ -202,11 +202,8 @@ class GSpace:
         return [row for _, row in self.real._cleared[1]]
 
     def apply(self, op) -> "GSpace":
-        return self._moved(transport(op))
-
-    def _moved(self, columns) -> "GSpace":
-        """The image under an operator given by ``transport``."""
-        n = self.real.ambient
+        """The image under an operator: the cleared rows times its columns."""
+        columns, n = transport(op), self.real.ambient
         if len(columns) != n:
             raise MixedAmbient("operator of the wrong size")
         return GSpace._of(Subspace._of_int_rows(_int_product(self._rows, columns, n), n))

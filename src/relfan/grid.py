@@ -28,7 +28,7 @@ one scale meet in a common face, and two of different scales, such as
 the scale 2 half cell that a corruption puts in, meet in the box that
 interval arithmetic writes down, coordinate by coordinate.  No double
 description runs.  Only a witness is lifted; the lifted window and
-check_fan are the oracle in tests.
+the tests' check_fan (tests/conftest.py) are the oracle.
 """
 
 from __future__ import annotations
@@ -341,8 +341,8 @@ def window_face_table(window) -> list:
 
 
 def first_fan_violation(window, grid):
-    """check_fan of the lifted window, its first record, or None when the
-    window is a fan.
+    """The first record of check_fan (tests/conftest.py) on the lifted
+    window, or None when the window is a fan.
 
     A symbol misses a face exactly when a facet symbol is absent.  Two
     symbols of one scale are faces of one grid and meet in a common face,

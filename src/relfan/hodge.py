@@ -311,12 +311,16 @@ def _integer(x, what: str) -> int:
 
 
 def _as_type_counts(data, what) -> tuple:
+    """{(p, q): m}, or the (p, q, m) triples a frame stores, as sorted triples."""
     try:
-        items = sorted(tuple(_integer(x, what) for x in (p, q, m)) for (p, q), m in dict(data).items())
+        pairs = [((p, q), m) for p, q, m in data] if isinstance(data, tuple) else dict(data).items()
+        items = sorted(tuple(_integer(x, what) for x in (p, q, m)) for (p, q), m in pairs)
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(f"{what}: expected {{(p, q): multiplicity}}") from exc
     if any(m <= 0 for _, _, m in items):
         raise SpecFormatError(f"{what}: multiplicities must be positive")
+    if len({(p, q) for p, q, _ in items}) < len(items):
+        raise SpecFormatError(f"{what}: a type is listed twice")
     return tuple(items)
 
 

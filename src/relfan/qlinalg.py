@@ -29,10 +29,11 @@ meets build no Fraction, and its Fraction basis is read off the rows
 only where an answer needs it.
 
 NilpotentPowers is the one kernel for the powers of a nilpotent
-operator: exp, log, gamma^p, the orbit exponentials and every other
-series in it are read off its integer powers, with one Fraction pass,
-and the kernels and images of the powers, from which hodge reads a
-block's weight filtration, P and Q, are eliminated once, on demand.
+operator: exp, log, gamma^p and every other series in it are summed on
+its integer powers over one denominator, then read as Fractions in one
+pass (the orbit moves read exp's integer rows alone).  The kernels and
+images of the powers, from which hodge reads a block's weight
+filtration, P and Q, are eliminated once, on demand.
 
 The integer side is hand rolled around one Hermite transform: the
 Hermite form of [m | I] gives the canonical basis of every lattice,
@@ -688,23 +689,36 @@ class NilpotentPowers:
         """im N^i for i <= len(self): zero at the length."""
         return [Subspace.image(p) for p in self.ints] + [Subspace.zero(self.size)]
 
+    def _sum(self, factors) -> list:
+        """The integer rows of the sum of factors[i] times ints[i]."""
+        acc = [[0] * self.size for _ in range(self.size)]
+        for f, power in zip(factors, self._sparse):
+            if f:
+                for out, row in zip(acc, power):
+                    for j, x in row:
+                        out[j] += f * x
+        return acc
+
     def series(self, coeff) -> Mat:
         """sum of coeff(i) N^i over i < len(self), on the integer powers
         over one common denominator, converted to Fraction once."""
         scaled = [Fraction(coeff(i)) / self.den**i for i in range(len(self))]
         den = lcm(*(c.denominator for c in scaled))
-        acc = [[0] * self.size for _ in range(self.size)]
-        for c, power in zip(scaled, self._sparse):
-            f = c.numerator * (den // c.denominator)
-            if f:
-                for out, row in zip(acc, power):
-                    for j, x in row:
-                        out[j] += f * x
+        acc = self._sum([c.numerator * (den // c.denominator) for c in scaled])
         return tuple(_to_fractions(row, den) for row in acc)
 
+    def exp_ints(self, t=1) -> tuple:
+        """(rows, den): exp(t N) as integer rows over den > 0.  For t = a / b
+        and c = b d, term i is a^i c^(k-i) k! / i! over c^k k!, k the last power."""
+        t, k = Fraction(t), max(len(self) - 1, 0)
+        c = t.denominator * self.den
+        factors = [t.numerator**i * c ** (k - i) * (factorial(k) // factorial(i)) for i in range(len(self))]
+        return self._sum(factors), c**k * factorial(k)
+
     def exp(self, t=1) -> Mat:
-        """exp(t N)."""
-        return self.series(lambda i: Fraction(t) ** i / factorial(i))
+        """exp(t N), converted to Fraction once."""
+        acc, den = self.exp_ints(t)
+        return tuple(_to_fractions(row, den) for row in acc)
 
 
 def is_nilpotent(n_mat: Mat) -> bool:

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from relfan.errors import MixedAmbient
+from relfan.gallery import ChartPoint, equivalence_witness
 from relfan.qlinalg import (
     ZERO,
     ZLattice,
@@ -92,6 +93,34 @@ def coords(space, v):
     member's coefficients are its entries at the pivots."""
     v = vec(v)
     return tuple(v[p] for p in space._pivots()) if space.contains(v) else None
+
+
+def check_fan(cones) -> list:
+    """Fan axioms on a finite window: closed under faces, and any two
+    members intersect in a common face.  Returns a list of violation
+    records, empty when the window is a fan."""
+    cones = list(cones)
+    index = {c.rays for c in cones}
+    bad = []
+    for c in cones:
+        for f in c.facets():
+            if f.rays not in index:
+                bad.append({"kind": "missing-face", "cone": c, "face": f})
+    for i, a in enumerate(cones):
+        for b in cones[i + 1:]:
+            k = a.intersect(b)
+            if not (k.is_face_of(a) and k.is_face_of(b)):
+                bad.append({"kind": "bad-intersection", "left": a, "right": b, "meet": k})
+    return bad
+
+
+def limit(p):
+    """A chart point's coordinates over the degenerate modulus."""
+    return ChartPoint(p.t, p.a1, p.a2, None)
+
+
+def equivalent(p, q) -> bool:
+    return equivalence_witness(p, q)["equivalent"]
 
 
 def embed_inner(frame, v):

@@ -15,10 +15,10 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import embed_inner, lifted, pencil_commutes
+from conftest import check_fan, embed_inner, lifted, pencil_commutes
 from relfan.cli import main
 from relfan.classifying import extend_inner_filtration, in_D, nilpotent_orbit_test
-from relfan.cones import Cone, check_fan
+from relfan.cones import Cone
 from relfan.fans import (
     CellFan,
     check_square_zero_pure,

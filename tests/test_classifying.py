@@ -228,8 +228,8 @@ def test_orbit_moves_along_the_sum_of_the_generators(monkeypatch):
     fr = pt.frame
     cone = Cone.from_generators([flatten(fr.pencil(1, (0, 0))), flatten(fr.pencil(1, (1, 0)))], fr.dim**2)
     seen = []
-    direct = classifying.orbit_exponentials
-    monkeypatch.setattr(classifying, "orbit_exponentials", lambda n, ys: seen.append(n) or direct(n, ys))
+    direct = classifying._orbit_moves
+    monkeypatch.setattr(classifying, "_orbit_moves", lambda n, ys: seen.append(n) or direct(n, ys))
     assert nilpotent_orbit_test(pt, cone)
     left, right = (unflatten(r, fr.dim) for r in cone.rays)
     assert seen == [tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(left, right))]
@@ -413,6 +413,13 @@ def test_jordan3_points_match_the_gi_paths(pt):
     assert_matches_reference(pt)
 
 
+@given(jordan3_points(), fracs(), st.tuples(fracs(), fracs(), fracs()))
+def test_small_griffiths_matches_the_fraction_transport(pt, lam, h):
+    # every moved row is tested, not only the first that fails
+    n = jordan3_frame().pencil(lam, h)
+    assert small_griffiths(pt, n) == all(pt.at(p - 1).contains_space(s) for p, s in ref_apply(pt, n))
+
+
 def weight_minus_two_frame(gram):
     return Frame(rank=2, weight=-2, gram=gram, gamma=identity(2), hodge={(0, -2): 1, (-2, 0): 1})
 
@@ -457,6 +464,35 @@ def test_orbit_moves_match_the_gi_paths(name, data):
         moved = pt.apply(u)
         assert moved.jumps == ref_apply(pt, u)
         assert_matches_reference(moved)
+
+
+def verdict(pt):
+    """in_D, or None off the compact dual."""
+    try:
+        return in_D(pt)
+    except NotInCompactDual:
+        return None
+
+
+@given(st.sampled_from(["elliptic", "jordan3"]), st.data())
+def test_integer_orbit_moves_match_the_gi_paths(name, data):
+    # the orbit moves a point on the transposed integer rows of the realified
+    # series; each height, a fraction among them, must give the levels and
+    # graded pieces of the Fraction transport, and the verdict of the point
+    # moved by the Q(i) exponential
+    if name == "elliptic":
+        fr = elliptic_frame()
+        pt, n = elliptic_point(data.draw(gis)), fr.pencil(F(1), data.draw(st.tuples(fracs(), fracs())))
+    else:
+        pt, n = jordan3_point((0, 1, 0)), jordan3_frame().pencil(F(1), zero_vec(3))
+    heights = (1, data.draw(fracs().filter(lambda y: y > 0)), F(7, 2))
+    for u, columns in zip(orbit_exponentials(n, heights), classifying._orbit_moves(n, heights)):
+        moved = pt._moved(columns)
+        for k, types in hodge_numbers(pt.frame).items():
+            for p in {p for p, _ in types} | set(pt.jump_indices):
+                assert moved.graded(k, p) == ref_graded(moved, k, p)
+        assert moved.jumps == ref_apply(pt, u)
+        assert verdict(moved) == verdict(pt.apply(u))
 
 
 def test_membership_and_isotropy_build_no_gaussian_scalar(monkeypatch):
@@ -569,3 +605,35 @@ def test_period_points_are_built_and_decided_with_no_fraction_basis(tau):
     with mock.patch.object(qlinalg, "_to_fractions", refuse):
         pt = extend_inner_filtration(fr, {0: [(tau, 1)], -1: [(1, 0), (0, 1)]})
         assert in_D(pt) == upper_half(tau)
+
+
+def test_a_move_is_one_elimination_per_level_plus_the_cut():
+    # each level's rows times the columns are eliminated once, at full
+    # width with the e pair first, which also reduces the cut; the moved
+    # levels themselves are formed on first use
+    fr = jordan3_frame()
+    pt, n = jordan3_point((0, 1, 0)), fr.pencil(F(1), zero_vec(3))
+    (u,), (columns,) = orbit_exponentials(n, (F(5, 2),)), list(classifying._orbit_moves(n, (F(5, 2),)))
+    rref, widths = classifying._rref_ints, []
+    with mock.patch.object(classifying, "_rref_ints", side_effect=lambda rows: widths.append(len(rows[0])) or rref(rows)), \
+         mock.patch.object(Subspace, "_of_int_rows", wraps=Subspace._of_int_rows) as eliminated:
+        moved = pt._moved(columns)
+    assert widths == [2 * fr.dim] * len(pt.jumps)
+    assert [call.args[1] for call in eliminated.call_args_list] == [2 * fr.rank] * len(pt.jumps)
+    assert "jumps" not in vars(moved)
+    assert moved.jumps == ref_apply(pt, u)
+
+
+def test_orbit_moves_build_no_fraction_or_gaussian_matrix():
+    pt = elliptic_point(gi(0))
+    assert not in_D(pt)  # a boundary point; the frame's forms are built here
+    cone = pencil_ray(pt.frame, F(1), (F(1, 2), -1))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction or Q(i) matrix was built")
+
+    with mock.patch.object(qlinalg, "_to_fractions", refuse), mock.patch.object(classifying, "unrealify_mat", refuse), \
+         mock.patch.object(PeriodPoint, "_check_flag", autospec=True, side_effect=PeriodPoint._check_flag) as checked:
+        assert nilpotent_orbit_test(pt, cone)
+    # the flag is still checked at every height
+    assert checked.call_count == 5

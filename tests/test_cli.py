@@ -14,10 +14,10 @@ from unittest import mock
 
 import pytest
 
-from conftest import lifted
+from conftest import check_fan, lifted
 from relfan import cones, hodge
 from relfan.cli import _build_window, load_spec, main, to_jsonable
-from relfan.cones import Cone, check_fan
+from relfan.cones import Cone
 from relfan.fixtures import elliptic_frame, jordan3_frame
 from relfan.hodge import frame_to_json
 from test_frozen_reports import JORDAN3_OFF_PENCIL

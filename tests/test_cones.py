@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relfan.cones import Cone, check_fan, rays_from_ineqs
+from conftest import check_fan
+from relfan.cones import Cone, rays_from_ineqs
 from relfan.errors import MixedAmbient, NotSharp
 from relfan.qlinalg import dot, vec
 

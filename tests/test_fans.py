@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from relfan.cones import Cone, check_fan
+from relfan.cones import Cone
 from relfan.errors import (
     NotSquareZeroPure,
     InvariantViolation,
@@ -58,7 +58,7 @@ from relfan.qlinalg import (
     vscale,
     zero_vec,
 )
-from conftest import fracs, lifted, pencil_commutes, solve
+from conftest import check_fan, fracs, lifted, pencil_commutes, solve
 from test_qlinalg import order_in_quotient
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 
@@ -216,6 +217,24 @@ def test_frame_from_json_accepts_integral_floats():
     payload = frame_to_json(elliptic_frame())
     payload["rank"], payload["weight"] = 2.0, "-1"
     assert frame_to_json(frame_from_json(payload)) == frame_to_json(elliptic_frame())
+
+
+
+@pytest.mark.parametrize("name", ["elliptic", "jordan3", "triple"])
+def test_a_frame_is_rebuilt_from_its_own_fields(name):
+    fr = oracle_frame(name)
+    assert frame_to_json(dataclasses.replace(fr)) == frame_to_json(fr)
+
+
+def test_stored_type_triples_keep_their_checks():
+    base = dict(rank=2, weight=-1, gram=((0, -1), (1, 0)), gamma=((1, 1), (0, 1)))
+    assert Frame(**base, hodge=((-1, 0, 1), (0, -1, 1))).hodge == elliptic_frame().hodge
+    with pytest.raises(SpecFormatError, match="must be positive"):
+        Frame(**base, hodge=((-1, 0, 2), (0, -1, 0)))
+    with pytest.raises(SpecFormatError, match="listed twice"):
+        Frame(**base, hodge=((0, -1, 1), (0, -1, 1)))
+    with pytest.raises(SpecFormatError, match="expected"):
+        Frame(**base, hodge=((0, -1), (-1, 0)))
 
 
 # --- the compatible operators -------------------------------------------------
