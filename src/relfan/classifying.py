@@ -39,7 +39,6 @@ from .gaussian import (
     Gi,
     gvec,
     transport,
-    unrealify_mat,
 )
 from .hodge import Frame, check_in_g
 from .qlinalg import (
@@ -333,9 +332,3 @@ def _orbit_powers(n_mat) -> NilpotentPowers:
     blocks = [[((ZERO, -x or ZERO), (x, ZERO)) for x in row] for row in mat(n_mat)]
     return NilpotentPowers(tuple(tuple(z for b in row for z in b[k]) for row in blocks for k in (0, 1)))
 
-
-def orbit_exponentials(n_mat, y_samples) -> list:
-    """exp(i y N) over Q(i) for each height y, read off the integer
-    series of the realified iN."""
-    powers = _orbit_powers(n_mat)
-    return [unrealify_mat(powers.exp(y)) for y in y_samples]

@@ -17,9 +17,9 @@ flattened pencil(t, t b + sum c_j d_j) for the coset's base point b of
 P and the cube directions d_1, ..., d_k, a linear map into operator
 space, injective when log(gamma) is nonzero.  A cell is the cone over
 the box [n, n + 1] / a at level one, a = denominator(key), the lcm of
-the key's denominators.  _place inverts the chart, reading a member of
-P off its entries at P's pivots: an operator on the positive pencil
-goes to (level, coset key, cube coordinates).  The chart of a lattice
+the key's denominators.  _place inverts the chart on integers, reading
+the cleared image of e at P's pivots: a positive pencil operator goes
+to (level, coset key, cube coordinates).  The chart of a lattice
 L, lattice_grid(L), sends (t, c) to pencil(t, sum c_j b_j) over a basis
 b of L: its level one grid points are the rays of the ray fan over L,
 and its unit boxes, for the image lattice, the cube cells.
@@ -76,6 +76,7 @@ from .qlinalg import (
     ZERO,
     Mat,
     _scaled_int_rows,
+    _sparse_rows,
     _to_fractions,
     Subspace,
     Vec,
@@ -94,7 +95,6 @@ from .qlinalg import (
     transpose,
     vadd,
     vec,
-    vscale,
     vsub,
     zero_vec,
 )
@@ -199,20 +199,23 @@ class CellFan:
 
     @cached_property
     def _pivot_coords(self):
-        """P's pivots, and the map from a member's entries there to its
-        coordinates over the adapted basis, cube block first: P's basis is
-        in rref, so that map is the inverse of the adapted basis there."""
+        """The inverse of the adapted basis at P's pivots, cube block first,
+        as sparse integer rows over one scale, each entry at its pivot:
+        P's basis is in rref, so it maps a member to its coordinates."""
         pivots = self.p_space._pivots()
         rows = self.cube_basis + self.section_basis
-        return pivots, linear_map(inverse([[r[p] for r in rows] for p in pivots]))
+        ints, den = _scaled_int_rows(inverse([[r[p] for r in rows] for p in pivots]))
+        return [[(pivots[j], x) for j, x in row] for row in _sparse_rows(ints)], den
 
-    def _split(self, v: Vec):
-        """Cube coordinates and coset key of a member of P."""
-        if not self.p_space.contains(v):
+    def _split(self, iv, t: int):
+        """Cube coordinates and coset key of iv / t in P, for an integer
+        vector iv and a nonzero integer t, else None; the scale t does not
+        change membership."""
+        if any(self.p_space._residual(iv)):
             return None
-        pivots, coords = self._pivot_coords
-        c = coords(tuple(v[p] for p in pivots))
-        return tuple(c[:self.cube_rank]), tuple(c[self.cube_rank:])
+        inv, den = self._pivot_coords
+        c = _to_fractions([sum(x * iv[p] for p, x in row) for row in inv], den * t)
+        return c[:self.cube_rank], c[self.cube_rank:]
 
     @property
     def blocked(self):
@@ -275,13 +278,14 @@ class CellFan:
         """The grid of the cube fan: unit boxes over the image lattice."""
         return self.lattice_grid(image_lattice(self))
 
-    def _place(self, lam, h: Vec):
+    def _place(self, lam, h, den: int):
         """Chart coordinates (level, coset key, cube coordinates) of an
         operator at pencil level lam (None off the pencil) whose image of e
-        is h, or None when the level is not positive or h / lam leaves P."""
+        is h / den, h integral, or None when the level is not positive or
+        h / (den lam) = q h / (den p), for lam = p / q, leaves P."""
         if lam is None or lam <= 0:
             return None
-        split = self._split(vscale(ONE / lam, h))
+        split = self._split([lam.denominator * x for x in h], den * lam.numerator)
         return None if split is None else (lam, split[1], split[0])
 
     # --- cells ---
@@ -340,7 +344,8 @@ class CellFan:
         key = vec(key)
         shift = self._shift(shift)
         g, fixes = self._gamma_power(power)
-        split = self._split(vsub(matvec(g, self.section(key)), matvec(self.frame.log_gamma, shift)))
+        (moved,), den = _scaled_int_rows([vsub(matvec(g, self.section(key)), matvec(self.frame.log_gamma, shift))])
+        split = self._split(moved, den)
         if split is None:
             raise InvariantViolation("conjugated section left the existence space")
         cube, new_key = split
@@ -360,20 +365,20 @@ class CellFan:
 
 
 def _pencil_commute(fan: CellFan, pencil) -> bool:
-    """Whether pencil operators, given as (level, image of e) pairs,
-    commute pairwise, in O(n) kernel tests.  Two pencil operators commute
-    exactly when lam_a h_b - lam_b h_a is killed by the inner block.  For
-    nonzero levels that reads h_b / lam_b - h_a / lam_a in ker N, an
-    equivalence, so each is compared with the first.  A level zero
-    operator commutes with one at a nonzero level iff its h is in ker N,
-    and with one at level zero always."""
-    moving = [vscale(ONE / lam, h) for lam, h in pencil if lam]
+    """Whether pencil operators, given as (level, h, den) for the image of e
+    h / den, h integral, commute pairwise, in O(n) integer kernel tests.
+    They commute exactly when lam_a h_b / den_b - lam_b h_a / den_a is in
+    ker N, which reads p_a q_b h_b - p_b q_a h_a for den lam = p / q.  For
+    nonzero levels that is an equivalence, so each is compared with the
+    first.  A level zero h must be in ker N if some level is nonzero."""
+    moving = [(h, den * lam.numerator, lam.denominator) for lam, h, den in pencil if lam]
     if not moving:
         return True
     ker = fan.kernel_space
-    return all(ker.contains(vsub(h, moving[0])) for h in moving[1:]) and all(
-        ker.contains(h) for lam, h in pencil if not lam
-    )
+    (h0, p0, q0), rest = moving[0], moving[1:]
+    return all(
+        not any(ker._residual([p0 * q * x - p * q0 * y for x, y in zip(h, h0)])) for h, p, q in rest
+    ) and all(not any(ker._residual(h)) for lam, h, _ in pencil if not lam)
 
 
 def check_admissible(fan: CellFan, mats):
@@ -384,34 +389,35 @@ def check_admissible(fan: CellFan, mats):
 
 
 def _admissible(fan: CellFan, mats):
-    """check_admissible's answer, the pencil level of each generator (None
-    off the pencil) and, when every level is positive, the chart place of
-    each generator, which decides its membership in P; else None."""
+    """check_admissible's answer, each generator's (pencil level or None,
+    e column of its membership clear, their scale), and, when every level
+    is positive, the chart place of each generator, which decides its
+    membership in P; else None."""
     fr = fan.frame
-    lams = []
+    levels = []
     for m in mats:
-        lam = _membership(fr, m)[1]
+        rows, lam, den = _membership(fr, m)
         # pencil operators inherit nilpotency from the inner block
         if lam is None and not is_nilpotent(m):
             raise PreconditionViolated("cone generator is not nilpotent")
-        lams.append(lam)
-    pencil = [(lam, fr.e_image(m)) for m, lam in zip(mats, lams) if lam is not None]
+        levels.append((lam, [row[-1][1] if row and row[-1][0] == fr.rank else 0 for row in rows[:fr.rank]], den))
+    pencil = [level for level in levels if level[0] is not None]
     # an off-pencil generator keeps the matrix test, against every other one
-    off = [i for i, lam in enumerate(lams) if lam is None]
+    off = [i for i, (lam, _, _) in enumerate(levels) if lam is None]
     pairs = {tuple(sorted((i, j))) for i in off for j in range(len(mats)) if j != i}
     if not _pencil_commute(fan, pencil) or any(
         matmul(mats[i], mats[j]) != matmul(mats[j], mats[i]) for i, j in pairs
     ):
         raise NotCommutative("cone generators do not commute")
-    if all(lam is not None and lam > 0 for lam in lams):
+    if all(lam is not None and lam > 0 for lam, _, _ in levels):
         # all generators sit at positive pencil levels, so the cone is
         # sharp, every nonzero face representative does too and existence
         # is convex in the normalized slice: the generators decide
-        located = [fan._place(lam, fr.e_image(m)) for m, lam in zip(mats, lams)]
+        located = [fan._place(*level) for level in levels]
         if None in located:
             m = mats[located.index(None)]
-            return (False, {"generator": m, "reason": "image of e outside the existence space"}), lams, None
-        return (True, None), lams, located
+            return (False, {"generator": m, "reason": "image of e outside the existence space"}), levels, None
+        return (True, None), levels, located
     for face in Cone.from_generators([flatten(m) for m in mats], fan.ambient).faces():
         rep = face.interior_point()
         if is_zero_vec(rep):
@@ -419,8 +425,8 @@ def _admissible(fan: CellFan, mats):
         rep_mat = unflatten(rep, fr.dim)
         if not relative_filtration_exists(fr, rep_mat):
             return (False, {"face": face.rays, "representative": rep_mat,
-                            "reason": "no relative filtration on this face"}), lams, None
-    return (True, None), lams, None
+                            "reason": "no relative filtration on this face"}), levels, None
+    return (True, None), levels, None
 
 
 def subdivide_against(fan: CellFan, mats):
@@ -432,11 +438,11 @@ def subdivide_against(fan: CellFan, mats):
     The generators are located in the pencil chart of their coset,
     where every cell is a box, and only the pieces are lifted."""
     mats = [mat(m) for m in mats]
-    (ok, witness), lams, located = _admissible(fan, mats)
+    (ok, witness), levels, located = _admissible(fan, mats)
     if not ok:
         raise PreconditionViolated(f"cone is not admissible: {witness['reason']}")
     if located is None:
-        located = [fan._place(lam, fan.frame.e_image(m)) for m, lam in zip(mats, lams) if not is_zero_mat(m)]
+        located = [fan._place(*level) for m, level in zip(mats, levels) if not is_zero_mat(m)]
     if not located:
         return [((fan.zero_key(), (0,) * fan.cube_rank), Cone.zero(fan.ambient))]
     if None in located:
@@ -579,7 +585,8 @@ def _cube_cells_align(fan: CellFan, bound: int):
     of basis C of the cube chart into the zero key's cell chart: the
     image lattice basis in cube coordinates (both charts have the level
     column pencil(1, 0))."""
-    moved = [fan._split(d) for d in image_lattice(fan).basis_vectors()]
+    ints, den = _scaled_int_rows(image_lattice(fan).basis_vectors())
+    moved = [fan._split(iv, den) for iv in ints]
     if any(m is None or any(m[1]) for m in moved):
         raise InvariantViolation("image lattice leaves the torus space of the cell chart")
     change = [cube for cube, _ in moved]
@@ -670,17 +677,20 @@ def relations_report(fan: CellFan, bound: int = 1, cube_bound: int = None) -> li
     else:
         # log(gamma) = 0 blocks the fan or, P being 0, makes the Neron
         # lattice in its image 0: so pencil(1, v) is at level one, where
-        # _split(v) places it
-        def stray(v):
-            split = fan._split(v)
+        # _split places v, an integer combination of the cleared basis
+        ints, den = _scaled_int_rows(basis)
+
+        def stray(iv):
+            split = fan._split(iv, den)
             if split is None:
                 return True
             a = fan.denominator(split[1])
-            return any((a * c).denominator != 1 for c in split[0])
+            return any(a % c.denominator for c in split[0])
 
-        vectors = map(linear_map(transpose(basis)), product(range(-bound, bound + 1), repeat=len(basis))) if basis else ()
-        bad = next((v for v in vectors if stray(v)), None)
-        add("neron-rays-in-cell-fan", bad is None, None if bad is None else {"vector": bad})
+        coords = product(range(-bound, bound + 1), repeat=len(basis))
+        vectors = ([sum(x * y for x, y in zip(c, col)) for col in zip(*ints)] for c in coords)
+        bad = next((iv for iv in vectors if stray(iv)), None) if basis else None
+        add("neron-rays-in-cell-fan", bad is None, None if bad is None else {"vector": _to_fractions(bad, den)})
 
     if holds:
         add("torus-lattice-equals-neron-lattice", ql == ner,

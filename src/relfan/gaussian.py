@@ -124,11 +124,6 @@ def realify_mat(m) -> Mat:
     return tuple(out)
 
 
-def unrealify_mat(m) -> tuple:
-    # column 2b of a realified matrix is its realified column b
-    return tuple(zip(*(unrealify(col) for col in tuple(zip(*m))[::2])))
-
-
 def transport(op) -> list:
     """The sparse cleared rows of realify_mat(op) transposed: a realified
     row w times them is op . w up to a positive scale."""

@@ -15,11 +15,12 @@ extreme rays to extreme rays, and each lifted primitive ray is an
 integer combination of the cleared columns and one gcd.
 
 A segment, the cone over one or two level one points, is cut in
-closed form: it crosses the walls of the grid at times written down
-coordinate by coordinate, and each run of the segment between two
-crossings lies in one box, so no box is built and no double
-description runs.  A cone over three or more points keeps the product
-path: it meets each box of its window by double description.
+closed form on integers: it crosses the walls of the grid at times
+written down coordinate by coordinate, and each run of the segment
+between two crossings lies in one box, so no box is built, no double
+description runs and only the pieces' rays are Fractions.  A cone over
+three or more points keeps the product path: it meets each box of its
+window by double description.
 
 A window is decided in its chart, which the lift embeds with its face
 lattices and meets, as for cube complexes (Ziegler, Lectures on
@@ -45,6 +46,7 @@ from .qlinalg import (
     ZERO,
     Subspace,
     Vec,
+    _primitive_ray,
     _row_ints,
     _scaled_int_rows,
     _sparse_rows,
@@ -132,17 +134,11 @@ def box(n, a: int) -> Cone:
     corners are the extreme rays and its 2 * len(n) walls the facets,
     so the canonical form is written down rather than computed."""
     k = len(n)
-    rays = [
-        primitive((Fraction(1),) + tuple(Fraction(n[j] + bit, a) for j, bit in enumerate(corner)))
-        for corner in product((0, 1), repeat=k)
-    ]
-    normals = []
-    for j in range(k):
-        low = [Fraction(0)] * (k + 1)
-        low[0], low[j + 1] = Fraction(-n[j]), Fraction(a)
-        high = [Fraction(0)] * (k + 1)
-        high[0], high[j + 1] = Fraction(n[j] + 1), Fraction(-a)
-        normals += [primitive(tuple(low)), primitive(tuple(high))]
+    rays = [_primitive_ray((a,) + tuple(x + bit for x, bit in zip(n, corner)))
+            for corner in product((0, 1), repeat=k)]
+    # the walls a c_j - n_j t >= 0 and (n_j + 1) t - a c_j >= 0
+    normals = [_primitive_ray((t,) + tuple(x if i == j else 0 for i in range(k)))
+               for j in range(k) for t, x in ((-n[j], a), (n[j] + 1, -a))]
     # for k = 0 the cone is the level ray, whose facet normal is the level
     return Cone._known(k + 1, rays, Subspace.full(k + 1), normals or [(Fraction(1),)])
 
@@ -267,29 +263,31 @@ class ChartGrid:
         return pieces
 
     def _cut_segment(self, p, q) -> list:
-        """cut of the cone over level one points p and q.  The segment
-        P(t) = p + t (q - p) crosses the integer walls of the grid at times
-        written down coordinate by coordinate.  Between two crossings no
-        coordinate of P(t) meets an integer, so the open interval floors
-        to one box, read at its midpoint; at a crossing some coordinate
-        passes an integer, so the next interval floors to another box.
-        The closed interval [t0, t1] is then the segment's meet with its
-        box, and the piece is the cone over P(t0) and P(t1) (Ziegler,
-        Lectures on Polytopes, ch. 2).  Each crossing point is built once,
-        and a midpoint is floored from the grid coordinates a P(t) alone."""
-        a = self.a
-        if p == q:
-            return [(tuple(floor(a * c) for c in p[1:]), Cone(self.rank + 1, (primitive(p),)))]
-        start = [a * x for x in p[1:]]
-        steps = [a * y - g for y, g in zip(q[1:], start)]
-        times = {ZERO, ONE}
-        for g, d in zip(start, steps):
-            if d:
-                times.update((k - g) / d for k in range(ceil(min(g, g + d)), floor(max(g, g + d)) + 1))
+        """cut of the cone over level one points p and q, cleared to P and Q
+        over one denominator D.  With g = a P and s = a (Q - P), P + t (Q -
+        P) crosses wall k of coordinate j at t = (k D - g_j) / s_j, an
+        integer T = L t for L the lcm of the nonzero s_j.  Between two
+        crossings no coordinate meets a wall, so the open interval floors to
+        one box, read at its midpoint: floor((2 L g + (T0 + T1) s) / (2 L
+        D)); at a crossing the next interval floors to another box.  The
+        closed interval [T0, T1] / L is then the segment's meet with its box,
+        and the piece is the cone over L P + T (Q - P) at T0 and T1 (Ziegler,
+        Lectures on Polytopes, ch. 2).  Each crossing point is a ray once."""
+        a, (ip, iq), den = self.a, *_scaled_int_rows([p, q])
+        if ip == iq:
+            return [(tuple(a * x // den for x in ip[1:]), Cone(self.rank + 1, (_primitive_ray(ip),)))]
+        step = [y - x for x, y in zip(ip, iq)]
+        start, moves = [a * x for x in ip[1:]], [a * d for d in step[1:]]
+        span = lcm(*(s for s in moves if s))
+        times = {0, span}
+        for g, s in zip(start, moves):
+            if s:
+                lo, hi = sorted((g, g + s))
+                times.update((k * den - g) * (span // s) for k in range(-(-lo // den), hi // den + 1))
         cuts = sorted(times)
-        ends = [primitive(tuple(x + t * (y - x) for x, y in zip(p, q))) for t in cuts]
+        ends = [_primitive_ray([span * x + t * d for x, d in zip(ip, step)]) for t in cuts]
         pieces = [
-            (tuple(floor(g + (t0 + t1) / 2 * d) for g, d in zip(start, steps)),
+            (tuple((2 * span * g + (t0 + t1) * s) // (2 * span * den) for g, s in zip(start, moves)),
              Cone(self.rank + 1, tuple(sorted((r0, r1)))))
             for t0, t1, r0, r1 in zip(cuts, cuts[1:], ends, ends[1:])
         ]

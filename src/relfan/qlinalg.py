@@ -488,7 +488,11 @@ def primitive(v: Vec) -> Vec:
     v = vec(v)
     if is_zero_vec(v):
         return (ZERO,) * len(v)
-    ints = _scaled_int_rows([v])[0][0]
+    return _primitive_ray(_scaled_int_rows([v])[0][0])
+
+
+def _primitive_ray(ints) -> Vec:
+    """primitive() of a nonzero integer vector, with no Fraction read."""
     g = gcd(*ints)
     return tuple([Fraction(x // g) if x else ZERO for x in ints])
 

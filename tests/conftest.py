@@ -4,15 +4,20 @@ from math import lcm
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from relfan.classifying import _orbit_powers
 from relfan.errors import MixedAmbient
 from relfan.gallery import ChartPoint, equivalence_witness
+from relfan.gaussian import unrealify
 from relfan.qlinalg import (
+    ONE,
     ZERO,
     ZLattice,
     _int_product,
     _sparse_rows,
     _to_fractions,
     int_left_kernel,
+    inverse,
+    linear_map,
     rref,
     vec,
     vscale,
@@ -153,3 +158,52 @@ def lattice_intersect(a, b):
     rb = [tuple(x * (d // b.denom) for x in r) for r in b.rows]
     coeffs = _sparse_rows([y[: len(ra)] for y in int_left_kernel(ra + [tuple(-x for x in r) for r in rb])])
     return ZLattice._reduce(a.ambient, _int_product(coeffs, _sparse_rows(ra), a.ambient), d)
+
+
+def fraction_split(fan, v):
+    """Cube coordinates and coset key of a Fraction member v of P, or None
+    off P: membership by Subspace.contains, and the coordinates by the
+    Fraction inverse of the adapted basis at P's pivots."""
+    if not fan.p_space.contains(v):
+        return None
+    pivots = fan.p_space._pivots()
+    rows = fan.cube_basis + fan.section_basis
+    c = linear_map(inverse([[r[p] for r in rows] for p in pivots]))(tuple(v[p] for p in pivots))
+    return tuple(c[:fan.cube_rank]), tuple(c[fan.cube_rank:])
+
+
+def fraction_place(fan, lam, h):
+    """Chart coordinates (level, coset key, cube coordinates) of an
+    operator at pencil level lam (None off the pencil) whose image of e is
+    the Fraction vector h, or None when the level is not positive or h /
+    lam leaves P."""
+    if lam is None or lam <= 0:
+        return None
+    split = fraction_split(fan, vscale(ONE / lam, h))
+    return None if split is None else (lam, split[1], split[0])
+
+
+def fraction_pencil_commute(fan, pencil) -> bool:
+    """Whether pencil operators, given as (level, Fraction image of e)
+    pairs, commute pairwise: for nonzero levels h / lam lies in one coset
+    of ker N, and a level zero h lies in ker N when any level is nonzero."""
+    moving = [vscale(ONE / lam, h) for lam, h in pencil if lam]
+    if not moving:
+        return True
+    ker = fan.kernel_space
+    return all(ker.contains(vsub(h, moving[0])) for h in moving[1:]) and all(
+        ker.contains(h) for lam, h in pencil if not lam
+    )
+
+
+def unrealify_mat(m) -> tuple:
+    """The Q(i) matrix of a realified one: column 2b of a realified matrix
+    is its realified column b."""
+    return tuple(zip(*(unrealify(col) for col in tuple(zip(*m))[::2])))
+
+
+def orbit_exponentials(n_mat, y_samples) -> list:
+    """exp(i y N) over Q(i) for each height y, read off the integer
+    series of the realified iN."""
+    powers = _orbit_powers(n_mat)
+    return [unrealify_mat(powers.exp(y)) for y in y_samples]

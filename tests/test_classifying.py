@@ -22,7 +22,6 @@ from relfan.classifying import (
     in_D,
     in_compact_dual,
     nilpotent_orbit_test,
-    orbit_exponentials,
     small_griffiths,
 )
 from relfan.cones import Cone
@@ -41,7 +40,7 @@ from relfan.gaussian import I, ONE, GSpace, Gi, gmat, realify_mat
 from relfan.hodge import Frame
 from relfan.qlinalg import Subspace, det, exp_nilpotent, identity, linear_map, zero_vec
 
-from conftest import fracs
+from conftest import fracs, orbit_exponentials
 from dense_series import gexp_nilpotent
 
 
@@ -632,7 +631,9 @@ def test_orbit_moves_build_no_fraction_or_gaussian_matrix():
     def refuse(*args):
         raise AssertionError("a Fraction or Q(i) matrix was built")
 
-    with mock.patch.object(qlinalg, "_to_fractions", refuse), mock.patch.object(classifying, "unrealify_mat", refuse), \
+    # no Q(i) matrix can be built: the classifying layer has no unrealify_mat
+    assert not hasattr(classifying, "unrealify_mat")
+    with mock.patch.object(qlinalg, "_to_fractions", refuse), \
          mock.patch.object(PeriodPoint, "_check_flag", autospec=True, side_effect=PeriodPoint._check_flag) as checked:
         assert nilpotent_orbit_test(pt, cone)
     # the flag is still checked at every height

@@ -45,6 +45,7 @@ from relfan.qlinalg import (
     NilpotentPowers,
     Subspace,
     ZLattice,
+    _scaled_int_rows,
     exp_nilpotent,
     identity,
     inverse,
@@ -58,7 +59,7 @@ from relfan.qlinalg import (
     vscale,
     zero_vec,
 )
-from conftest import check_fan, fracs, lifted, pencil_commutes, solve
+from conftest import check_fan, fracs, fraction_pencil_commute, fraction_place, fraction_split, lifted, pencil_commutes, solve
 from test_qlinalg import order_in_quotient
 
 
@@ -112,10 +113,11 @@ def conjugate(fan, power, shift, n_mat):
 def cell_containing(fan, n_mat):
     """Index (key, n) of the cell whose relative interior, or floor
     boundary, holds the operator; None when no cell does."""
-    rows, lam, _ = _membership(fan.frame, n_mat)
+    rows, lam, den = _membership(fan.frame, n_mat)
     if not any(rows):
         return fan.zero_key(), (0,) * fan.cube_rank
-    at = fan._place(lam, fan.frame.e_image(n_mat))
+    rank = fan.frame.rank
+    at = fan._place(lam, [dict(row).get(rank, 0) for row in rows[:rank]], den)
     if at is None:
         return None
     _, key, cube = at
@@ -161,7 +163,7 @@ def locate(fan, n_mat):
     """Chart coordinates (level, coset key, cube coordinates) of an
     operator on the positive pencil, or None when the operator is off it
     or its normalized image of e leaves P."""
-    return fan._place(fan.frame.restriction_multiple(n_mat), fan.frame.e_image(n_mat))
+    return fraction_place(fan, fan.frame.restriction_multiple(n_mat), fan.frame.e_image(n_mat))
 
 
 def matrix_conjugate_key(fan, power, shift, key):
@@ -205,7 +207,7 @@ def is_ray_member(fan, n_mat):
     """Whether the ray through the operator is a one dimensional face of
     the fan: exactly the rays through cube corners.  The operator's
     pencil level is read back off the operator."""
-    at = fan._place(_membership(fan.frame, n_mat)[1], fan.frame.e_image(n_mat))
+    at = fraction_place(fan, _membership(fan.frame, n_mat)[1], fan.frame.e_image(n_mat))
     if at is None:
         return False
     _, key, cube = at
@@ -600,17 +602,17 @@ def test_subdivision_covers_sampled_points(ell, jd3):
 def test_subdivision_validates_each_generator_once(ell, jd3):
     """Locating reuses the pencil level and the membership in P that
     admissibility found: one membership step, which reads the pencil
-    level, no further restriction_multiple and one membership test in P
-    per generator."""
+    level, no further restriction_multiple and one integer membership
+    test in P (a residual against P's cleared rows) per generator."""
     rng = random.Random(13)
     for fan in (ell, jd3):
         fr = fan.frame
         for _ in range(10):
             mats = random_admissible_cone(fan, rng)
-            contains = Subspace.contains
+            residual = Subspace._residual
             with mock.patch.object(fans, "_membership", wraps=fans._membership) as in_g, \
                  mock.patch.object(fr, "restriction_multiple", wraps=fr.restriction_multiple) as level, \
-                 mock.patch.object(Subspace, "contains", autospec=True, side_effect=contains) as member:
+                 mock.patch.object(Subspace, "_residual", autospec=True, side_effect=residual) as member:
                 assert subdivide_against(fan, mats)
             assert in_g.call_count == len(mats) and level.call_count == 0
             assert sum(call.args[0] is fan.p_space for call in member.call_args_list) == len(mats)
@@ -741,12 +743,15 @@ def test_conjugate_cell_matches_image_of_cell(ell, jd3, name, key):
 SUBDIVISION_DIGESTS = {
     "ell": "4b8e4b865df273810d1c67249b1e53446bd6a976f268bfa074e2ac9dfc4c63a8",
     "jd3": "1a81c84398eaaf4aa7dacff737d342a643fc4c80fcbf3a3f0ff497d7d09efa26",
+    # 132 pieces, as computed when the chart place and the segment cut
+    # still ran on Fractions
+    "triple": "29e3dc165e4ef0aed2b799ab5b7516b2d87ed5fa0fc11f4aefcf71be99f86d65",
 }
 
 
-@pytest.mark.parametrize("name", ["ell", "jd3"])
-def test_subdivision_corpus_digest(ell, jd3, name):
-    fan = _fan(ell, jd3, name)
+@pytest.mark.parametrize("name", ["ell", "jd3", "triple"])
+def test_subdivision_corpus_digest(request, name):
+    fan = request.getfixturevalue(name)
     rng = random.Random(7)
     out = []
     for _ in range(40):
@@ -1190,9 +1195,9 @@ def test_conjugate_key_faults_raise_their_checks(monkeypatch):
     assert fan.conjugate_key(1, (0, 0, 1), zero) == ((F(-2),), (0,))
     split = fan._split
     faults = [
-        ("_split", lambda v: None, "conjugated section left the existence space"),
+        ("_split", lambda iv, t: None, "conjugated section left the existence space"),
         ("denominator", lambda key: 1 if key == zero else 2, "conjugation changed the coset order"),
-        ("_split", lambda v: ((F(1, 3),), split(v)[1]), "conjugation moved a cell off the grid"),
+        ("_split", lambda iv, t: ((F(1, 3),), split(iv, t)[1]), "conjugation moved a cell off the grid"),
     ]
     for attr, fault, message in faults:
         with monkeypatch.context() as m:
@@ -1526,6 +1531,12 @@ def wide():
     return CellFan(wide_frame())
 
 
+def cleared(v):
+    """A Fraction vector as an integer vector and its positive scale."""
+    (iv,), den = _scaled_int_rows([v])
+    return iv, den
+
+
 @given(data=st.data())
 def test_split_reads_the_pivots_as_solve_does(ell, jd3, jd3_2z, wide, triple, data):
     """Coordinates over the adapted basis read off P's pivots against one
@@ -1536,7 +1547,49 @@ def test_split_reads_the_pivots_as_solve_does(ell, jd3, jd3_2z, wide, triple, da
     off = [row for row in identity(fan.frame.rank) if not fan.p_space.contains(row)]
     if off and data.draw(st.booleans()):
         v = vadd(v, vscale(data.draw(st.sampled_from((F(-1), F(1, 2), F(3)))), data.draw(st.sampled_from(off))))
-    assert fan._split(v) == solve_split(fan, v)
+    assert fan._split(*cleared(v)) == solve_split(fan, v)
+
+
+LEVELS = (F(-2), F(-1, 3), F(0), F(1, 2), F(1), F(5, 3), F(3))
+
+
+@given(data=st.data())
+def test_integer_place_and_commute_match_the_fraction_paths(ell, jd3, jd3_mixed, jd3_2z, triple, data):
+    """_split, _place and _pencil_commute on integer columns against their
+    Fraction versions (tests/conftest.py): members of P with mixed
+    denominators, whose coset key has a denominator above 1 wherever the
+    key rank is positive, vectors off P, scales of both signs, and
+    pencils whose levels take both signs and zero."""
+    fan = data.draw(st.sampled_from((ell, jd3, jd3_mixed, jd3_2z, triple)))
+    rank = fan.frame.rank
+    cube = tuple(data.draw(fracs(6, 4)) for _ in fan.cube_basis)
+    key = [data.draw(fracs(6, 4)) for _ in fan.section_basis]
+    if key:
+        d = data.draw(st.sampled_from((2, 3, 4)))
+        key[0] = F(d * data.draw(st.integers(-3, 3)) + 1, d)
+        assert fan.denominator(key) > 1
+    v = vadd(fans.combine(cube, fan.cube_basis, rank), fans.combine(key, fan.section_basis, rank))
+    assert fraction_split(fan, v) == (cube, tuple(key))
+    off = [row for row in identity(rank) if not fan.p_space.contains(row)]
+    if off and data.draw(st.booleans()):
+        v = vadd(v, vscale(data.draw(st.sampled_from((F(-1), F(1, 2), F(3)))), data.draw(st.sampled_from(off))))
+        assert fraction_split(fan, v) is None
+    iv, den = cleared(v)
+    assert fan._split(iv, den) == fan._split([-x for x in iv], -den) == fraction_split(fan, v)
+    lam = data.draw(st.sampled_from(LEVELS))
+    h = vscale(lam, v)
+    assert fan._place(lam, *cleared(h)) == fraction_place(fan, lam, h)
+
+    # a pencil commutes when every h / lam lies in v + ker N; noise breaks that
+    ker = fan.kernel_space.basis
+    pencil = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        lam = data.draw(st.sampled_from(LEVELS))
+        h = vadd(vscale(lam, v), fans.combine([data.draw(fracs(3, 3)) for _ in ker], ker, rank))
+        if data.draw(st.integers(0, 3)) == 0:
+            h = vadd(h, tuple(data.draw(fracs(3, 2)) for _ in range(rank)))
+        pencil.append((lam, h))
+    assert fans._pencil_commute(fan, [(lam, *cleared(h)) for lam, h in pencil]) == fraction_pencil_commute(fan, pencil)
 
 
 @pytest.mark.parametrize("name,bound", [("ell", 2), ("jd3", 2), ("jd3_2z", 2), ("wide", 2), ("g2", 2), ("triple", 1)])

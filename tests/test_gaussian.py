@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relfan.classifying import _leading_minors, orbit_exponentials
+from relfan.classifying import _leading_minors
 from relfan.errors import MixedAmbient, NotNilpotent, SpecFormatError
 from relfan.gaussian import (
     I,
@@ -23,11 +23,10 @@ from relfan.gaussian import (
     gmat,
     gvec,
     realify_mat,
-    unrealify_mat,
 )
 from relfan.qlinalg import Subspace, _scaled_int_rows, exp_nilpotent, linear_map, matmul
 
-from conftest import fracs
+from conftest import fracs, orbit_exponentials, unrealify_mat
 
 
 def gi(a, b=0):

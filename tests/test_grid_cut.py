@@ -90,6 +90,11 @@ def segments(draw):
 @example((chart("jordan3", 2), [(F(1), F(1, 2)), (F(1), F(1, 2))]))
 @example((chart("triple", 1), [(F(1),) + (F(0),) * 6, (F(1),) + (F(1),) * 6]))
 @example((chart("triple", 3), [(F(1), F(1, 3)) + (F(0),) * 5, (F(1), F(-1)) + (F(0),) * 5]))
+# ends of different denominators, neither of them the grid's a
+@example((chart("elliptic", 2), [(F(1), F(1, 3)), (F(1), F(-7, 5))]))
+@example((chart("jordan3", 3), [(F(1), F(5, 4)), (F(1), F(-1, 2))]))
+@example((chart("triple", 2), [(F(1), F(1, 3), F(0), F(-2, 3)) + (F(0),) * 3,
+                               (F(1), F(-3, 5), F(1, 5), F(0)) + (F(0),) * 3]))
 def test_segment_cut_matches_generic_cut(case):
     grid, points = case
     with mock.patch.object(grid_module, "box", side_effect=AssertionError("box built")), \
