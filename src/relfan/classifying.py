@@ -15,10 +15,16 @@ realified coordinates, built once per frame.  Two i-stable levels are
 isotropic iff X K Y^T = 0.  On a (p, q) piece S = X K X^T is symmetric
 iff the form is hermitian, and positivity is Sylvester's criterion on
 S, whose leading minors are the pivots of one fraction-free (Bareiss)
-pass; clearing scales each by a positive square.  A move multiplies
-each level's rows by integer columns of the realified operator (exp(iyN)
-read off the integer series of iN) and eliminates each moved level once,
-e pair first, for the quotient bit and the inner cut; levels form when read.
+pass; clearing scales each by a positive square.
+
+A point is built as it is moved, on integer rows spanning each level:
+a new point's levels are its realified spanning vectors with i times
+each (gaussian._realified_rows), a moved point's are the level rows
+times integer columns of the realified operator (exp(iyN) read off the
+integer series of iN).  Each level is eliminated once, e pair first,
+which gives the quotient bit and the already reduced inner cut; the
+canonical levels form only when read.  Transversality reads the
+operator's columns off its membership clear, with no Q(i) matrix.
 """
 
 from __future__ import annotations
@@ -34,13 +40,8 @@ from .errors import (
     PreconditionViolated,
 )
 from .fans import unflatten
-from .gaussian import (
-    GSpace,
-    Gi,
-    gvec,
-    transport,
-)
-from .hodge import Frame, check_in_g
+from .gaussian import GSpace, Gi, _realified_rows, gvec
+from .hodge import Frame, _membership, _operator_rows
 from .qlinalg import (
     ZERO,
     NilpotentPowers,
@@ -63,74 +64,74 @@ class PeriodPoint:
     """A filtration of the complexified ambient space of a frame.
 
     ``jumps`` maps a level to spanning vectors; the space at level p is
-    spanned by everything declared at levels >= p.  Construction checks
-    the flag condition: on each graded piece of the weight filtration
-    the graded dimensions must match the hodge multiplicities.
+    spanned by everything declared at levels >= p.  A point is built, as
+    it is moved, from integer rows spanning each level: the realified
+    vectors declared at levels >= p here, the moved rows in ``_moved``.
+    ``_split_graded`` cuts each level in one elimination and
+    ``_check_flag`` checks that on each graded piece of the weight
+    filtration the graded dimensions match the hodge multiplicities.
+    The canonical levels (``jumps``) are formed only when read.
     """
 
     def __init__(self, frame: Frame, jumps: dict):
         levels = sorted(jumps, reverse=True)
         if not levels:
             raise PreconditionViolated("a period point needs at least one level")
-        space, out = _zero(frame.dim), []
+        rows, out = [], []
         for p in levels:
-            vectors = [gvec(v) for v in jumps[p]]
-            if any(len(v) != frame.dim for v in vectors):
-                raise MixedAmbient("spanning vector of the wrong length")
-            space = space.add_vectors(vectors)
-            out.append((p, space))
-        self.frame, self.jumps = frame, tuple(out)
-        self._graded, _ = self._split_graded([(p, s.real._int_rows()) for p, s in out])
+            rows = rows + _realified_rows(jumps[p], frame.dim)
+            out.append((p, rows))
+        self.frame = frame
+        self._graded, self._spanning = self._split_graded(out)
         self._check_flag()
 
     @cached_property
     def jumps(self) -> tuple:
-        """(level, space) pairs, high to low; a moved point forms them on first use."""
+        """(level, space) pairs, high to low, formed on first read."""
         n = 2 * self.frame.dim
-        return tuple((p, GSpace._of(Subspace._of_int_rows([w[2:] + w[:2] for w in ws], n))) for p, ws in self._spanning)
+        return tuple((p, GSpace._of(Subspace._of_int_rows(list(ws), n))) for p, ws in self._spanning)
 
     # --- filtration access ---
 
     @property
     def jump_indices(self) -> tuple:
-        return tuple(p for p, _ in self.jumps)
+        return tuple(p for p, _ in self._spanning)
 
     def at(self, p: int) -> GSpace:
         """Value of the filtration at level p, constant between jumps."""
         return _level(self.jumps, p, self.frame.dim)
 
-    def apply(self, op) -> "PeriodPoint":
-        """Transport along an invertible operator, cleared once into columns."""
-        return self._moved(transport(op))
-
     def _moved(self, columns) -> "PeriodPoint":
-        """The point moved by an operator given by ``transport``: each level's
-        rows times the columns, cut in one elimination, then the flag check."""
+        """The point moved by an operator given by its realified integer
+        columns, the transposed rows up to a positive scale: each level's
+        spanning rows times the columns, cut in one elimination, then the
+        flag check."""
         n = 2 * self.frame.dim
-        if len(columns) != n:
-            raise MixedAmbient("operator of the wrong size")
         out = PeriodPoint.__new__(PeriodPoint)
         out.frame = self.frame
-        out._graded, out._spanning = out._split_graded([(p, _int_product(s._rows, columns, n)) for p, s in self.jumps])
+        out._graded, out._spanning = out._split_graded(
+            [(p, _int_product(_sparse_rows(ws), columns, n)) for p, ws in self._spanning])
         out._check_flag()
         return out
 
     # --- graded pieces ---
 
     def _split_graded(self, levels) -> tuple:
-        """(weight -> (gram, levels), each level's rows reduced e pair first):
-        each level, given by integer rows spanning it, cut by e in one elimination."""
+        """(weight -> (gram, levels), each level's reduced spanning rows):
+        each level, given by integer rows spanning it, is eliminated once
+        with the e pair first.  The rref pivots there iff the level reaches
+        the quotient line, and its other rows, already reduced, are the
+        inner cut, whose canonical rows are read off with no elimination."""
         fr, n = self.frame, 2 * self.frame.rank
         inner, quot, spanning = [], [], []
         for p, rows in levels:
-            # with the e pair first, the rref pivots there iff the level
-            # reaches the quotient line, and its other rows span the cut
             rows = [w[n:] + w[:n] for w in rows]
             pivots = _rref_ints(rows)
-            cut = [w[2:] for w, c in zip(rows, pivots) if c > 1]
-            inner.append((p, GSpace._of(Subspace._of_int_rows(cut, n))))
-            quot.append((p, _LINE if 0 in pivots else _zero(1)))
-            spanning.append((p, rows))
+            top = sum(c < 2 for c in pivots)  # the rows at the e pair
+            cut = Subspace._of_reduced([w[2:] for w in rows[top:]], [c - 2 for c in pivots[top:]], n)
+            inner.append((p, GSpace._of(cut)))
+            quot.append((p, _LINE if top else _zero(1)))
+            spanning.append((p, [w[2:] + w[:2] for w in rows[: len(pivots)]]))
         return {0: (_UNIT, tuple(quot)), fr.weight: (fr.gram, tuple(inner))}, spanning
 
     def graded(self, k: int, p: int) -> GSpace:
@@ -288,9 +289,11 @@ def in_D(pt: PeriodPoint) -> bool:
 
 def small_griffiths(pt: PeriodPoint, n_mat) -> bool:
     """Infinitesimal transversality: the operator moves each level into
-    the next one down, each moved row tested with no elimination."""
-    check_in_g(pt.frame, n_mat)
-    columns, n = transport(mat(n_mat)), 2 * pt.frame.dim
+    the next one down, each moved row tested with no elimination.  The
+    operator is read off its membership clear: a real entry x at (i, j)
+    is x at (2i, 2j) and at (2i + 1, 2j + 1) of the realified operator."""
+    rows, n = _membership(pt.frame, n_mat)[0], 2 * pt.frame.dim
+    columns = [[(2 * i + d, x) for i, x in col] for col in _operator_rows(rows) for d in (0, 1)]
     moved = ((pt.at(p - 1).real, w) for p, space in pt.jumps for w in _int_product(space._rows, columns, n))
     return not any(any(target._residual(w)) for target, w in moved)
 

@@ -59,12 +59,12 @@ from .grid import first_fan_violation, window_face_table
 from .hodge import (
     Frame,
     _block_analysis,
+    _is_relative_weight_filtration,
     _membership,
     _relative_filtration,
     _relative_filtration_exists,
     frame_from_json,
     frame_to_json,
-    is_relative_weight_filtration,
 )
 from .qlinalg import (
     format_scalar,
@@ -417,7 +417,7 @@ def _load_operator(path: str, frame: Frame):
 def cmd_rmf(spec: SpecData, operator_path: str) -> dict:
     frame = spec.frame
     n_mat = _load_operator(operator_path, frame)
-    rows, lam, _ = _membership(frame, n_mat)  # check_in_g, once for all three
+    rows, lam, _ = _membership(frame, n_mat)  # check_in_g, once for all four
     wf, allowed, _ = _block_analysis(frame, frame.restriction(n_mat), lam)
     exists = _relative_filtration_exists(frame, allowed, rows)
     filt = _relative_filtration(frame, wf, rows)
@@ -425,7 +425,7 @@ def cmd_rmf(spec: SpecData, operator_path: str) -> dict:
     checks = [("existence-criterion-agrees", (filt is not None) == exists, witness)]
     if filt is not None:
         checks.append(
-            ("relative-axioms", is_relative_weight_filtration(n_mat, frame.base_filtration, filt), None)
+            ("relative-axioms", _is_relative_weight_filtration(rows, frame.base_filtration, filt), None)
         )
     extra = {
         "existence": {"exists": exists, "witness": witness},

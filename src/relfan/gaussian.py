@@ -7,8 +7,11 @@ conjugations and exponential series we need.  This module holds the
 and matrices as plain tuples of ``Gi``.
 
 Linear algebra is realified onto the rational layer: v in Q(i)^n is
-read as (re_1, im_1, ..., re_n, im_n) in Q^2n, a matrix as the rational
-matrix of the same map, and a subspace as an i-stable Q-subspace.
+read as (re_1, im_1, ..., re_n, im_n) in Q^2n and a subspace as an
+i-stable Q-subspace.  Vectors enter that layer once, as cleared integer
+rows, each followed by i times it read off its integer row
+(_realified_rows); a GSpace and a period point's levels are both built
+from those rows.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import MixedAmbient, SpecFormatError
-from .qlinalg import ZERO as QZERO, Mat, Subspace, Vec, _int_product, _row_ints, _scaled_int_rows, _sparse_rows
+from .qlinalg import Subspace, Vec, _row_ints
 
 
 @dataclass(frozen=True)
@@ -114,28 +117,17 @@ def unrealify(w) -> tuple:
     return tuple(Gi(w[k], w[k + 1]) for k in range(0, len(w), 2))
 
 
-def realify_mat(m) -> Mat:
-    """The rational matrix of v -> m . v in realified coordinates, every
-    zero entry the rational layer's shared ZERO."""
+def _realified_rows(vectors, ambient: int) -> list:
+    """Cleared integer rows spanning the i-stable realified span of Q(i)^ambient
+    vectors: each vector is realified once, cleared, and followed by i
+    times it, read off the integer row by swapping and negating its pairs."""
+    reals = [realify(v) for v in vectors]
+    if any(len(w) != 2 * ambient for w in reals):
+        raise MixedAmbient("spanning vector of the wrong length")
     out = []
-    for row in gmat(m):
-        out.append(tuple(x or QZERO for z in row for x in (z.re, -z.im)))
-        out.append(tuple(x or QZERO for z in row for x in (z.im, z.re)))
-    return tuple(out)
-
-
-def transport(op) -> list:
-    """The sparse cleared rows of realify_mat(op) transposed: a realified
-    row w times them is op . w up to a positive scale."""
-    ints, _ = _scaled_int_rows(realify_mat(op))
-    if any(len(row) != len(ints) for row in ints):
-        raise MixedAmbient("operator is not square")
-    return _sparse_rows(zip(*ints))
-
-
-def _with_i(w) -> tuple:
-    """A realified vector and i times it."""
-    return w, tuple(x for k in range(0, len(w), 2) for x in (-w[k + 1], w[k]))
+    for row in _row_ints(reals):
+        out += row, [x for k in range(0, len(row), 2) for x in (-row[k + 1], row[k])]
+    return out
 
 
 class GSpace:
@@ -155,7 +147,7 @@ class GSpace:
     """
 
     def __init__(self, ambient: int, rows=()):
-        self.real = Subspace.span([w for v in rows for w in _with_i(realify(v))], 2 * ambient)
+        self.real = Subspace._of_int_rows(_realified_rows(rows, ambient), 2 * ambient)
 
     @classmethod
     def _of(cls, real: Subspace) -> "GSpace":
@@ -181,12 +173,6 @@ class GSpace:
     def contains_space(self, other: "GSpace") -> bool:
         return self.real.contains_space(other.real)
 
-    def add_vectors(self, vectors) -> "GSpace":
-        """This space plus the span of Q(i) vectors, in one elimination
-        over its cleared rows and the realified vectors with i times each."""
-        rows = _row_ints(w for v in vectors for w in _with_i(realify(v)))
-        return GSpace._of(Subspace._of_int_rows(self.real._int_rows() + rows, self.real.ambient))
-
     def intersect(self, other: "GSpace") -> "GSpace":
         return GSpace._of(self.real.intersect(other.real))
 
@@ -195,13 +181,6 @@ class GSpace:
         """The sparse cleared rows of ``real``: b_k and i b_k realified,
         times one positive scale, at rows 2k and 2k + 1."""
         return [row for _, row in self.real._cleared[1]]
-
-    def apply(self, op) -> "GSpace":
-        """The image under an operator: the cleared rows times its columns."""
-        columns, n = transport(op), self.real.ambient
-        if len(columns) != n:
-            raise MixedAmbient("operator of the wrong size")
-        return GSpace._of(Subspace._of_int_rows(_int_product(self._rows, columns, n), n))
 
     def conjugate(self) -> "GSpace":
         """Conjugation negates the odd coordinates of each row, and the row

@@ -30,10 +30,12 @@ one-slot memo, so check_in_g, existence and the construction on one
 operator clear it once between them.  Only an operator that cannot
 change is kept, a tuple of tuples, and the rows are tuples; like the
 frame's other caches, the slot assumes one thread per frame.  The axiom
-certificate clears its operator itself, and decides on that clear:
-N S <= T is one sparse product of N with S's rows and T's residuals; a
-graded piece upper / lower is read off one integer echelon whose
-prefixes are the induced levels, with no Subspace eliminated; and N^l
+certificate decides on one clear: rmf hands it the membership rows
+(_is_relative_weight_filtration), and its public entry, which takes no
+frame, clears the operator itself.  On those rows N S <= T is one
+sparse product of N with S's rows and T's residuals; a graded piece
+upper / lower is read off one integer echelon whose prefixes are the
+induced levels, with no Subspace eliminated; and N^l
 is injective on Gr_(c+l) iff N^l Gr_(c+l) has rank graded_dim(c + l)
 modulo level c-l-1.
 """
@@ -278,7 +280,12 @@ def is_relative_weight_filtration(n_mat: Mat, base: Filtration, cand: Filtration
     part of the space in no graded piece, so it raises
     PreconditionViolated rather than pass a check it never made.  The
     operator is cleared as _membership clears it, with the same errors."""
-    rows, _ = _sparse_clear(n_mat, base.ambient)
+    return _is_relative_weight_filtration(_sparse_clear(n_mat, base.ambient)[0], base, cand)
+
+
+def _is_relative_weight_filtration(rows: tuple, base: Filtration, cand: Filtration) -> bool:
+    """is_relative_weight_filtration of the operator with these sparse
+    cleared rows, as _membership gives them."""
     if cand.ambient != base.ambient:
         raise MixedAmbient("relative filtration check: ambient mismatch")
     if not base.is_exhaustive():

@@ -370,12 +370,18 @@ class Subspace:
 
     @classmethod
     def _of_int_rows(cls, work: list, ambient: int) -> "Subspace":
-        """The span of integer rows, which are reduced in place.  Row i of
-        the elimination, made primitive with a positive pivot P_i, is b_i
-        times P_i, and P_i is the least integer clearing b_i; so D is the
-        least common multiple of the P_i."""
+        """The span of integer rows, which are reduced in place."""
+        return cls._of_reduced(work, _rref_ints(work), ambient)
+
+    @classmethod
+    def _of_reduced(cls, work: list, pivots: list, ambient: int) -> "Subspace":
+        """The span of integer rows in reduced echelon form, as _rref_ints
+        leaves them: row i is nonzero at pivots[i] and zero at every other
+        pivot, and rows past the pivots are ignored.  Row i, made primitive
+        with a positive pivot P_i, is b_i times P_i, and P_i is the least
+        integer clearing b_i; so D is the least common multiple of the P_i."""
         rows = []
-        for row, p in zip(work, _rref_ints(work)):
+        for row, p in zip(work, pivots):
             g = gcd(*row) if row[p] > 0 else -gcd(*row)
             rows.append((p, [x // g for x in row] if g != 1 else row))
         den = lcm(*(row[p] for p, row in rows))

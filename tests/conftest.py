@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from relfan.classifying import _orbit_powers
 from relfan.errors import MixedAmbient
 from relfan.gallery import ChartPoint, equivalence_witness
-from relfan.gaussian import unrealify
+from relfan.gaussian import GSpace, gmat, unrealify
 from relfan.qlinalg import (
     ONE,
     ZERO,
+    Subspace,
     ZLattice,
     _int_product,
+    _scaled_int_rows,
     _sparse_rows,
     _to_fractions,
     int_left_kernel,
@@ -194,6 +196,43 @@ def fraction_pencil_commute(fan, pencil) -> bool:
     return all(ker.contains(vsub(h, moving[0])) for h in moving[1:]) and all(
         ker.contains(h) for lam, h in pencil if not lam
     )
+
+
+def realify_mat(m) -> tuple:
+    """The rational matrix of v -> m . v in realified coordinates, every
+    zero entry the rational layer's shared ZERO."""
+    out = []
+    for row in gmat(m):
+        out.append(tuple(x or ZERO for z in row for x in (z.re, -z.im)))
+        out.append(tuple(x or ZERO for z in row for x in (z.im, z.re)))
+    return tuple(out)
+
+
+def transport(op) -> list:
+    """The sparse cleared rows of realify_mat(op) transposed: a realified
+    row w times them is op . w up to a positive scale."""
+    ints, _ = _scaled_int_rows(realify_mat(op))
+    if any(len(row) != len(ints) for row in ints):
+        raise MixedAmbient("operator is not square")
+    return _sparse_rows(zip(*ints))
+
+
+def apply_space(space, op):
+    """The image of a GSpace under a Q(i) operator: its cleared rows times
+    the transported columns."""
+    columns, n = transport(op), space.real.ambient
+    if len(columns) != n:
+        raise MixedAmbient("operator of the wrong size")
+    return GSpace._of(Subspace._of_int_rows(_int_product(space._rows, columns, n), n))
+
+
+def apply_point(pt, op):
+    """A period point transported along an invertible Q(i) operator,
+    cleared once into columns and moved as the orbit moves it."""
+    columns = transport(op)
+    if len(columns) != 2 * pt.frame.dim:
+        raise MixedAmbient("operator of the wrong size")
+    return pt._moved(columns)
 
 
 def unrealify_mat(m) -> tuple:

@@ -8,9 +8,7 @@ only as oracles for the kernel and the series read from it.
 from fractions import Fraction
 
 from relfan.errors import NotNilpotent, NotUnipotent
-from relfan.gaussian import realify_mat
-
-from conftest import unrealify_mat
+from conftest import realify_mat, unrealify_mat
 
 
 def _identity(n):

@@ -7,6 +7,8 @@ open domain is therefore equivalent to Im(tau) > 0, which checks the
 generic minor machinery against the classical statement.
 """
 
+import hashlib
+import random
 from fractions import Fraction as F
 
 from unittest import mock
@@ -33,14 +35,14 @@ from relfan.errors import (
     NotInG,
     PreconditionViolated,
 )
-from relfan import classifying, gaussian, qlinalg
+from relfan import classifying, gaussian, hodge, qlinalg
 from relfan.fans import flatten, unflatten
 from relfan.fixtures import elliptic_frame, jordan3_frame
-from relfan.gaussian import I, ONE, GSpace, Gi, gmat, realify_mat
+from relfan.gaussian import I, ONE, GSpace, Gi, gmat
 from relfan.hodge import Frame
 from relfan.qlinalg import Subspace, det, exp_nilpotent, identity, linear_map, zero_vec
 
-from conftest import fracs, orbit_exponentials
+from conftest import apply_point, fracs, orbit_exponentials, realify_mat
 from dense_series import gexp_nilpotent
 
 
@@ -207,7 +209,7 @@ def test_orbit_form_positive_at_every_height():
     pt = elliptic_point(gi(0))
     n = pt.frame.pencil(F(1), (0, 0))
     for y in (1, 4, 16, 64, 256):
-        moved = pt.apply(gexp_nilpotent(gmat([[Gi(0, F(y) * x) for x in row] for row in n])))
+        moved = apply_point(pt, gexp_nilpotent(gmat([[Gi(0, F(y) * x) for x in row] for row in n])))
         # the moved line is tau = i*y, reduced to (1, -i/y)
         assert hermitian_gram(moved, -1, 0) == ((gi(F(2, y)),),)
         assert in_D(moved)
@@ -285,7 +287,7 @@ def block_diag(s):
 @pytest.mark.parametrize("tau", [(0, 1), (0, -1), (1, 2), (F(1, 2), F(-1, 3))])
 def test_membership_invariant_under_integral_symplectic(s, tau):
     pt = elliptic_point(gi(*tau))
-    moved = pt.apply(block_diag(s))
+    moved = apply_point(pt, block_diag(s))
     assert in_D(moved) == in_D(pt)
 
 
@@ -447,7 +449,7 @@ def test_integral_symplectic_moves_match_the_gi_paths(tau, word):
     pt = elliptic_point(tau)
     for s in word:
         op = block_diag(s)
-        moved = pt.apply(op)
+        moved = apply_point(pt, op)
         assert moved.jumps == ref_apply(pt, op)
         assert_matches_reference(moved)
         pt = moved
@@ -460,7 +462,7 @@ def test_orbit_moves_match_the_gi_paths(name, data):
     else:
         pt, n = jordan3_point((0, 1, 0)), jordan3_frame().pencil(F(1), zero_vec(3))
     for u in orbit_exponentials(n, (1, data.draw(fracs().filter(lambda y: y > 0)))):
-        moved = pt.apply(u)
+        moved = apply_point(pt, u)
         assert moved.jumps == ref_apply(pt, u)
         assert_matches_reference(moved)
 
@@ -491,7 +493,7 @@ def test_integer_orbit_moves_match_the_gi_paths(name, data):
             for p in {p for p, _ in types} | set(pt.jump_indices):
                 assert moved.graded(k, p) == ref_graded(moved, k, p)
         assert moved.jumps == ref_apply(pt, u)
-        assert verdict(moved) == verdict(pt.apply(u))
+        assert verdict(moved) == verdict(apply_point(pt, u))
 
 
 def test_membership_and_isotropy_build_no_gaussian_scalar(monkeypatch):
@@ -570,7 +572,10 @@ def test_each_spanning_vector_is_realified_once():
     fr = jordan3_frame()
     e = (0, 0, 0, 1)
     jumps = {0: [(0, 0, 1, 0), e], -1: [(0, 1, 0, 0), e], -2: [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), e]}
-    with mock.patch.object(gaussian, "realify", wraps=gaussian.realify) as realified:
+    # spied where the one helper that realifies spanning vectors looks it up
+    helper = classifying._realified_rows
+    with mock.patch.dict(helper.__globals__, realify=mock.Mock(wraps=gaussian.realify)):
+        realified = helper.__globals__["realify"]
         pt = PeriodPoint(fr, jumps)
     assert realified.call_count == sum(map(len, jumps.values()))
     for p, vectors in jumps.items():
@@ -579,18 +584,49 @@ def test_each_spanning_vector_is_realified_once():
 
 
 def test_each_level_is_one_elimination():
-    # a level is the level above's cleared rows plus its own realified
-    # rows, eliminated once; _split_graded then cuts each level once
+    # a level is the realified rows declared at it and above, eliminated
+    # once with the e pair first by _split_graded, which reads the inner
+    # cut off that elimination; the levels themselves form when read
     fr = jordan3_frame()
     e = (0, 0, 0, 1)
     jumps = {0: [(0, 0, 1, 0), e], -1: [(0, 1, 0, 0)], -2: [(1, 0, 0, 0)]}
     split = PeriodPoint._split_graded
-    with mock.patch.object(Subspace, "_of_int_rows", wraps=Subspace._of_int_rows) as eliminated, \
+    with mock.patch.object(classifying, "_rref_ints", wraps=qlinalg._rref_ints) as reduced, \
+         mock.patch.object(Subspace, "_of_int_rows", wraps=Subspace._of_int_rows) as eliminated, \
          mock.patch.object(PeriodPoint, "_split_graded", autospec=True, side_effect=split) as cut:
         pt = PeriodPoint(fr, jumps)
-    assert cut.call_count == 1
-    assert eliminated.call_count == 2 * len(jumps)
-    assert [pt.at(p).dim for p in (0, -1, -2)] == [2, 3, 4]
+        assert cut.call_count == 1
+        assert reduced.call_count == len(jumps)
+        assert eliminated.call_count == 0 and "jumps" not in vars(pt)
+        assert [pt.at(p).dim for p in (0, -1, -2)] == [2, 3, 4]
+        assert eliminated.call_count == len(jumps)
+
+
+def test_a_point_decided_by_in_d_forms_no_level():
+    for tau in (gi(0, 1), gi(0, -1), gi(0)):
+        pt = elliptic_point(tau)
+        assert in_D(pt) == upper_half(tau)
+        assert "jumps" not in vars(pt)
+    pt = jordan3_point((0, 1, 0))  # a boundary point
+    assert not in_D(pt) and "jumps" not in vars(pt)
+
+
+def test_small_griffiths_clears_its_operator_once_and_builds_no_gaussian_scalar(monkeypatch):
+    points = [elliptic_point(gi(0, 1)), jordan3_point((0, 1, 0)), jordan3_point((1, 0, 0))]
+    ops = [points[0].frame.pencil(F(2), (1, F(1, 2)))] + [pt.frame.pencil(F(1), zero_vec(3)) for pt in points[1:]]
+    # the frames' own clears are made here, outside the counts
+    assert [small_griffiths(pt, n) for pt, n in zip(points, ops)] == [True, True, False]
+
+    def refuse(self):
+        raise AssertionError("a Gi was built")
+
+    clear = hodge._sparse_clear
+    monkeypatch.setattr(Gi, "__post_init__", refuse)
+    for pt, n, want in zip(points, ops, [True, True, False]):
+        n = tuple(map(tuple, n))  # a fresh operator, which no frame has kept
+        with mock.patch.object(hodge, "_sparse_clear", wraps=clear) as cleared:
+            assert small_griffiths(pt, n) == want
+        assert cleared.call_count == 1
 
 
 @pytest.mark.parametrize("tau", [gi(F(1, 2), F(3, 4)), gi(-2, 0), gi(F(-1, 3), -1)])
@@ -608,8 +644,8 @@ def test_period_points_are_built_and_decided_with_no_fraction_basis(tau):
 
 def test_a_move_is_one_elimination_per_level_plus_the_cut():
     # each level's rows times the columns are eliminated once, at full
-    # width with the e pair first, which also reduces the cut; the moved
-    # levels themselves are formed on first use
+    # width with the e pair first, which also reduces the cut, read off
+    # with no second elimination; the moved levels are formed on first use
     fr = jordan3_frame()
     pt, n = jordan3_point((0, 1, 0)), fr.pencil(F(1), zero_vec(3))
     (u,), (columns,) = orbit_exponentials(n, (F(5, 2),)), list(classifying._orbit_moves(n, (F(5, 2),)))
@@ -618,8 +654,7 @@ def test_a_move_is_one_elimination_per_level_plus_the_cut():
          mock.patch.object(Subspace, "_of_int_rows", wraps=Subspace._of_int_rows) as eliminated:
         moved = pt._moved(columns)
     assert widths == [2 * fr.dim] * len(pt.jumps)
-    assert [call.args[1] for call in eliminated.call_args_list] == [2 * fr.rank] * len(pt.jumps)
-    assert "jumps" not in vars(moved)
+    assert eliminated.call_count == 0 and "jumps" not in vars(moved)
     assert moved.jumps == ref_apply(pt, u)
 
 
@@ -638,3 +673,70 @@ def test_orbit_moves_build_no_fraction_or_gaussian_matrix():
         assert nilpotent_orbit_test(pt, cone)
     # the flag is still checked at every height
     assert checked.call_count == 5
+
+
+# --- the period corpus, pinned ---------------------------------------------------
+#
+# One sha256 per frame over a seeded corpus of period points: the cleared rows
+# of every level and graded piece, the in_D verdict, the transversality of one
+# pencil operator, and the point moved by that operator's orbit at heights 1
+# and 4 with its levels, graded pieces and verdict.  Elliptic points are given
+# half of the time by a redundant spanning set, level by level; half of the
+# jordan3 operators send e to zero, so that some of them are transversal.
+
+
+def corpus_fraction(rng):
+    return F(rng.randrange(-9, 10), rng.randrange(1, 5))
+
+
+def corpus_gi(rng):
+    return Gi(corpus_fraction(rng), corpus_fraction(rng))
+
+
+def period_corpus(name, size=40):
+    rng = random.Random(11)
+    fr = elliptic_frame() if name == "elliptic" else jordan3_frame()
+    e = (0,) * fr.rank + (1,)
+    out = []
+    while len(out) < size:
+        if name == "elliptic":
+            v = (corpus_gi(rng), corpus_gi(rng))
+            if not any(v):
+                continue
+            if rng.random() < 0.5:
+                top = [v + (corpus_gi(rng),), e, tuple(2 * x for x in v) + (0,)]
+                pt = PeriodPoint(fr, {0: top, -1: [(1, 0, 0), (0, 1, 0), (corpus_gi(rng), corpus_gi(rng), 1)]})
+            else:
+                pt = extend_inner_filtration(fr, {0: [v], -1: identity(2)})
+        else:
+            t = corpus_gi(rng)
+            top = (Gi(1), t, t * t * Gi(F(1, 2)))
+            other = (Gi(), Gi(1), t) if rng.random() < 0.5 else (corpus_gi(rng), corpus_gi(rng), corpus_gi(rng))
+            if GSpace(3, [top, other]).dim != 2:
+                continue
+            pt = extend_inner_filtration(fr, {0: [top], -1: [other], -2: identity(3)})
+        h = tuple(corpus_fraction(rng) for _ in range(fr.rank))
+        out.append((pt, fr.pencil(1, h if name == "elliptic" or rng.random() < 0.5 else zero_vec(fr.rank))))
+    return out
+
+
+def period_record(pt, n):
+    def rows(pt):
+        levels = [(p, s.real._cleared) for p, s in pt.jumps]
+        graded = [(k, p, pt.graded(k, p).real._cleared) for k in hodge_numbers(pt.frame) for p in range(-4, 3)]
+        return levels, graded, verdict(pt)
+
+    moved = [rows(pt._moved(columns)) for columns in classifying._orbit_moves(n, (1, 4))]
+    return rows(pt), small_griffiths(pt, n), moved
+
+
+PERIOD_DIGESTS = {
+    "elliptic": "dcc42c7ec2c90af73952e85bf6708944e92fba800051bb647a728b4312872a07",
+    "jordan3": "2ec981fbf0b3ffcf55ec48a37905fd6d27cf47f9f61cdb6a02c938428e13c88e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERIOD_DIGESTS))
+def test_period_corpus_digest(name):
+    records = [period_record(pt, n) for pt, n in period_corpus(name)]
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == PERIOD_DIGESTS[name]

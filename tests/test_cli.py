@@ -627,6 +627,28 @@ def test_rmf_runs_one_membership_step(tmp_path, capsys, monkeypatch):
         assert report["existence"]["exists"] == (report["filtration"] is not None)
 
 
+def test_rmf_clears_its_operator_once(tmp_path, capsys, monkeypatch):
+    """Membership, existence, the construction and the axiom certificate
+    read one clear of the operator; the frame's own clears of its gram
+    and log(gamma) are at the inner width."""
+    widths = []
+    clear = hodge._sparse_clear
+    monkeypatch.setattr(hodge, "_sparse_clear", lambda rows, width: widths.append(width) or clear(rows, width))
+    spec = write_spec(tmp_path, fixture="jordan3")
+    certified = 0
+    for name, fields in [
+        ("lam1.json", {"lam": "1", "e_image": ["1", "0", "0"]}),
+        ("lam0.json", {"lam": "0", "e_image": ["1", "1", "1"]}),
+        ("zero.json", {"matrix": [["0"] * 4] * 4}),
+        ("off.json", {"matrix": JORDAN3_OFF_PENCIL}),
+    ]:
+        widths.clear()
+        code, report = run_json(capsys, "rmf", "--spec", spec, "--n-data", write_operator(tmp_path, name, **fields))
+        assert code == 0 and widths.count(4) == 1
+        certified += any(c["name"] == "relative-axioms" for c in report["checks"])
+    assert certified == 4
+
+
 def test_report_formats_each_vector_once(tmp_path, capsys, monkeypatch):
     """A report is formatted in one pass that writes each vector object
     once: build on triple at window 0 formats one ray per grid point,
