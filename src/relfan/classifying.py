@@ -15,16 +15,11 @@ realified coordinates, built once per frame.  Two i-stable levels are
 isotropic iff X K Y^T = 0.  On a (p, q) piece S = X K X^T is symmetric
 iff the form is hermitian, and positivity is Sylvester's criterion on
 S, whose leading minors are the pivots of one fraction-free (Bareiss)
-pass; clearing scales each by a positive square.
-
-A point is built as it is moved, on integer rows spanning each level:
-a new point's levels are its realified spanning vectors with i times
-each (gaussian._realified_rows), a moved point's are the level rows
-times integer columns of the realified operator (exp(iyN) read off the
-integer series of iN).  Each level is eliminated once, e pair first,
-which gives the quotient bit and the already reduced inner cut; the
-canonical levels form only when read.  Transversality reads the
-operator's columns off its membership clear, with no Q(i) matrix.
+pass; clearing scales each by a positive square.  A point is built as
+it is moved: integer rows span each level (the realified vectors with i
+times each, or the rows times integer columns of exp(iyN), read off the
+integer series of iN), and each level is eliminated once, e pair first,
+for the quotient bit and the reduced inner cut; levels form when read.
 """
 
 from __future__ import annotations
@@ -64,13 +59,10 @@ class PeriodPoint:
     """A filtration of the complexified ambient space of a frame.
 
     ``jumps`` maps a level to spanning vectors; the space at level p is
-    spanned by everything declared at levels >= p.  A point is built, as
-    it is moved, from integer rows spanning each level: the realified
-    vectors declared at levels >= p here, the moved rows in ``_moved``.
-    ``_split_graded`` cuts each level in one elimination and
-    ``_check_flag`` checks that on each graded piece of the weight
-    filtration the graded dimensions match the hodge multiplicities.
-    The canonical levels (``jumps``) are formed only when read.
+    spanned by everything declared at levels >= p.  As in ``_moved``,
+    integer rows spanning each level are cut by ``_split_graded`` and
+    ``_check_flag`` matches the graded dimensions of each graded piece
+    to the hodge multiplicities; the levels (``jumps``) form when read.
     """
 
     def __init__(self, frame: Frame, jumps: dict):
@@ -103,9 +95,8 @@ class PeriodPoint:
 
     def _moved(self, columns) -> "PeriodPoint":
         """The point moved by an operator given by its realified integer
-        columns, the transposed rows up to a positive scale: each level's
-        spanning rows times the columns, cut in one elimination, then the
-        flag check."""
+        columns (transposed rows, up to a positive scale): each level's
+        spanning rows times the columns, cut, then the flag check."""
         n = 2 * self.frame.dim
         out = PeriodPoint.__new__(PeriodPoint)
         out.frame = self.frame
@@ -118,10 +109,10 @@ class PeriodPoint:
 
     def _split_graded(self, levels) -> tuple:
         """(weight -> (gram, levels), each level's reduced spanning rows):
-        each level, given by integer rows spanning it, is eliminated once
-        with the e pair first.  The rref pivots there iff the level reaches
-        the quotient line, and its other rows, already reduced, are the
-        inner cut, whose canonical rows are read off with no elimination."""
+        each level of a new or a moved point, given by integer rows spanning
+        it, is eliminated once with the e pair first.  It pivots there iff
+        the level reaches the quotient line, and its other rows, already
+        reduced, are the cut; the levels themselves form when read."""
         fr, n = self.frame, 2 * self.frame.rank
         inner, quot, spanning = [], [], []
         for p, rows in levels:
@@ -289,9 +280,9 @@ def in_D(pt: PeriodPoint) -> bool:
 
 def small_griffiths(pt: PeriodPoint, n_mat) -> bool:
     """Infinitesimal transversality: the operator moves each level into
-    the next one down, each moved row tested with no elimination.  The
-    operator is read off its membership clear: a real entry x at (i, j)
-    is x at (2i, 2j) and at (2i + 1, 2j + 1) of the realified operator."""
+    the next one down, each moved row tested with no elimination.  Its
+    membership rows give its realified columns: x at (i, j) is x at
+    (2i, 2j) and (2i + 1, 2j + 1)."""
     rows, n = _membership(pt.frame, n_mat)[0], 2 * pt.frame.dim
     columns = [[(2 * i + d, x) for i, x in col] for col in _operator_rows(rows) for d in (0, 1)]
     moved = ((pt.at(p - 1).real, w) for p, space in pt.jumps for w in _int_product(space._rows, columns, n))

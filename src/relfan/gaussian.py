@@ -7,11 +7,9 @@ conjugations and exponential series we need.  This module holds the
 and matrices as plain tuples of ``Gi``.
 
 Linear algebra is realified onto the rational layer: v in Q(i)^n is
-read as (re_1, im_1, ..., re_n, im_n) in Q^2n and a subspace as an
-i-stable Q-subspace.  Vectors enter that layer once, as cleared integer
-rows, each followed by i times it read off its integer row
-(_realified_rows); a GSpace and a period point's levels are both built
-from those rows.
+read as (re_1, im_1, ..., re_n, im_n) in Q^2n, a subspace as an i-stable
+Q-subspace, and vectors enter it once, as cleared integer rows each
+followed by i times it (_realified_rows), for GSpace and period points.
 """
 
 from __future__ import annotations
@@ -118,9 +116,9 @@ def unrealify(w) -> tuple:
 
 
 def _realified_rows(vectors, ambient: int) -> list:
-    """Cleared integer rows spanning the i-stable realified span of Q(i)^ambient
-    vectors: each vector is realified once, cleared, and followed by i
-    times it, read off the integer row by swapping and negating its pairs."""
+    """Cleared integer rows spanning the realified Q(i)-span of vectors:
+    each is realified once, cleared, and followed by i times it, read off
+    its integer row by swapping and negating each pair."""
     reals = [realify(v) for v in vectors]
     if any(len(w) != 2 * ambient for w in reals):
         raise MixedAmbient("spanning vector of the wrong length")
